@@ -15,7 +15,8 @@
 # kernel-vs-pre-kernel campaign A/B asserting the two-phase sweep plus
 # the span-based traffic replay are byte-identical to the scalar golden
 # path (LOAS_SWEEP=scalar drives every model's Reference oracle,
-# including Gamma's and GoSPA's pre-span walks).
+# including Gamma's and GoSPA's pre-span walks), and a short perfbench
+# cold-grid run that must report "correct": true.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -94,7 +95,7 @@ cat > "$SMOKE/infeasible.json" <<'SPEC'
                "profile": {"spike_origin": 0.01, "silent": 0.5,
                            "silent_ft": 0.55, "weight": 0.98},
                "seed": 7},
-  "accelerator": "loas"}]}
+  "accelerator": {"loas": {"timesteps": 2}}}]}
 SPEC
 "$SERVE" enqueue "$SMOKE/single" "$SMOKE/infeasible.json"
 "$SERVE" run "$SMOKE/single"
@@ -103,6 +104,13 @@ SPEC
 "$SERVE" status "$SMOKE/single" | grep "00004" | grep -q "queued"
 
 "$SERVE" fsck "$SMOKE/single"
+# LoAS configured for another window than the workload's is refused at
+# enqueue (it would otherwise panic the runner and wedge the queue).
+sed 's/"timesteps": 2/"timesteps": 8/' "$SMOKE/infeasible.json" > "$SMOKE/mismatch.json"
+if "$SERVE" enqueue "$SMOKE/single" "$SMOKE/mismatch.json" 2> "$SMOKE/mismatch.err"; then
+  echo "enqueue accepted a LoAS timestep mismatch"; exit 1
+fi
+grep -q "bad campaign spec" "$SMOKE/mismatch.err"
 echo "garbage" > "$SMOKE/single/memo/00000000deadbeef.report"
 if "$SERVE" fsck "$SMOKE/single" > /dev/null 2>&1; then
   echo "fsck missed an injected corrupt memo entry"; exit 1
@@ -154,5 +162,13 @@ awk -v old="$pr3_wall" -v new="$pr5_wall" 'BEGIN { exit !(new <= 1.2 * old) }' \
   || { echo "end-to-end wall time regressed >20% against BENCH_PR3.json"; exit 1; }
 awk -v old="$pr3_wall" -v new="$pr5_wall" 'BEGIN { exit !(old >= 1.3 * new) }' \
   || { echo "BENCH_PR5.json no longer shows the >=1.3x end-to-end gain"; exit 1; }
+
+echo "== benchmark smoke (perfbench cold-grid, pinned full-size digests)"
+# A short cold-grid run of the repository benchmark: it checks every
+# served report against its layer walk and the walk against the digests
+# pinned in perfbench/pins.txt, and reports "correct": false otherwise.
+cargo run --release --quiet --manifest-path perfbench/Cargo.toml -- \
+  --workload cold-grid --seed 1 --seconds 3 --trace 0 | tail -1 | tee "$SMOKE/perfbench.out"
+grep -q '"correct": true' "$SMOKE/perfbench.out"
 
 echo "CI OK"

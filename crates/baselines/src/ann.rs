@@ -5,7 +5,7 @@
 
 use crate::common::Machine;
 use loas_core::kernel::{PairSweepKernel, RowBlocks, SweepMode};
-use loas_core::{LayerReport, SweepStrategy};
+use loas_core::{weight_views, LayerReport, SweepStrategy};
 use loas_sim::TrafficClass;
 use loas_sparse::{Bitmask, WeightFiber, POINTER_BITS};
 use loas_workloads::AnnWorkload;
@@ -38,12 +38,7 @@ impl AnnPrepared {
             .map(|m| Bitmask::from_bools(workload.activations.row(m).iter().map(|&v| v != 0)))
             .collect();
         let a_nnz = a_row_masks.iter().map(Bitmask::popcount).sum();
-        let b_fibers = (0..shape.n)
-            .map(|n| WeightFiber::from_weights(&workload.weights.column(n)))
-            .collect();
-        let b_row_nnz = (0..shape.k)
-            .map(|k| workload.weights.row(k).iter().filter(|&&w| w != 0).count())
-            .collect();
+        let (b_fibers, b_row_nnz) = weight_views(&workload.weights);
         let row_blocks = RowBlocks::from_masks(&a_row_masks);
         AnnPrepared {
             name: workload.name.clone(),

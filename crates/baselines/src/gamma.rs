@@ -294,7 +294,7 @@ impl Accelerator for GammaSnn {
                 let line_bytes = machine.cache.line_bytes();
                 let b_row_span: Vec<LineSpan> = b_row_addr
                     .iter()
-                    .zip(&layer.b_row_nnz)
+                    .zip(layer.b_row_nnz.iter())
                     .map(|(&addr, &nnz)| {
                         let bytes = ((nnz * (p.weight_bits + coord_bits)).div_ceil(8)) as u64;
                         LineSpan::of_range(addr, bytes.max(1), line_bytes)

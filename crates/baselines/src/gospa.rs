@@ -174,7 +174,7 @@ impl Accelerator for GospaSnn {
             let line_bytes = machine.cache.line_bytes();
             let spans: Vec<LineSpan> = b_row_addr
                 .iter()
-                .zip(&layer.b_row_nnz)
+                .zip(layer.b_row_nnz.iter())
                 .map(|(&row_addr, &nnz)| {
                     let bytes = ((nnz * (p.weight_bits + coord_bits)).div_ceil(8)) as u64;
                     LineSpan::of_range(row_addr, bytes, line_bytes)
@@ -218,7 +218,7 @@ impl Accelerator for GospaSnn {
                     }
                 }
                 None => {
-                    for (&row_addr, &nnz) in b_row_addr.iter().zip(&layer.b_row_nnz) {
+                    for (&row_addr, &nnz) in b_row_addr.iter().zip(layer.b_row_nnz.iter()) {
                         if nnz > 0 {
                             let bytes = ((nnz * (p.weight_bits + coord_bits)).div_ceil(8)) as u64;
                             machine

@@ -198,7 +198,7 @@ impl Accelerator for SparTenSnn {
         let b_base = a_plane_bytes * shape.t as u64;
         let mut b_addr = Vec::with_capacity(shape.n);
         let mut addr = b_base;
-        for fiber in &layer.b_fibers {
+        for fiber in layer.b_fibers.iter() {
             b_addr.push(addr);
             addr += fiber.storage_bits(p.weight_bits).div_ceil(8) as u64;
         }

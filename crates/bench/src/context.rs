@@ -263,10 +263,7 @@ pub fn run_design(design: Design, network: &str, layers: &[PreparedLayer]) -> Ne
     use loas_core::Accelerator;
     let mut model = design.accelerator_spec().build();
     let layers: Vec<PreparedLayer> = if design.uses_ft_workload() {
-        layers
-            .iter()
-            .map(|p| PreparedLayer::new(&p.workload.with_preprocessing()))
-            .collect()
+        layers.iter().map(PreparedLayer::fine_tuned).collect()
     } else {
         layers.to_vec()
     };

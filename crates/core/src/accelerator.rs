@@ -331,7 +331,7 @@ impl<'a> TrafficProbes<'a> {
             addr += fiber.storage_bits(shape.t).div_ceil(8) as u64;
         }
         let mut b_addr = Vec::with_capacity(shape.n);
-        for fiber in &layer.b_fibers {
+        for fiber in layer.b_fibers.iter() {
             b_addr.push(addr);
             addr += fiber.storage_bits(weight_bits).div_ceil(8) as u64;
         }
@@ -729,8 +729,7 @@ mod tests {
     #[test]
     fn ft_mode_reduces_or_preserves_cycles() {
         let layer = small_layer();
-        let ft_workload = layer.workload.with_preprocessing();
-        let ft_layer = PreparedLayer::new(&ft_workload);
+        let ft_layer = layer.fine_tuned();
         let base = Loas::default().run_layer(&layer);
         let ft = Loas::new(
             LoasConfig::builder()

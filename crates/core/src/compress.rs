@@ -12,7 +12,7 @@
 //!    FTP reads one contiguous word instead of `T` strided rows.
 
 use loas_snn::SpikeTensor;
-use loas_sparse::{CsrMatrix, SpikeFiber, POINTER_BITS};
+use loas_sparse::{coordinate_bits, SpikeFiber, POINTER_BITS};
 
 /// Summary of compressing one spike tensor with the LoAS format, with the
 /// CSR cost for comparison.
@@ -89,21 +89,29 @@ pub fn compress_tensor(tensor: &SpikeTensor) -> (Vec<SpikeFiber>, CompressionRep
         .iter()
         .map(|f| (f.bitmask().storage_bits() + POINTER_BITS) as u64)
         .sum();
-    let csr_bits: u64 = tensor
-        .planes()
-        .iter()
-        .map(|plane| CsrMatrix::from_bit_matrix(plane).storage_bits(0) as u64)
-        .sum();
     let report = CompressionReport {
         positions: tensor.m() * tensor.k(),
         stored_neurons,
         spikes: tensor.spike_count(),
         payload_bits,
         format_bits,
-        csr_bits,
+        csr_bits: csr_bits(tensor),
         dense_bits: (tensor.m() * tensor.k() * tensor.timesteps()) as u64,
     };
     (fibers, report)
+}
+
+/// Size of a spike tensor in per-timestep, coordinate-only CSR (GoSPA's
+/// format), in closed form: per plane, `nnz · coordinate_bits(K)` plus
+/// `M + 1` row pointers of `coordinate_bits(max(nnz, 1))` bits.
+pub(crate) fn csr_bits(tensor: &SpikeTensor) -> u64 {
+    let (m, k) = (tensor.m(), tensor.k());
+    let plane_bits = |nnz: usize| nnz * coordinate_bits(k) + coordinate_bits(nnz.max(1)) * (m + 1);
+    tensor
+        .planes()
+        .iter()
+        .map(|p| plane_bits(p.popcount()) as u64)
+        .sum()
 }
 
 #[cfg(test)]

@@ -34,7 +34,8 @@
 //! [`Loas::run_layer`]: crate::Loas
 //! [`SimStats`]: loas_sim::SimStats
 
-use loas_sparse::{Bitmask, SpikeFiber};
+use loas_snn::SpikeTensor;
+use loas_sparse::Bitmask;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -54,37 +55,30 @@ pub struct RowBlocks {
 }
 
 impl RowBlocks {
-    /// Builds the layout from per-row spike fibers: the fiber's non-silent
-    /// bitmask becomes the mask words, and the packed spike words are
-    /// scattered into `timesteps` plane rows.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `timesteps` exceeds [`MAX_TIMESTEPS`] or the fibers have
-    /// unequal uncompressed lengths.
-    pub fn from_spike_fibers(fibers: &[SpikeFiber], timesteps: usize) -> Self {
+    /// Builds the layout from a spike tensor's plane words: each row's mask
+    /// is the OR of its `T` plane rows (its non-silent neurons), followed by
+    /// copies of them. Panics when `T` exceeds [`MAX_TIMESTEPS`].
+    pub fn from_tensor(spikes: &SpikeTensor) -> Self {
+        let timesteps = spikes.timesteps();
         assert!(
             timesteps <= MAX_TIMESTEPS,
             "timesteps {timesteps} exceed the packed-word limit {MAX_TIMESTEPS}"
         );
-        let k = fibers.first().map(SpikeFiber::len).unwrap_or(0);
-        let row_words = k.div_ceil(64);
+        let row_words = spikes.k().div_ceil(64);
         let stride = row_words * (timesteps + 1);
-        let mut words = vec![0u64; fibers.len() * stride];
-        for (m, fiber) in fibers.iter().enumerate() {
-            assert_eq!(fiber.len(), k, "row fibers must share the K dimension");
-            let base = m * stride;
-            words[base..base + fiber.bitmask().words().len()]
-                .copy_from_slice(fiber.bitmask().words());
-            for (k_pos, packed) in fiber.iter() {
-                let (word, bit) = (k_pos / 64, k_pos % 64);
-                for t in packed.firing_timesteps() {
-                    words[base + (t + 1) * row_words + word] |= 1u64 << bit;
+        let mut words = vec![0u64; spikes.m() * stride];
+        for m in 0..spikes.m() {
+            let (mask, planes) = words[m * stride..(m + 1) * stride].split_at_mut(row_words);
+            for (t, plane) in spikes.planes().iter().enumerate() {
+                let row = plane.row(m).words();
+                planes[t * row_words..(t + 1) * row_words].copy_from_slice(row);
+                for (w, &bits) in mask.iter_mut().zip(row) {
+                    *w |= bits;
                 }
             }
         }
         RowBlocks {
-            rows: fibers.len(),
+            rows: spikes.m(),
             row_words,
             planes: timesteps,
             words,
@@ -216,10 +210,11 @@ pub struct TileSweep {
 ///
 /// ```
 /// use loas_core::kernel::{PairSweepKernel, RowBlocks};
-/// use loas_sparse::{PackedSpikes, SpikeFiber};
+/// use loas_snn::SpikeTensor;
+/// use loas_sparse::PackedSpikes;
 ///
 /// let row = vec![PackedSpikes::from_bits(0b0101, 4).unwrap(); 8];
-/// let blocks = RowBlocks::from_spike_fibers(&[SpikeFiber::from_packed_row(&row)], 4);
+/// let blocks = RowBlocks::from_tensor(&SpikeTensor::from_packed_rows(&[row], 4).unwrap());
 /// let kernel = PairSweepKernel::new(128, Some(8));
 /// let b = loas_sparse::Bitmask::from_indices(8, &[1, 5]).unwrap();
 /// let counts = kernel.pair_counts(&blocks, 0, b.words());
@@ -485,9 +480,10 @@ pub fn fired_grand_total(col_spikes: &[u32], b_row_nnz: &[usize]) -> u64 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use loas_sparse::PackedSpikes;
+    use loas_sparse::{PackedSpikes, SpikeFiber};
+    use proptest::prelude::*;
 
     fn fiber(words: &[(usize, u16)], k: usize, t: usize) -> SpikeFiber {
         let mut row = vec![PackedSpikes::silent(t).unwrap(); k];
@@ -497,13 +493,93 @@ mod tests {
         SpikeFiber::from_packed_row(&row)
     }
 
+    /// The layout built from `K`-wide row fibers: each fiber's bitmask
+    /// becomes the mask words and its packed words are scattered bit by
+    /// bit into `timesteps` plane rows (the reference for
+    /// [`RowBlocks::from_tensor`]).
+    pub(crate) fn row_blocks_from_fibers(
+        fibers: &[SpikeFiber],
+        k: usize,
+        timesteps: usize,
+    ) -> RowBlocks {
+        let row_words = k.div_ceil(64);
+        let stride = row_words * (timesteps + 1);
+        let mut words = vec![0u64; fibers.len() * stride];
+        for (m, fiber) in fibers.iter().enumerate() {
+            assert_eq!(fiber.len(), k, "row fibers must share the K dimension");
+            let base = m * stride;
+            words[base..base + row_words].copy_from_slice(fiber.bitmask().words());
+            for (k_pos, packed) in fiber.iter() {
+                let (word, bit) = (k_pos / 64, k_pos % 64);
+                for t in packed.firing_timesteps() {
+                    words[base + (t + 1) * row_words + word] |= 1u64 << bit;
+                }
+            }
+        }
+        RowBlocks {
+            rows: fibers.len(),
+            row_words,
+            planes: timesteps,
+            words,
+        }
+    }
+
+    /// A pseudo-random `m x k x t` spike tensor with about `density_pct`%
+    /// of its bits set.
+    pub(crate) fn random_tensor(
+        (m, k, t): (usize, usize, usize),
+        seed: u64,
+        density_pct: u64,
+    ) -> SpikeTensor {
+        let mut state = seed;
+        // Bits past `K` are set too; `from_row_words` drops them.
+        SpikeTensor::from_row_words(m, k, t, |_, words| {
+            for word in words.iter_mut() {
+                for bit in 0..64 {
+                    // splitmix64
+                    state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                    let mut z = state;
+                    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                    if (z ^ (z >> 31)) % 100 < density_pct {
+                        *word |= 1 << bit;
+                    }
+                }
+            }
+        })
+    }
+
+    fn blocks(fibers: &[SpikeFiber]) -> RowBlocks {
+        let k = fibers.first().map_or(0, SpikeFiber::len);
+        row_blocks_from_fibers(fibers, k, 4)
+    }
+
+    proptest! {
+        #[test]
+        fn tensor_blocks_match_fiber_reference(
+            shape in (0usize..6, 0usize..200, 1usize..=16),
+            seed in any::<u64>(),
+            density in 0u64..100,
+        ) {
+            let a = random_tensor(shape, seed, density);
+            let (_, k, t) = shape;
+            let per_bit: Vec<SpikeFiber> = (0..a.m())
+                .map(|m| {
+                    let row: Vec<PackedSpikes> = (0..k).map(|ki| a.packed_word(m, ki)).collect();
+                    SpikeFiber::from_packed_row(&row)
+                })
+                .collect();
+            prop_assert_eq!(RowBlocks::from_tensor(&a), row_blocks_from_fibers(&per_bit, k, t));
+        }
+    }
+
     #[test]
     fn row_blocks_mirror_fiber_and_planes() {
         let fibers = vec![
             fiber(&[(0, 0b0110), (130, 0b1111)], 200, 4),
             fiber(&[(64, 0b0001)], 200, 4),
         ];
-        let blocks = RowBlocks::from_spike_fibers(&fibers, 4);
+        let blocks = blocks(&fibers);
         assert_eq!(blocks.rows(), 2);
         assert_eq!(blocks.row_words(), 4);
         assert_eq!(blocks.planes(), 4);
@@ -522,7 +598,7 @@ mod tests {
     #[test]
     fn pair_counts_match_bitmask_ops() {
         let f = fiber(&[(0, 0b0110), (5, 0b1111), (130, 0b0001)], 200, 4);
-        let blocks = RowBlocks::from_spike_fibers(std::slice::from_ref(&f), 4);
+        let blocks = blocks(std::slice::from_ref(&f));
         let b = Bitmask::from_indices(200, &[0, 5, 131]).unwrap();
         let kernel = PairSweepKernel::new(128, Some(8));
         let counts = kernel.pair_counts(&blocks, 0, b.words());
@@ -548,7 +624,7 @@ mod tests {
     fn unbounded_fifo_never_stalls() {
         let positions: Vec<(usize, u16)> = (0..30).map(|i| (i, 1u16)).collect();
         let f = fiber(&positions, 64, 4);
-        let blocks = RowBlocks::from_spike_fibers(std::slice::from_ref(&f), 4);
+        let blocks = blocks(std::slice::from_ref(&f));
         let b = Bitmask::ones(64);
         let bounded = PairSweepKernel::new(128, Some(8)).pair_counts(&blocks, 0, b.words());
         let unbounded = PairSweepKernel::new(128, None).pair_counts(&blocks, 0, b.words());
@@ -562,7 +638,7 @@ mod tests {
         let fibers: Vec<SpikeFiber> = (0..13)
             .map(|m| fiber(&[(m * 7 % 90, 0b1010), (m * 13 % 90, 0b0111)], 90, 4))
             .collect();
-        let blocks = RowBlocks::from_spike_fibers(&fibers, 4);
+        let blocks = blocks(&fibers);
         let b_masks: Vec<Bitmask> = (0..5)
             .map(|n| Bitmask::from_indices(90, &[n * 11 % 90, n * 17 % 90, 3]).unwrap())
             .collect();
@@ -590,7 +666,7 @@ mod tests {
         let fibers: Vec<SpikeFiber> = (0..6)
             .map(|m| fiber(&[(m * 5 % 70, 0b1100), ((m * 9 + 2) % 70, 0b0011)], 70, 4))
             .collect();
-        let blocks = RowBlocks::from_spike_fibers(&fibers, 4);
+        let blocks = blocks(&fibers);
         let b_masks: Vec<Bitmask> = (0..4)
             .map(|n| Bitmask::from_indices(70, &[n * 3, n * 7 + 1, 12]).unwrap())
             .collect();

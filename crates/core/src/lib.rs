@@ -75,5 +75,6 @@ pub use inner_join::{reference_sums, InnerJoinUnit, JoinOutcome, JoinScratch};
 pub use metrics::{Accelerator, LayerReport, NetworkReport};
 pub use plif::{ParallelLif, PlifOutcome};
 pub use portable::{PortableError, PORTABLE_FORMAT};
+pub use prepared::weight_views;
 pub use prepared::{PreparedLayer, TrafficSpans, DEFAULT_LINE_BYTES, DEFAULT_WEIGHT_BITS};
 pub use tppe::{Tppe, TppeOutcome};

@@ -8,9 +8,10 @@
 use crate::kernel::RowBlocks;
 use loas_sim::LineSpan;
 use loas_snn::LifParams;
-use loas_sparse::{Bitmask, CsrMatrix, PackedSpikes, SpikeFiber, WeightFiber, POINTER_BITS};
+use loas_sparse::{Bitmask, DenseMatrix, Fiber, SpikeFiber, WeightFiber, POINTER_BITS};
 use loas_workloads::{LayerShape, LayerWorkload};
 use std::borrow::Cow;
+use std::sync::Arc;
 
 /// The weight precision the prepare-time [`TrafficSpans`] are computed
 /// for (the Table III configuration every model defaults to).
@@ -134,7 +135,8 @@ impl TrafficSpans {
     }
 }
 
-/// A layer workload with every compressed view precomputed.
+/// A layer workload with every compressed view precomputed (built from
+/// 64-bit words; the `B` side is shared with [`PreparedLayer::fine_tuned`]).
 #[derive(Debug, Clone)]
 pub struct PreparedLayer {
     /// Workload name.
@@ -147,12 +149,10 @@ pub struct PreparedLayer {
     /// packed words).
     pub a_fibers: Vec<SpikeFiber>,
     /// Per-column compressed weight fibers.
-    pub b_fibers: Vec<WeightFiber>,
-    /// Per-timestep CSR views of the spike planes (GoSPA's format).
-    pub a_csr_per_t: Vec<CsrMatrix<()>>,
+    pub b_fibers: Arc<[WeightFiber]>,
     /// Per-row non-zero weight counts of `B` viewed row-wise (for OP/Gust
     /// models: `B`'s row `k`).
-    pub b_row_nnz: Vec<usize>,
+    pub b_row_nnz: Arc<[usize]>,
     /// Structure-of-arrays sweep layout of the `A` side: per row, the
     /// non-silent bitmask words followed by the `T` plane-row words,
     /// contiguous (consumed by [`crate::kernel::PairSweepKernel`]).
@@ -168,29 +168,36 @@ pub struct PreparedLayer {
 }
 
 impl PreparedLayer {
-    /// Prepares all compressed views of a workload.
-    pub fn new(workload: &LayerWorkload) -> Self {
+    /// Prepares all compressed views of a workload (pass it by value to
+    /// skip a copy).
+    pub fn new(workload: impl Into<LayerWorkload>) -> Self {
+        let workload = workload.into();
+        let (b_fibers, b_row_nnz) = weight_views(&workload.weights);
+        PreparedLayer::with_b_side(workload, b_fibers.into(), b_row_nnz.into())
+    }
+
+    /// The fine-tuned variant ([`LayerWorkload::with_preprocessing`]): the
+    /// `A` side masked and rebuilt, the `B` side (FT never changes it)
+    /// shared with `self`.
+    pub fn fine_tuned(&self) -> Self {
+        PreparedLayer::with_b_side(
+            self.workload.with_preprocessing(),
+            Arc::clone(&self.b_fibers),
+            Arc::clone(&self.b_row_nnz),
+        )
+    }
+
+    fn with_b_side(
+        workload: LayerWorkload,
+        b_fibers: Arc<[WeightFiber]>,
+        b_row_nnz: Arc<[usize]>,
+    ) -> Self {
         let shape = workload.shape;
         let a_fibers = workload.spikes.to_row_fibers();
-        let b_fibers: Vec<WeightFiber> = (0..shape.n)
-            .map(|n| WeightFiber::from_weights(&workload.weights.column(n)))
-            .collect();
-        let a_csr_per_t = workload
-            .spikes
-            .planes()
-            .iter()
-            .map(CsrMatrix::from_bit_matrix)
-            .collect();
-        let mut b_row_nnz = vec![0usize; shape.k];
-        for (ki, nnz) in b_row_nnz.iter_mut().enumerate() {
-            *nnz = workload.weights.row(ki).iter().filter(|&&w| w != 0).count();
-        }
-        let row_blocks = RowBlocks::from_spike_fibers(&a_fibers, shape.t);
+        let row_blocks = RowBlocks::from_tensor(&workload.spikes);
         let mut col_spikes = vec![0u32; shape.k];
-        for fiber in &a_fibers {
-            for (k, word) in fiber.iter() {
-                col_spikes[k] += word.fire_count() as u32;
-            }
+        for (k, word) in a_fibers.iter().flat_map(SpikeFiber::iter) {
+            col_spikes[k] += word.fire_count() as u32;
         }
         let traffic_spans = TrafficSpans::build_parts(
             shape,
@@ -202,10 +209,9 @@ impl PreparedLayer {
         PreparedLayer {
             name: workload.name.clone(),
             shape,
-            workload: workload.clone(),
+            workload,
             a_fibers,
             b_fibers,
-            a_csr_per_t,
             b_row_nnz,
             row_blocks,
             col_spikes,
@@ -283,31 +289,174 @@ impl PreparedLayer {
 
     /// Size of `A` in per-timestep CSR (GoSPA-SNN), split as
     /// `(payload_bits, format_bits)`; spike CSR stores only coordinates, so
-    /// payload is zero and everything is format overhead.
+    /// payload is zero and everything is format overhead (computed in
+    /// closed form from each plane's spike count).
     pub fn a_csr_bits(&self) -> (u64, u64) {
-        let format = self
-            .a_csr_per_t
-            .iter()
-            .map(|csr| csr.storage_bits(0) as u64)
-            .sum();
-        (0, format)
+        (0, crate::compress::csr_bits(&self.workload.spikes))
     }
+}
 
-    /// Per-timestep spike row of `A` (`A[m, ·, t]` as a bitmask).
-    pub fn a_row_at(&self, m: usize, t: usize) -> &Bitmask {
-        self.workload.spikes.plane(t).row(m)
+/// The `B` column fibers and per-row non-zero counts of a `K x N` weight
+/// matrix, from one row-major pass over it.
+pub fn weight_views(weights: &DenseMatrix<i8>) -> (Vec<WeightFiber>, Vec<usize>) {
+    let (k, n) = (weights.rows(), weights.cols());
+    let col_words = k.div_ceil(64);
+    let mut masks = vec![0u64; n * col_words];
+    let mut values: Vec<Vec<i8>> = vec![Vec::new(); n];
+    let mut row_nnz = vec![0; k];
+    for (ki, nnz) in row_nnz.iter_mut().enumerate() {
+        let mut visit = |ni: usize, w: i8| {
+            if w != 0 {
+                masks[ni * col_words + ki / 64] |= 1 << (ki % 64);
+                values[ni].push(w);
+                *nnz += 1;
+            }
+        };
+        // Pruned weights dominate: skip all-zero 8-weight runs whole.
+        let mut runs = weights.row(ki).chunks_exact(8);
+        for (run, chunk) in (&mut runs).enumerate() {
+            if chunk.iter().fold(0, |any, &w| any | w as u8) != 0 {
+                (0..8).for_each(|i| visit(run * 8 + i, chunk[i]));
+            }
+        }
+        let tail = n - runs.remainder().len();
+        (tail..n).for_each(|ni| visit(ni, runs.remainder()[ni - tail]));
     }
-
-    /// The packed word of neuron `(m, k)`.
-    pub fn a_word(&self, m: usize, k: usize) -> PackedSpikes {
-        self.workload.spikes.packed_word(m, k)
-    }
+    let fibers = values
+        .into_iter()
+        .enumerate()
+        .map(|(ni, column)| {
+            let mask = masks[ni * col_words..(ni + 1) * col_words].to_vec();
+            Fiber::from_parts(Bitmask::from_words(k, mask), column)
+                .expect("one value per non-zero weight")
+        })
+        .collect();
+    (fibers, row_nnz)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::tests::{random_tensor, row_blocks_from_fibers};
+    use loas_sparse::{CsrMatrix, PackedSpikes};
     use loas_workloads::{SparsityProfile, WorkloadGenerator};
+    use proptest::prelude::*;
+
+    /// The per-timestep CSR views GoSPA's format charges for.
+    fn csr_per_t(p: &PreparedLayer) -> Vec<CsrMatrix<()>> {
+        let planes = p.workload.spikes.planes();
+        planes.iter().map(CsrMatrix::from_bit_matrix).collect()
+    }
+
+    /// `a_csr_bits` from materialized per-timestep CSR matrices (the
+    /// reference for the closed form).
+    fn a_csr_bits_reference(p: &PreparedLayer) -> (u64, u64) {
+        let format = csr_per_t(p).iter().map(|c| c.storage_bits(0) as u64).sum();
+        (0, format)
+    }
+
+    /// The `B` views gathered column by column plus a dense row scan (the
+    /// reference for the one-pass [`weight_views`]).
+    fn weight_views_per_column(weights: &DenseMatrix<i8>) -> (Vec<WeightFiber>, Vec<usize>) {
+        let fibers = (0..weights.cols())
+            .map(|n| WeightFiber::from_weights(&weights.column(n)))
+            .collect();
+        let row_nnz = (0..weights.rows())
+            .map(|k| weights.row(k).iter().filter(|&&w| w != 0).count())
+            .collect();
+        (fibers, row_nnz)
+    }
+
+    /// A pseudo-random workload: spikes at about `density`% of the
+    /// `M·K·T` positions, non-zero weights at about `weight_density`% of
+    /// the `K·N` positions.
+    fn random_workload(
+        (t, m, n, k): (usize, usize, usize, usize),
+        seed: u64,
+        density: u64,
+        weight_density: u64,
+    ) -> LayerWorkload {
+        let mut state = seed;
+        let weights = (0..k * n)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let draw = state >> 33;
+                if draw % 100 < weight_density {
+                    (draw % 255) as i8 | 1
+                } else {
+                    0
+                }
+            })
+            .collect();
+        LayerWorkload {
+            name: "random".to_owned(),
+            shape: LayerShape::new(t, m, n, k),
+            spikes: random_tensor((m, k, t), seed, density),
+            weights: DenseMatrix::from_vec(k, n, weights).unwrap(),
+            lif: LifParams::new(16, 1),
+        }
+    }
+
+    fn assert_same_views(a: &PreparedLayer, b: &PreparedLayer) {
+        assert_eq!(a.name, b.name);
+        assert_eq!(a.workload, b.workload);
+        assert_eq!(a.a_fibers, b.a_fibers);
+        assert_eq!(a.b_fibers, b.b_fibers);
+        assert_eq!(a.b_row_nnz, b.b_row_nnz);
+        assert_eq!(a.row_blocks, b.row_blocks);
+        assert_eq!(a.col_spikes, b.col_spikes);
+        assert_eq!(a.traffic_spans, b.traffic_spans);
+    }
+
+    proptest! {
+        #[test]
+        fn word_level_views_match_per_bit_references(
+            shape in (1usize..=16, 0usize..6, 1usize..9, 0usize..200),
+            seed in any::<u64>(),
+            density in 0u64..100,
+            weight_density in 0u64..100,
+        ) {
+            let w = random_workload(shape, seed, density, weight_density);
+            let p = PreparedLayer::new(&w);
+            let (b_fibers, b_row_nnz) = weight_views_per_column(&w.weights);
+            prop_assert_eq!(&p.b_fibers[..], &b_fibers[..]);
+            prop_assert_eq!(&p.b_row_nnz[..], &b_row_nnz[..]);
+            let per_bit: Vec<SpikeFiber> = (0..w.shape.m)
+                .map(|m| {
+                    let row: Vec<PackedSpikes> =
+                        (0..w.shape.k).map(|k| w.spikes.packed_word(m, k)).collect();
+                    SpikeFiber::from_packed_row(&row)
+                })
+                .collect();
+            prop_assert_eq!(&p.a_fibers, &per_bit);
+            prop_assert_eq!(
+                &p.row_blocks,
+                &row_blocks_from_fibers(&per_bit, w.shape.k, w.shape.t)
+            );
+            let mut col_spikes = vec![0u32; w.shape.k];
+            for (k, word) in per_bit.iter().flat_map(SpikeFiber::iter) {
+                col_spikes[k] += word.fire_count() as u32;
+            }
+            prop_assert_eq!(&p.col_spikes, &col_spikes);
+            prop_assert_eq!(p.a_csr_bits(), a_csr_bits_reference(&p));
+        }
+
+        #[test]
+        fn fine_tuned_matches_preparing_the_masked_workload(
+            shape in (1usize..=16, 0usize..6, 1usize..9, 0usize..200),
+            seed in any::<u64>(),
+            density in 0u64..100,
+        ) {
+            let w = random_workload(shape, seed, density, 30);
+            let base = PreparedLayer::new(&w);
+            let ft = base.fine_tuned();
+            assert_same_views(&ft, &PreparedLayer::new(w.with_preprocessing()));
+            prop_assert!(Arc::ptr_eq(&ft.b_fibers, &base.b_fibers));
+            prop_assert!(Arc::ptr_eq(&ft.b_row_nnz, &base.b_row_nnz));
+        }
+    }
 
     fn prepared() -> PreparedLayer {
         let generator = WorkloadGenerator::default();
@@ -323,7 +472,7 @@ mod tests {
         let p = prepared();
         assert_eq!(p.a_fibers.len(), 8);
         assert_eq!(p.b_fibers.len(), 6);
-        assert_eq!(p.a_csr_per_t.len(), 4);
+        assert_eq!(csr_per_t(&p).len(), 4);
         assert_eq!(p.b_row_nnz.len(), 64);
     }
 
@@ -336,7 +485,7 @@ mod tests {
             p.b_nnz(),
             "row-wise and column-wise B nnz agree"
         );
-        let csr_nnz: usize = p.a_csr_per_t.iter().map(|c| c.nnz()).sum();
+        let csr_nnz: usize = csr_per_t(&p).iter().map(|c| c.nnz()).sum();
         assert_eq!(csr_nnz, p.spike_count());
     }
 
@@ -365,7 +514,7 @@ mod tests {
             for t in 0..p.shape.t {
                 assert_eq!(
                     p.row_blocks.plane(m, t),
-                    p.a_row_at(m, t).words(),
+                    p.workload.spikes.plane(t).row(m).words(),
                     "plane ({m}, {t})"
                 );
             }
@@ -379,7 +528,7 @@ mod tests {
         let p = prepared();
         for m in 0..p.shape.m {
             for (k, word) in p.a_fibers[m].iter() {
-                assert_eq!(p.a_word(m, k), *word);
+                assert_eq!(p.workload.spikes.packed_word(m, k), *word);
                 assert!(!word.is_silent());
             }
         }

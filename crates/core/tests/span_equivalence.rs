@@ -53,7 +53,7 @@ fn spans_by_address_arithmetic(
         spans.a_payload_intra.push((addr + bm_bytes) % line);
         addr += fiber.storage_bits(shape.t).div_ceil(8) as u64;
     }
-    for fiber in &layer.b_fibers {
+    for fiber in layer.b_fibers.iter() {
         spans.b_bm_span.push(manual_span(addr, bm_bytes));
         let payload_bytes = (fiber.nnz() * weight_bits).div_ceil(8) as u64;
         spans

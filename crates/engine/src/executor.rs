@@ -158,9 +158,10 @@ impl Engine {
     /// Generates every spec whose key is not yet resident, each exactly
     /// once, sharded across the worker pool. Runs in two waves: plain
     /// workloads generate first (plus the bases of any missing fine-tuned
-    /// specs), then fine-tuned variants derive from their cached base by
-    /// masking — so a campaign running both LoAS and LoAS(FT) on a layer
-    /// pays for one generation, not two.
+    /// specs), then fine-tuned variants derive from their cached base
+    /// ([`PreparedLayer::fine_tuned`]: the `A` side masked, the `B` side
+    /// shared) — so a campaign running both LoAS and LoAS(FT) on a layer
+    /// pays for one generation and one `B` preparation, not two.
     fn prepare_missing(&self, specs: &[WorkloadSpec]) -> Result<(), EngineError> {
         let mut seen = std::collections::HashSet::new();
         let missing: Vec<&WorkloadSpec> = specs
@@ -191,7 +192,7 @@ impl Engine {
             // cap smaller than the wave it may already be evicted, in which
             // case the derived spec regenerates standalone.
             match self.cache.peek(&spec.base().key()) {
-                Some(base) => Ok(spec.prepare_from_base(&base)),
+                Some(base) => Ok(base.fine_tuned()),
                 None => spec.prepare(),
             }
         })

@@ -167,15 +167,7 @@ impl WorkloadSpec {
         } else {
             workload
         };
-        Ok(PreparedLayer::new(&workload))
-    }
-
-    /// Prepares the fine-tuned variant from an already generated base
-    /// preparation, skipping regeneration (the base must come from
-    /// [`WorkloadSpec::base`] of this spec).
-    pub fn prepare_from_base(&self, base: &PreparedLayer) -> PreparedLayer {
-        debug_assert!(self.fine_tuned, "only fine-tuned specs derive from a base");
-        PreparedLayer::new(&base.workload.with_preprocessing())
+        Ok(PreparedLayer::new(workload))
     }
 }
 

@@ -76,7 +76,7 @@ pub fn enqueue_batch(queue: &Queue, specs: &[PathBuf]) -> Result<Vec<Submission>
     let mut texts = Vec::with_capacity(specs.len());
     for path in specs {
         let text = std::fs::read_to_string(path).map_err(ServeError::io(path))?;
-        crate::spec_io::campaign_from_json(&text)
+        crate::spec_io::runnable_campaign_from_json(&text)
             .map_err(|error| ServeError::Spec(format!("{}: {error}", path.display())))?;
         texts.push(text);
     }

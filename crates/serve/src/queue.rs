@@ -134,10 +134,11 @@ impl Queue {
     ///
     /// # Errors
     ///
-    /// Rejects specs that fail to parse ([`ServeError::Spec`]) — a broken
-    /// submission never enters the queue — and propagates I/O failures.
+    /// Rejects specs that fail to parse or cannot run ([`ServeError::Spec`])
+    /// — a broken submission never enters the queue — and propagates I/O
+    /// failures.
     pub fn enqueue(&self, spec_text: &str) -> Result<Submission, ServeError> {
-        let campaign = spec_io::campaign_from_json(spec_text)?;
+        let campaign = spec_io::runnable_campaign_from_json(spec_text)?;
         if campaign.is_empty() {
             return Err(ServeError::Spec("campaign has no jobs".to_owned()));
         }

@@ -380,7 +380,7 @@ mod tests {
                          "profile": {"spike_origin": 0.01, "silent": 0.5,
                                      "silent_ft": 0.55, "weight": 0.98},
                          "seed": 7},
-            "accelerator": "loas"}]}"#;
+            "accelerator": {"loas": {"timesteps": 2}}}]}"#;
         let bad_id = queue.enqueue(bad).unwrap().id;
         let good_id = queue
             .enqueue(&campaign_to_json(&headline_campaign(true, 11)))

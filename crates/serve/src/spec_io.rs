@@ -186,6 +186,24 @@ pub fn campaign_from_json(text: &str) -> Result<Campaign, ServeError> {
     Ok(campaign)
 }
 
+/// [`campaign_from_json`] for enqueueing: also rejects, as
+/// [`ServeError::Spec`], a LoAS job whose `timesteps` differ from its
+/// workload's `t` (the runner would panic on it mid-campaign).
+pub(crate) fn runnable_campaign_from_json(text: &str) -> Result<Campaign, ServeError> {
+    let campaign = campaign_from_json(text)?;
+    for (index, job) in campaign.jobs().iter().enumerate() {
+        let t = job.workload.shape.t;
+        let loas = job.accelerator.typed_config::<LoasConfig>();
+        if let Some(config) = loas.filter(|config| config.timesteps != t) {
+            let runs = config.timesteps;
+            return Err(spec_err(format!(
+                "LoAS in job {index} runs {runs} timesteps, its workload t = {t}"
+            )));
+        }
+    }
+    Ok(campaign)
+}
+
 fn job_from_json(job: &Json, index: usize, version: SpecVersion) -> Result<JobSpec, ServeError> {
     let context = format!("job {index}");
     let workload = workload_from_json(required(job, "workload", &context)?, &context)?;

@@ -3,7 +3,9 @@
 
 use loas_engine::{AcceleratorSpec, Campaign, Engine, WorkloadSpec};
 use loas_serve::spec_io::campaign_to_json;
-use loas_serve::{drain, merge, CampaignState, Queue, RunOptions, ShardSpec};
+use loas_serve::{
+    drain, enqueue_batch, merge, CampaignState, Queue, RunOptions, ServeError, ShardSpec,
+};
 use loas_workloads::{LayerShape, SparsityProfile};
 use std::path::PathBuf;
 
@@ -190,5 +192,45 @@ fn merge_refuses_incomplete_shard_sets() {
     let error = merge(&queue, id, 2).unwrap_err().to_string();
     assert!(error.contains("shard 1/2"), "{error}");
     assert_eq!(queue.state(id).unwrap(), CampaignState::Queued);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn loas_timestep_mismatch_is_rejected_at_enqueue() {
+    // LoAS configured for T = 8 on a T = 4 workload used to pass enqueue
+    // and then panic the runner, leaving the campaign queued forever.
+    let spec = |timesteps: usize| {
+        format!(
+            r#"{{"version": 2, "name": "mismatch", "jobs": [{{
+                "workload": {{"name": "w", "shape": {{"t": 4, "m": 4, "n": 8, "k": 64}},
+                             "profile": {{"spike_origin": 0.823, "silent": 0.741,
+                                         "silent_ft": 0.796, "weight": 0.982}},
+                             "seed": 7}},
+                "accelerator": {{"name": "loas", "config": {{"timesteps": {timesteps}}}}}}}]}}"#
+        )
+    };
+    let root = temp_root("timestep-mismatch");
+    let queue = Queue::init(&root).unwrap();
+    let error = queue.enqueue(&spec(8)).unwrap_err();
+    assert!(matches!(error, ServeError::Spec(_)), "{error}");
+    assert!(error.to_string().contains("runs 8 timesteps"), "{error}");
+    assert!(
+        queue.submissions().unwrap().is_empty(),
+        "nothing was queued"
+    );
+
+    // A batch holding the bad spec is refused before anything is queued.
+    let good = root.join("a-good.json");
+    let bad = root.join("b-bad.json");
+    std::fs::write(&good, spec(4)).unwrap();
+    std::fs::write(&bad, spec(8)).unwrap();
+    assert!(enqueue_batch(&queue, &[good.clone(), bad]).is_err());
+    assert!(queue.submissions().unwrap().is_empty());
+
+    // The matching spec is accepted and simulates.
+    let id = enqueue_batch(&queue, &[good]).unwrap()[0].id;
+    let summary = drain(&queue, &options(ShardSpec::default(), false), |_| {}).unwrap();
+    assert_eq!(summary.failed, 0);
+    assert_eq!(queue.state(id).unwrap(), CampaignState::Done);
     let _ = std::fs::remove_dir_all(&root);
 }

@@ -17,7 +17,8 @@ use crate::tensor::SpikeTensor;
 
 /// Masks all pre-synaptic neurons that fire at most `max_fires` times across
 /// the window (the paper uses `max_fires = 1`), returning the preprocessed
-/// tensor.
+/// tensor: every plane row is ANDed with the row's mask of neurons firing
+/// more than `max_fires` times (a bit-sliced counter over plane words).
 ///
 /// # Examples
 ///
@@ -33,17 +34,16 @@ use crate::tensor::SpikeTensor;
 /// assert_eq!(ft.packed_word(0, 1).fire_count(), 2);
 /// ```
 pub fn mask_low_activity(tensor: &SpikeTensor, max_fires: usize) -> SpikeTensor {
-    let mut out = tensor.clone();
-    for m in 0..tensor.m() {
-        for k in 0..tensor.k() {
-            if tensor.packed_word(m, k).fire_count() <= max_fires {
-                for t in 0..tensor.timesteps() {
-                    out.set(m, k, t, false);
-                }
+    let row_words = tensor.k().div_ceil(64);
+    SpikeTensor::from_row_words(tensor.m(), tensor.k(), tensor.timesteps(), |m, words| {
+        let keep = tensor.fires_above_mask(m, max_fires);
+        for (t, plane) in tensor.planes().iter().enumerate() {
+            let out = &mut words[t * row_words..(t + 1) * row_words];
+            for ((o, &w), &kept) in out.iter_mut().zip(plane.row(m).words()).zip(keep.words()) {
+                *o = w & kept;
             }
         }
-    }
-    out
+    })
 }
 
 /// Synthetic accuracy-recovery model for the Fig. 11 trend.
@@ -104,6 +104,41 @@ impl FineTuneAccuracyModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tensor::random_tensor;
+    use proptest::prelude::*;
+
+    /// The per-bit masking: every neuron's fire count read bit by bit and
+    /// every bit of a masked neuron cleared (the reference for
+    /// [`mask_low_activity`]).
+    fn mask_low_activity_per_bit(tensor: &SpikeTensor, max_fires: usize) -> SpikeTensor {
+        let mut out = tensor.clone();
+        for m in 0..tensor.m() {
+            for k in 0..tensor.k() {
+                if tensor.packed_word(m, k).fire_count() <= max_fires {
+                    for t in 0..tensor.timesteps() {
+                        out.set(m, k, t, false);
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    proptest! {
+        #[test]
+        fn word_level_masking_matches_per_bit_reference(
+            shape in (0usize..6, 0usize..200, 1usize..=16),
+            seed in any::<u64>(),
+            density in 0u64..100,
+            max_fires in 0usize..=2,
+        ) {
+            let a = random_tensor(shape, seed, density);
+            prop_assert_eq!(
+                mask_low_activity(&a, max_fires),
+                mask_low_activity_per_bit(&a, max_fires)
+            );
+        }
+    }
 
     #[test]
     fn masking_increases_silent_fraction() {

@@ -187,25 +187,85 @@ impl SpikeTensor {
         word
     }
 
-    /// Row `m` in packed form: one word per pre-synaptic neuron.
-    pub fn packed_row(&self, m: usize) -> Vec<PackedSpikes> {
-        (0..self.k).map(|k| self.packed_word(m, k)).collect()
-    }
-
-    /// Row `m` compressed into a LoAS spike fiber (silent neurons dropped).
-    pub fn row_fiber(&self, m: usize) -> SpikeFiber {
-        SpikeFiber::from_packed_row(&self.packed_row(m))
-    }
-
-    /// All row fibers, in row order.
+    /// All row fibers, in row order: each row's non-silent mask, plus a
+    /// packed word gathered from the plane words for each neuron it keeps.
+    /// Panics when `T > 16`.
     pub fn to_row_fibers(&self) -> Vec<SpikeFiber> {
-        (0..self.m).map(|m| self.row_fiber(m)).collect()
+        (0..self.m)
+            .map(|m| {
+                let mask = self.row_nonsilent_mask(m);
+                let rows: Vec<&[u64]> = self.planes.iter().map(|p| p.row(m).words()).collect();
+                let words = mask
+                    .iter_ones()
+                    .map(|k| {
+                        let bits = rows.iter().rev().fold(0, |acc, row| {
+                            acc << 1 | (row[k / 64] >> (k % 64) & 1) as u16
+                        });
+                        PackedSpikes::from_bits(bits, self.timesteps)
+                            .expect("T bounded by MAX_TIMESTEPS")
+                    })
+                    .collect();
+                SpikeFiber::from_parts(mask, words).expect("one word per non-silent neuron")
+            })
+            .collect()
     }
 
     /// The bitmask over non-silent neurons of row `m` (the `bm-A` a TPPE
-    /// holds).
+    /// holds): the OR of its `T` plane rows.
     pub fn row_nonsilent_mask(&self, m: usize) -> Bitmask {
-        Bitmask::from_bools((0..self.k).map(|k| !self.packed_word(m, k).is_silent()))
+        self.fires_above_mask(m, 0)
+    }
+
+    /// The bitmask over neurons of row `m` firing more than `max_fires`
+    /// times: a bit-sliced saturating counter over the plane words, where
+    /// `above[j]` holds the neurons seen firing more than `j` times so far.
+    pub(crate) fn fires_above_mask(&self, m: usize, max_fires: usize) -> Bitmask {
+        let words = self.k.div_ceil(64);
+        let mut above = vec![vec![0u64; words]; max_fires.min(self.timesteps) + 1];
+        for row in self.planes.iter().map(|plane| plane.row(m).words()) {
+            for j in (0..above.len()).rev() {
+                for w in 0..words {
+                    let below = if j == 0 { u64::MAX } else { above[j - 1][w] };
+                    above[j][w] |= below & row[w];
+                }
+            }
+        }
+        Bitmask::from_words(self.k, above.pop().unwrap_or_default())
+    }
+
+    /// Builds a tensor from plane words, rows in order: `fill(m, words)`
+    /// sets row `m`'s spikes in a zeroed buffer of its `T` plane rows, each
+    /// `K.div_ceil(64)` words (neuron `k` is bit `k % 64` of word `k / 64`
+    /// of a row). Bits past `K` are dropped.
+    pub fn from_row_words(
+        m: usize,
+        k: usize,
+        timesteps: usize,
+        mut fill: impl FnMut(usize, &mut [u64]),
+    ) -> Self {
+        let row_words = k.div_ceil(64);
+        let mut rows = vec![Vec::new(); timesteps];
+        let mut buffer = vec![0u64; timesteps * row_words];
+        for mi in 0..m {
+            buffer.fill(0);
+            fill(mi, &mut buffer);
+            for (t, plane) in rows.iter_mut().enumerate() {
+                plane.push(Bitmask::from_words(
+                    k,
+                    buffer[t * row_words..][..row_words].to_vec(),
+                ));
+            }
+        }
+        let planes = rows
+            .into_iter()
+            .map(|r| BitMatrix::from_rows(k, r))
+            .collect();
+        SpikeTensor {
+            m,
+            k,
+            timesteps,
+            planes,
+        }
     }
 
     /// Total number of spikes across the whole tensor.
@@ -225,13 +285,12 @@ impl SpikeTensor {
 
     /// Number of silent neurons (packed word all zero).
     pub fn silent_count(&self) -> usize {
-        (0..self.m)
-            .map(|m| {
-                (0..self.k)
-                    .filter(|&k| self.packed_word(m, k).is_silent())
-                    .count()
-            })
-            .sum()
+        self.m * self.k - self.count_fires_above(0)
+    }
+
+    fn count_fires_above(&self, max_fires: usize) -> usize {
+        let masks = (0..self.m).map(|m| self.fires_above_mask(m, max_fires));
+        masks.map(|mask| mask.popcount()).sum()
     }
 
     /// The paper's `AvSpA-packed`: fraction of silent neurons among all
@@ -262,20 +321,98 @@ impl SpikeTensor {
         if total == 0 {
             return 0.0;
         }
-        let count: usize = (0..self.m)
-            .map(|m| {
-                (0..self.k)
-                    .filter(|&k| self.packed_word(m, k).fires_at_most_once())
-                    .count()
-            })
-            .sum();
-        count as f64 / total as f64
+        (total - self.count_fires_above(1)) as f64 / total as f64
     }
+}
+
+/// A pseudo-random `m x k x t` tensor with about `density_pct`% of its
+/// bits set, for property tests.
+#[cfg(test)]
+pub(crate) fn random_tensor(
+    (m, k, t): (usize, usize, usize),
+    seed: u64,
+    density_pct: u64,
+) -> SpikeTensor {
+    let mut state = seed;
+    let mut a = SpikeTensor::zeros(m, k, t);
+    for mi in 0..m {
+        for ki in 0..k {
+            for ti in 0..t {
+                // splitmix64
+                state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                if (z ^ (z >> 31)) % 100 < density_pct {
+                    a.set(mi, ki, ti, true);
+                }
+            }
+        }
+    }
+    a
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The per-bit row fibers: every packed word read bit by bit, silent
+    /// ones dropped (the reference for [`SpikeTensor::to_row_fibers`]).
+    fn row_fibers_per_bit(a: &SpikeTensor) -> Vec<SpikeFiber> {
+        (0..a.m())
+            .map(|m| {
+                let row: Vec<PackedSpikes> = (0..a.k()).map(|k| a.packed_word(m, k)).collect();
+                SpikeFiber::from_packed_row(&row)
+            })
+            .collect()
+    }
+
+    /// The per-bit count of neurons firing more than `max_fires` times.
+    fn fires_above_per_bit(a: &SpikeTensor, m: usize, max_fires: usize) -> Bitmask {
+        Bitmask::from_bools((0..a.k()).map(|k| a.packed_word(m, k).fire_count() > max_fires))
+    }
+
+    proptest! {
+        #[test]
+        fn word_level_views_match_per_bit_reference(
+            shape in (0usize..6, 0usize..200, 1usize..=16),
+            seed in any::<u64>(),
+            density in 0u64..100,
+            max_fires in 0usize..=2,
+        ) {
+            let a = random_tensor(shape, seed, density);
+            prop_assert_eq!(a.to_row_fibers(), row_fibers_per_bit(&a));
+            for m in 0..a.m() {
+                prop_assert_eq!(a.row_nonsilent_mask(m), fires_above_per_bit(&a, m, 0));
+                prop_assert_eq!(
+                    a.fires_above_mask(m, max_fires),
+                    fires_above_per_bit(&a, m, max_fires)
+                );
+            }
+            let silent = (0..a.m())
+                .map(|m| (0..a.k()).filter(|&k| a.packed_word(m, k).is_silent()).count())
+                .sum::<usize>();
+            prop_assert_eq!(a.silent_count(), silent);
+        }
+
+        #[test]
+        fn from_row_words_matches_per_bit_sets(
+            shape in (0usize..6, 0usize..200, 1usize..=16),
+            seed in any::<u64>(),
+            density in 0u64..100,
+        ) {
+            let a = random_tensor(shape, seed, density);
+            let row_words = a.k().div_ceil(64);
+            let rebuilt = SpikeTensor::from_row_words(a.m(), a.k(), a.timesteps(), |m, words| {
+                for t in 0..a.timesteps() {
+                    words[t * row_words..(t + 1) * row_words]
+                        .copy_from_slice(a.plane(t).row(m).words());
+                }
+            });
+            prop_assert_eq!(rebuilt, a);
+        }
+    }
 
     fn sample() -> SpikeTensor {
         let mut a = SpikeTensor::zeros(2, 3, 4);
@@ -326,17 +463,27 @@ mod tests {
     #[test]
     fn row_fiber_drops_silent() {
         let a = sample();
-        let fiber = a.row_fiber(0);
+        let fiber = &a.to_row_fibers()[0];
         assert_eq!(fiber.nnz(), 2);
         assert_eq!(fiber.bitmask().iter_ones().collect::<Vec<_>>(), vec![0, 2]);
+        assert_eq!(fiber.values()[0], a.packed_word(0, 0));
         let mask = a.row_nonsilent_mask(0);
         assert_eq!(mask, *fiber.bitmask());
     }
 
     #[test]
+    fn from_row_words_drops_bits_past_k() {
+        let a = SpikeTensor::from_row_words(1, 3, 2, |_, words| words.fill(u64::MAX));
+        assert_eq!(a.spike_count(), 6);
+        assert_eq!(a.plane(1).row(0).words(), &[0b111]);
+    }
+
+    #[test]
     fn packed_rows_roundtrip() {
         let a = sample();
-        let rows: Vec<Vec<PackedSpikes>> = (0..a.m()).map(|m| a.packed_row(m)).collect();
+        let rows: Vec<Vec<PackedSpikes>> = (0..a.m())
+            .map(|m| (0..a.k()).map(|k| a.packed_word(m, k)).collect())
+            .collect();
         let rebuilt = SpikeTensor::from_packed_rows(&rows, 4).unwrap();
         assert_eq!(rebuilt, a);
     }

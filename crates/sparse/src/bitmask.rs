@@ -64,6 +64,16 @@ impl Bitmask {
         Bitmask { len, words }
     }
 
+    /// Builds a `len`-bit bitmask from its `len.div_ceil(64)` words
+    /// (little-endian bit order, as [`Bitmask::words`]); bits at positions
+    /// `>= len` are cleared. Panics on a wrong word count.
+    pub fn from_words(len: usize, words: Vec<u64>) -> Self {
+        assert_eq!(words.len(), len.div_ceil(WORD_BITS), "words for {len} bits");
+        let mut bm = Bitmask { len, words };
+        bm.clear_tail();
+        bm
+    }
+
     /// Builds a `len`-bit bitmask with ones at the given positions.
     ///
     /// # Errors

@@ -1,4 +1,4 @@
-//! Coordinate-list compressed formats (CSR/CSC) with explicit coordinate
+//! The coordinate-list compressed format (CSR) with explicit coordinate
 //! bit-widths.
 //!
 //! GoSPA-style accelerators compress each timestep's spike plane with CSR,
@@ -8,7 +8,6 @@
 //! efficiency. These types exist so the baseline traffic models charge the
 //! same format overhead the paper charges.
 
-use crate::bitmask::Bitmask;
 use crate::error::SparseError;
 use crate::matrix::{BitMatrix, DenseMatrix};
 
@@ -183,121 +182,6 @@ impl CsrMatrix<i8> {
     }
 }
 
-/// A compressed-sparse-column matrix (used for column-major weight access in
-/// inner-product designs and for `A`'s columns in outer-product designs).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct CscMatrix<V> {
-    rows: usize,
-    cols: usize,
-    col_ptr: Vec<usize>,
-    row_idx: Vec<u32>,
-    values: Vec<V>,
-}
-
-impl<V> CscMatrix<V> {
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Number of stored non-zeros.
-    pub fn nnz(&self) -> usize {
-        self.row_idx.len()
-    }
-
-    /// Number of non-zeros in column `c`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `c >= cols`.
-    pub fn col_nnz(&self, c: usize) -> usize {
-        assert!(c < self.cols, "column {c} out of range {}", self.cols);
-        self.col_ptr[c + 1] - self.col_ptr[c]
-    }
-
-    /// Iterator over `(row, value)` entries of column `c`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `c >= cols`.
-    pub fn col_entries(&self, c: usize) -> impl Iterator<Item = (usize, &V)> + '_ {
-        assert!(c < self.cols, "column {c} out of range {}", self.cols);
-        let span = self.col_ptr[c]..self.col_ptr[c + 1];
-        self.row_idx[span.clone()]
-            .iter()
-            .map(|&r| r as usize)
-            .zip(self.values[span].iter())
-    }
-
-    /// Bits per stored coordinate.
-    pub fn coordinate_bits(&self) -> usize {
-        coordinate_bits(self.rows)
-    }
-
-    /// Total storage in bits (see [`CsrMatrix::storage_bits`]).
-    pub fn storage_bits(&self, bits_per_value: usize) -> usize {
-        let ptr_bits = coordinate_bits(self.nnz().max(1)) * (self.cols + 1);
-        self.nnz() * (self.coordinate_bits() + bits_per_value) + ptr_bits
-    }
-}
-
-impl CscMatrix<i8> {
-    /// Compresses a dense weight matrix column-wise.
-    pub fn from_dense(dense: &DenseMatrix<i8>) -> Self {
-        let mut col_ptr = Vec::with_capacity(dense.cols() + 1);
-        let mut row_idx = Vec::new();
-        let mut values = Vec::new();
-        col_ptr.push(0);
-        for c in 0..dense.cols() {
-            for r in 0..dense.rows() {
-                let v = *dense.get(r, c);
-                if v != 0 {
-                    row_idx.push(r as u32);
-                    values.push(v);
-                }
-            }
-            col_ptr.push(row_idx.len());
-        }
-        CscMatrix {
-            rows: dense.rows(),
-            cols: dense.cols(),
-            col_ptr,
-            row_idx,
-            values,
-        }
-    }
-}
-
-impl CscMatrix<()> {
-    /// Compresses the columns of a spike plane (coordinate-only), as used by
-    /// outer-product dataflows that stream `A` column-wise.
-    pub fn from_bit_matrix(plane: &BitMatrix) -> Self {
-        let mut col_ptr = Vec::with_capacity(plane.cols() + 1);
-        let mut row_idx = Vec::new();
-        col_ptr.push(0);
-        for c in 0..plane.cols() {
-            let col: Bitmask = plane.column(c);
-            for r in col.iter_ones() {
-                row_idx.push(r as u32);
-            }
-            col_ptr.push(row_idx.len());
-        }
-        let nnz = row_idx.len();
-        CscMatrix {
-            rows: plane.rows(),
-            cols: plane.cols(),
-            col_ptr,
-            row_idx,
-            values: vec![(); nnz],
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -337,15 +221,6 @@ mod tests {
     }
 
     #[test]
-    fn csc_column_entries() {
-        let dense = DenseMatrix::from_vec(3, 2, vec![1i8, 0, 0, 2, 3, 0]).unwrap();
-        let csc = CscMatrix::from_dense(&dense);
-        assert_eq!(csc.col_nnz(0), 2);
-        let col0: Vec<(usize, i8)> = csc.col_entries(0).map(|(r, &v)| (r, v)).collect();
-        assert_eq!(col0, vec![(0, 1), (2, 3)]);
-    }
-
-    #[test]
     fn spike_csr_storage_is_expensive() {
         // The Section IV-A inefficiency: a 128-wide row with 2 spikes costs
         // 2 * 7 coordinate bits, versus 2 packed bits in LoAS's payload.
@@ -355,21 +230,6 @@ mod tests {
         let csr = CsrMatrix::from_bit_matrix(&plane);
         let bits = csr.storage_bits(0);
         assert!(bits >= 14, "coordinate storage should dominate: {bits}");
-    }
-
-    #[test]
-    fn csc_from_bit_matrix_counts() {
-        let mut plane = BitMatrix::zeros(4, 2);
-        plane.set(0, 0, true);
-        plane.set(3, 0, true);
-        plane.set(1, 1, true);
-        let csc = CscMatrix::from_bit_matrix(&plane);
-        assert_eq!(csc.col_nnz(0), 2);
-        assert_eq!(csc.col_nnz(1), 1);
-        assert_eq!(
-            csc.col_entries(0).map(|(r, _)| r).collect::<Vec<_>>(),
-            vec![0, 3]
-        );
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //!   timesteps of one pre-synaptic neuron in one word, Fig. 8);
 //! * [`Fiber`] / [`SpikeFiber`] / [`WeightFiber`] — compressed fibers
 //!   (bitmask + pointer + payload);
-//! * [`CsrMatrix`] / [`CscMatrix`] — coordinate-list formats with explicit
-//!   coordinate bit-widths (the costly per-timestep spike format GoSPA-style
+//! * [`CsrMatrix`] — the coordinate-list format with explicit coordinate
+//!   bit-widths (the costly per-timestep spike format GoSPA-style
 //!   baselines pay for);
 //! * [`prefix_sum`] — functional + latency models of the fast and laggy
 //!   prefix-sum circuits;
@@ -49,7 +49,7 @@ pub mod prefix_sum;
 pub mod spmspm;
 
 pub use bitmask::{chunked_and_counts, Bitmask, ChunkedAndCounts, Ones};
-pub use csr::{coordinate_bits, CscMatrix, CsrMatrix};
+pub use csr::{coordinate_bits, CsrMatrix};
 pub use error::SparseError;
 pub use fiber::{Fiber, SpikeFiber, WeightFiber, POINTER_BITS};
 pub use matrix::{BitMatrix, DenseMatrix};

@@ -120,11 +120,6 @@ impl<T> DenseMatrix<T> {
         (0..self.rows).map(|r| self.get(r, c).clone()).collect()
     }
 
-    /// All elements in row-major order.
-    pub fn as_slice(&self) -> &[T] {
-        &self.data
-    }
-
     /// Number of elements for which `is_zero` is false.
     pub fn nnz(&self, is_zero: impl Fn(&T) -> bool) -> usize {
         self.data.iter().filter(|v| !is_zero(v)).count()
@@ -180,6 +175,17 @@ impl BitMatrix {
             rows,
             cols,
             row_masks: (0..rows).map(|_| Bitmask::zeros(cols)).collect(),
+        }
+    }
+
+    /// Builds a `cols`-wide bit matrix from its row bitmasks. Panics when a
+    /// row is not `cols` bits long.
+    pub fn from_rows(cols: usize, row_masks: Vec<Bitmask>) -> Self {
+        assert!(row_masks.iter().all(|r| r.len() == cols), "{cols}-bit rows");
+        BitMatrix {
+            rows: row_masks.len(),
+            cols,
+            row_masks,
         }
     }
 
@@ -255,11 +261,6 @@ impl BitMatrix {
         } else {
             1.0 - self.density()
         }
-    }
-
-    /// Iterator over row bitmasks.
-    pub fn iter_rows(&self) -> impl Iterator<Item = &Bitmask> + '_ {
-        self.row_masks.iter()
     }
 }
 

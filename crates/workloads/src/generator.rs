@@ -62,6 +62,13 @@ impl LayerWorkload {
     }
 }
 
+/// Copies, so by-value consumers (`PreparedLayer::new`) take `&LayerWorkload`.
+impl From<&LayerWorkload> for LayerWorkload {
+    fn from(workload: &LayerWorkload) -> Self {
+        workload.clone()
+    }
+}
+
 /// Seeded generator for dual-sparse workloads.
 ///
 /// # Examples
@@ -106,9 +113,9 @@ impl WorkloadGenerator {
     ) -> Result<LayerWorkload, WorkloadError> {
         let model = profile.firing_model(shape.t)?;
         let mut rng = self.rng_for(name);
-        let mut spikes = SpikeTensor::zeros(shape.m, shape.k, shape.t);
         let mut timestep_pool: Vec<usize> = (0..shape.t).collect();
-        for m in 0..shape.m {
+        let row_words = shape.k.div_ceil(64);
+        let spikes = SpikeTensor::from_row_words(shape.m, shape.k, shape.t, |_, words| {
             for k in 0..shape.k {
                 let count = model.sample_count(rng.gen::<f64>(), rng.gen::<f64>());
                 // Partial Fisher-Yates: pick `count` distinct timesteps.
@@ -117,10 +124,10 @@ impl WorkloadGenerator {
                     timestep_pool.swap(i, j);
                 }
                 for &t in &timestep_pool[..count] {
-                    spikes.set(m, k, t, true);
+                    words[t * row_words + k / 64] |= 1 << (k % 64);
                 }
             }
-        }
+        });
         let weights = self.generate_weights(&mut rng, shape.k, shape.n, profile.weight);
         Ok(LayerWorkload {
             name: name.to_owned(),

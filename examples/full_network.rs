@@ -59,10 +59,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Fine-tuned preprocessing variant (Section V): mask fire-once neurons,
     // discard low-activity outputs at runtime.
-    let ft_prepared: Vec<PreparedLayer> = layers
-        .iter()
-        .map(|w| PreparedLayer::new(&w.with_preprocessing()))
-        .collect();
+    let ft_prepared: Vec<PreparedLayer> = prepared.iter().map(PreparedLayer::fine_tuned).collect();
     let mut loas_ft = Loas::new(
         LoasConfig::builder()
             .discard_low_activity_outputs(true)

@@ -3,7 +3,7 @@
 //!
 //! This facade crate re-exports the whole workspace:
 //!
-//! * [`sparse`] — bitmasks, packed spike words, fibers, CSR/CSC, prefix-sum
+//! * [`sparse`] — bitmasks, packed spike words, fibers, CSR, prefix-sum
 //!   circuit models, golden spMspM;
 //! * [`snn`] — LIF dynamics, spike tensors, layers/networks (golden
 //!   functional models), direct encoding, the fine-tuned preprocessing;

@@ -34,7 +34,9 @@ proptest! {
     fn tensor_pack_unpack_roundtrip(rows in proptest::collection::vec(packed_row(12, 4), 1..6)) {
         let tensor = SpikeTensor::from_packed_rows(&rows, 4).unwrap();
         for (m, row) in rows.iter().enumerate() {
-            prop_assert_eq!(&tensor.packed_row(m), row);
+            let packed: Vec<PackedSpikes> = (0..12).map(|k| tensor.packed_word(m, k)).collect();
+            prop_assert_eq!(&packed, row);
+            prop_assert_eq!(&tensor.to_row_fibers()[m], &SpikeFiber::from_packed_row(row));
         }
         // Statistics consistency: spikes counted both ways agree.
         let by_words: usize = rows.iter().flatten().map(|w| w.fire_count()).sum();
@@ -162,7 +164,7 @@ proptest! {
         let unit = InnerJoinUnit::new(&config);
         let outcome = unit.join(&fiber_a, &fiber_b);
 
-        let blocks = RowBlocks::from_spike_fibers(std::slice::from_ref(&fiber_a), 4);
+        let blocks = RowBlocks::from_tensor(&SpikeTensor::from_packed_rows(std::slice::from_ref(&row), 4).unwrap());
         let kernel = PairSweepKernel::new(config.bitmask_bits, Some(config.fifo_depth));
         let counts = kernel.pair_counts(&blocks, 0, fiber_b.bitmask().words());
 
