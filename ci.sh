@@ -15,8 +15,8 @@
 # kernel-vs-pre-kernel campaign A/B asserting the two-phase sweep plus
 # the span-based traffic replay are byte-identical to the scalar golden
 # path (LOAS_SWEEP=scalar drives every model's Reference oracle,
-# including Gamma's and GoSPA's pre-span walks), and a short perfbench
-# cold-grid run that must report "correct": true.
+# including Gamma's and GoSPA's pre-span walks), and short perfbench
+# cold-grid and warm-replay runs that must report "correct": true.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -170,5 +170,12 @@ echo "== benchmark smoke (perfbench cold-grid, pinned full-size digests)"
 cargo run --release --quiet --manifest-path perfbench/Cargo.toml -- \
   --workload cold-grid --seed 1 --seconds 3 --trace 0 | tail -1 | tee "$SMOKE/perfbench.out"
 grep -q '"correct": true' "$SMOKE/perfbench.out"
+
+echo "== benchmark smoke (perfbench warm-replay, memo hits through the spec parser)"
+# The fig13 grid resubmitted to a warm memo store: every job is a memo
+# hit, so the run is spec parsing and serving, checked the same way.
+cargo run --release --quiet --manifest-path perfbench/Cargo.toml -- \
+  --workload warm-replay --seed 1 --seconds 3 --trace 0 | tail -1 | tee "$SMOKE/perfbench-warm.out"
+grep -q '"correct": true' "$SMOKE/perfbench-warm.out"
 
 echo "CI OK"

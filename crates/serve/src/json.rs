@@ -5,6 +5,16 @@
 //! token text: specs round-trip seeds as exact `u64`s and sparsity
 //! fractions as exact `f64` bit patterns (Rust's shortest-round-trip
 //! float formatting), which the content-hashed memo keys depend on.
+//!
+//! Specs arrive from outside the process, so the parser is an untrusted
+//! input boundary: it runs in time linear in the document, bounds its
+//! recursion at `MAX_DEPTH` nested containers, and reports every
+//! malformed document as an `Err` rather than a panic.
+
+/// The deepest nesting of arrays and objects [`Json::parse`] accepts.
+/// Campaign specs nest five levels deep; the bound keeps a hostile
+/// document from overflowing the stack of the recursive descent.
+const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -33,7 +43,7 @@ impl Json {
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing content at byte {pos}"));
@@ -120,11 +130,16 @@ fn expect(bytes: &[u8], pos: &mut usize, byte: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parses the value at `pos`, inside `depth` enclosing containers.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {}",
+            *pos
+        )),
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
         Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
         Some(b't') => parse_literal(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
@@ -195,6 +210,9 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                                 && bytes.get(*pos + 2) == Some(&b'u')
                             {
                                 let low = parse_hex4(bytes, *pos + 3)?;
+                                if !(0xDC00..=0xDFFF).contains(&low) {
+                                    return Err("bad low surrogate".to_owned());
+                                }
                                 *pos += 6;
                                 0x10000 + ((first - 0xD800) << 10) + (low - 0xDC00)
                             } else {
@@ -215,28 +233,40 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 return Err(format!("raw control byte in string at {}", *pos))
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (multi-byte sequences pass
-                // through verbatim).
-                let rest = std::str::from_utf8(&bytes[*pos..])
+                // Copy the run of plain bytes up to the next quote,
+                // backslash or control byte in one step. The stops are
+                // ASCII, so they never split a multi-byte sequence, and
+                // validating only the run keeps a string O(length).
+                let start = *pos;
+                *pos = bytes[start..]
+                    .iter()
+                    .position(|&byte| matches!(byte, b'"' | b'\\' | 0..=0x1F))
+                    .map_or(bytes.len(), |offset| start + offset);
+                let run = std::str::from_utf8(&bytes[start..*pos])
                     .map_err(|_| "bad utf8 in string".to_owned())?;
-                let c = rest.chars().next().expect("non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
+                out.push_str(run);
             }
         }
     }
 }
 
+/// Reads the four hex digits of a `\uXXXX` escape starting at `start`
+/// (exactly four ASCII hex digits: no sign, no shorter form).
 fn parse_hex4(bytes: &[u8], start: usize) -> Result<u32, String> {
-    if start + 4 > bytes.len() {
-        return Err("truncated unicode escape".to_owned());
-    }
-    let text = std::str::from_utf8(&bytes[start..start + 4])
-        .map_err(|_| "bad unicode escape".to_owned())?;
-    u32::from_str_radix(text, 16).map_err(|_| "bad unicode escape".to_owned())
+    let digits = bytes
+        .get(start..start + 4)
+        .ok_or_else(|| "truncated unicode escape".to_owned())?;
+    digits
+        .iter()
+        .try_fold(0u32, |code, &digit| {
+            char::from(digit)
+                .to_digit(16)
+                .map(|value| code << 4 | value)
+        })
+        .ok_or_else(|| "bad unicode escape".to_owned())
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -245,7 +275,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -258,7 +288,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(bytes, pos, b'{')?;
     let mut fields = Vec::new();
     skip_ws(bytes, pos);
@@ -271,7 +301,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         let key = parse_string(bytes, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         fields.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -334,9 +364,57 @@ mod tests {
             "1 2",
             "\"unterminated",
             "{\"a\":}",
+            // A sign is not a hex digit, and escapes take exactly four.
+            "\"\\u+041\"",
+            "\"\\u12\"",
+            "\"\\uDC00\"",
+            "\"\\uD800\"",
         ] {
             assert!(Json::parse(bad).is_err(), "accepted `{bad}`");
         }
+    }
+
+    #[test]
+    fn surrogate_pairs_need_a_low_half() {
+        assert_eq!(
+            Json::parse("\"\\uD83D\\uDE00\"").unwrap(),
+            Json::Str("\u{1F600}".to_owned())
+        );
+        // A high half followed by a non-surrogate escape must not
+        // underflow `low - 0xDC00`.
+        for bad in ["\"\\uD800\\u0041\"", "\"\\uDBFF\\uE000\""] {
+            assert_eq!(Json::parse(bad), Err("bad low surrogate".to_owned()));
+        }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let error = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(error.starts_with("nesting deeper than"), "{error}");
+        // Deep enough to overflow the stack of an unbounded descent.
+        for open in ["[", "{\"a\":"] {
+            let error = Json::parse(&open.repeat(200_000)).unwrap_err();
+            assert!(error.starts_with("nesting deeper than"), "{error}");
+        }
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // One 1 MiB unescaped string, multi-byte characters included.
+        // Re-validating the rest of the document for every character
+        // takes tens of seconds here in the unoptimized test profile.
+        let text = "spike\u{e9}\u{1F600}".repeat((1 << 20) / 11);
+        let doc = format!("{{\"v\": \"{text}\"}}");
+        let start = std::time::Instant::now();
+        let parsed = Json::parse(&doc).unwrap();
+        let elapsed = start.elapsed();
+        assert_eq!(parsed.get("v").unwrap().as_str(), Some(text.as_str()));
+        assert!(
+            elapsed < std::time::Duration::from_secs(2),
+            "parsing a 1 MiB string took {elapsed:?}"
+        );
     }
 
     #[test]
