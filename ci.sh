@@ -16,7 +16,8 @@
 # the span-based traffic replay are byte-identical to the scalar golden
 # path (LOAS_SWEEP=scalar drives every model's Reference oracle,
 # including Gamma's and GoSPA's pre-span walks), and short perfbench
-# cold-grid and warm-replay runs that must report "correct": true.
+# cold-grid, warm-replay and config-sweep runs that must report
+# "correct": true.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -111,6 +112,25 @@ if "$SERVE" enqueue "$SMOKE/single" "$SMOKE/mismatch.json" 2> "$SMOKE/mismatch.e
   echo "enqueue accepted a LoAS timestep mismatch"; exit 1
 fi
 grep -q "bad campaign spec" "$SMOKE/mismatch.err"
+# So are memory systems the simulators cannot build: zero HBM channels,
+# and a cache of more than 2^32 lines (LoAS and Gamma-SNN). The same v2
+# template with a buildable Gamma cache is accepted.
+"$SERVE" init "$SMOKE/memq"
+memory_spec() {
+  sed -e 's|{"name": "infeasible"|{"version": 2, "name": "memory"|' \
+      -e "s|{\"loas\": {\"timesteps\": 2}}|$1|" "$SMOKE/infeasible.json" > "$SMOKE/memory.json"
+}
+memory_spec '{"name": "gamma", "config": {"cache_bytes": 65536}}'
+"$SERVE" enqueue "$SMOKE/memq" "$SMOKE/memory.json"
+for bad in '{"name": "loas", "config": {"timesteps": 2, "hbm_channels": 0}}=channel' \
+           '{"name": "loas", "config": {"timesteps": 2, "cache_bytes": 1099511627776}}=lines' \
+           '{"name": "gamma", "config": {"cache_bytes": 1099511627776}}=lines'; do
+  memory_spec "${bad%=*}"
+  if "$SERVE" enqueue "$SMOKE/memq" "$SMOKE/memory.json" 2> "$SMOKE/memory.err"; then
+    echo "enqueue accepted an unbuildable memory system: ${bad%=*}"; exit 1
+  fi
+  grep "bad campaign spec" "$SMOKE/memory.err" | grep -q "${bad##*=}"
+done
 echo "garbage" > "$SMOKE/single/memo/00000000deadbeef.report"
 if "$SERVE" fsck "$SMOKE/single" > /dev/null 2>&1; then
   echo "fsck missed an injected corrupt memo entry"; exit 1
@@ -177,5 +197,12 @@ echo "== benchmark smoke (perfbench warm-replay, memo hits through the spec pars
 cargo run --release --quiet --manifest-path perfbench/Cargo.toml -- \
   --workload warm-replay --seed 1 --seconds 3 --trace 0 | tail -1 | tee "$SMOKE/perfbench-warm.out"
 grep -q '"correct": true' "$SMOKE/perfbench-warm.out"
+
+echo "== benchmark smoke (perfbench config-sweep, memoized LoAS phases)"
+# The repository's design sweeps on shared prepared layers: most LoAS jobs
+# reuse a memoized pair sweep or traffic replay, checked the same way.
+cargo run --release --quiet --manifest-path perfbench/Cargo.toml -- \
+  --workload config-sweep --seed 1 --seconds 3 --trace 0 | tail -1 | tee "$SMOKE/perfbench-sweep.out"
+grep -q '"correct": true' "$SMOKE/perfbench-sweep.out"
 
 echo "CI OK"

@@ -13,24 +13,6 @@ pub const BASELINE_CACHE_BYTES: usize = 256 * 1024;
 /// Off-chip bandwidth shared by all baselines (GB/s).
 pub const BASELINE_HBM_GBPS: f64 = 128.0;
 
-/// Shared cache-geometry invariant check: every dimension positive and
-/// capacity at least one set — the preconditions `SramCache::new` asserts,
-/// surfaced as an error so untrusted spec overrides fail cleanly.
-pub(crate) fn check_cache_geometry(
-    cache_bytes: usize,
-    line_bytes: usize,
-    ways: usize,
-    banks: usize,
-) -> Result<(), String> {
-    if line_bytes == 0 || ways == 0 || banks == 0 {
-        return Err("degenerate cache geometry".to_owned());
-    }
-    if cache_bytes < line_bytes * ways {
-        return Err("cache capacity below one set".to_owned());
-    }
-    Ok(())
-}
-
 /// Generates a `LoasConfig`-style non-consuming builder for a baseline
 /// configuration struct: one setter per listed field, terminated by a
 /// validating `build()` (which calls the config's `validated()`).

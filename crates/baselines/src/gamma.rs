@@ -98,7 +98,7 @@ impl GammaConfig {
         if self.psum_bytes == 0 {
             return Err("degenerate psum precision".to_owned());
         }
-        crate::common::check_cache_geometry(
+        loas_sim::check_cache_geometry(
             self.cache_bytes,
             self.cache_line_bytes,
             self.cache_ways,

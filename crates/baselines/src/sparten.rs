@@ -88,7 +88,7 @@ impl SparTenConfig {
         if self.chunk_bits == 0 {
             return Err("degenerate chunk width".to_owned());
         }
-        crate::common::check_cache_geometry(
+        loas_sim::check_cache_geometry(
             self.cache_bytes,
             self.cache_line_bytes,
             self.cache_ways,

@@ -116,16 +116,18 @@ impl LoasConfig {
         if self.bitmask_bits == 0 {
             return Err("degenerate bitmask width".to_owned());
         }
-        if self.cache_line_bytes == 0 || self.cache_ways == 0 || self.cache_banks == 0 {
-            return Err("degenerate cache geometry".to_owned());
-        }
-        if self.cache_bytes < self.cache_line_bytes * self.cache_ways {
-            return Err("cache capacity below one set".to_owned());
-        }
         if self.hbm_gbps.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
             return Err("off-chip bandwidth must be positive".to_owned());
         }
-        Ok(())
+        if self.hbm_channels == 0 {
+            return Err("need at least one off-chip channel".to_owned());
+        }
+        loas_sim::check_cache_geometry(
+            self.cache_bytes,
+            self.cache_line_bytes,
+            self.cache_ways,
+            self.cache_banks,
+        )
     }
 
     /// Laggy prefix-sum latency over one bitmask chunk:
@@ -289,5 +291,26 @@ mod tests {
     #[should_panic(expected = "timesteps")]
     fn excessive_timesteps_rejected() {
         LoasConfig::builder().timesteps(17).build();
+    }
+
+    #[test]
+    fn simulator_preconditions_are_checked() {
+        let bad = [
+            LoasConfig {
+                hbm_channels: 0,
+                ..LoasConfig::table3()
+            },
+            LoasConfig {
+                cache_bytes: 1 << 40,
+                ..LoasConfig::table3()
+            },
+            LoasConfig {
+                cache_ways: usize::MAX,
+                ..LoasConfig::table3()
+            },
+        ];
+        for config in bad {
+            assert!(config.check().is_err(), "{config:?}");
+        }
     }
 }

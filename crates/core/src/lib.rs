@@ -58,6 +58,7 @@ pub mod dataflow;
 mod hash;
 mod inner_join;
 pub mod kernel;
+mod layer_memo;
 mod metrics;
 mod plif;
 mod portable;
@@ -72,9 +73,10 @@ pub use compressor::{CompressedRow, Compressor};
 pub use config::{LoasConfig, LoasConfigBuilder};
 pub use hash::ContentHasher;
 pub use inner_join::{reference_sums, InnerJoinUnit, JoinOutcome, JoinScratch};
+pub use layer_memo::{MemoCounts, MemoStats};
 pub use metrics::{Accelerator, LayerReport, NetworkReport};
 pub use plif::{ParallelLif, PlifOutcome};
 pub use portable::{PortableError, PORTABLE_FORMAT};
 pub use prepared::weight_views;
-pub use prepared::{PreparedLayer, TrafficSpans, DEFAULT_LINE_BYTES, DEFAULT_WEIGHT_BITS};
+pub use prepared::{PreparedLayer, TrafficSpans};
 pub use tppe::{Tppe, TppeOutcome};

@@ -6,29 +6,21 @@
 //! inputs.
 
 use crate::kernel::RowBlocks;
+use crate::layer_memo::{LayerMemo, MemoKey, MemoStats};
 use loas_sim::LineSpan;
 use loas_snn::LifParams;
 use loas_sparse::{Bitmask, DenseMatrix, Fiber, SpikeFiber, WeightFiber, POINTER_BITS};
 use loas_workloads::{LayerShape, LayerWorkload};
-use std::borrow::Cow;
 use std::sync::Arc;
-
-/// The weight precision the prepare-time [`TrafficSpans`] are computed
-/// for (the Table III configuration every model defaults to).
-pub const DEFAULT_WEIGHT_BITS: usize = 8;
-
-/// The cache-line size the prepare-time [`TrafficSpans`] are computed for
-/// (the shared 64-byte FiberCache line of Table III).
-pub const DEFAULT_LINE_BYTES: usize = 64;
 
 /// Precomputed cache-line spans of every traffic object the LoAS replay
 /// touches, for one `(weight_bits, line_bytes)` geometry.
 ///
 /// The tag-accurate traffic phase used to re-derive line numbers from
 /// abstract byte addresses on every probe. The address map is a pure
-/// function of the prepared fibers, so the spans are computed once at
-/// prepare time (for the default Table III geometry) and the replay does
-/// zero address arithmetic per pair: row/column objects are fixed
+/// function of the prepared fibers, so the spans are computed once per
+/// layer and geometry ([`PreparedLayer::traffic_spans`]) and the replay
+/// does zero address arithmetic per pair: row/column objects are fixed
 /// [`LineSpan`]s, and the per-pair payload probe only varies in length
 /// from a precomputed `(first_line, intra-line offset)` base
 /// ([`TrafficSpans::a_payload_span`]).
@@ -66,29 +58,14 @@ impl TrafficSpans {
     /// byte (asserted against the address-arithmetic formulas by the
     /// equivalence property tests).
     pub fn build(layer: &PreparedLayer, weight_bits: usize, line_bytes: usize) -> Self {
-        TrafficSpans::build_parts(
-            layer.shape,
-            &layer.a_fibers,
-            &layer.b_fibers,
-            weight_bits,
-            line_bytes,
-        )
-    }
-
-    fn build_parts(
-        shape: LayerShape,
-        a_fibers: &[SpikeFiber],
-        b_fibers: &[WeightFiber],
-        weight_bits: usize,
-        line_bytes: usize,
-    ) -> Self {
+        let shape = layer.shape;
         let bm_bytes = (shape.k + POINTER_BITS).div_ceil(8) as u64;
         let line = line_bytes as u64;
         let mut a_bm_span = Vec::with_capacity(shape.m);
         let mut a_payload_line = Vec::with_capacity(shape.m);
         let mut a_payload_intra = Vec::with_capacity(shape.m);
         let mut addr = 0u64;
-        for fiber in a_fibers {
+        for fiber in &layer.a_fibers {
             a_bm_span.push(LineSpan::of_range(addr, bm_bytes, line_bytes));
             let payload = addr + bm_bytes;
             a_payload_line.push(payload / line);
@@ -97,7 +74,7 @@ impl TrafficSpans {
         }
         let mut b_bm_span = Vec::with_capacity(shape.n);
         let mut b_payload_span = Vec::with_capacity(shape.n);
-        for fiber in b_fibers {
+        for fiber in layer.b_fibers.iter() {
             b_bm_span.push(LineSpan::of_range(addr, bm_bytes, line_bytes));
             let payload_bytes = (fiber.nnz() * weight_bits).div_ceil(8) as u64;
             b_payload_span.push(LineSpan::of_range(
@@ -161,10 +138,9 @@ pub struct PreparedLayer {
     /// of the `O(K)` fired-count aggregate
     /// ([`crate::kernel::fired_grand_total`]).
     pub col_spikes: Vec<u32>,
-    /// Precomputed traffic-object line spans for the default Table III
-    /// geometry ([`DEFAULT_WEIGHT_BITS`], [`DEFAULT_LINE_BYTES`]);
-    /// [`PreparedLayer::traffic_spans`] rebuilds on the fly for others.
-    pub traffic_spans: TrafficSpans,
+    /// Results derived from this layer under some config, kept for the
+    /// other jobs that share the layer ([`crate::layer_memo`]).
+    pub(crate) memo: LayerMemo,
 }
 
 impl PreparedLayer {
@@ -199,13 +175,6 @@ impl PreparedLayer {
         for (k, word) in a_fibers.iter().flat_map(SpikeFiber::iter) {
             col_spikes[k] += word.fire_count() as u32;
         }
-        let traffic_spans = TrafficSpans::build_parts(
-            shape,
-            &a_fibers,
-            &b_fibers,
-            DEFAULT_WEIGHT_BITS,
-            DEFAULT_LINE_BYTES,
-        );
         PreparedLayer {
             name: workload.name.clone(),
             shape,
@@ -215,21 +184,24 @@ impl PreparedLayer {
             b_row_nnz,
             row_blocks,
             col_spikes,
-            traffic_spans,
+            memo: LayerMemo::default(),
         }
     }
 
-    /// The traffic-span table for a given accelerator geometry: the
-    /// precomputed table when it matches (the default Table III
-    /// configuration), a freshly built one otherwise.
-    pub fn traffic_spans(&self, weight_bits: usize, line_bytes: usize) -> Cow<'_, TrafficSpans> {
-        if self.traffic_spans.weight_bits == weight_bits
-            && self.traffic_spans.line_bytes == line_bytes
-        {
-            Cow::Borrowed(&self.traffic_spans)
-        } else {
-            Cow::Owned(TrafficSpans::build(self, weight_bits, line_bytes))
-        }
+    /// The traffic-span table for a given accelerator geometry, built on
+    /// first use and memoized.
+    pub fn traffic_spans(&self, weight_bits: usize, line_bytes: usize) -> Arc<TrafficSpans> {
+        let key = MemoKey::Spans {
+            weight_bits,
+            line_bytes,
+        };
+        self.memo
+            .get_or_insert_with(key, || TrafficSpans::build(self, weight_bits, line_bytes))
+    }
+
+    /// Hit, miss and eviction counts of the layer's memo.
+    pub fn memo_stats(&self) -> MemoStats {
+        self.memo.stats()
     }
 
     /// LIF parameters of the output stage.
@@ -407,7 +379,7 @@ mod tests {
         assert_eq!(a.b_row_nnz, b.b_row_nnz);
         assert_eq!(a.row_blocks, b.row_blocks);
         assert_eq!(a.col_spikes, b.col_spikes);
-        assert_eq!(a.traffic_spans, b.traffic_spans);
+        assert_eq!(a.traffic_spans(8, 64), b.traffic_spans(8, 64));
     }
 
     proptest! {

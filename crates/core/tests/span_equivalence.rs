@@ -1,15 +1,16 @@
 //! Property tests of the precomputed traffic spans: on random prepared
-//! layers, the spans stored in [`PreparedLayer`] (and rebuilt for
-//! non-default geometries) must agree with the original per-access
-//! address arithmetic formula by formula — and the span-driven kernel
-//! replay must produce byte-identical reports to the address-arithmetic
-//! reference oracle.
+//! layers, the spans [`PreparedLayer::traffic_spans`] builds and memoizes
+//! for each geometry must agree with the original per-access address
+//! arithmetic formula by formula — and the span-driven kernel replay must
+//! produce byte-identical reports to the address-arithmetic reference
+//! oracle.
 
 use loas_core::{Accelerator, Loas, PreparedLayer, SweepStrategy, TrafficSpans};
 use loas_sim::LineSpan;
 use loas_sparse::POINTER_BITS;
 use loas_workloads::{LayerShape, SparsityProfile, WorkloadGenerator};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// Recomputes every span with the replay's original address arithmetic —
 /// kept deliberately independent of `TrafficSpans::build`.
@@ -102,9 +103,10 @@ proptest! {
         let built = layer.traffic_spans(weight_bits, line_bytes);
         let manual = spans_by_address_arithmetic(&layer, weight_bits, line_bytes);
         prop_assert_eq!(built.as_ref(), &manual);
-        // The prepare-time table is the default-geometry build.
+        // Built once per geometry: a second lookup returns the same table.
+        prop_assert!(Arc::ptr_eq(&built, &layer.traffic_spans(weight_bits, line_bytes)));
         prop_assert_eq!(
-            &layer.traffic_spans,
+            layer.traffic_spans(8, 64).as_ref(),
             &spans_by_address_arithmetic(&layer, 8, 64)
         );
         // Per-pair payload spans: the (base line, intra offset) form must

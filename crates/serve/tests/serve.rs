@@ -234,3 +234,37 @@ fn loas_timestep_mismatch_is_rejected_at_enqueue() {
     assert_eq!(queue.state(id).unwrap(), CampaignState::Done);
     let _ = std::fs::remove_dir_all(&root);
 }
+
+#[test]
+fn unsimulatable_memory_configs_are_rejected_at_enqueue() {
+    // Zero HBM channels and a cache of more than 2^32 lines used to pass
+    // enqueue and then panic the memory models' constructors in `run`.
+    let spec = |model: &str, config: &str| {
+        format!(
+            r#"{{"version": 2, "name": "bad-memory", "jobs": [{{
+                "workload": {{"name": "w", "shape": {{"t": 4, "m": 4, "n": 8, "k": 64}},
+                             "profile": {{"spike_origin": 0.823, "silent": 0.741,
+                                         "silent_ft": 0.796, "weight": 0.982}},
+                             "seed": 7}},
+                "accelerator": {{"name": "{model}", "config": {{{config}}}}}}}]}}"#
+        )
+    };
+    let root = temp_root("bad-memory");
+    let queue = Queue::init(&root).unwrap();
+    for (model, config) in [
+        ("loas", r#""hbm_channels": 0"#),
+        ("loas", r#""cache_bytes": 1099511627776"#),
+        ("gamma", r#""cache_bytes": 1099511627776"#),
+    ] {
+        let error = queue.enqueue(&spec(model, config)).unwrap_err();
+        assert!(
+            matches!(error, ServeError::Spec(_)),
+            "{model} {config}: {error}"
+        );
+    }
+    assert!(
+        queue.submissions().unwrap().is_empty(),
+        "nothing was queued"
+    );
+    let _ = std::fs::remove_dir_all(&root);
+}

@@ -50,6 +50,7 @@ pub use crossbar::Crossbar;
 pub use energy::{EnergyBreakdown, EnergyModel, EnergyParams};
 pub use fifo::Fifo;
 pub use memory::{
-    Access, DoubleBuffer, HbmModel, LineSpan, ScratchBuffer, SpanResidency, SramCache,
+    check_cache_geometry, Access, DoubleBuffer, HbmModel, LineSpan, ScratchBuffer, SpanResidency,
+    SramCache,
 };
 pub use stats::{CacheStats, OpCounts, SimStats, TrafficClass, TrafficLedger};

@@ -164,6 +164,33 @@ impl BuildHasher for LineIdHash {
     }
 }
 
+/// Checks the geometry [`SramCache::new`] accepts: non-zero line size,
+/// ways and banks, at least one set, and at most `u32::MAX` lines (slot
+/// ids are `u32`). Configs call it so untrusted spec overrides fail as
+/// errors instead of panicking a simulation.
+///
+/// # Errors
+///
+/// A message naming the violated constraint.
+pub fn check_cache_geometry(
+    capacity_bytes: usize,
+    line_bytes: usize,
+    ways: usize,
+    banks: usize,
+) -> Result<(), String> {
+    if line_bytes == 0 || ways == 0 || banks == 0 {
+        return Err("degenerate cache geometry".to_owned());
+    }
+    match line_bytes.checked_mul(ways) {
+        Some(set_bytes) if capacity_bytes >= set_bytes => {}
+        _ => return Err("cache capacity below one set".to_owned()),
+    }
+    if capacity_bytes / line_bytes > u32::MAX as usize {
+        return Err(format!("cache holds more than {} lines", u32::MAX));
+    }
+    Ok(())
+}
+
 /// A set-associative cache with per-set LRU replacement.
 ///
 /// Addresses are abstract line identifiers: callers hash whatever object
@@ -216,13 +243,12 @@ impl SramCache {
     ///
     /// # Panics
     ///
-    /// Panics when the geometry does not divide evenly or is degenerate.
+    /// Panics when [`check_cache_geometry`] rejects the geometry.
     pub fn new(capacity_bytes: usize, line_bytes: usize, ways: usize, banks: usize) -> Self {
-        assert!(line_bytes > 0 && ways > 0 && banks > 0, "degenerate cache");
-        let lines = capacity_bytes / line_bytes;
-        assert!(lines >= ways, "capacity below one set");
-        assert!(lines <= u32::MAX as usize, "slot ids are u32");
-        let sets = lines / ways;
+        if let Err(message) = check_cache_geometry(capacity_bytes, line_bytes, ways, banks) {
+            panic!("{message}");
+        }
+        let sets = capacity_bytes / line_bytes / ways;
         SramCache {
             line_bytes,
             ways,
@@ -563,6 +589,26 @@ mod tests {
         assert_eq!(c.banks(), 16);
         assert_eq!(c.line_bytes(), 64);
         assert_eq!(c.sets(), 256);
+    }
+
+    #[test]
+    fn geometry_check_mirrors_the_constructor() {
+        assert!(check_cache_geometry(256 * 1024, 64, 16, 16).is_ok());
+        assert!(check_cache_geometry(64 * 16, 64, 16, 1).is_ok());
+        let bad = [
+            (1024, 0, 2, 1),
+            (1024, 64, 0, 1),
+            (1024, 64, 2, 0),
+            (64, 64, 2, 1),
+            (usize::MAX, usize::MAX, 2, 1),
+            (1 << 40, 64, 16, 16),
+        ];
+        for (capacity, line, ways, banks) in bad {
+            assert!(
+                check_cache_geometry(capacity, line, ways, banks).is_err(),
+                "{capacity} / {line} / {ways} / {banks}"
+            );
+        }
     }
 
     #[test]
