@@ -2,11 +2,13 @@
 # CI entry point: formatting, lints on the engine/serve crates, release
 # build, the full workspace test suite (tier-1 verify is those two steps;
 # the suite includes the committed golden-v1-spec memo-key assertions and
-# the v2 spec round-trip property test), an end-to-end loas-serve smoke
+# the v2 spec round-trip property test and the full-scale headline
+# bands of tests/headline.rs), an end-to-end loas-serve smoke
 # test (enqueue -> run two shard processes -> merge -> verify
 # byte-identical to a single-process run -> warm-store replay with zero
 # simulations), a v1-vs-v2 spec A/B against the committed pre-redesign
-# report, a served baseline-config sweep (Gamma FiberCache), smokes for
+# report, a served baseline-config sweep (Gamma FiberCache) A/B'd
+# against the same campaign under LOAS_SWEEP=scalar, smokes for
 # the queue admin commands (batch enqueue, requeue, fsck, models), a perf
 # smoke emitting a quick-grid BENCH_PR5.json, a bench-trajectory gate
 # comparing the committed BENCH_PR5.json against BENCH_PR3.json (fails on
@@ -82,6 +84,13 @@ echo "== served baseline-config sweep (Gamma FiberCache campaign)"
 "$SERVE" run "$SMOKE/single"
 "$SERVE" status "$SMOKE/single" | grep "gamma-cache-sweep" | grep -q "done"
 test -s "$SMOKE/single/reports/00003/report.jsonl"
+# Every quick shape fits every swept FiberCache, so the default run counts
+# Gamma-SNN's cache traffic from its footprint; the scalar oracle walks
+# every line tag and must report the same bytes.
+"$SERVE" init "$SMOKE/gamma-scalar"
+"$SERVE" enqueue "$SMOKE/gamma-scalar" --gamma-cache --quick
+LOAS_SWEEP=scalar "$SERVE" run "$SMOKE/gamma-scalar"
+cmp "$SMOKE/gamma-scalar/reports/00001/report.jsonl" "$SMOKE/single/reports/00003/report.jsonl"
 
 echo "== queue admin smoke: batch enqueue, requeue, fsck"
 mkdir "$SMOKE/batch"

@@ -13,22 +13,34 @@
 //!
 //! # Two-phase execution (simulator performance)
 //!
-//! The per-`(m, t, k)` FiberCache walk was the slowest model in the
-//! workspace: every fired bit re-probed its `B` row line by line through
-//! the tag model. The [`loas_core::SweepStrategy::Kernel`] path
-//! (default) is cache-model-aware instead: per-`B`-row [`LineSpan`]s are
-//! precomputed once per layer, the repeated same-row fetches go through
-//! the batched span API, and every row carries a
-//! [`SpanResidency`] token so a row that provably stayed resident since
-//! its last fetch (no evictions in its sets — the common case, since the
-//! paper sizes the FiberCache to keep `B` hot) takes the all-hits fast
-//! path with no tag compares at all. The pre-span per-line walk survives
-//! as [`loas_core::SweepStrategy::Reference`]; both produce
-//! byte-identical reports (asserted in tests and ci.sh).
+//! The oracle, [`loas_core::SweepStrategy::Reference`], walks every
+//! `(m, t, k)` fetch through the FiberCache tag model line by line. The
+//! default [`loas_core::SweepStrategy::Kernel`] path first builds the
+//! footprint: the lines of every `B` row that `A` fires at all, plus the
+//! psum rows of the PEs in use. The footprint picks the walk:
+//!
+//! * **It fits** ([`SramCache::fits_without_eviction`]: no set receives
+//!   more than `ways` of its lines). Nothing is ever evicted, so each
+//!   distinct line misses exactly once and every other touch hits, in any
+//!   access order. Hits, misses, SRAM and HBM traffic follow from the
+//!   per-column spike counts and the line counts, and no tag is touched.
+//!   Only the per-`(m, t)` merge compute is walked, because merge rounds
+//!   and the per-tile maximum are not linear. One line depends on order:
+//!   the last `B` line can be psum row 0's first line, and it is a weight
+//!   miss only if a `B` row fetched for `A[0, ·, 0]` touches it before
+//!   psum row 0 is first accessed. Every fig13-grid layer fits the
+//!   paper's 256 KB FiberCache.
+//! * **It does not fit.** Every fetch goes through the tag model along
+//!   per-`B`-row [`LineSpan`]s. Each row carries a [`SpanResidency`]
+//!   token, so a row with no eviction in its sets since its last fetch is
+//!   all hits with no tag compares.
+//!
+//! Both walks produce reports byte-identical to the oracle's (asserted in
+//! tests and ci.sh).
 
 use crate::common::{config_builder, Machine, BASELINE_CACHE_BYTES, BASELINE_PES};
 use loas_core::{Accelerator, LayerReport, PreparedLayer, SweepStrategy};
-use loas_sim::{LineSpan, SpanResidency, TrafficClass};
+use loas_sim::{LineSpan, SpanResidency, SramCache, TrafficClass};
 
 /// Typed configuration of the Gamma-SNN model. Registered in the
 /// accelerator catalog as `"gamma"`; the FiberCache geometry fields are
@@ -95,9 +107,7 @@ impl GammaConfig {
         if self.merge_radix <= 1 {
             return Err("radix-1 mergers never converge".to_owned());
         }
-        if self.psum_bytes == 0 {
-            return Err("degenerate psum precision".to_owned());
-        }
+        loas_core::check_precision(self.weight_bits, Some(self.psum_bytes))?;
         loas_sim::check_cache_geometry(
             self.cache_bytes,
             self.cache_line_bytes,
@@ -181,6 +191,114 @@ impl GammaSnn {
         self.sweep = sweep;
         self
     }
+
+    /// Walks the rows of `A` in PE-tile order, one `(m, t)` merge at a
+    /// time: `fetch(k)` for each fired `B` row, then `merged(pe)` once the
+    /// PE has folded them into its partial row. Returns the compute cycles
+    /// (each tile waits for its slowest row) and the merged products.
+    fn walk_rows(
+        &self,
+        layer: &PreparedLayer,
+        machine: &mut Machine,
+        mut fetch: impl FnMut(&mut Machine, usize),
+        mut merged: impl FnMut(&mut Machine, usize),
+    ) -> (u64, u64) {
+        let p = self.params;
+        let m_rows = layer.shape.m;
+        let planes = layer.workload.spikes.planes();
+        let mut compute = 0u64;
+        let mut products = 0u64;
+        for tile in 0..m_rows.div_ceil(p.pes) {
+            let rows = (tile * p.pes)..((tile + 1) * p.pes).min(m_rows);
+            let mut worst = 0u64;
+            for m in rows {
+                let mut row_cycles = 0u64;
+                let pe = m % p.pes;
+                for plane in planes {
+                    let mut fibers = 0usize;
+                    let mut row_products = 0u64;
+                    for k in plane.row(m).iter_ones() {
+                        fetch(machine, k);
+                        row_products += (layer.b_row_nnz[k] as u64).max(1);
+                        fibers += 1;
+                    }
+                    let rounds = p.merge_rounds(fibers);
+                    row_cycles += (row_products / p.merge_rate) * rounds;
+                    products += row_products;
+                    merged(machine, pe);
+                }
+                worst = worst.max(row_cycles);
+            }
+            compute += worst;
+        }
+        (compute, products)
+    }
+}
+
+/// FiberCache misses of the two line classes Gamma-SNN touches.
+struct Misses {
+    weight: u64,
+    psum: u64,
+}
+
+/// The misses of the kernel walk when its footprint cannot evict (every
+/// distinct line then misses exactly once), or `None` when it can. The
+/// footprint is the lines of every `B` row that `A` fires at all and of
+/// the psum rows of the PEs in use.
+fn unevicted_misses(
+    cache: &SramCache,
+    layer: &PreparedLayer,
+    b_row_span: &[LineSpan],
+    psum_span: &[LineSpan],
+) -> Option<Misses> {
+    let shape = layer.shape;
+    let pes_used = if shape.t == 0 {
+        0
+    } else {
+        psum_span.len().min(shape.m)
+    };
+    let end = |span: &LineSpan| span.first_line + span.n_lines;
+    // The rows are laid out in ascending address order, `B` before the
+    // psum rows, so a span can only overlap or abut the last merged one.
+    let mut footprint: Vec<LineSpan> = Vec::new();
+    let add = |footprint: &mut Vec<LineSpan>, span: LineSpan| match footprint.last_mut() {
+        _ if span.is_empty() => {}
+        Some(last) if span.first_line <= end(last) => {
+            last.n_lines = end(&span).max(end(last)) - last.first_line;
+        }
+        _ => footprint.push(span),
+    };
+    for (&span, &spikes) in b_row_span.iter().zip(&layer.col_spikes) {
+        if spikes > 0 {
+            add(&mut footprint, span);
+        }
+    }
+    let b_end = footprint.last().map_or(0, end);
+    let b_lines: u64 = footprint.iter().map(|span| span.n_lines).sum();
+    for &span in &psum_span[..pes_used] {
+        add(&mut footprint, span);
+    }
+    let lines = footprint.iter().flat_map(|span| span.first_line..end(span));
+    if !cache.fits_without_eviction(lines) {
+        return None;
+    }
+    let lines: u64 = footprint.iter().map(|span| span.n_lines).sum();
+    // The last `B` line can be psum row 0's first line. Psum row 0 is
+    // first accessed right after the fetches of `A[0, ·, 0]`, so the line
+    // misses as a weight only if one of those rows touches it.
+    let boundary = psum_span.first().copied().unwrap_or_default();
+    let psum_first = pes_used > 0
+        && !boundary.is_empty()
+        && b_end > boundary.first_line
+        && !layer.workload.spikes.planes()[0]
+            .row(0)
+            .iter_ones()
+            .any(|k| end(&b_row_span[k]) > boundary.first_line);
+    let weight = b_lines - u64::from(psum_first);
+    Some(Misses {
+        weight,
+        psum: lines - weight,
+    })
 }
 
 impl Accelerator for GammaSnn {
@@ -234,14 +352,13 @@ impl Accelerator for GammaSnn {
         let psum_row_base = addr;
         let psum_row_bytes = (shape.n * p.psum_bytes) as u64;
 
-        let mut compute = 0u64;
-        let mut products = 0u64;
-        let tiles = shape.m.div_ceil(p.pes);
-        match self.sweep {
+        let (compute, products) = match self.sweep {
             // The pre-span oracle: per-access address arithmetic, per-line
             // tag walks.
             SweepStrategy::Reference => {
-                for tile in 0..tiles {
+                let mut compute = 0u64;
+                let mut products = 0u64;
+                for tile in 0..shape.m.div_ceil(p.pes) {
                     let rows = (tile * p.pes)..((tile + 1) * p.pes).min(shape.m);
                     let mut worst = 0u64;
                     for m in rows {
@@ -285,11 +402,13 @@ impl Accelerator for GammaSnn {
                     }
                     compute += worst;
                 }
+                (compute, products)
             }
-            // The cache-model-aware walk: per-B-row spans precomputed once,
-            // residency tokens so an unevicted row's refetch is all-hits
-            // with no tag compares. Access order is identical to the
-            // oracle, so reports are byte-identical.
+            // The cache-model-aware walk: per-B-row spans precomputed once.
+            // When the footprint cannot evict, the counts follow from it and
+            // only compute is walked; otherwise residency tokens make an
+            // unevicted row's refetch all-hits with no tag compares. Access
+            // order is identical to the oracle, so reports are byte-identical.
             SweepStrategy::Kernel => {
                 let line_bytes = machine.cache.line_bytes();
                 let b_row_span: Vec<LineSpan> = b_row_addr
@@ -300,7 +419,6 @@ impl Accelerator for GammaSnn {
                         LineSpan::of_range(addr, bytes.max(1), line_bytes)
                     })
                     .collect();
-                let mut b_row_residency = vec![SpanResidency::default(); shape.k];
                 let psum_span: Vec<LineSpan> = (0..p.pes)
                     .map(|pe| {
                         LineSpan::of_range(
@@ -310,45 +428,54 @@ impl Accelerator for GammaSnn {
                         )
                     })
                     .collect();
-                let mut psum_residency = vec![SpanResidency::default(); p.pes];
-                let planes = layer.workload.spikes.planes();
-                for tile in 0..tiles {
-                    let rows = (tile * p.pes)..((tile + 1) * p.pes).min(shape.m);
-                    let mut worst = 0u64;
-                    for m in rows {
-                        let mut row_cycles = 0u64;
-                        let pe = m % p.pes;
-                        for plane in planes {
-                            let mut fibers = 0usize;
-                            let mut row_products = 0u64;
-                            for k in plane.row(m).iter_ones() {
-                                let missed = machine.cache.access_span_resident(
-                                    b_row_span[k],
-                                    &mut b_row_residency[k],
-                                    TrafficClass::Weight,
-                                );
-                                if missed > 0 {
-                                    machine.hbm.read(TrafficClass::Weight, missed * line);
-                                }
-                                row_products += (layer.b_row_nnz[k] as u64).max(1);
-                                fibers += 1;
+                if let Some(misses) =
+                    unevicted_misses(&machine.cache, layer, &b_row_span, &psum_span)
+                {
+                    let walked = self.walk_rows(layer, &mut machine, |_, _| {}, |_, _| {});
+                    let weight_touches: u64 = (layer.col_spikes.iter().zip(&b_row_span))
+                        .map(|(&spikes, span)| u64::from(spikes) * span.n_lines)
+                        .sum();
+                    let psum_touches = shape.t as u64
+                        * (0..shape.m)
+                            .map(|m| psum_span[m % p.pes].n_lines)
+                            .sum::<u64>();
+                    let cache = &mut machine.cache;
+                    cache.record_unevicted(TrafficClass::Weight, weight_touches, misses.weight);
+                    cache.record_unevicted(TrafficClass::Psum, psum_touches, misses.psum);
+                    cache.write(
+                        TrafficClass::Psum,
+                        (shape.m * shape.t) as u64 * psum_row_bytes,
+                    );
+                    machine.hbm.read(TrafficClass::Weight, misses.weight * line);
+                    walked
+                } else {
+                    let mut b_row_residency = vec![SpanResidency::default(); shape.k];
+                    let mut psum_residency = vec![SpanResidency::default(); p.pes];
+                    self.walk_rows(
+                        layer,
+                        &mut machine,
+                        |machine, k| {
+                            let missed = machine.cache.access_span_resident(
+                                b_row_span[k],
+                                &mut b_row_residency[k],
+                                TrafficClass::Weight,
+                            );
+                            if missed > 0 {
+                                machine.hbm.read(TrafficClass::Weight, missed * line);
                             }
-                            let rounds = p.merge_rounds(fibers);
-                            row_cycles += (row_products / p.merge_rate) * rounds;
-                            products += row_products;
+                        },
+                        |machine, pe| {
                             machine.cache.access_span_resident(
                                 psum_span[pe],
                                 &mut psum_residency[pe],
                                 TrafficClass::Psum,
                             );
                             machine.cache.write(TrafficClass::Psum, psum_row_bytes);
-                        }
-                        worst = worst.max(row_cycles);
-                    }
-                    compute += worst;
+                        },
+                    )
                 }
             }
-        }
+        };
 
         machine.stats.ops.accumulates = products;
         machine.stats.ops.merges = products;
@@ -379,6 +506,7 @@ mod tests {
     use super::*;
     use loas_core::Loas;
     use loas_workloads::{LayerShape, SparsityProfile, WorkloadGenerator};
+    use proptest::prelude::*;
 
     fn layer() -> PreparedLayer {
         let profile = SparsityProfile::from_percentages(70.0, 60.0, 66.0, 96.0).unwrap();
@@ -423,23 +551,122 @@ mod tests {
         );
     }
 
+    fn portable(config: GammaConfig, sweep: SweepStrategy, layer: &PreparedLayer) -> String {
+        GammaSnn::new(config)
+            .with_sweep(sweep)
+            .run_layer(layer)
+            .to_portable()
+    }
+
     #[test]
     fn span_and_reference_walks_are_byte_identical() {
-        // The residency-token walk must reproduce the per-line oracle bit
-        // for bit — including on a sweep-shrunk cache where the fast path
-        // is frequently invalidated by capacity evictions.
-        let l = layer();
-        for cache_bytes in [16 * 1024usize, BASELINE_CACHE_BYTES] {
-            let config = GammaConfig::builder().cache_bytes(cache_bytes).build();
-            let golden = GammaSnn::new(config)
-                .with_sweep(SweepStrategy::Reference)
-                .run_layer(&l)
-                .to_portable();
-            let span = GammaSnn::new(config)
+        // Both kernel branches — the footprint count when the cache cannot
+        // evict, the span walk when it can — must reproduce the per-line
+        // oracle bit for bit, over random small layers and FiberCaches.
+        let cases = (
+            (1usize..=6, 1usize..=40, 1usize..=64, 1usize..=256),
+            (any::<u64>(), 0usize..2, 0usize..3),
+            (10u32..=19, 0usize..3, 0usize..3),
+            (0usize..5, 1usize..=4, 0usize..3),
+        );
+        let mut runner = proptest::TestRunner::new("gamma::span_and_reference_walks");
+        let (mut fitting, mut evicting) = (0, 0);
+        for _ in 0..128 {
+            let ((t, m, n, k), (seed, spikes, weights), geometry, precision) =
+                cases.generate(&mut runner);
+            let (origin, silent, silent_ft) = [(70.0, 55.0, 62.0), (95.0, 90.0, 92.0)][spikes];
+            let weight_sparsity = [30.0, 90.0, 98.0][weights];
+            let profile =
+                SparsityProfile::from_percentages(origin, silent, silent_ft, weight_sparsity);
+            let Ok(workload) = WorkloadGenerator::new(seed).generate(
+                "gamma-prop",
+                LayerShape::new(t, m, n, k),
+                &profile.unwrap(),
+            ) else {
+                continue; // infeasible profile draw: nothing to check
+            };
+            let layer = PreparedLayer::new(workload);
+            let (capacity_log2, ways, line) = geometry;
+            let (ways, line) = ([1, 2, 16][ways], [32, 64, 128][line]);
+            let (weight_bits, psum_bytes, pes) = precision;
+            let config = GammaConfig {
+                pes: [1, 3, 16][pes],
+                weight_bits: [1, 4, 8, 13, 32][weight_bits],
+                psum_bytes,
+                cache_bytes: (1usize << capacity_log2).max(line * ways),
+                cache_line_bytes: line,
+                cache_ways: ways,
+                ..GammaConfig::default()
+            };
+            let oracle = |config| {
+                GammaSnn::new(config)
+                    .with_sweep(SweepStrategy::Reference)
+                    .run_layer(&layer)
+            };
+            let golden = oracle(config);
+            assert_eq!(
+                portable(config, SweepStrategy::Kernel, &layer),
+                golden.to_portable(),
+                "{config:?} on {:?}",
+                layer.shape
+            );
+            // The footprint fits exactly when the oracle misses as often as
+            // on a direct-mapped cache with a set for every line id.
+            let boundless = GammaConfig {
+                cache_bytes: line << 16,
+                cache_ways: 1,
+                ..config
+            };
+            if golden.stats.cache.misses == oracle(boundless).stats.cache.misses {
+                fitting += 1;
+            } else {
+                evicting += 1;
+            }
+        }
+        assert!(
+            fitting > 0 && evicting > 0,
+            "{fitting} fit, {evicting} evict"
+        );
+    }
+
+    #[test]
+    fn psum_row_zero_can_claim_the_shared_boundary_line() {
+        // Both `B` rows and every psum row share line 0. It misses as a
+        // weight only if `A[0, ·, 0]` fetches a `B` row before psum row 0
+        // is first accessed.
+        let profile = SparsityProfile::from_percentages(70.0, 60.0, 66.0, 96.0).unwrap();
+        let mut workload = WorkloadGenerator::default()
+            .generate("boundary", LayerShape::new(4, 2, 4, 2), &profile)
+            .unwrap();
+        for k in 0..2 {
+            for n in 0..4 {
+                workload.weights.set(k, n, 1);
+            }
+            for m in 0..2 {
+                for t in 0..4 {
+                    workload.spikes.set(m, k, t, false);
+                }
+            }
+        }
+        workload.spikes.set(1, 0, 0, true);
+        workload.spikes.set(0, 1, 1, true);
+        let config = GammaConfig::default();
+        for (fired, weight_dram) in [(false, 0), (true, 64)] {
+            workload.spikes.set(0, 1, 0, fired);
+            let layer = PreparedLayer::new(&workload);
+            let report = GammaSnn::new(config)
                 .with_sweep(SweepStrategy::Kernel)
-                .run_layer(&l)
-                .to_portable();
-            assert_eq!(span, golden, "divergence at {cache_bytes} B");
+                .run_layer(&layer);
+            assert_eq!(report.stats.cache.misses, 1);
+            assert_eq!(
+                report.stats.dram.get(TrafficClass::Weight),
+                weight_dram,
+                "A[0, 1, 0] fired: {fired}"
+            );
+            assert_eq!(
+                report.to_portable(),
+                portable(config, SweepStrategy::Reference, &layer)
+            );
         }
     }
 

@@ -54,10 +54,7 @@ impl GospaConfig {
         if self.lanes == 0 {
             return Err("need at least one accumulation lane".to_owned());
         }
-        if self.psum_bytes == 0 {
-            return Err("degenerate psum precision".to_owned());
-        }
-        Ok(())
+        loas_core::check_precision(self.weight_bits, Some(self.psum_bytes))
     }
 
     fn validated(self) -> Self {

@@ -88,6 +88,7 @@ impl SparTenConfig {
         if self.chunk_bits == 0 {
             return Err("degenerate chunk width".to_owned());
         }
+        loas_core::check_precision(self.weight_bits, None)?;
         loas_sim::check_cache_geometry(
             self.cache_bytes,
             self.cache_line_bytes,

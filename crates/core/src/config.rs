@@ -1,5 +1,23 @@
 //! LoAS configuration (Table III).
 
+/// Checks a model's precision fields: weights of 1 to 32 bits and, for a
+/// model with psums, psums of 1 to 8 bytes. Fiber sizes and cache
+/// footprints grow with them, so an unbounded value from a spec would
+/// stall a simulation.
+///
+/// # Errors
+///
+/// A message naming the field out of range.
+pub fn check_precision(weight_bits: usize, psum_bytes: Option<usize>) -> Result<(), String> {
+    if !(1..=32).contains(&weight_bits) {
+        return Err("weight_bits must be in 1..=32".to_owned());
+    }
+    if psum_bytes.is_some_and(|bytes| !(1..=8).contains(&bytes)) {
+        return Err("psum_bytes must be in 1..=8".to_owned());
+    }
+    Ok(())
+}
+
 /// Configuration of a LoAS instance. Defaults reproduce Table III:
 /// 16 TPPEs, 8-bit weights, 256 KB 16-bank 16-way global cache, 16×16
 /// swizzle-switch crossbars, 128 GB/s HBM, fast prefix-sum in 1 cycle,
@@ -122,6 +140,7 @@ impl LoasConfig {
         if self.hbm_channels == 0 {
             return Err("need at least one off-chip channel".to_owned());
         }
+        check_precision(self.weight_bits, None)?;
         loas_sim::check_cache_geometry(
             self.cache_bytes,
             self.cache_line_bytes,
@@ -306,6 +325,14 @@ mod tests {
             },
             LoasConfig {
                 cache_ways: usize::MAX,
+                ..LoasConfig::table3()
+            },
+            LoasConfig {
+                weight_bits: 0,
+                ..LoasConfig::table3()
+            },
+            LoasConfig {
+                weight_bits: 33,
                 ..LoasConfig::table3()
             },
         ];

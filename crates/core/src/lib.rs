@@ -70,7 +70,7 @@ pub use accumulator::{Accumulator, AccumulatorBank};
 pub use area_power::AreaPowerModel;
 pub use catalog::{Catalog, CatalogError, ConfigValue, ModelConfig, ModelEntry};
 pub use compressor::{CompressedRow, Compressor};
-pub use config::{LoasConfig, LoasConfigBuilder};
+pub use config::{check_precision, LoasConfig, LoasConfigBuilder};
 pub use hash::ContentHasher;
 pub use inner_join::{reference_sums, InnerJoinUnit, JoinOutcome, JoinScratch};
 pub use layer_memo::{MemoCounts, MemoStats};

@@ -236,6 +236,53 @@ fn loas_timestep_mismatch_is_rejected_at_enqueue() {
 }
 
 #[test]
+fn unbounded_precisions_are_rejected_at_enqueue() {
+    // A weight precision of 2^62 bits used to pass enqueue and then walk
+    // fiber spans of ~2^53 cache lines in `run`, stalling the queue.
+    let spec = |model: &str, config: &str| {
+        format!(
+            r#"{{"version": 2, "name": "bad-precision", "jobs": [{{
+                "workload": {{"name": "w", "shape": {{"t": 4, "m": 4, "n": 4, "k": 16}},
+                             "profile": {{"spike_origin": 0.823, "silent": 0.741,
+                                         "silent_ft": 0.796, "weight": 0.982}},
+                             "seed": 7}},
+                "accelerator": {{"name": "{model}", "config": {{{config}}}}}}}]}}"#
+        )
+    };
+    let root = temp_root("bad-precision");
+    let queue = Queue::init(&root).unwrap();
+    let huge = r#""weight_bits": 4611686018427387904"#;
+    for (model, config) in [
+        ("loas", huge),
+        ("sparten", huge),
+        ("gospa", huge),
+        ("gamma", huge),
+        ("loas", r#""weight_bits": 0"#),
+        ("gamma", r#""weight_bits": 33"#),
+        ("gospa", r#""psum_bytes": 9"#),
+        ("gamma", r#""psum_bytes": 0"#),
+    ] {
+        let error = queue.enqueue(&spec(model, config)).unwrap_err();
+        assert!(
+            matches!(error, ServeError::Spec(_)),
+            "{model} {config}: {error}"
+        );
+    }
+    assert!(
+        queue.submissions().unwrap().is_empty(),
+        "nothing was queued"
+    );
+    // The bounds themselves are accepted.
+    for (model, config) in [
+        ("gamma", r#""weight_bits": 32, "psum_bytes": 8"#),
+        ("gospa", r#""weight_bits": 1, "psum_bytes": 1"#),
+    ] {
+        queue.enqueue(&spec(model, config)).unwrap();
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
 fn unsimulatable_memory_configs_are_rejected_at_enqueue() {
     // Zero HBM channels and a cache of more than 2^32 lines used to pass
     // enqueue and then panic the memory models' constructors in `run`.

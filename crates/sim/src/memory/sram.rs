@@ -31,6 +31,12 @@
 //!    the per-pair payload probes), a per-line salvage tier revalidates
 //!    each recorded slot with a single tag compare before falling back to
 //!    the hash index.
+//!
+//! A replay whose whole footprint fits the cache skips the tags
+//! altogether: when [`SramCache::fits_without_eviction`] holds, every
+//! distinct line misses exactly once in any access order, and
+//! [`SramCache::record_unevicted`] ledgers the replay from its touch and
+//! line counts (Gamma-SNN's FiberCache walk).
 
 use crate::stats::{CacheStats, TrafficClass, TrafficLedger};
 use std::collections::HashMap;
@@ -530,6 +536,43 @@ impl SramCache {
         })
     }
 
+    /// Whether touching `distinct_lines` (each line at most once in the
+    /// iterator), in any order and any number of times, can never evict:
+    /// the cache holds no line yet and no set receives more than `ways` of
+    /// them. Stops at the first set that overflows, so it reads at most
+    /// `sets·ways + 1` lines.
+    pub fn fits_without_eviction(&self, distinct_lines: impl IntoIterator<Item = u64>) -> bool {
+        if !self.index.is_empty() {
+            return false;
+        }
+        let mut filled = vec![0usize; self.sets];
+        for line in distinct_lines {
+            let set = &mut filled[(line % self.sets as u64) as usize];
+            *set += 1;
+            if *set > self.ways {
+                return false;
+            }
+        }
+        true
+    }
+
+    /// Ledgers `touches` line reads of `class`, `first_touches` of them
+    /// misses and the rest hits: the closed form of replaying them through
+    /// [`SramCache::access_span`] when [`SramCache::fits_without_eviction`]
+    /// holds for every line the replay touches, where each distinct line
+    /// misses exactly once. Tag and LRU state are left as they are, so the
+    /// call stands in for the whole replay, not for part of one.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `first_touches > touches`.
+    pub fn record_unevicted(&mut self, class: TrafficClass, touches: u64, first_touches: u64) {
+        assert!(first_touches <= touches, "more first touches than touches");
+        self.traffic.record(class, touches * self.line_bytes as u64);
+        self.stats.misses += first_touches;
+        self.stats.hits += touches - first_touches;
+    }
+
     /// Records a write of `bytes` (writes are ledgered, not tagged: the
     /// models use write-through traffic accounting).
     pub fn write(&mut self, class: TrafficClass, bytes: u64) {
@@ -581,6 +624,7 @@ impl SramCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn geometry_of_default_matches_table3() {
@@ -776,6 +820,61 @@ mod tests {
         }
         assert_eq!(c.stats(), reference.stats());
         assert_eq!(c.tag_snapshot(), reference.tag_snapshot());
+    }
+
+    proptest! {
+        #[test]
+        fn unevicted_footprints_match_the_tag_walk(
+            geometry in (1usize..=8, 1usize..=4),
+            candidates in proptest::collection::btree_set(0u64..64, 1..40),
+            retouches in proptest::collection::vec(any::<u64>(), 0..120),
+            shuffle in any::<u64>(),
+            crowded_set in any::<u64>(),
+        ) {
+            let (sets, ways) = geometry;
+            let new_cache = || SramCache::new(sets * ways * 64, 64, ways, 1);
+            let set_of = |line: u64| (line % sets as u64) as usize;
+            // At most `ways` lines per set: a footprint that fits.
+            let mut per_set = vec![0usize; sets];
+            let footprint: Vec<u64> = candidates
+                .iter()
+                .copied()
+                .filter(|&line| {
+                    per_set[set_of(line)] += 1;
+                    per_set[set_of(line)] <= ways
+                })
+                .collect();
+            prop_assert!(new_cache().fits_without_eviction(footprint.iter().copied()));
+
+            // Every line once plus random re-touches, in a random order.
+            let mut touches = footprint.clone();
+            touches.extend(retouches.iter().map(|&r| footprint[(r % footprint.len() as u64) as usize]));
+            let mut state = shuffle | 1;
+            for i in (1..touches.len()).rev() {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                touches.swap(i, (state % (i as u64 + 1)) as usize);
+            }
+            let mut walked = new_cache();
+            for &line in &touches {
+                let span = LineSpan { first_line: line, n_lines: 1 };
+                walked.access_span(span, TrafficClass::Weight);
+            }
+            let mut closed = new_cache();
+            closed.record_unevicted(TrafficClass::Weight, touches.len() as u64, footprint.len() as u64);
+            prop_assert_eq!(walked.stats(), closed.stats());
+            prop_assert_eq!(walked.traffic(), closed.traffic());
+            // A cache that already holds lines never claims a fit.
+            prop_assert!(!walked.fits_without_eviction([]));
+
+            // One line more than `ways` in any one set overflows it.
+            let set = crowded_set % sets as u64;
+            let mut crowded = footprint.clone();
+            let room = ways - per_set[set as usize].min(ways);
+            crowded.extend((0..=room as u64).map(|j| set + sets as u64 * (64 + j)));
+            prop_assert!(!new_cache().fits_without_eviction(crowded));
+        }
     }
 
     #[test]
