@@ -9,7 +9,9 @@
 # simulations), a v1-vs-v2 spec A/B against the committed pre-redesign
 # report, a served baseline-config sweep (Gamma FiberCache) A/B'd
 # against the same campaign under LOAS_SWEEP=scalar, smokes for
-# the queue admin commands (batch enqueue, requeue, fsck, models), a perf
+# the queue admin commands (batch enqueue, requeue, fsck, models) and of
+# enqueue refusing unrunnable specs (a LoAS timestep mismatch, a workload
+# t above 16, unbuildable memory systems), a perf
 # smoke emitting a quick-grid BENCH_PR5.json, a bench-trajectory gate
 # comparing the committed BENCH_PR5.json against BENCH_PR3.json (fails on
 # a >20% regression in kernel pairs/s or end-to-end wall time, and
@@ -121,6 +123,14 @@ if "$SERVE" enqueue "$SMOKE/single" "$SMOKE/mismatch.json" 2> "$SMOKE/mismatch.e
   echo "enqueue accepted a LoAS timestep mismatch"; exit 1
 fi
 grep -q "bad campaign spec" "$SMOKE/mismatch.err"
+# So is a workload with more timesteps than a packed spike word holds,
+# on a model that has no timestep setting of its own.
+sed -e 's/"t": 2/"t": 17/' -e 's/{"loas": {"timesteps": 2}}/"gamma"/' \
+    "$SMOKE/infeasible.json" > "$SMOKE/long.json"
+if "$SERVE" enqueue "$SMOKE/single" "$SMOKE/long.json" 2> "$SMOKE/long.err"; then
+  echo "enqueue accepted a t = 17 workload"; exit 1
+fi
+grep "bad campaign spec" "$SMOKE/long.err" | grep -q "t = 17"
 # So are memory systems the simulators cannot build: zero HBM channels,
 # and a cache of more than 2^32 lines (LoAS and Gamma-SNN). The same v2
 # template with a buildable Gamma cache is accepted.

@@ -507,6 +507,7 @@ mod tests {
     use loas_core::Loas;
     use loas_workloads::{LayerShape, SparsityProfile, WorkloadGenerator};
     use proptest::prelude::*;
+    use std::sync::Arc;
 
     fn layer() -> PreparedLayer {
         let profile = SparsityProfile::from_percentages(70.0, 60.0, 66.0, 96.0).unwrap();
@@ -640,7 +641,7 @@ mod tests {
             .unwrap();
         for k in 0..2 {
             for n in 0..4 {
-                workload.weights.set(k, n, 1);
+                Arc::make_mut(&mut workload.weights).set(k, n, 1);
             }
             for m in 0..2 {
                 for t in 0..4 {

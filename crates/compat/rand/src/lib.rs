@@ -112,14 +112,20 @@ pub trait SampleRange<T> {
     fn sample_single<R: RngCore + ?Sized>(self, rng: &mut R) -> T;
 }
 
+/// A draw uniform in `0..span` for a span in `1..=2^64`: the next word
+/// modulo the span, taken in `u64` (a span of `2^64` keeps the word whole).
+fn remainder<R: RngCore + ?Sized>(rng: &mut R, span: u128) -> u128 {
+    let x = rng.next_u64();
+    u64::try_from(span).map_or(x, |span| x % span) as u128
+}
+
 macro_rules! int_sample_range {
     ($($t:ty),* $(,)?) => {$(
         impl SampleRange<$t> for Range<$t> {
             fn sample_single<R: RngCore + ?Sized>(self, rng: &mut R) -> $t {
                 assert!(self.start < self.end, "cannot sample empty range");
                 let span = (self.end as i128 - self.start as i128) as u128;
-                let v = (rng.next_u64() as u128) % span;
-                (self.start as i128 + v as i128) as $t
+                (self.start as i128 + remainder(rng, span) as i128) as $t
             }
         }
         impl SampleRange<$t> for RangeInclusive<$t> {
@@ -127,8 +133,7 @@ macro_rules! int_sample_range {
                 let (start, end) = (*self.start(), *self.end());
                 assert!(start <= end, "cannot sample empty range");
                 let span = (end as i128 - start as i128) as u128 + 1;
-                let v = (rng.next_u64() as u128) % span;
-                (start as i128 + v as i128) as $t
+                (start as i128 + remainder(rng, span) as i128) as $t
             }
         }
     )*};
@@ -215,6 +220,24 @@ mod tests {
         for _ in 0..200 {
             let v = rng.gen_range(1u16..16);
             assert!((1..16).contains(&v));
+        }
+    }
+
+    #[test]
+    fn u64_remainder_equals_the_u128_one() {
+        // Words and spans from the generator itself, plus every span edge:
+        // 1, powers of two, and the full 2^64 of a whole-type range.
+        let mut draws = StdRng::seed_from_u64(11);
+        let edges = [1, 2, 3, 16, 127, 255, 1 << 32, u64::MAX as u128, 1 << 64];
+        for i in 0..20_000 {
+            let span = match edges.get(i % 16) {
+                Some(&edge) => edge,
+                None => (draws.next_u64() >> (i % 64)).max(1) as u128,
+            };
+            let seed = draws.next_u64();
+            let expected = (StdRng::seed_from_u64(seed).next_u64() as u128) % span;
+            let actual = remainder(&mut StdRng::seed_from_u64(seed), span);
+            assert_eq!(actual, expected, "span {span}");
         }
     }
 

@@ -41,7 +41,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// Largest timestep count a packed spike word can carry (`u16` lanes).
-pub const MAX_TIMESTEPS: usize = 16;
+pub use loas_sparse::MAX_TIMESTEPS;
 
 /// Structure-of-arrays `A`-side data: per row, `row_words` bitmask words
 /// followed by `planes × row_words` per-timestep plane-row words, all

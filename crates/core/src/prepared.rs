@@ -148,28 +148,36 @@ impl PreparedLayer {
     /// skip a copy).
     pub fn new(workload: impl Into<LayerWorkload>) -> Self {
         let workload = workload.into();
+        let a_fibers = workload.spikes.to_row_fibers();
         let (b_fibers, b_row_nnz) = weight_views(&workload.weights);
-        PreparedLayer::with_b_side(workload, b_fibers.into(), b_row_nnz.into())
+        PreparedLayer::from_views(workload, a_fibers, b_fibers.into(), b_row_nnz.into())
     }
 
-    /// The fine-tuned variant ([`LayerWorkload::with_preprocessing`]): the
-    /// `A` side masked and rebuilt, the `B` side (FT never changes it)
-    /// shared with `self`.
+    /// The fine-tuned variant ([`LayerWorkload::with_preprocessing`]). FT
+    /// silences exactly the neurons that fire once, so the `A` fibers are
+    /// this layer's words that fire more than once; the `B` side (FT never
+    /// changes it) is shared with `self`.
     pub fn fine_tuned(&self) -> Self {
-        PreparedLayer::with_b_side(
+        let a_fibers = self
+            .a_fibers
+            .iter()
+            .map(|fiber| fiber.filtered(|word| word.fire_count() > 1))
+            .collect();
+        PreparedLayer::from_views(
             self.workload.with_preprocessing(),
+            a_fibers,
             Arc::clone(&self.b_fibers),
             Arc::clone(&self.b_row_nnz),
         )
     }
 
-    fn with_b_side(
+    fn from_views(
         workload: LayerWorkload,
+        a_fibers: Vec<SpikeFiber>,
         b_fibers: Arc<[WeightFiber]>,
         b_row_nnz: Arc<[usize]>,
     ) -> Self {
         let shape = workload.shape;
-        let a_fibers = workload.spikes.to_row_fibers();
         let row_blocks = RowBlocks::from_tensor(&workload.spikes);
         let mut col_spikes = vec![0u32; shape.k];
         for (k, word) in a_fibers.iter().flat_map(SpikeFiber::iter) {
@@ -274,25 +282,43 @@ pub fn weight_views(weights: &DenseMatrix<i8>) -> (Vec<WeightFiber>, Vec<usize>)
     let (k, n) = (weights.rows(), weights.cols());
     let col_words = k.div_ceil(64);
     let mut masks = vec![0u64; n * col_words];
-    let mut values: Vec<Vec<i8>> = vec![Vec::new(); n];
+    // Row-major `(column, weight)` of every non-zero, so each column's
+    // values can be gathered into a vector of its exact size.
+    let mut hits: Vec<(usize, i8)> = Vec::new();
     let mut row_nnz = vec![0; k];
     for (ki, nnz) in row_nnz.iter_mut().enumerate() {
-        let mut visit = |ni: usize, w: i8| {
-            if w != 0 {
-                masks[ni * col_words + ki / 64] |= 1 << (ki % 64);
-                values[ni].push(w);
-                *nnz += 1;
-            }
+        let row = weights.row(ki);
+        let before = hits.len();
+        let mut visit = |ni: usize| {
+            masks[ni * col_words + ki / 64] |= 1 << (ki % 64);
+            hits.push((ni, row[ni]));
         };
-        // Pruned weights dominate: skip all-zero 8-weight runs whole.
-        let mut runs = weights.row(ki).chunks_exact(8);
+        // Pruned weights dominate: gather the non-zero flags of 64 weights
+        // into one mask without branching, then visit only its set bits.
+        let mut runs = row.chunks_exact(64);
         for (run, chunk) in (&mut runs).enumerate() {
-            if chunk.iter().fold(0, |any, &w| any | w as u8) != 0 {
-                (0..8).for_each(|i| visit(run * 8 + i, chunk[i]));
+            let mut nonzero = 0;
+            for (j, word) in chunk.chunks_exact(8).enumerate() {
+                let word: [i8; 8] = word.try_into().expect("8-weight word");
+                nonzero |= nonzero_bytes(u64::from_le_bytes(word.map(|w| w as u8))) << (8 * j);
+            }
+            while nonzero != 0 {
+                visit(run * 64 + nonzero.trailing_zeros() as usize);
+                nonzero &= nonzero - 1;
             }
         }
         let tail = n - runs.remainder().len();
-        (tail..n).for_each(|ni| visit(ni, runs.remainder()[ni - tail]));
+        (tail..n).filter(|&ni| row[ni] != 0).for_each(visit);
+        *nnz = hits.len() - before;
+    }
+    let mut values: Vec<Vec<i8>> = (0..n)
+        .map(|ni| {
+            let mask = &masks[ni * col_words..(ni + 1) * col_words];
+            Vec::with_capacity(mask.iter().map(|w| w.count_ones() as usize).sum())
+        })
+        .collect();
+    for &(ni, w) in &hits {
+        values[ni].push(w);
     }
     let fibers = values
         .into_iter()
@@ -304,6 +330,15 @@ pub fn weight_views(weights: &DenseMatrix<i8>) -> (Vec<WeightFiber>, Vec<usize>)
         })
         .collect();
     (fibers, row_nnz)
+}
+
+/// One bit per byte of `bytes`, set for a non-zero byte: the high bit of
+/// each byte after `(b & 0x7f) + 0x7f | b`, gathered into the low 8 bits by
+/// a multiply.
+fn nonzero_bytes(bytes: u64) -> u64 {
+    const LOW7: u64 = 0x7f7f_7f7f_7f7f_7f7f;
+    let high = (((bytes & LOW7) + LOW7) | bytes) & !LOW7;
+    (high >> 7).wrapping_mul(0x0102_0408_1020_4080) >> 56
 }
 
 #[cfg(test)]
@@ -366,7 +401,7 @@ mod tests {
             name: "random".to_owned(),
             shape: LayerShape::new(t, m, n, k),
             spikes: random_tensor((m, k, t), seed, density),
-            weights: DenseMatrix::from_vec(k, n, weights).unwrap(),
+            weights: Arc::new(DenseMatrix::from_vec(k, n, weights).unwrap()),
             lif: LifParams::new(16, 1),
         }
     }
@@ -413,6 +448,18 @@ mod tests {
             }
             prop_assert_eq!(&p.col_spikes, &col_spikes);
             prop_assert_eq!(p.a_csr_bits(), a_csr_bits_reference(&p));
+        }
+
+        #[test]
+        fn weight_views_match_the_per_column_reference(
+            n in 0usize..200,
+            k in 0usize..80,
+            seed in any::<u64>(),
+            weight_density in 0u64..100,
+        ) {
+            // Rows of 64 weights or more take the 64-weight block scan.
+            let w = random_workload((1, 0, n, k), seed, 0, weight_density);
+            prop_assert_eq!(weight_views(&w.weights), weight_views_per_column(&w.weights));
         }
 
         #[test]

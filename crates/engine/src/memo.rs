@@ -171,6 +171,22 @@ mod tests {
     use loas_sim::{Cycle, EnergyBreakdown, SimStats};
     use loas_workloads::{LayerShape, SparsityProfile};
 
+    #[test]
+    fn memo_key_format_moves_with_the_golden_report() {
+        // The served fig13-quick golden pins every report byte. A change
+        // that moves those bytes must also bump `MEMO_KEY_FORMAT`, or
+        // stores keyed under the old format replay stale reports: re-pin
+        // both values here together.
+        let mut golden = loas_core::ContentHasher::new();
+        golden.write_bytes(include_bytes!(
+            "../../serve/tests/golden/fig13-quick.report.jsonl"
+        ));
+        assert_eq!(
+            (MEMO_KEY_FORMAT, golden.finish()),
+            ("loas-memo/1", 0x32b7_4017_93b1_82f2)
+        );
+    }
+
     fn job(name: &str, accelerator: AcceleratorSpec) -> JobSpec {
         let profile = SparsityProfile::from_percentages(82.3, 74.1, 79.6, 98.2).unwrap();
         JobSpec::new(

@@ -31,6 +31,7 @@
 
 use crate::error::ServeError;
 use crate::json::{escape, Json};
+use loas_core::kernel::MAX_TIMESTEPS;
 use loas_core::{ConfigValue, LoasConfig};
 use loas_engine::{AcceleratorSpec, Campaign, JobSpec, WorkloadSpec};
 use loas_workloads::networks;
@@ -187,12 +188,18 @@ pub fn campaign_from_json(text: &str) -> Result<Campaign, ServeError> {
 }
 
 /// [`campaign_from_json`] for enqueueing: also rejects, as
-/// [`ServeError::Spec`], a LoAS job whose `timesteps` differ from its
-/// workload's `t` (the runner would panic on it mid-campaign).
+/// [`ServeError::Spec`], a workload with more timesteps than a packed
+/// spike word holds, and a LoAS job whose `timesteps` differ from its
+/// workload's `t` (the runner would panic on either mid-campaign).
 pub(crate) fn runnable_campaign_from_json(text: &str) -> Result<Campaign, ServeError> {
     let campaign = campaign_from_json(text)?;
     for (index, job) in campaign.jobs().iter().enumerate() {
         let t = job.workload.shape.t;
+        if t > MAX_TIMESTEPS {
+            return Err(spec_err(format!(
+                "workload in job {index} has t = {t}, above the packed-word limit of {MAX_TIMESTEPS}"
+            )));
+        }
         let loas = job.accelerator.typed_config::<LoasConfig>();
         if let Some(config) = loas.filter(|config| config.timesteps != t) {
             let runs = config.timesteps;

@@ -236,6 +236,49 @@ fn loas_timestep_mismatch_is_rejected_at_enqueue() {
 }
 
 #[test]
+fn workloads_beyond_sixteen_timesteps_are_rejected_at_enqueue() {
+    // A t = 17 workload on a model without a timestep config used to pass
+    // enqueue and then panic the runner packing 17-bit spike words,
+    // leaving the campaign queued forever.
+    let spec = |t: usize| {
+        format!(
+            r#"{{"version": 2, "name": "long-window", "jobs": [{{
+                "workload": {{"name": "w", "shape": {{"t": {t}, "m": 4, "n": 8, "k": 64}},
+                             "profile": {{"spike_origin": 0.823, "silent": 0.741,
+                                         "silent_ft": 0.796, "weight": 0.982}},
+                             "seed": 7}},
+                "accelerator": "gamma"}}]}}"#
+        )
+    };
+    let root = temp_root("long-window");
+    let queue = Queue::init(&root).unwrap();
+    let error = queue.enqueue(&spec(17)).unwrap_err();
+    assert!(matches!(error, ServeError::Spec(_)), "{error}");
+    assert!(error.to_string().contains("t = 17"), "{error}");
+    assert!(
+        queue.submissions().unwrap().is_empty(),
+        "nothing was queued"
+    );
+
+    // Run directly on the engine, the same workload fails with a reason.
+    let profile = SparsityProfile::from_percentages(82.3, 74.1, 79.6, 98.2).unwrap();
+    let mut campaign = Campaign::new("long-window");
+    campaign.push_layer(
+        WorkloadSpec::new("w", LayerShape::new(17, 4, 8, 64), profile),
+        AcceleratorSpec::gamma(),
+    );
+    let error = Engine::new(1).run(&campaign).unwrap_err().to_string();
+    assert!(error.contains("packed-word limit"), "{error}");
+
+    // The limit itself is accepted and simulates.
+    let id = queue.enqueue(&spec(16)).unwrap().id;
+    let summary = drain(&queue, &options(ShardSpec::default(), false), |_| {}).unwrap();
+    assert_eq!(summary.failed, 0);
+    assert_eq!(queue.state(id).unwrap(), CampaignState::Done);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
 fn unbounded_precisions_are_rejected_at_enqueue() {
     // A weight precision of 2^62 bits used to pass enqueue and then walk
     // fiber spans of ~2^53 cache lines in `run`, stalling the queue.

@@ -7,11 +7,12 @@
 //! `AvSpA packed(+FT)` column), which LoAS exploits by skipping those
 //! neurons entirely.
 //!
-//! The accuracy trend of Fig. 11 is reproduced with a documented synthetic
-//! recovery model (see `DESIGN.md`, substitutions): masking costs a small
-//! accuracy drop which fine-tuning recovers exponentially. The hardware
-//! evaluation never consumes these accuracy numbers — only the resulting
-//! sparsity — so the substitution does not affect any performance result.
+//! Without the trained networks, the accuracy trend of Fig. 11 is
+//! reproduced with a synthetic recovery model ([`FineTuneAccuracyModel`]):
+//! masking costs a small accuracy drop which fine-tuning recovers
+//! exponentially. The hardware evaluation never consumes these accuracy
+//! numbers — only the resulting sparsity — so the substitution does not
+//! affect any performance result.
 
 use crate::tensor::SpikeTensor;
 

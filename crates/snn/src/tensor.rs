@@ -5,7 +5,7 @@
 //! real data") that LoAS's compression operates on.
 
 use crate::error::SnnError;
-use loas_sparse::{BitMatrix, Bitmask, PackedSpikes, SpikeFiber};
+use loas_sparse::{BitMatrix, Bitmask, PackedSpikes, SpikeFiber, MAX_TIMESTEPS};
 
 /// A binary spike tensor of shape `M × K × T`.
 ///
@@ -187,25 +187,38 @@ impl SpikeTensor {
         word
     }
 
-    /// All row fibers, in row order: each row's non-silent mask, plus a
-    /// packed word gathered from the plane words for each neuron it keeps.
+    /// All row fibers, in row order: each row's non-silent mask (the OR of
+    /// its plane rows), plus a packed word for each neuron it keeps,
+    /// gathered from the `T` plane words of the neuron's 64-neuron word.
     /// Panics when `T > 16`.
     pub fn to_row_fibers(&self) -> Vec<SpikeFiber> {
+        let t = self.timesteps;
+        assert!(t <= MAX_TIMESTEPS, "{t} timesteps exceed {MAX_TIMESTEPS}");
         (0..self.m)
             .map(|m| {
-                let mask = self.row_nonsilent_mask(m);
                 let rows: Vec<&[u64]> = self.planes.iter().map(|p| p.row(m).words()).collect();
-                let words = mask
-                    .iter_ones()
-                    .map(|k| {
-                        let bits = rows.iter().rev().fold(0, |acc, row| {
-                            acc << 1 | (row[k / 64] >> (k % 64) & 1) as u16
-                        });
-                        PackedSpikes::from_bits(bits, self.timesteps)
-                            .expect("T bounded by MAX_TIMESTEPS")
-                    })
+                let mask: Vec<u64> = (0..self.k.div_ceil(64))
+                    .map(|w| rows.iter().fold(0, |any, row| any | row[w]))
                     .collect();
-                SpikeFiber::from_parts(mask, words).expect("one word per non-silent neuron")
+                let nonsilent = mask.iter().map(|w| w.count_ones() as usize).sum();
+                let mut words = Vec::with_capacity(nonsilent);
+                for (w, &word_mask) in mask.iter().enumerate() {
+                    let mut planes = [0u64; MAX_TIMESTEPS];
+                    planes[..t]
+                        .iter_mut()
+                        .zip(&rows)
+                        .for_each(|(p, row)| *p = row[w]);
+                    let mut rest = word_mask;
+                    while rest != 0 {
+                        let bit = rest.trailing_zeros();
+                        let bits = (planes[..t].iter().rev())
+                            .fold(0, |acc, plane| acc << 1 | (plane >> bit & 1) as u16);
+                        words.push(PackedSpikes::from_bits(bits, t).expect("T at most 16"));
+                        rest &= rest - 1;
+                    }
+                }
+                SpikeFiber::from_parts(Bitmask::from_words(self.k, mask), words)
+                    .expect("one word per non-silent neuron")
             })
             .collect()
     }

@@ -111,6 +111,38 @@ impl<V> Fiber<V> {
         self.bitmask.iter_ones().zip(self.values.iter())
     }
 
+    /// The fiber of the entries whose value `keep` accepts; the others
+    /// become zero coordinates.
+    pub fn filtered(&self, mut keep: impl FnMut(&V) -> bool) -> Self
+    where
+        V: Clone,
+    {
+        // Compacts in place without a branch per entry: every value is
+        // written at the kept count, which only a kept value advances.
+        let mut values = self.values.clone();
+        let mut kept = 0;
+        let mut next = self.values.iter();
+        let words = (self.bitmask.words().iter())
+            .map(|&word| {
+                let (mut rest, mut kept_bits) = (word, 0);
+                while rest != 0 {
+                    let value = next.next().expect("one value per set bit");
+                    let keeps = keep(value);
+                    values[kept] = value.clone();
+                    kept += keeps as usize;
+                    kept_bits |= rest & rest.wrapping_neg() & (keeps as u64).wrapping_neg();
+                    rest &= rest - 1;
+                }
+                kept_bits
+            })
+            .collect();
+        values.truncate(kept);
+        Fiber {
+            bitmask: Bitmask::from_words(self.len(), words),
+            values,
+        }
+    }
+
     /// Reconstructs the dense row, filling zeros with `zero`.
     pub fn to_dense(&self, zero: V) -> Vec<V>
     where
@@ -191,6 +223,15 @@ mod tests {
         let dense = vec![0i8, 3, 0, -2, 0];
         let fiber = WeightFiber::from_weights(&dense);
         assert_eq!(fiber.to_dense(0), dense);
+    }
+
+    #[test]
+    fn filtered_equals_filtering_the_dense_row() {
+        // Values across word boundaries, kept and dropped in runs.
+        let dense: Vec<i8> = (0..150).map(|i| [0, 3, -1, 0, 2, 5][i % 6]).collect();
+        let fiber = WeightFiber::from_weights(&dense);
+        let kept: Vec<i8> = dense.iter().map(|&w| if w > 1 { w } else { 0 }).collect();
+        assert_eq!(fiber.filtered(|&w| w > 1), WeightFiber::from_weights(&kept));
     }
 
     #[test]

@@ -4,6 +4,7 @@
 //! The paper's ANN reference is a VGG16 with 8-bit weights at 98.2% sparsity
 //! and 8-bit activations at 43.9% sparsity, processed in a single "timestep".
 
+use crate::draw;
 use crate::error::WorkloadError;
 use crate::generator::WorkloadGenerator;
 use crate::shape::LayerShape;
@@ -61,36 +62,20 @@ pub fn generate_ann(
         }
     }
     let mut rng = StdRng::seed_from_u64(generator.seed() ^ name.len() as u64 ^ 0xA99);
-    let mut activations = DenseMatrix::zeros(shape.m, shape.k);
-    for m in 0..shape.m {
-        for k in 0..shape.k {
-            if rng.gen::<f64>() >= activation_sparsity {
-                activations.set(m, k, rng.gen_range(1..=255) as u8);
-            }
-        }
-    }
-    let mut weights = DenseMatrix::zeros(shape.k, shape.n);
-    for k in 0..shape.k {
-        for n in 0..shape.n {
-            if rng.gen::<f64>() >= weight_sparsity {
-                let magnitude = rng.gen_range(1..=127) as i8;
-                weights.set(
-                    k,
-                    n,
-                    if rng.gen::<bool>() {
-                        magnitude
-                    } else {
-                        -magnitude
-                    },
-                );
-            }
-        }
-    }
+    let activations = draw::pruned(&mut rng, shape.m * shape.k, activation_sparsity, |rng| {
+        rng.gen_range(1..=255u8)
+    });
+    let weights = draw::pruned(
+        &mut rng,
+        shape.k * shape.n,
+        weight_sparsity,
+        draw::signed_weight,
+    );
     Ok(AnnWorkload {
         name: name.to_owned(),
         shape: LayerShape { t: 1, ..shape },
-        activations,
-        weights,
+        activations: DenseMatrix::from_vec(shape.m, shape.k, activations).expect("M x K values"),
+        weights: DenseMatrix::from_vec(shape.k, shape.n, weights).expect("K x N weights"),
     })
 }
 

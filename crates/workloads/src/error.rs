@@ -13,6 +13,13 @@ pub enum WorkloadError {
         /// Explanation of the violated constraint.
         reason: String,
     },
+    /// More timesteps than a packed spike word holds.
+    TooManyTimesteps {
+        /// Requested timestep count.
+        timesteps: usize,
+        /// The packed-word limit ([`loas_sparse::MAX_TIMESTEPS`]).
+        max: usize,
+    },
     /// A fraction parameter was outside `[0, 1]`.
     FractionOutOfRange {
         /// Parameter name.
@@ -27,6 +34,12 @@ impl fmt::Display for WorkloadError {
         match self {
             WorkloadError::InfeasibleProfile { reason } => {
                 write!(f, "infeasible sparsity profile: {reason}")
+            }
+            WorkloadError::TooManyTimesteps { timesteps, max } => {
+                write!(
+                    f,
+                    "{timesteps} timesteps exceed the packed-word limit of {max}"
+                )
             }
             WorkloadError::FractionOutOfRange { name, value } => {
                 write!(f, "parameter `{name}` = {value} outside [0, 1]")

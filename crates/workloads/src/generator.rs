@@ -6,13 +6,15 @@
 //! structure matches the Table II statistics exactly in expectation (see
 //! [`crate::SparsityProfile`]), with fully seeded, reproducible randomness.
 
+use crate::draw;
 use crate::error::WorkloadError;
 use crate::shape::LayerShape;
-use crate::sparsity::SparsityProfile;
+use crate::sparsity::{CountSampler, SparsityProfile};
 use loas_snn::{preprocess, LifParams, SnnLayer, SparsityStats, SpikeTensor};
-use loas_sparse::DenseMatrix;
+use loas_sparse::{DenseMatrix, MAX_TIMESTEPS};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 /// The workspace-wide default generation seed (all reported experiments use
 /// it; [`WorkloadGenerator::default`] and the campaign engine share it).
@@ -28,8 +30,9 @@ pub struct LayerWorkload {
     pub shape: LayerShape,
     /// Input spike tensor `A ∈ {0,1}^{M×K×T}`.
     pub spikes: SpikeTensor,
-    /// Weight matrix `B ∈ Z^{K×N}` (8-bit, Table III).
-    pub weights: DenseMatrix<i8>,
+    /// Weight matrix `B ∈ Z^{K×N}` (8-bit, Table III), shared with the
+    /// fine-tuned variant.
+    pub weights: Arc<DenseMatrix<i8>>,
     /// LIF parameters for the output stage.
     pub lif: LifParams,
 }
@@ -41,13 +44,14 @@ impl LayerWorkload {
     }
 
     /// The fine-tuned-preprocessing variant: neurons firing at most once are
-    /// masked silent (Section V). Shapes and weights are unchanged.
+    /// masked silent (Section V). Shapes are unchanged and the weights
+    /// are shared.
     pub fn with_preprocessing(&self) -> LayerWorkload {
         LayerWorkload {
             name: format!("{}+FT", self.name),
             shape: self.shape,
             spikes: preprocess::mask_low_activity(&self.spikes, 1),
-            weights: self.weights.clone(),
+            weights: Arc::clone(&self.weights),
             lif: self.lif,
         }
     }
@@ -58,7 +62,8 @@ impl LayerWorkload {
     ///
     /// Panics if the weight matrix is empty (generated workloads never are).
     pub fn golden_layer(&self) -> SnnLayer {
-        SnnLayer::new(self.weights.clone(), self.lif).expect("generated weights are non-empty")
+        SnnLayer::new(DenseMatrix::clone(&self.weights), self.lif)
+            .expect("generated weights are non-empty")
     }
 }
 
@@ -103,37 +108,34 @@ impl WorkloadGenerator {
     ///
     /// # Errors
     ///
-    /// Returns [`WorkloadError::InfeasibleProfile`] when the profile cannot
-    /// be realised at the shape's timestep count.
+    /// Returns [`WorkloadError`] when the profile cannot be realised at the
+    /// shape's timestep count (see [`crate::FiringModel::solve`]), including
+    /// a `T` above [`MAX_TIMESTEPS`].
     pub fn generate(
         &self,
         name: &str,
         shape: LayerShape,
         profile: &SparsityProfile,
     ) -> Result<LayerWorkload, WorkloadError> {
-        let model = profile.firing_model(shape.t)?;
+        let sampler = profile.firing_model(shape.t)?.count_sampler();
         let mut rng = self.rng_for(name);
         let mut timestep_pool: Vec<usize> = (0..shape.t).collect();
-        let row_words = shape.k.div_ceil(64);
         let spikes = SpikeTensor::from_row_words(shape.m, shape.k, shape.t, |_, words| {
-            for k in 0..shape.k {
-                let count = model.sample_count(rng.gen::<f64>(), rng.gen::<f64>());
-                // Partial Fisher-Yates: pick `count` distinct timesteps.
-                for i in 0..count {
-                    let j = rng.gen_range(i..shape.t);
-                    timestep_pool.swap(i, j);
-                }
-                for &t in &timestep_pool[..count] {
-                    words[t * row_words + k / 64] |= 1 << (k % 64);
-                }
-            }
+            spike_row(&mut rng, &sampler, &mut timestep_pool, shape.k, words)
         });
-        let weights = self.generate_weights(&mut rng, shape.k, shape.n, profile.weight);
+        let weights = draw::pruned(
+            &mut rng,
+            shape.k * shape.n,
+            profile.weight,
+            draw::signed_weight,
+        );
         Ok(LayerWorkload {
             name: name.to_owned(),
             shape,
             spikes,
-            weights,
+            weights: Arc::new(
+                DenseMatrix::from_vec(shape.k, shape.n, weights).expect("K x N weights"),
+            ),
             lif: Self::default_lif(shape, profile),
         })
     }
@@ -148,30 +150,6 @@ impl WorkloadGenerator {
         LifParams::new(v_th, 1)
     }
 
-    fn generate_weights(
-        &self,
-        rng: &mut StdRng,
-        k: usize,
-        n: usize,
-        weight_sparsity: f64,
-    ) -> DenseMatrix<i8> {
-        let mut weights = DenseMatrix::zeros(k, n);
-        for ki in 0..k {
-            for ni in 0..n {
-                if rng.gen::<f64>() >= weight_sparsity {
-                    let magnitude = rng.gen_range(1..=127) as i8;
-                    let value = if rng.gen::<bool>() {
-                        magnitude
-                    } else {
-                        -magnitude
-                    };
-                    weights.set(ki, ni, value);
-                }
-            }
-        }
-        weights
-    }
-
     fn rng_for(&self, name: &str) -> StdRng {
         // Stable FNV-1a over the name, mixed with the master seed, so each
         // workload has an independent but reproducible stream.
@@ -181,6 +159,36 @@ impl WorkloadGenerator {
             h = h.wrapping_mul(0x1000_0000_01b3);
         }
         StdRng::seed_from_u64(self.seed ^ h)
+    }
+}
+
+/// Draws one row of `K` neurons into `words`, its `T` plane rows of
+/// `K.div_ceil(64)` words each: per neuron a spike count, then that many
+/// distinct timesteps by a partial Fisher-Yates shuffle of `pool`.
+fn spike_row(
+    rng: &mut StdRng,
+    sampler: &CountSampler,
+    pool: &mut [usize],
+    k: usize,
+    words: &mut [u64],
+) {
+    let t = pool.len();
+    let row_words = k.div_ceil(64);
+    for word in 0..row_words {
+        // The 64 neurons of this word, one plane word per timestep, stored
+        // once all of them are drawn.
+        let mut planes = [0u64; MAX_TIMESTEPS];
+        for bit in 0..(k - word * 64).min(64) {
+            let count = sampler.sample(draw::unit(rng), draw::unit(rng));
+            // Each drawn timestep is final once swapped into place.
+            for i in 0..count {
+                pool.swap(i, rng.gen_range(i..t));
+                planes[pool[i]] |= 1 << bit;
+            }
+        }
+        for (plane, &bits) in planes[..t].iter().enumerate() {
+            words[plane * row_words + word] = bits;
+        }
     }
 }
 

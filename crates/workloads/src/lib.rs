@@ -4,9 +4,10 @@
 //! ResNet19 on CIFAR-10; a SpikeTransformer feed-forward layer) whose
 //! sparsity statistics are published in Table II. Trained checkpoints are
 //! not available offline, and the accelerators under study are
-//! data-value-agnostic, so this crate *synthesises* workloads whose sparsity
-//! structure matches Table II exactly in expectation (see `DESIGN.md`,
-//! substitutions):
+//! data-value-agnostic: cycles, traffic and energy depend only on where the
+//! non-zeros are. So this crate *synthesises* workloads whose sparsity
+//! structure matches Table II exactly in expectation, in place of the
+//! trained networks:
 //!
 //! * [`SparsityProfile`] — the Table II statistics + a three-category
 //!   firing-model calibration that hits origin sparsity, silent density, and
@@ -35,6 +36,7 @@
 #![warn(missing_docs)]
 
 mod ann;
+mod draw;
 mod error;
 mod generator;
 pub mod networks;

@@ -136,8 +136,8 @@ pub mod profiles {
 
     /// SpikeTransformer hidden feed-forward (T-HFF). Table II publishes only
     /// the `packed+FT` (86.8%) and weight (96.8%) values; the remaining
-    /// statistics are taken from the closest published layer (V-L8), as
-    /// documented in DESIGN.md.
+    /// statistics (origin 88.1%, packed 76.5%) are V-L8's, the published
+    /// layer with the same `packed+FT` and weight values.
     pub fn t_hff() -> SparsityProfile {
         SparsityProfile::from_percentages(88.1, 76.5, 86.8, 96.8)
             .expect("paper values are consistent")

@@ -18,7 +18,9 @@
 //! This hits all three Table II statistics simultaneously and exactly (in
 //! expectation).
 
+use crate::draw::below;
 use crate::error::WorkloadError;
+use loas_sparse::MAX_TIMESTEPS;
 
 /// The sparsity statistics of a dual-sparse workload (fractions in `[0, 1]`).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -46,16 +48,7 @@ impl SparsityProfile {
         silent_ft: f64,
         weight: f64,
     ) -> Result<Self, WorkloadError> {
-        for (name, v) in [
-            ("spike_origin", spike_origin),
-            ("silent", silent),
-            ("silent_ft", silent_ft),
-            ("weight", weight),
-        ] {
-            if !(0.0..=100.0).contains(&v) {
-                return Err(WorkloadError::FractionOutOfRange { name, value: v });
-            }
-        }
+        check_fields([spike_origin, silent, silent_ft, weight], 100.0)?;
         if silent_ft < silent {
             return Err(WorkloadError::InfeasibleProfile {
                 reason: format!(
@@ -69,6 +62,15 @@ impl SparsityProfile {
             silent_ft: silent_ft / 100.0,
             weight: weight / 100.0,
         })
+    }
+
+    /// Checks every fraction is in `[0, 1]` (a profile built field by field
+    /// has not been through [`SparsityProfile::from_percentages`]).
+    fn check(&self) -> Result<(), WorkloadError> {
+        check_fields(
+            [self.spike_origin, self.silent, self.silent_ft, self.weight],
+            1.0,
+        )
     }
 
     /// Overall spike density `1 − origin`.
@@ -104,9 +106,19 @@ impl FiringModel {
     ///
     /// # Errors
     ///
-    /// Returns [`WorkloadError::InfeasibleProfile`] when no Bernoulli
-    /// parameter can reach the requested density.
+    /// Returns [`WorkloadError::FractionOutOfRange`] for a profile
+    /// fraction outside `[0, 1]`, [`WorkloadError::TooManyTimesteps`] when
+    /// `t` exceeds what a packed spike word holds, and
+    /// [`WorkloadError::InfeasibleProfile`] when no Bernoulli parameter can
+    /// reach the requested density.
     pub fn solve(profile: &SparsityProfile, t: usize) -> Result<Self, WorkloadError> {
+        profile.check()?;
+        if t > MAX_TIMESTEPS {
+            return Err(WorkloadError::TooManyTimesteps {
+                timesteps: t,
+                max: MAX_TIMESTEPS,
+            });
+        }
         if t == 0 {
             return Err(WorkloadError::InfeasibleProfile {
                 reason: "zero timesteps".to_owned(),
@@ -208,24 +220,53 @@ impl FiringModel {
         (self.once_p + a * mean_active) / self.timesteps as f64
     }
 
-    /// Samples a spike count for one neuron from three uniform draws in
-    /// `[0, 1)`: category selector and count selector (the third drives
-    /// position choice externally).
-    pub fn sample_count(&self, u_category: f64, u_count: f64) -> usize {
-        if u_category < self.silent_p {
-            return 0;
-        }
-        if u_category < self.silent_p + self.once_p {
-            return 1;
-        }
+    /// The spike-count sampler of this model, on 53-bit unit draws.
+    pub(crate) fn count_sampler(&self) -> CountSampler {
+        let mut active = [0; MAX_TIMESTEPS - 1];
         let mut acc = 0.0;
-        for (i, &p) in self.active_count_pmf.iter().enumerate() {
+        for (threshold, &p) in active.iter_mut().zip(&self.active_count_pmf) {
             acc += p;
-            if u_count < acc {
-                return i + 2;
-            }
+            *threshold = below(acc);
         }
-        self.timesteps.min(self.active_count_pmf.len() + 1)
+        CountSampler {
+            silent: below(self.silent_p),
+            quiet: below(self.silent_p + self.once_p),
+            active,
+            most: self.active_count_pmf.len() + 1,
+        }
+    }
+}
+
+/// Draws a neuron's spike count from two 53-bit unit draws, a category
+/// draw and a count draw, as integer compares against thresholds built
+/// once per [`FiringModel`] (see [`crate::draw`]).
+///
+/// A neuron is silent below the silent threshold, fires once below the
+/// quiet one, and is otherwise active: it fires `2 + j` times, `j` being
+/// how many cumulative pmf thresholds the count draw reaches, capped at
+/// `T` (or at 1 when the model has no active counts). The category costs
+/// no branch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct CountSampler {
+    silent: u64,
+    quiet: u64,
+    /// Per active count `2..=T`, the draws below its cumulative probability
+    /// (the first `most - 1` entries are used).
+    active: [u64; MAX_TIMESTEPS - 1],
+    /// The largest count: `T`, or 1 for a model without active counts.
+    most: usize,
+}
+
+impl CountSampler {
+    /// The spike count for a category draw and a count draw.
+    #[inline]
+    pub(crate) fn sample(&self, category: u64, count: u64) -> usize {
+        let fires = (category >= self.silent) as usize;
+        let active = (category >= self.quiet) as usize;
+        let thresholds = &self.active[..self.most - 1];
+        let reached: usize = thresholds.iter().map(|&t| (count >= t) as usize).sum();
+        let active_count = (2 + reached).min(self.most);
+        fires * (1 + active * (active_count - 1))
     }
 }
 
@@ -237,8 +278,11 @@ impl FiringModel {
 /// *slow* mass (rate `r_slow`, the neurons whose silence erodes as `T`
 /// grows), and a *fast* mass (rate `r_fast`, carrying the bulk of the spike
 /// density). The dead share of the observed silent fraction is the
-/// `alpha` parameter (default 0.6, documented in DESIGN.md): larger `alpha`
-/// means silence persists longer with growing `T`.
+/// `alpha` parameter: larger `alpha` means silence persists longer with
+/// growing `T`. The paper publishes no such split; the default 0.6 keeps
+/// the `T = 8` silent ratio after FT at no less than 95% of the `T = 4`
+/// ratio before it, Fig. 16(b)'s trend
+/// (`silent_ratio_declines_with_timesteps`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TemporalScalingModel {
     pi_dead: f64,
@@ -344,6 +388,20 @@ impl TemporalScalingModel {
     }
 }
 
+/// Checks the four profile fields (spike origin, silent, silent+FT,
+/// weight) are in `[0, max]`.
+fn check_fields(values: [f64; 4], max: f64) -> Result<(), WorkloadError> {
+    let names = ["spike_origin", "silent", "silent_ft", "weight"];
+    match names
+        .into_iter()
+        .zip(values)
+        .find(|(_, v)| !(0.0..=max).contains(v))
+    {
+        Some((name, value)) => Err(WorkloadError::FractionOutOfRange { name, value }),
+        None => Ok(()),
+    }
+}
+
 /// `E[X | X >= 2]` for `X ~ Binomial(t, p)`.
 fn conditional_mean_ge2(t: usize, p: f64) -> f64 {
     let q = 1.0 - p;
@@ -387,6 +445,7 @@ fn binomial(n: usize, k: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// Table II network-average profiles.
     fn table2_profiles() -> Vec<(&'static str, SparsityProfile)> {
@@ -445,14 +504,86 @@ mod tests {
         );
     }
 
+    /// The float spike-count sampler `CountSampler` replaces: category by
+    /// `u_category` against the silent and fire-once masses, then a
+    /// linear scan of the active pmf with `u_count`.
+    fn sample_count(model: &FiringModel, u_category: f64, u_count: f64) -> usize {
+        if u_category < model.silent_p {
+            return 0;
+        }
+        if u_category < model.silent_p + model.once_p {
+            return 1;
+        }
+        let mut acc = 0.0;
+        for (i, &p) in model.active_count_pmf.iter().enumerate() {
+            acc += p;
+            if u_count < acc {
+                return i + 2;
+            }
+        }
+        model.timesteps.min(model.active_count_pmf.len() + 1)
+    }
+
+    /// `gen::<f64>()`'s value for a 53-bit draw.
+    fn as_float(u: u64) -> f64 {
+        u as f64 / (1u64 << 53) as f64
+    }
+
     #[test]
     fn sample_count_respects_categories() {
         let profile = SparsityProfile::from_percentages(80.0, 70.0, 75.0, 98.0).unwrap();
         let model = profile.firing_model(4).unwrap();
-        assert_eq!(model.sample_count(0.0, 0.5), 0); // silent region
-        assert_eq!(model.sample_count(0.72, 0.5), 1); // once region
-        let c = model.sample_count(0.9, 0.0);
+        assert_eq!(sample_count(&model, 0.0, 0.5), 0); // silent region
+        assert_eq!(sample_count(&model, 0.72, 0.5), 1); // once region
+        let c = sample_count(&model, 0.9, 0.0);
         assert!(c >= 2, "active neurons fire at least twice, got {c}");
+    }
+
+    proptest! {
+        #[test]
+        fn count_sampler_equals_the_float_sampler(
+            masses in (0u64..=1000, 0u64..=1000, 0u64..=1000),
+            t in 1usize..=16,
+            mean_fires in 0.0f64..1.0,
+            draws in (any::<u64>(), any::<u64>()),
+        ) {
+            // A solvable profile by construction: silent, fire-once and
+            // active masses, and an active mean in [2, T].
+            let total = (masses.0 + masses.1 + masses.2).max(1) as f64;
+            let (silent, once) = (masses.0 as f64 / total, masses.1 as f64 / total);
+            let active = (1.0 - silent - once).max(0.0);
+            let e2 = 2.0 + mean_fires * (t as f64 - 2.0).max(0.0);
+            let density = ((once + active * e2) / t as f64).min(1.0);
+            let profile = SparsityProfile::from_percentages(
+                (1.0 - density) * 100.0,
+                silent * 100.0,
+                (silent + once).min(1.0) * 100.0,
+                98.0,
+            )
+            .unwrap();
+            let Ok(model) = profile.firing_model(t) else {
+                return;
+            };
+            let sampler = model.count_sampler();
+            // Random draws, and draws on either side of every threshold.
+            let mut probes = vec![draws.0 >> 11, draws.1 >> 11, 0, (1 << 53) - 1];
+            let thresholds = [sampler.silent, sampler.quiet];
+            for edge in thresholds.into_iter().chain(sampler.active) {
+                for u in [edge.saturating_sub(1), edge, edge.saturating_add(1)] {
+                    if u < 1 << 53 {
+                        probes.push(u);
+                    }
+                }
+            }
+            for &category in &probes {
+                for &count in &probes {
+                    prop_assert_eq!(
+                        sampler.sample(category, count),
+                        sample_count(&model, as_float(category), as_float(count))
+                    );
+                }
+            }
+        }
     }
 
     #[test]

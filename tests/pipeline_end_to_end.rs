@@ -5,10 +5,11 @@
 
 use loas::snn::DirectEncoder;
 use loas::{
-    Accelerator, LayerWorkload, LifParams, Loas, PreparedLayer, SnnLayer, SnnNetwork, SpikeTensor,
+    Accelerator, LayerWorkload, LifParams, Loas, PreparedLayer, SnnNetwork, SpikeTensor,
     WorkloadGenerator,
 };
 use loas::{LayerShape, SparsityProfile};
+use std::sync::Arc;
 
 /// Builds a small 3-layer network with pruned weights from the generator.
 fn three_layer_network(seed: u64) -> (Vec<LayerWorkload>, SnnNetwork) {
@@ -22,7 +23,7 @@ fn three_layer_network(seed: u64) -> (Vec<LayerWorkload>, SnnNetwork) {
         let w = generator
             .generate(&format!("pipeline-l{i}"), shape, &profile)
             .unwrap();
-        layers.push(SnnLayer::new(w.weights.clone(), w.lif).unwrap());
+        layers.push(w.golden_layer());
         workloads.push(w);
     }
     (workloads, SnnNetwork::new(layers).unwrap())
@@ -43,7 +44,7 @@ fn loas_layerwise_execution_matches_network_forward() {
             name: format!("chained-l{i}"),
             shape: LayerShape::new(current.timesteps(), current.m(), w.shape.n, current.k()),
             spikes: current.clone(),
-            weights: w.weights.clone(),
+            weights: Arc::clone(&w.weights),
             lif: w.lif,
         };
         let report = loas.run_layer(&PreparedLayer::new(&chained));
@@ -71,13 +72,10 @@ fn direct_encoded_input_flows_through_the_stack() {
         name: "direct-coded".to_owned(),
         shape: template.shape,
         spikes,
-        weights: template.weights.clone(),
+        weights: Arc::clone(&template.weights),
         lif: LifParams::new(96, 1),
     };
-    let golden = SnnLayer::new(workload.weights.clone(), workload.lif)
-        .unwrap()
-        .forward(&workload.spikes)
-        .unwrap();
+    let golden = workload.golden_layer().forward(&workload.spikes).unwrap();
     let report = Loas::default()
         .with_verification(true)
         .run_layer(&PreparedLayer::new(&workload));
