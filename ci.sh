@@ -19,7 +19,9 @@
 # kernel-vs-pre-kernel campaign A/B asserting the two-phase sweep plus
 # the span-based traffic replay are byte-identical to the scalar golden
 # path (LOAS_SWEEP=scalar drives every model's Reference oracle,
-# including Gamma's and GoSPA's pre-span walks), and short perfbench
+# including Gamma's and GoSPA's pre-span walks), the same A/B on LoAS
+# V-L8 jobs whose global cache evicts (64 KB, the span walk) and fits
+# (256 KB, the footprint count) at 4 and 32 TPPEs, and short perfbench
 # cold-grid, warm-replay and config-sweep runs that must report
 # "correct": true.
 set -euo pipefail
@@ -177,6 +179,39 @@ echo "== two-phase kernel vs pre-kernel golden (LOAS_SWEEP=scalar A/B)"
 "$SERVE" enqueue "$SMOKE/scalar" "$SMOKE/headline.json"
 LOAS_SWEEP=scalar "$SERVE" run "$SMOKE/scalar"
 cmp "$SMOKE/scalar/reports/00001/report.jsonl" "$SMOKE/single/reports/00001/report.jsonl"
+
+echo "== LoAS cache replay: footprint count and span walk vs the scalar oracle"
+# Every quick headline LoAS job fits the 256 KB global cache, so the A/B
+# above only checks the replay counted from the footprint. V-L8 at full
+# size overflows a 64 KB cache (the span walk) and fits 256 KB (the
+# count); each at 4 and 32 TPPEs must match the scalar oracle.
+cat > "$SMOKE/loas-cache.json" <<'SPEC'
+{"version": 2, "name": "loas-cache", "jobs": [
+  {"workload": {"name": "V-L8", "shape": {"t": 4, "m": 16, "n": 512, "k": 2304},
+                "profile": {"spike_origin": 0.881, "silent": 0.765,
+                            "silent_ft": 0.868, "weight": 0.968}, "seed": 7},
+   "accelerator": {"name": "loas", "config": {"timesteps": 4, "cache_bytes": 65536, "tppes": 4}}},
+  {"workload": {"name": "V-L8", "shape": {"t": 4, "m": 16, "n": 512, "k": 2304},
+                "profile": {"spike_origin": 0.881, "silent": 0.765,
+                            "silent_ft": 0.868, "weight": 0.968}, "seed": 7},
+   "accelerator": {"name": "loas", "config": {"timesteps": 4, "cache_bytes": 65536, "tppes": 32}}},
+  {"workload": {"name": "V-L8", "shape": {"t": 4, "m": 16, "n": 512, "k": 2304},
+                "profile": {"spike_origin": 0.881, "silent": 0.765,
+                            "silent_ft": 0.868, "weight": 0.968}, "seed": 7},
+   "accelerator": {"name": "loas", "config": {"timesteps": 4, "cache_bytes": 262144, "tppes": 4}}},
+  {"workload": {"name": "V-L8", "shape": {"t": 4, "m": 16, "n": 512, "k": 2304},
+                "profile": {"spike_origin": 0.881, "silent": 0.765,
+                            "silent_ft": 0.868, "weight": 0.968}, "seed": 7},
+   "accelerator": {"name": "loas", "config": {"timesteps": 4, "cache_bytes": 262144, "tppes": 32}}}]}
+SPEC
+"$SERVE" init "$SMOKE/loas-cache"
+"$SERVE" enqueue "$SMOKE/loas-cache" "$SMOKE/loas-cache.json"
+"$SERVE" run "$SMOKE/loas-cache"
+"$SERVE" init "$SMOKE/loas-cache-scalar"
+"$SERVE" enqueue "$SMOKE/loas-cache-scalar" "$SMOKE/loas-cache.json"
+LOAS_SWEEP=scalar "$SERVE" run "$SMOKE/loas-cache-scalar"
+test "$(wc -l < "$SMOKE/loas-cache/reports/00001/report.jsonl")" -eq 4
+cmp "$SMOKE/loas-cache-scalar/reports/00001/report.jsonl" "$SMOKE/loas-cache/reports/00001/report.jsonl"
 
 echo "== perf smoke: bench experiment on the quick fig13 grid"
 LOAS_BENCH_OUT="$SMOKE/BENCH_PR5.json" target/release/repro --quick --workers 1 bench

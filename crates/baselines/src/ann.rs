@@ -60,9 +60,9 @@ pub fn run_sparten_ann(prepared: &AnnPrepared) -> LayerReport {
 }
 
 /// [`run_sparten_ann`] with an explicit sweep strategy: the kernel path
-/// runs the pair intersections as one pure [`PairSweepKernel`] pass per
-/// tile and folds the per-pair sums; the reference path is the pre-kernel
-/// scalar loop. Reports are byte-identical (asserted in tests).
+/// runs the pair intersections as one pure [`PairSweepKernel`] pass over
+/// the layer and folds the per-pair sums; the reference path is the
+/// pre-kernel scalar loop. Reports are byte-identical (asserted in tests).
 pub fn run_sparten_ann_with(prepared: &AnnPrepared, sweep: SweepStrategy) -> LayerReport {
     let shape = prepared.shape;
     let pes = crate::common::BASELINE_PES;
@@ -91,12 +91,22 @@ pub fn run_sparten_ann_with(prepared: &AnnPrepared, sweep: SweepStrategy) -> Lay
         .write(TrafficClass::Output, (shape.m * shape.n) as u64);
 
     let mut compute = 0u64;
-    let kernel = PairSweepKernel::new(128, None);
-    let b_words: Vec<&[u64]> = prepared
-        .b_fibers
-        .iter()
-        .map(|fiber| fiber.bitmask().words())
-        .collect();
+    // Pure phase: one kernel pass over the layer. The per-pair sums (MACs,
+    // prefix-sum activity, matched value fetches) are linear, so the
+    // layer totals fold exactly; only the per-tile peak is not.
+    let layer_sweep = (sweep == SweepStrategy::Kernel).then(|| {
+        let b_words: Vec<&[u64]> = prepared
+            .b_fibers
+            .iter()
+            .map(|fiber| fiber.bitmask().words())
+            .collect();
+        PairSweepKernel::new(128, None).sweep_layer(
+            &prepared.row_blocks,
+            &b_words,
+            SweepMode::TemporalParallel,
+            1,
+        )
+    });
     let mut tile_start = 0usize;
     while tile_start < shape.m {
         let rows = tile_start..(tile_start + pes).min(shape.m);
@@ -106,37 +116,18 @@ pub fn run_sparten_ann_with(prepared: &AnnPrepared, sweep: SweepStrategy) -> Lay
                 .read_untagged(TrafficClass::Format, shape.k.div_ceil(8) as u64);
             let _ = m;
         }
-        match sweep {
-            SweepStrategy::Kernel => {
-                // Pure phase: one kernel pass over the tile; the per-pair
-                // sums (MACs, prefix-sum activity, matched value fetches)
-                // are linear, so the tile aggregates fold exactly.
-                let tile = kernel.sweep_tile(
-                    &prepared.row_blocks,
-                    rows.clone(),
-                    &b_words,
-                    SweepMode::TemporalParallel,
-                );
-                let row_count = rows.len();
+        match &layer_sweep {
+            Some(layer_sweep) => {
                 for n in 0..shape.n {
                     machine
                         .cache
                         .read_untagged(TrafficClass::Format, shape.k.div_ceil(8) as u64);
-                    let column = &tile.matches[n * row_count..(n + 1) * row_count];
+                    let column = layer_sweep.column_matches(rows.clone(), n);
                     let peak = column.iter().copied().max().unwrap_or(0) as u64;
                     compute += chunks + peak + 1;
                 }
-                machine.stats.ops.macs += tile.matches_total;
-                machine.stats.ops.fast_prefix_cycles +=
-                    2 * ((shape.n * row_count) as u64 * chunks + tile.matches_total);
-                machine
-                    .cache
-                    .read_untagged(TrafficClass::Input, tile.matches_total);
-                machine
-                    .cache
-                    .read_untagged(TrafficClass::Weight, tile.matches_total);
             }
-            SweepStrategy::Reference => {
+            None => {
                 for n in 0..shape.n {
                     let fiber_b = &prepared.b_fibers[n];
                     machine
@@ -165,6 +156,13 @@ pub fn run_sparten_ann_with(prepared: &AnnPrepared, sweep: SweepStrategy) -> Lay
             .cache
             .write(TrafficClass::Output, (rows.len() * shape.n) as u64);
         tile_start = rows.end;
+    }
+    if let Some(layer_sweep) = &layer_sweep {
+        let matches = layer_sweep.totals.matches;
+        machine.stats.ops.macs += matches;
+        machine.stats.ops.fast_prefix_cycles += 2 * ((shape.m * shape.n) as u64 * chunks + matches);
+        machine.cache.read_untagged(TrafficClass::Input, matches);
+        machine.cache.read_untagged(TrafficClass::Weight, matches);
     }
     machine.finish(&prepared.name, "SparTen-ANN", compute)
 }

@@ -440,8 +440,12 @@ impl Accelerator for GammaSnn {
                             .map(|m| psum_span[m % p.pes].n_lines)
                             .sum::<u64>();
                     let cache = &mut machine.cache;
-                    cache.record_unevicted(TrafficClass::Weight, weight_touches, misses.weight);
-                    cache.record_unevicted(TrafficClass::Psum, psum_touches, misses.psum);
+                    cache.record_unevicted(
+                        Some(TrafficClass::Weight),
+                        weight_touches,
+                        misses.weight,
+                    );
+                    cache.record_unevicted(Some(TrafficClass::Psum), psum_touches, misses.psum);
                     cache.write(
                         TrafficClass::Psum,
                         (shape.m * shape.t) as u64 * psum_row_bytes,

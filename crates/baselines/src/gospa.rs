@@ -179,17 +179,34 @@ impl Accelerator for GospaSnn {
                 .collect();
             (spans, vec![SpanResidency::default(); shape.k])
         });
+        // The kernel path sums the stream in closed form: every spike at
+        // column `k`, in any row and timestep, costs the same
+        // `max(1, ⌈nnzB_row(k) / lanes⌉)` cycles and `nnzB_row(k)`
+        // products, and the per-column spike counts are precomputed.
+        if self.sweep == SweepStrategy::Kernel {
+            for (&spikes, &nnz_b) in layer.col_spikes.iter().zip(layer.b_row_nnz.iter()) {
+                let (spikes, nnz_b) = (u64::from(spikes), nnz_b as u64);
+                compute += spikes * (nnz_b.div_ceil(p.lanes as u64)).max(1);
+                products_total += spikes * nnz_b;
+            }
+        }
         for (t, plane) in layer.workload.spikes.planes().iter().enumerate() {
             // Per-timestep activation stream: per-column counts of A.
-            let mut spikes_t = 0u64;
-            for m in 0..shape.m {
-                for k in plane.row(m).iter_ones() {
-                    let nnz_b = layer.b_row_nnz[k] as u64;
-                    compute += (nnz_b.div_ceil(p.lanes as u64)).max(1);
-                    products_total += nnz_b;
-                    spikes_t += 1;
+            let spikes_t = match self.sweep {
+                SweepStrategy::Kernel => plane.popcount() as u64,
+                SweepStrategy::Reference => {
+                    let mut spikes_t = 0u64;
+                    for m in 0..shape.m {
+                        for k in plane.row(m).iter_ones() {
+                            let nnz_b = layer.b_row_nnz[k] as u64;
+                            compute += (nnz_b.div_ceil(p.lanes as u64)).max(1);
+                            products_total += nnz_b;
+                            spikes_t += 1;
+                        }
+                    }
+                    spikes_t
                 }
-            }
+            };
             // On-chip: the timestep's CSR stream (coordinates) + B rows
             // (read once per (k, t) on average thanks to k-major order).
             machine.cache.read_untagged(
@@ -315,18 +332,27 @@ mod tests {
         );
     }
 
+    /// The kernel path (closed-form stream sums, span walk) against the
+    /// per-spike, per-access oracle, on layers with and without psum
+    /// spills, a fine-tuned layer, and lane counts that do and do not
+    /// divide the `B` rows.
     #[test]
     fn span_and_reference_walks_are_byte_identical() {
-        let l = layer(4, 64);
-        let golden = GospaSnn::default()
-            .with_sweep(SweepStrategy::Reference)
-            .run_layer(&l)
-            .to_portable();
-        let span = GospaSnn::default()
-            .with_sweep(SweepStrategy::Kernel)
-            .run_layer(&l)
-            .to_portable();
-        assert_eq!(span, golden);
+        let spilling = layer(4, 512);
+        for l in [layer(4, 64), layer(1, 16), spilling.fine_tuned(), spilling] {
+            for lanes in [1, 3, 16] {
+                let model = GospaSnn::new(GospaConfig::builder().lanes(lanes).build());
+                let golden = model
+                    .with_sweep(SweepStrategy::Reference)
+                    .run_layer(&l)
+                    .to_portable();
+                let kernel = model
+                    .with_sweep(SweepStrategy::Kernel)
+                    .run_layer(&l)
+                    .to_portable();
+                assert_eq!(kernel, golden, "{} at {lanes} lanes", l.name);
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Diagnostic probe: per-network, per-design cycle/traffic/energy breakdown
 //! (not part of the paper reproduction — used to calibrate and debug the
-//! models; see EXPERIMENTS.md).
+//! models against the paper values in `loas_bench::experiments::reference`).
 
 use loas_bench::{Context, Design};
 use loas_workloads::networks;

@@ -1,4 +1,4 @@
-//! Ablation studies of LoAS's three design choices (DESIGN.md §3): the FTP
+//! Ablation studies of LoAS's three design choices (Section IV): the FTP
 //! dataflow, the FTP-friendly inner-join, and the packed spike compression —
 //! plus a global-cache capacity sweep. These isolate each contribution on
 //! the paper's V-L8 layer.

@@ -150,14 +150,13 @@ fn run_to(ctx: &mut Context, path: &str) -> Vec<Table> {
                 let kernel = loas_core::kernel::PairSweepKernel::new(128, Some(8));
                 let mut total = 0u64;
                 for (layer, b_words) in layers.iter().zip(&grid_b_words) {
-                    let sweeps = kernel.sweep_layer(
+                    let sweep = kernel.sweep_layer(
                         &layer.row_blocks,
                         b_words,
-                        16,
                         SweepMode::TemporalParallel,
                         1,
                     );
-                    total += sweeps.iter().map(|s| s.matches_total).sum::<u64>();
+                    total += sweep.totals.matches;
                 }
                 total
             })

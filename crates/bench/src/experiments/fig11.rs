@@ -1,5 +1,7 @@
-//! Fig. 11 — accuracy trends of the fine-tuned preprocessing (documented
-//! synthetic recovery model; see DESIGN.md substitutions).
+//! Fig. 11 — accuracy trends of the fine-tuned preprocessing. Without the
+//! trained networks the trend comes from a synthetic exponential recovery
+//! model ([`FineTuneAccuracyModel`]); the hardware results only depend on
+//! the sparsity the masking leaves.
 
 use crate::context::Context;
 use crate::report::Table;

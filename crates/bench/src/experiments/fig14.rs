@@ -90,7 +90,7 @@ pub fn run(ctx: &mut Context) -> Vec<Table> {
         t.push_note("paper: SparTen-SNN largest input traffic (dense spikes); GoSPA-SNN largest psum and format traffic; LoAS format ~2.1x SparTen's (extra non-silent bitmasks)");
         tables.push(t);
     }
-    miss.push_note("paper: SparTen-SNN 16x the LoAS miss rate (1.47%); GoSPA lowest (output-stationary). Absolute rates depend on access-granularity conventions; see EXPERIMENTS.md");
+    miss.push_note("paper: SparTen-SNN 16x the LoAS miss rate (1.47%); GoSPA lowest (output-stationary). Absolute rates depend on access-granularity conventions: here every cache line an access spans counts");
     tables.push(miss);
     tables
 }

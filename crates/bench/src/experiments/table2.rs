@@ -80,7 +80,7 @@ pub fn run(ctx: &mut Context) -> Vec<Table> {
         );
     }
     t.push_note("network rows weight per-layer statistics by M*K (spikes) / K*N (weights)");
-    t.push_note("measured values realise the calibrated three-category firing model (DESIGN.md)");
+    t.push_note("measured values realise the calibrated silent / fire-once / active neuron mixture (loas_workloads::sparsity)");
     vec![t]
 }
 

@@ -13,24 +13,35 @@
 //!
 //! `run_layer` runs in two phases. The **pure compute phase** hands the
 //! whole pair-intersection sweep to the [`crate::kernel`] module: a
-//! [`PairSweepKernel`] streams every row pair of a tile through the
-//! workload's precomputed [`RowBlocks`] structure-of-arrays layout (with
-//! fiber-B words hoisted), optionally fanned out across row tiles on
-//! scoped worker threads. The **sequential traffic phase** then replays
-//! the per-pair counts through the HBM/SRAM/crossbar models in the exact
-//! pre-kernel order. On the kernel strategy the replay consumes the
-//! layer's precomputed [`TrafficSpans`] — fixed cache-line spans per
-//! row/column object, no per-pair address arithmetic — and carries
-//! [`SpanResidency`](loas_sim::SpanResidency) tokens on the per-column
-//! fiber-B broadcasts so re-touching a still-resident fiber takes the
-//! cache's all-hits fast path; the reference strategy keeps the original
-//! per-access arithmetic as the oracle. Reports are byte-identical by
-//! construction for any [`SweepStrategy`] and worker count (asserted via
-//! the portable serialization in this crate's tests).
+//! [`PairSweepKernel`] streams every row pair through the workload's
+//! precomputed [`RowBlocks`] structure-of-arrays layout (with fiber-B
+//! words hoisted), optionally fanned out across row blocks on scoped
+//! worker threads. The sweep does not depend on the TPPE count: the
+//! **sequential traffic phase** applies the tile height, taking each
+//! tile's broadcast barrier from the per-pair drains, and replays the
+//! memory system. On the kernel strategy it first builds the replay's
+//! footprint from the layer's precomputed [`TrafficSpans`]:
+//!
+//! * **It fits** ([`SramCache::fits_without_eviction`]). Each distinct
+//!   line misses on its first touch and hits after, so hits, misses and
+//!   the `Format` refetches follow from first touches marked in the
+//!   replay's object order, with one pass over each column's matches and
+//!   no tag walk.
+//! * **It does not fit.** The tag-accurate cache is walked in the exact
+//!   pre-kernel order along the spans, with
+//!   [`SpanResidency`](loas_sim::SpanResidency) tokens on the per-column
+//!   fiber-B broadcasts so re-touching a still-resident fiber takes the
+//!   cache's all-hits fast path.
+//!
+//! Verification runs take the span walk, and the reference strategy keeps
+//! the original per-access arithmetic as the oracle. Reports are
+//! byte-identical by construction for any [`SweepStrategy`] and worker
+//! count (asserted via the portable serialization in this crate's tests
+//! and in ci.sh).
 //!
 //! Only the final roofline reads the off-chip bandwidth. On the kernel
 //! strategy both phases are memoized on the [`PreparedLayer`]: the sweep
-//! under its kernel geometry and tile height, the replay under the whole
+//! under its kernel geometry and cycle model, the replay under the whole
 //! config but the bandwidth fields. A design sweep over one layer thus
 //! simulates each distinct phase once. Reference and verification runs
 //! always simulate in full and never touch the memo.
@@ -56,17 +67,18 @@
 use crate::compressor::Compressor;
 use crate::config::LoasConfig;
 use crate::inner_join::JoinScratch;
-use crate::kernel::{fired_grand_total, PairSweepKernel, SweepMode, TileSweep};
+use crate::kernel::{fired_grand_total, LayerSweep, PairSweepKernel, SweepMode};
 use crate::layer_memo::MemoKey;
 use crate::metrics::{Accelerator, LayerReport};
 use crate::prepared::{PreparedLayer, TrafficSpans};
 use crate::tppe::Tppe;
 use loas_sim::{
-    ClockDomain, Crossbar, Cycle, EnergyModel, HbmModel, SimStats, SpanResidency, SramCache,
-    TrafficClass, TrafficLedger,
+    ClockDomain, Crossbar, Cycle, EnergyModel, HbmModel, LineSpan, SimStats, SpanResidency,
+    SramCache, TrafficClass, TrafficLedger,
 };
 use loas_snn::SpikeTensor;
 use loas_sparse::{Bitmask, PackedSpikes, POINTER_BITS};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// How a model computes its pure pair-intersection phase.
@@ -237,51 +249,35 @@ impl Loas {
         }
     }
 
-    /// The pre-kernel scalar sweep: fills the same per-tile results as
+    /// The pre-kernel scalar sweep: fills the same [`LayerSweep`] as
     /// [`PairSweepKernel::sweep_layer`] from per-pair [`Loas::pair_metrics`]
     /// calls plus per-timestep plane `and_count`s, sequentially.
-    fn reference_sweep(&self, layer: &PreparedLayer, mode: SweepMode) -> Vec<TileSweep> {
+    fn reference_sweep(&self, layer: &PreparedLayer, mode: SweepMode) -> LayerSweep {
         let shape = layer.shape;
         let planes = layer.workload.spikes.planes();
-        let tppes = self.config.tppes;
-        let mut sweeps = Vec::with_capacity(shape.m.div_ceil(tppes.max(1)));
-        let mut tile_start = 0usize;
-        while tile_start < shape.m {
-            let tile_end = (tile_start + tppes).min(shape.m);
-            let rows = tile_start..tile_end;
-            let row_count = rows.len();
-            let mut sweep = TileSweep {
-                rows: rows.clone(),
-                matches: vec![0u32; row_count * shape.n],
-                worst: vec![0u64; shape.n],
-                ..TileSweep::default()
-            };
-            for (n, fiber_b) in layer.b_fibers.iter().enumerate() {
-                let mut worst = 0u64;
-                for (r, m) in rows.clone().enumerate() {
-                    let metrics = self.pair_metrics(layer.a_mask(m), fiber_b.bitmask());
-                    sweep.matches[n * row_count + r] = metrics.matches as u32;
-                    sweep.matches_total += metrics.matches;
-                    sweep.stall_total += metrics.stall_cycles;
-                    sweep.laggy_chunk_total += metrics.laggy_chunks;
-                    let mut sequential_cycles = 0u64;
-                    for plane in planes {
-                        let matches_t =
-                            plane.row(m).and_count(fiber_b.bitmask()).expect("equal K") as u64;
-                        sweep.fired_total += matches_t;
-                        sequential_cycles += metrics.chunks.max(matches_t) + 1; // + LIF step
-                    }
-                    worst = match mode {
-                        SweepMode::TemporalParallel => worst.max(metrics.cycles + 1), // + P-LIF
-                        SweepMode::SequentialT => worst.max(sequential_cycles),
-                    };
+        let mut sweep = LayerSweep::zeroed(shape.m, shape.n);
+        for (n, fiber_b) in layer.b_fibers.iter().enumerate() {
+            for m in 0..shape.m {
+                let metrics = self.pair_metrics(layer.a_mask(m), fiber_b.bitmask());
+                sweep.totals.matches += metrics.matches;
+                sweep.totals.stalls += metrics.stall_cycles;
+                sweep.totals.laggy_chunks += metrics.laggy_chunks;
+                let mut sequential_cycles = 0u64;
+                for plane in planes {
+                    let matches_t =
+                        plane.row(m).and_count(fiber_b.bitmask()).expect("equal K") as u64;
+                    sweep.totals.fired += matches_t;
+                    sequential_cycles += metrics.chunks.max(matches_t) + 1; // + LIF step
                 }
-                sweep.worst[n] = worst;
+                let drain = match mode {
+                    SweepMode::TemporalParallel => metrics.cycles + 1, // + P-LIF
+                    SweepMode::SequentialT => sequential_cycles,
+                };
+                sweep.matches[n * shape.m + m] = metrics.matches as u32;
+                sweep.drain[n * shape.m + m] = drain as u32;
             }
-            sweeps.push(sweep);
-            tile_start = tile_end;
         }
-        sweeps
+        sweep
     }
 
     /// The memo key of this config's replay: every field but the two only
@@ -301,13 +297,12 @@ impl Loas {
         MemoKey::Sweep {
             kernel: self.sweep_kernel(),
             mode: self.sweep_mode(),
-            tile_rows: self.config.tppes,
         }
     }
 
     /// Phase 1 (pure compute): the pair-intersection sweep, with no
-    /// memory-system state touched, fanned out across row tiles.
-    fn sweep_layer(&self, layer: &PreparedLayer) -> Vec<TileSweep> {
+    /// memory-system state touched. It does not depend on the TPPE count.
+    fn sweep_layer(&self, layer: &PreparedLayer) -> LayerSweep {
         let mode = self.sweep_mode();
         match self.sweep {
             SweepStrategy::Kernel => {
@@ -319,7 +314,6 @@ impl Loas {
                 self.sweep_kernel().sweep_layer(
                     &layer.row_blocks,
                     &b_words,
-                    self.config.tppes,
                     mode,
                     self.intra_workers,
                 )
@@ -328,17 +322,27 @@ impl Loas {
         }
     }
 
-    /// Phase 2 (sequential traffic): off-chip streaming plus the
-    /// tag-accurate cache replayed in the exact pre-kernel order, with the
-    /// sweep's op counts folded in. It never reads the off-chip bandwidth.
-    /// With `verified_output`, each pair also runs the bit-exact TPPE
-    /// datapath and records its output spikes there.
+    /// The row tiles of an `m`-row layer: one row per TPPE.
+    fn tiles(&self, m: usize) -> impl Iterator<Item = Range<usize>> + '_ {
+        (0..m)
+            .step_by(self.config.tppes)
+            .map(move |start| start..(start + self.config.tppes).min(m))
+    }
+
+    /// Phase 2 (sequential traffic): off-chip streaming, the global cache
+    /// and the tile schedule, with the sweep's op counts folded in. It
+    /// never reads the off-chip bandwidth. With `spans`, the cache is
+    /// counted from its footprint when that cannot evict and walked along
+    /// the spans otherwise; without, it is walked by address arithmetic
+    /// (the oracle). With `verified_output`, each pair also runs the
+    /// bit-exact TPPE datapath on the walk and records its output spikes
+    /// there.
     fn replay(
         &self,
         layer: &PreparedLayer,
-        tile_sweeps: &[TileSweep],
-        mut probes: TrafficProbes,
-        mut verified_output: Option<&mut SpikeTensor>,
+        sweep: &LayerSweep,
+        spans: Option<Arc<TrafficSpans>>,
+        verified_output: Option<&mut SpikeTensor>,
     ) -> Replay {
         let shape = layer.shape;
         let mut dram = TrafficLedger::new();
@@ -348,9 +352,6 @@ impl Loas {
             self.config.cache_ways,
             self.config.cache_banks,
         );
-        let crossbar = Crossbar::new(self.config.tppes, self.config.crossbar_bus_bytes);
-        let tppe = Tppe::new(&self.config);
-        let compressor = Compressor::new(&self.config);
         let mut stats = SimStats::new();
 
         // Per-row per-timestep firing counts enter the report only through
@@ -360,138 +361,64 @@ impl Loas {
             (SweepMode::TemporalParallel, SweepStrategy::Kernel) => {
                 fired_grand_total(&layer.col_spikes, &layer.b_row_nnz)
             }
-            _ => tile_sweeps.iter().map(|sweep| sweep.fired_total).sum(),
+            _ => sweep.totals.fired,
         };
 
         // Off-chip traffic: the packed A payload streams in once
         // (compulsory); bitmasks and weight fibers are charged miss-driven
-        // through the FiberCache tags below, so capacity behaviour (not an
+        // through the FiberCache tags, so capacity behaviour (not an
         // assumption) decides refetches.
         let (a_payload_bits, _) = layer.a_compressed_bits();
         dram.record_bits(TrafficClass::Input, a_payload_bits);
         let (b_payload_bits, _) = layer.b_compressed_bits(self.config.weight_bits);
         dram.record_bits(TrafficClass::Weight, b_payload_bits);
-        let line = self.config.cache_line_bytes as u64;
 
-        let mut compute = 0u64;
-        // Scratch state reused across every verified pair and output row
-        // (no per-pair allocation churn on the bit-exact datapath).
-        let mut join_scratch = JoinScratch::new(shape.t);
-        let mut row_words_buf: Vec<PackedSpikes> = Vec::new();
+        // Output compression per row: the inverted laggy prefix-sum
+        // overlaps the next tile's compute, so only traffic is charged.
+        // Every path charges the same estimate — a bitmask + pointer per
+        // row plus packed payload at the ~90% output sparsity the paper
+        // reports (Section II-B) — so that verification mode never
+        // perturbs the performance model.
+        let out_row_bytes = match &spans {
+            Some(spans) => spans.out_row_bytes,
+            None => ((shape.n + POINTER_BITS) as u64 + (shape.n as u64 / 10) * shape.t as u64)
+                .div_ceil(8),
+        };
+        cache.write(TrafficClass::Output, shape.m as u64 * out_row_bytes);
+        dram.record(TrafficClass::Output, shape.m as u64 * out_row_bytes);
 
-        for sweep in tile_sweeps {
-            let rows = sweep.rows.clone();
-            let row_count = rows.len();
-            // Load bm-A (+ held payload stream) for each TPPE in the tile:
-            // one cache pass per row per layer.
-            let mut a_scatter = Vec::with_capacity(row_count);
-            for m in rows.clone() {
-                let bm_bytes = (shape.k + POINTER_BITS).div_ceil(8) as u64;
-                let missed = probes.load_a_bitmask(&mut cache, m);
-                dram.record(TrafficClass::Format, missed * line);
-                a_scatter.push(bm_bytes);
-            }
-            compute += crossbar.scatter_cycles(&a_scatter).get();
-
-            let mut prev_b_load = 0u64;
-            for (n, fiber_b) in layer.b_fibers.iter().enumerate() {
-                // bm-B + weights broadcast: one cache read serves all TPPEs.
-                let b_bm_bytes = (shape.k + POINTER_BITS).div_ceil(8) as u64;
-                let b_payload_bytes = (fiber_b.nnz() * self.config.weight_bits).div_ceil(8) as u64;
-                let missed_bm = probes.load_b_fiber(&mut cache, n, b_payload_bytes);
-                dram.record(TrafficClass::Format, missed_bm * line);
-                let b_load =
-                    tppe.b_load_cycles(fiber_b.nnz()) + crossbar.broadcast_cycles(b_bm_bytes).get();
-
-                // All TPPEs in the tile join against the same fiber-B; the
-                // tile advances at the slowest TPPE (synchronous broadcast,
-                // precomputed by the sweep as `worst`).
-                for (r, m) in rows.clone().enumerate() {
-                    let matches = sweep.matches[n * row_count + r] as u64;
-                    // Matched packed words of A fetched on demand: exact
-                    // bytes ledgered, lines tagged (resident payload hits).
-                    let payload_bytes = (matches * shape.t as u64).div_ceil(8);
-                    cache.read_untagged(TrafficClass::Input, payload_bytes);
-                    probes.probe_a_payload(&mut cache, m, payload_bytes);
-
-                    if let Some(out) = verified_output.as_deref_mut() {
-                        let outcome = tppe.process_with(
-                            &layer.a_fibers[m],
-                            fiber_b,
-                            layer.lif(),
-                            &mut join_scratch,
-                        );
-                        debug_assert_eq!(outcome.join.matches, matches);
-                        for t in 0..shape.t {
-                            if outcome.plif.spikes.fires_at(t) {
-                                out.set(m, n, t, true);
-                            }
-                        }
-                    }
-                }
-                // Double-buffered fiber-B: the previous load overlaps this
-                // compute; expose whichever is longer.
-                compute += sweep.worst[n].max(prev_b_load);
-                prev_b_load = b_load;
-            }
-            compute += prev_b_load.min(1); // drain
-
-            // The last pair's laggy-correction tail is exposed once per
-            // tile (hidden behind the next pair everywhere else). The
-            // two-fast and sequential-T variants have no correction tail.
-            if self.config.temporal_parallel && !self.config.two_fast_prefix {
-                compute += self.config.laggy_latency_cycles();
-            }
-
-            // Output compression per row in the tile: the inverted laggy
-            // prefix-sum overlaps the next tile's compute, so only traffic
-            // is charged. Both execution paths charge the same estimate —
-            // a bitmask + pointer per row plus packed payload at the ~90%
-            // output sparsity the paper reports (Section II-B) — so that
-            // verification mode never perturbs the performance model.
-            let out_row_bytes = probes.out_row_bytes(shape.n, shape.t);
-            for m in rows {
-                if let Some(out) = verified_output.as_deref() {
-                    // Exercise the real compressor datapath (discard filter
-                    // included) on the verified outputs.
-                    row_words_buf.clear();
-                    row_words_buf.extend((0..shape.n).map(|n| {
-                        let mut w = PackedSpikes::silent(shape.t).expect("t in range");
-                        for t in 0..shape.t {
-                            if out.get(m, n, t) {
-                                w.set(t, true);
-                            }
-                        }
-                        w
-                    }));
-                    let _ = compressor.compress_row(&row_words_buf);
-                }
-                cache.write(TrafficClass::Output, out_row_bytes);
-                dram.record(TrafficClass::Output, out_row_bytes);
-            }
+        let counted = verified_output.is_none()
+            && spans.as_deref().is_some_and(|spans| {
+                self.count_unevicted(layer, sweep, spans, &mut cache, &mut dram)
+            });
+        if !counted {
+            let probes = match spans {
+                Some(spans) => TrafficProbes::spans(layer, spans),
+                None => TrafficProbes::address(layer, self.config.weight_bits),
+            };
+            self.walk_cache(layer, sweep, probes, &mut cache, &mut dram, verified_output);
         }
+        let compute = self.schedule(layer, sweep);
 
         // ---- Fold the sweep's op-count aggregates into the stats. Every
-        // term is a commutative sum over pairs, so tile-level aggregation
+        // term is a commutative sum over pairs, so layer-level aggregation
         // reproduces the per-pair accumulation of the pre-kernel loop
         // exactly (asserted byte-identical in tests).
         let pairs = (shape.m * shape.n) as u64;
         let chunks_per_pair = self.sweep_kernel().chunks_for(shape.k.div_ceil(64));
-        let matches_total: u64 = tile_sweeps.iter().map(|s| s.matches_total).sum();
-        let stall_total: u64 = tile_sweeps.iter().map(|s| s.stall_total).sum();
-        let laggy_chunk_total: u64 = tile_sweeps.iter().map(|s| s.laggy_chunk_total).sum();
-        let fast_raw = pairs * chunks_per_pair + matches_total;
+        let totals = sweep.totals;
+        let fast_raw = pairs * chunks_per_pair + totals.matches;
         if self.config.temporal_parallel {
-            let corrections = matches_total * shape.t as u64 - fired_total;
-            stats.ops.accumulates += matches_total + corrections;
+            let corrections = totals.matches * shape.t as u64 - fired_total;
+            stats.ops.accumulates += totals.matches + corrections;
             if self.config.two_fast_prefix {
                 stats.ops.fast_prefix_cycles += 2 * fast_raw;
             } else {
                 stats.ops.fast_prefix_cycles += fast_raw;
                 stats.ops.laggy_prefix_cycles +=
-                    laggy_chunk_total * self.config.laggy_latency_cycles();
+                    totals.laggy_chunks * self.config.laggy_latency_cycles();
             }
-            stats.stall_cycles += Cycle(stall_total);
+            stats.stall_cycles += Cycle(totals.stalls);
         } else {
             // Sequential-T ablation: same compression and hardware, but
             // each timestep re-runs the join and accumulates directly (no
@@ -507,6 +434,254 @@ impl Loas {
         stats.cache = cache_stats;
         Replay { compute, stats }
     }
+
+    /// The tile schedule's compute cycles. Per row tile: the `bm-A`
+    /// scatter, then per fiber-B the slowest TPPE's drain (the synchronous
+    /// broadcast) overlapped with the double-buffered load of the next
+    /// fiber-B, then the last load's drain and the correction tail.
+    fn schedule(&self, layer: &PreparedLayer, sweep: &LayerSweep) -> u64 {
+        let shape = layer.shape;
+        let crossbar = Crossbar::new(self.config.tppes, self.config.crossbar_bus_bytes);
+        let tppe = Tppe::new(&self.config);
+        let bm_bytes = (shape.k + POINTER_BITS).div_ceil(8) as u64;
+        let a_scatter = vec![bm_bytes; self.config.tppes.min(shape.m)];
+        let b_load: Vec<u64> = layer
+            .b_fibers
+            .iter()
+            .map(|fiber_b| {
+                tppe.b_load_cycles(fiber_b.nnz()) + crossbar.broadcast_cycles(bm_bytes).get()
+            })
+            .collect();
+        // The last pair's laggy-correction tail is exposed once per tile
+        // (hidden behind the next pair everywhere else). The two-fast and
+        // sequential-T variants have no correction tail.
+        let tail = if self.config.temporal_parallel && !self.config.two_fast_prefix {
+            self.config.laggy_latency_cycles()
+        } else {
+            0
+        };
+        let mut compute = 0u64;
+        for rows in self.tiles(shape.m) {
+            compute += crossbar.scatter_cycles(&a_scatter[..rows.len()]).get();
+            let mut prev_b_load = 0u64;
+            for (n, &load) in b_load.iter().enumerate() {
+                compute += sweep.tile_worst(rows.clone(), n).max(prev_b_load);
+                prev_b_load = load;
+            }
+            compute += prev_b_load.min(1) + tail; // drain
+        }
+        compute
+    }
+
+    /// Walks the global cache tag by tag in the replay order: per row tile,
+    /// `bm-A` of each row; then per fiber-B its `bm-B` + weight broadcast
+    /// (one cache read serves all TPPEs) and the matched packed words of
+    /// each row, fetched on demand. Verification runs the TPPE datapath
+    /// and the output compressor here.
+    fn walk_cache(
+        &self,
+        layer: &PreparedLayer,
+        sweep: &LayerSweep,
+        mut probes: TrafficProbes,
+        cache: &mut SramCache,
+        dram: &mut TrafficLedger,
+        mut verified_output: Option<&mut SpikeTensor>,
+    ) {
+        let shape = layer.shape;
+        let line = self.config.cache_line_bytes as u64;
+        let tppe = Tppe::new(&self.config);
+        let compressor = Compressor::new(&self.config);
+        // Scratch state reused across every verified pair and output row
+        // (no per-pair allocation churn on the bit-exact datapath).
+        let mut join_scratch = JoinScratch::new(shape.t);
+        let mut row_words_buf: Vec<PackedSpikes> = Vec::new();
+        for rows in self.tiles(shape.m) {
+            for m in rows.clone() {
+                let missed = probes.load_a_bitmask(cache, m);
+                dram.record(TrafficClass::Format, missed * line);
+            }
+            for (n, fiber_b) in layer.b_fibers.iter().enumerate() {
+                let b_payload_bytes = (fiber_b.nnz() * self.config.weight_bits).div_ceil(8) as u64;
+                let missed_bm = probes.load_b_fiber(cache, n, b_payload_bytes);
+                dram.record(TrafficClass::Format, missed_bm * line);
+                for (m, &matches) in rows.clone().zip(sweep.column_matches(rows.clone(), n)) {
+                    // Exact bytes ledgered, lines tagged (resident payload
+                    // hits).
+                    let payload_bytes = payload_bytes(matches, shape.t);
+                    cache.read_untagged(TrafficClass::Input, payload_bytes);
+                    probes.probe_a_payload(cache, m, payload_bytes);
+
+                    if let Some(out) = verified_output.as_deref_mut() {
+                        let outcome = tppe.process_with(
+                            &layer.a_fibers[m],
+                            fiber_b,
+                            layer.lif(),
+                            &mut join_scratch,
+                        );
+                        debug_assert_eq!(outcome.join.matches, u64::from(matches));
+                        for t in 0..shape.t {
+                            if outcome.plif.spikes.fires_at(t) {
+                                out.set(m, n, t, true);
+                            }
+                        }
+                    }
+                }
+            }
+            if let Some(out) = verified_output.as_deref() {
+                // Exercise the real compressor datapath (discard filter
+                // included) on the verified outputs.
+                for m in rows {
+                    row_words_buf.clear();
+                    row_words_buf.extend((0..shape.n).map(|n| {
+                        let mut w = PackedSpikes::silent(shape.t).expect("t in range");
+                        for t in 0..shape.t {
+                            if out.get(m, n, t) {
+                                w.set(t, true);
+                            }
+                        }
+                        w
+                    }));
+                    let _ = compressor.compress_row(&row_words_buf);
+                }
+            }
+        }
+    }
+
+    /// Ledgers [`Loas::walk_cache`]'s touches and `Format` refetches from
+    /// the footprint, without a tag walk, when no line of it can be
+    /// evicted ([`SramCache::fits_without_eviction`]); returns `false`,
+    /// touching nothing, when one can. Without eviction a touch misses
+    /// exactly when it is the line's first, so marking lines in the walk's
+    /// object order attributes every miss to its class: `bm-A` at each
+    /// tile start, then per fiber-B its `bm-B` and weights and each row's
+    /// payload prefix. A row's prefix only grows, so each pair costs a
+    /// compare against the longest prefix the row has reached.
+    fn count_unevicted(
+        &self,
+        layer: &PreparedLayer,
+        sweep: &LayerSweep,
+        spans: &TrafficSpans,
+        cache: &mut SramCache,
+        dram: &mut TrafficLedger,
+    ) -> bool {
+        let shape = layer.shape;
+        if shape.m == 0 {
+            return true; // no tile touches the cache
+        }
+        let footprint = replay_footprint(layer, sweep, spans);
+        let end = |span: &LineSpan| span.first_line + span.n_lines;
+        if !cache
+            .fits_without_eviction(footprint.iter().flat_map(|span| span.first_line..end(span)))
+        {
+            return false;
+        }
+
+        let base = footprint[0].first_line;
+        let mut touched =
+            vec![0u64; (footprint.last().map_or(base, end) - base).div_ceil(64) as usize];
+        let mut first_touches = |span: LineSpan| -> u64 {
+            let mut first = 0;
+            for line in span.first_line - base..end(&span) - base {
+                let (word, bit) = ((line / 64) as usize, 1u64 << (line % 64));
+                first += u64::from(touched[word] & bit == 0);
+                touched[word] |= bit;
+            }
+            first
+        };
+        // (touches, first touches) of the `Format` reads, the weight
+        // reads and the payload probes.
+        let (mut format, mut weight, mut payload) = ((0u64, 0u64), (0u64, 0u64), (0u64, 0u64));
+        // The lines of `TrafficSpans::a_payload_span` without a division
+        // per pair for the power-of-two line sizes.
+        let line = self.config.cache_line_bytes as u64;
+        let shift = line.trailing_zeros();
+        let payload_lines = |intra: u64, bytes: u64| match bytes {
+            0 => 0,
+            _ if line.is_power_of_two() => ((intra + bytes - 1) >> shift) + 1,
+            _ => (intra + bytes - 1) / line + 1,
+        };
+        let mut input_bytes = 0u64;
+        let mut reached = vec![0u64; shape.m];
+        let mut tiles = 0u64;
+        for rows in self.tiles(shape.m) {
+            for &span in &spans.a_bm_span[rows.clone()] {
+                format.0 += span.n_lines;
+                format.1 += first_touches(span);
+            }
+            for n in 0..shape.n {
+                // Every fiber-B line is touched in the first tile.
+                if tiles == 0 {
+                    format.1 += first_touches(spans.b_bm_span[n]);
+                    weight.1 += first_touches(spans.b_payload_span[n]);
+                }
+                for (m, &matches) in rows.clone().zip(sweep.column_matches(rows.clone(), n)) {
+                    let bytes = payload_bytes(matches, shape.t);
+                    let lines = payload_lines(spans.a_payload_intra[m], bytes);
+                    input_bytes += bytes;
+                    payload.0 += lines;
+                    if lines > reached[m] {
+                        payload.1 += first_touches(LineSpan {
+                            first_line: spans.a_payload_line[m] + reached[m],
+                            n_lines: lines - reached[m],
+                        });
+                        reached[m] = lines;
+                    }
+                }
+            }
+            tiles += 1;
+        }
+        let lines_of = |spans: &[LineSpan]| spans.iter().map(|span| span.n_lines).sum::<u64>();
+        format.0 += tiles * lines_of(&spans.b_bm_span);
+        weight.0 = tiles * lines_of(&spans.b_payload_span);
+        debug_assert_eq!(format.1 + weight.1 + payload.1, lines_of(&footprint));
+        cache.record_unevicted(Some(TrafficClass::Format), format.0, format.1);
+        cache.record_unevicted(Some(TrafficClass::Weight), weight.0, weight.1);
+        cache.record_unevicted(None, payload.0, payload.1);
+        cache.read_untagged(TrafficClass::Input, input_bytes);
+        dram.record(TrafficClass::Format, format.1 * line);
+        true
+    }
+}
+
+/// The packed payload bytes of `A` a pair with `matches` matches fetches.
+fn payload_bytes(matches: u32, timesteps: usize) -> u64 {
+    (u64::from(matches) * timesteps as u64).div_ceil(8)
+}
+
+/// Every line [`Loas::walk_cache`] touches, as disjoint spans in address
+/// order: per row `bm-A` and the longest payload prefix any fiber-B
+/// fetches, then per column `bm-B` and weights. Neighbouring objects can
+/// share a line, and only with the span merged last.
+fn replay_footprint(
+    layer: &PreparedLayer,
+    sweep: &LayerSweep,
+    spans: &TrafficSpans,
+) -> Vec<LineSpan> {
+    let shape = layer.shape;
+    let mut longest = vec![0u32; shape.m];
+    for n in 0..shape.n {
+        for (longest, &matches) in longest.iter_mut().zip(sweep.column_matches(0..shape.m, n)) {
+            *longest = (*longest).max(matches);
+        }
+    }
+    let end = |span: &LineSpan| span.first_line + span.n_lines;
+    let mut footprint: Vec<LineSpan> = Vec::new();
+    let mut add = |span: LineSpan| match footprint.last_mut() {
+        _ if span.is_empty() => {}
+        Some(last) if span.first_line <= end(last) => {
+            last.n_lines = end(&span).max(end(last)) - last.first_line;
+        }
+        _ => footprint.push(span),
+    };
+    for (m, &longest) in longest.iter().enumerate() {
+        add(spans.a_bm_span[m]);
+        add(spans.a_payload_span(m, payload_bytes(longest, shape.t)));
+    }
+    for (&bm, &payload) in spans.b_bm_span.iter().zip(&spans.b_payload_span) {
+        add(bm);
+        add(payload);
+    }
+    footprint
 }
 
 #[derive(Debug, Clone, Copy, Default)]
@@ -628,17 +803,6 @@ impl TrafficProbes {
         }
     }
 
-    /// Compressed output bytes written per output row (precomputed on the
-    /// span path; the original formula on the oracle).
-    fn out_row_bytes(&self, n: usize, t: usize) -> u64 {
-        match self {
-            TrafficProbes::Spans { spans, .. } => spans.out_row_bytes,
-            TrafficProbes::Address { .. } => {
-                ((n + POINTER_BITS) as u64 + (n as u64 / 10) * t as u64).div_ceil(8)
-            }
-        }
-    }
-
     /// Tags the on-demand fetch of row `m`'s first `payload_bytes` packed
     /// payload bytes (byte traffic is ledgered separately by the caller).
     fn probe_a_payload(&mut self, cache: &mut SramCache, m: usize, payload_bytes: u64) {
@@ -705,26 +869,24 @@ impl Accelerator for Loas {
         let replay = match self.sweep {
             // Jobs sharing the layer reuse the replay of any config that
             // differs only in off-chip bandwidth, and the sweep of any with
-            // the same kernel and tile height.
+            // the same kernel and cycle model.
             SweepStrategy::Kernel if verified_output.is_none() => {
                 *layer.memo.get_or_insert_with(self.replay_key(), || {
-                    let sweeps = layer
+                    let sweep = layer
                         .memo
                         .get_or_insert_with(self.sweep_key(), || self.sweep_layer(layer));
                     let spans = layer.traffic_spans(weight_bits, line_bytes);
-                    self.replay(layer, &sweeps, TrafficProbes::spans(layer, spans), None)
+                    self.replay(layer, &sweep, Some(spans), None)
                 })
             }
             SweepStrategy::Kernel => {
                 let spans = Arc::new(TrafficSpans::build(layer, weight_bits, line_bytes));
-                let probes = TrafficProbes::spans(layer, spans);
-                let sweeps = self.sweep_layer(layer);
-                self.replay(layer, &sweeps, probes, verified_output.as_mut())
+                let sweep = self.sweep_layer(layer);
+                self.replay(layer, &sweep, Some(spans), verified_output.as_mut())
             }
             SweepStrategy::Reference => {
-                let probes = TrafficProbes::address(layer, weight_bits);
-                let sweeps = self.sweep_layer(layer);
-                self.replay(layer, &sweeps, probes, verified_output.as_mut())
+                let sweep = self.sweep_layer(layer);
+                self.replay(layer, &sweep, None, verified_output.as_mut())
             }
         };
 
@@ -759,6 +921,16 @@ impl Accelerator for Loas {
 mod tests {
     use super::*;
     use loas_workloads::{LayerShape, SparsityProfile, WorkloadGenerator};
+
+    /// 70 rows: three sweep blocks, so intra-layer workers split the layer,
+    /// and several row tiles at any TPPE count up to 32.
+    fn tiled_layer() -> PreparedLayer {
+        let profile = SparsityProfile::from_percentages(75.0, 60.0, 68.0, 90.0).unwrap();
+        let workload = WorkloadGenerator::default()
+            .generate("loas-tiles", LayerShape::new(4, 70, 12, 96), &profile)
+            .unwrap();
+        PreparedLayer::new(&workload)
+    }
 
     fn small_layer() -> PreparedLayer {
         let profile = SparsityProfile::from_percentages(75.0, 60.0, 68.0, 90.0).unwrap();
@@ -873,41 +1045,123 @@ mod tests {
 
     /// Every LoAS variant must produce byte-identical portable reports for
     /// the kernel and pre-kernel sweep strategies, at any intra-layer
-    /// worker count — the two-phase refactor's core guarantee.
+    /// worker count and TPPE count, on global caches the replay's
+    /// footprint fits (counted from first touches) and overflows (walked
+    /// tag by tag) — the two-phase refactor's core guarantee.
     #[test]
     fn kernel_and_reference_sweeps_are_byte_identical() {
-        let layer = small_layer();
-        let configs = [
-            LoasConfig::table3(),
-            LoasConfig::builder().temporal_parallel(false).build(),
-            LoasConfig::builder().two_fast_prefix(true).build(),
-            LoasConfig::builder()
-                .discard_low_activity_outputs(true)
-                .build(),
+        let layer = tiled_layer();
+        let variants = [
+            LoasConfig::builder(),
+            LoasConfig::builder().temporal_parallel(false),
+            LoasConfig::builder().two_fast_prefix(true),
+            LoasConfig::builder().discard_low_activity_outputs(true),
         ];
-        for config in configs {
-            let golden = Loas::new(config.clone())
-                .with_sweep(SweepStrategy::Reference)
-                .run_layer(&layer)
-                .to_portable();
-            for workers in [1usize, 2, 4] {
-                let report = Loas::new(config.clone())
-                    .with_sweep(SweepStrategy::Kernel)
-                    .with_intra_workers(workers)
-                    .run_layer(&layer)
-                    .to_portable();
-                assert_eq!(
-                    report,
-                    golden,
-                    "strategy/worker divergence for {} at {workers} workers",
-                    Loas::new(config.clone()).name()
+        // (capacity, ways): the Table III cache, a 1 KB direct-mapped one,
+        // and capacities around the footprint.
+        let caches = [
+            (256 * 1024, 16),
+            (1024, 1),
+            (2048, 4),
+            (4096, 1),
+            (4096, 4),
+            (8192, 2),
+            (8192, 8),
+            (16384, 16),
+        ];
+        let (mut fits, mut evicts) = (0, 0);
+        for variant in variants {
+            for (cache_bytes, cache_ways) in caches {
+                for tppes in [4, 32] {
+                    let mut config = variant
+                        .clone()
+                        .cache_bytes(cache_bytes)
+                        .tppes(tppes)
+                        .build();
+                    config.cache_ways = cache_ways;
+                    let oracle = Loas::new(config.clone()).with_sweep(SweepStrategy::Reference);
+                    let golden = oracle.clone().run_layer(&layer).to_portable();
+                    let sweep = oracle.sweep_layer(&layer);
+                    let spans =
+                        TrafficSpans::build(&layer, config.weight_bits, config.cache_line_bytes);
+                    let cache = || SramCache::new(cache_bytes, 64, cache_ways, config.cache_banks);
+                    if oracle.count_unevicted(
+                        &layer,
+                        &sweep,
+                        &spans,
+                        &mut cache(),
+                        &mut TrafficLedger::new(),
+                    ) {
+                        fits += 1;
+                    } else {
+                        evicts += 1;
+                    }
+                    for workers in [1usize, 2, 4] {
+                        let report = Loas::new(config.clone())
+                            .with_sweep(SweepStrategy::Kernel)
+                            .with_intra_workers(workers)
+                            .run_layer(&layer)
+                            .to_portable();
+                        assert_eq!(
+                            report,
+                            golden,
+                            "{} with {tppes} TPPEs, a {cache_bytes}-byte {cache_ways}-way \
+                             cache and {workers} workers",
+                            oracle.name()
+                        );
+                    }
+                }
+            }
+        }
+        assert!(fits >= 8 && evicts >= 8, "{fits} fit, {evicts} evict");
+    }
+
+    /// The footprint that decides whether the replay can evict holds
+    /// exactly the lines the tag walk touches: every row's `bm-A` and each
+    /// pair's payload prefix, and every fiber-B's `bm-B` and weights.
+    #[test]
+    fn replay_footprint_is_the_set_of_walked_lines() {
+        // Rows several lines long whose payload prefixes vary by column.
+        let profile = SparsityProfile::from_percentages(50.0, 40.0, 45.0, 50.0).unwrap();
+        let dense = WorkloadGenerator::default()
+            .generate("loas-dense", LayerShape::new(4, 48, 32, 1024), &profile)
+            .unwrap();
+        let dense = PreparedLayer::new(&dense);
+        for (layer, weight_bits) in [(tiled_layer(), 8), (small_layer(), 4), (dense, 8)] {
+            let loas = Loas::default().with_sweep(SweepStrategy::Reference);
+            let sweep = loas.sweep_layer(&layer);
+            let spans = TrafficSpans::build(&layer, weight_bits, 64);
+            let mut walked = std::collections::BTreeSet::new();
+            let mut touch =
+                |span: LineSpan| walked.extend(span.first_line..span.first_line + span.n_lines);
+            for m in 0..layer.shape.m {
+                touch(spans.a_bm_span[m]);
+                for n in 0..layer.shape.n {
+                    let matches = sweep.column_matches(m..m + 1, n)[0];
+                    touch(spans.a_payload_span(m, payload_bytes(matches, layer.shape.t)));
+                }
+            }
+            for n in 0..layer.shape.n {
+                touch(spans.b_bm_span[n]);
+                touch(spans.b_payload_span[n]);
+            }
+            let footprint = replay_footprint(&layer, &sweep, &spans);
+            for pair in footprint.windows(2) {
+                assert!(
+                    pair[0].first_line + pair[0].n_lines < pair[1].first_line,
+                    "{pair:?}"
                 );
             }
+            let lines: std::collections::BTreeSet<u64> = footprint
+                .iter()
+                .flat_map(|span| span.first_line..span.first_line + span.n_lines)
+                .collect();
+            assert_eq!(lines, walked);
         }
     }
 
     /// The 13 LoAS points of the repository's TPPE, bandwidth and cache
-    /// sweeps share 4 tile heights and 7 bandwidth-independent configs.
+    /// sweeps share one pair sweep and 7 bandwidth-independent configs.
     #[test]
     fn design_sweep_simulates_each_phase_once() {
         let layer = small_layer();
@@ -926,7 +1180,8 @@ mod tests {
             assert_eq!(shared.to_portable(), fresh.to_portable());
         }
         let stats = layer.memo_stats();
-        assert_eq!(stats.sweeps.misses, 4, "{stats:?}");
+        assert_eq!(stats.sweeps.misses, 1, "{stats:?}");
+        assert_eq!(stats.sweeps.hits, 6, "{stats:?}");
         assert_eq!(stats.replays.misses, 7, "{stats:?}");
         assert_eq!(stats.replays.hits, 6, "{stats:?}");
         assert_eq!(stats.spans.misses, 1, "{stats:?}");

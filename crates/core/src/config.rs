@@ -70,7 +70,7 @@ pub struct LoasConfig {
     pub discard_low_activity_outputs: bool,
     /// Whether timesteps are processed in parallel (FTP, the paper's
     /// contribution) or sequentially on the same hardware — the dataflow
-    /// ablation of DESIGN.md. Default: true.
+    /// ablation `repro ablations` runs on V-L8. Default: true.
     pub temporal_parallel: bool,
     /// Whether the inner-join uses two fast prefix-sum circuits
     /// (SparTen-style) instead of the FTP-friendly fast + laggy pair — the

@@ -10,16 +10,20 @@
 //!   per row, the non-silent bitmask words followed by the `T` per-timestep
 //!   plane-row words, contiguous, so one pair sweep is a single linear pass
 //!   with no bounds-checked `get(i).copied().unwrap_or(0)` lookups;
-//! * [`PairSweepKernel`] — for one fiber-B (words hoisted once), streams
-//!   all row pairs of a tile and produces per-pair match counts plus the
+//! * [`PairSweepKernel`] — streams every fiber-B (words hoisted once) over
+//!   fixed blocks of rows and produces per-pair match counts plus the
 //!   per-chunk stall/laggy bookkeeping of the inner-join cycle model;
-//! * [`TileSweep`] — the per-tile result: per-pair matches, the per-column
-//!   worst-TPPE drain, and the op-count aggregates the traffic phase folds
-//!   into [`SimStats`] after replaying the memory system sequentially.
+//! * [`LayerSweep`] — the layer's result: per-pair matches and drain
+//!   cycles plus the op-count totals the traffic phase folds into
+//!   [`SimStats`]. Nothing in it depends on the TPPE count: the replay
+//!   takes each row tile's synchronous-broadcast barrier as the maximum of
+//!   the tile's drains ([`LayerSweep::tile_worst`]), so one sweep serves
+//!   every tile height.
 //!
 //! Because the sweep is pure (no cache or DRAM state), it parallelizes
-//! across row tiles with scoped threads; results are collected in tile
-//! order, so reports are byte-identical for every worker count.
+//! across row blocks with scoped threads; every pair has its own slot and
+//! the totals are integer sums, so reports are byte-identical for every
+//! worker count.
 //!
 //! In fully temporal-parallel mode the per-timestep `fired` counts are not
 //! even swept: `fired` only ever enters the report through *global* sums
@@ -38,7 +42,6 @@ use loas_snn::SpikeTensor;
 use loas_sparse::Bitmask;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
 
 /// Largest timestep count a packed spike word can carry (`u16` lanes).
 pub use loas_sparse::MAX_TIMESTEPS;
@@ -164,7 +167,7 @@ pub struct PairCounts {
     pub t_counts: [u32; MAX_TIMESTEPS],
 }
 
-/// Which cycle model the per-column worst-TPPE drain uses.
+/// Which cycle model the per-pair drain uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SweepMode {
     /// Fully temporal-parallel LoAS: a pair drains in
@@ -178,31 +181,77 @@ pub enum SweepMode {
     SequentialT,
 }
 
-/// One tile's worth of pure-compute results, consumed by the sequential
-/// traffic phase.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct TileSweep {
-    /// Rows covered by this tile.
-    pub rows: Range<usize>,
-    /// Per-pair match counts, column-major over the tile:
-    /// `matches[n * rows.len() + r]` is row `rows.start + r` against
-    /// fiber-B `n`.
-    pub matches: Vec<u32>,
-    /// Per-column worst-TPPE drain cycles (the synchronous-broadcast
-    /// barrier), already including the per-pair tail of the active
-    /// [`SweepMode`].
-    pub worst: Vec<u64>,
-    /// Σ matches over the tile's pairs.
-    pub matches_total: u64,
-    /// Σ FIFO-backpressure stalls over the tile's pairs.
-    pub stall_total: u64,
-    /// Σ laggy-circuit chunk activations over the tile's pairs.
-    pub laggy_chunk_total: u64,
-    /// Σ fired bits over the tile's pairs (only filled by sweeps that read
-    /// the plane rows; the temporal-parallel kernel leaves it zero and the
-    /// caller uses [`fired_grand_total`]).
-    pub fired_total: u64,
+/// Sums of the per-pair counts over a set of pairs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct SweepTotals {
+    /// Σ matches.
+    pub matches: u64,
+    /// Σ FIFO-backpressure stalls.
+    pub stalls: u64,
+    /// Σ laggy-circuit chunk activations.
+    pub laggy_chunks: u64,
+    /// Σ fired bits (only filled by sweeps that read the plane rows; the
+    /// temporal-parallel kernel leaves it zero and the caller uses
+    /// [`fired_grand_total`]).
+    pub fired: u64,
 }
+
+impl std::ops::AddAssign for SweepTotals {
+    fn add_assign(&mut self, other: SweepTotals) {
+        self.matches += other.matches;
+        self.stalls += other.stalls;
+        self.laggy_chunks += other.laggy_chunks;
+        self.fired += other.fired;
+    }
+}
+
+/// The pure-compute result of one layer: every `(m, n)` pair's counts,
+/// for any row tiling. Only the synchronous-broadcast barrier depends on
+/// the tile height, and [`LayerSweep::tile_worst`] takes it from the
+/// per-pair drains, so one sweep serves every TPPE count.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct LayerSweep {
+    /// Rows of `A` (the column stride of the per-pair vectors).
+    pub rows: usize,
+    /// Per-pair match counts, column-major: `matches[n * rows + m]` is row
+    /// `m` against fiber-B `n`.
+    pub matches: Vec<u32>,
+    /// Per-pair drain cycles in the same layout, including the per-pair
+    /// tail of the [`SweepMode`] (at most `T·(K + 1)`, so `u32` holds them
+    /// for any `K` below 2²⁸).
+    pub drain: Vec<u32>,
+    /// Sums over every pair.
+    pub totals: SweepTotals,
+}
+
+impl LayerSweep {
+    /// A zeroed sweep of `rows × columns` pairs.
+    pub fn zeroed(rows: usize, columns: usize) -> Self {
+        LayerSweep {
+            rows,
+            matches: vec![0; rows * columns],
+            drain: vec![0; rows * columns],
+            totals: SweepTotals::default(),
+        }
+    }
+
+    /// The match counts of rows `rows` against fiber-B `n`.
+    pub fn column_matches(&self, rows: Range<usize>, n: usize) -> &[u32] {
+        &self.matches[n * self.rows + rows.start..n * self.rows + rows.end]
+    }
+
+    /// The worst drain of the row tile `rows` at fiber-B `n`: the cycles
+    /// the tile's slowest TPPE holds the broadcast.
+    pub fn tile_worst(&self, rows: Range<usize>, n: usize) -> u64 {
+        let drains = &self.drain[n * self.rows + rows.start..n * self.rows + rows.end];
+        u64::from(drains.iter().copied().max().unwrap_or(0))
+    }
+}
+
+/// Rows one sweep block covers. A block sweeps every fiber-B over rows
+/// whose mask words stay in L1, and blocks are the unit intra-layer
+/// workers claim.
+const ROW_BLOCK: usize = 32;
 
 /// The pure pair-intersection kernel of one layer sweep.
 ///
@@ -226,7 +275,8 @@ pub struct PairSweepKernel {
     chunk_words: usize,
     fifo: u64,
     /// Whether the host CPU has a hardware popcount — detected once at
-    /// construction so the per-pair loops pay no dispatch cost.
+    /// construction and dispatched on once per call, outside the pair
+    /// loops.
     popcnt: bool,
 }
 
@@ -250,29 +300,11 @@ impl PairSweepKernel {
 
     /// Mask-only sweep of one pair: matches plus the per-chunk stall/laggy
     /// bookkeeping. `a` and `b` must have equal lengths (the layer's `K`
-    /// words). Dispatches to a hardware-popcount build of the same loop
-    /// when the CPU has one (the portable `count_ones` lowers to a ~12-op
-    /// SWAR sequence on baseline x86-64, which dominates the sweep).
-    #[inline]
-    fn mask_counts(&self, a: &[u64], b: &[u64]) -> (u64, u64, u64) {
-        #[cfg(target_arch = "x86_64")]
-        if self.popcnt {
-            // SAFETY: `popcnt` was set by the runtime feature check.
-            return unsafe { self.mask_counts_popcnt(a, b) };
-        }
-        self.mask_counts_portable(a, b)
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "popcnt")]
-    unsafe fn mask_counts_popcnt(&self, a: &[u64], b: &[u64]) -> (u64, u64, u64) {
-        self.mask_counts_portable(a, b)
-    }
-
-    /// The dispatch target: `#[inline(always)]` so the body re-compiles
-    /// inside the `target_feature` wrapper with hardware popcount.
+    /// words). `#[inline(always)]` so the body compiles again inside each
+    /// hardware-popcount wrapper (the portable `count_ones` lowers to a
+    /// ~12-op SWAR sequence on baseline x86-64, which would dominate).
     #[inline(always)]
-    fn mask_counts_portable(&self, a: &[u64], b: &[u64]) -> (u64, u64, u64) {
+    fn mask_counts(&self, a: &[u64], b: &[u64]) -> (u64, u64, u64) {
         let mut matches = 0u64;
         let mut stalls = 0u64;
         let mut laggy = 0u64;
@@ -313,6 +345,27 @@ impl PairSweepKernel {
     /// Full sweep of one pair: mask counts plus the per-timestep plane
     /// counts, in one linear pass over the row's contiguous block.
     pub fn pair_counts(&self, blocks: &RowBlocks, m: usize, b: &[u64]) -> PairCounts {
+        #[cfg(target_arch = "x86_64")]
+        if self.popcnt {
+            // SAFETY: `popcnt` was set by the runtime feature check.
+            return unsafe { self.pair_counts_popcnt(blocks, m, b) };
+        }
+        self.pair_counts_inline(blocks, m, b)
+    }
+
+    /// [`PairSweepKernel::pair_counts`] compiled with hardware popcount.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support `popcnt`.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "popcnt")]
+    unsafe fn pair_counts_popcnt(&self, blocks: &RowBlocks, m: usize, b: &[u64]) -> PairCounts {
+        self.pair_counts_inline(blocks, m, b)
+    }
+
+    #[inline(always)]
+    fn pair_counts_inline(&self, blocks: &RowBlocks, m: usize, b: &[u64]) -> PairCounts {
         debug_assert_eq!(blocks.row_words(), b.len(), "fiber-B word count");
         let (matches, stalls, laggy_chunks) = self.mask_counts(blocks.mask(m), b);
         let mut counts = PairCounts {
@@ -324,119 +377,156 @@ impl PairSweepKernel {
             t_counts: [0; MAX_TIMESTEPS],
         };
         for t in 0..blocks.planes() {
-            let fired_t = self.and_count(blocks.plane(m, t), b);
+            let fired_t = and_count_words(blocks.plane(m, t), b);
             counts.t_counts[t] = fired_t as u32;
             counts.fired += fired_t;
         }
         counts
     }
 
-    /// `|a ∧ b|` over word slices, through the construction-time popcount
-    /// dispatch.
-    #[inline]
-    fn and_count(&self, a: &[u64], b: &[u64]) -> u64 {
-        #[cfg(target_arch = "x86_64")]
-        if self.popcnt {
-            // SAFETY: `popcnt` was set by the runtime feature check.
-            return unsafe { and_count_words_popcnt(a, b) };
-        }
-        and_count_words_portable(a, b)
-    }
-
-    /// Sweeps one row tile against every fiber-B: the pure compute phase of
-    /// a layer. Fiber-B words are hoisted once per column and streamed over
-    /// the tile's contiguous row blocks.
-    pub fn sweep_tile(
+    /// Sweeps one row block against every fiber-B into `out`, whose row
+    /// `offset` is the block's first row, through the popcount dispatch
+    /// once for the whole block.
+    fn sweep_block(
         &self,
         blocks: &RowBlocks,
         rows: Range<usize>,
         b_words: &[&[u64]],
         mode: SweepMode,
-    ) -> TileSweep {
-        let row_count = rows.len();
+        out: &mut LayerSweep,
+        offset: usize,
+    ) {
+        #[cfg(target_arch = "x86_64")]
+        if self.popcnt {
+            // SAFETY: `popcnt` was set by the runtime feature check.
+            return unsafe { self.sweep_block_popcnt(blocks, rows, b_words, mode, out, offset) };
+        }
+        self.sweep_block_inline(blocks, rows, b_words, mode, out, offset)
+    }
+
+    /// [`PairSweepKernel::sweep_block`] compiled with hardware popcount.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support `popcnt`.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "popcnt")]
+    unsafe fn sweep_block_popcnt(
+        &self,
+        blocks: &RowBlocks,
+        rows: Range<usize>,
+        b_words: &[&[u64]],
+        mode: SweepMode,
+        out: &mut LayerSweep,
+        offset: usize,
+    ) {
+        self.sweep_block_inline(blocks, rows, b_words, mode, out, offset)
+    }
+
+    #[inline(always)]
+    fn sweep_block_inline(
+        &self,
+        blocks: &RowBlocks,
+        rows: Range<usize>,
+        b_words: &[&[u64]],
+        mode: SweepMode,
+        out: &mut LayerSweep,
+        offset: usize,
+    ) {
         let chunks = self.chunks_for(blocks.row_words());
-        let mut sweep = TileSweep {
-            rows: rows.clone(),
-            matches: vec![0u32; row_count * b_words.len()],
-            worst: vec![0u64; b_words.len()],
-            ..TileSweep::default()
-        };
+        let mut totals = SweepTotals::default();
         for (n, b) in b_words.iter().enumerate() {
             debug_assert_eq!(blocks.row_words(), b.len(), "fiber-B word count");
-            let mut worst = 0u64;
-            for (r, m) in rows.clone().enumerate() {
+            let at = n * out.rows + offset;
+            let matches = &mut out.matches[at..at + rows.len()];
+            let drain = &mut out.drain[at..at + rows.len()];
+            for ((m, matches), drain) in rows.clone().zip(matches).zip(drain) {
                 match mode {
                     SweepMode::TemporalParallel => {
-                        let (matches, stalls, laggy) = self.mask_counts(blocks.mask(m), b);
-                        sweep.matches[n * row_count + r] = matches as u32;
-                        sweep.matches_total += matches;
-                        sweep.stall_total += stalls;
-                        sweep.laggy_chunk_total += laggy;
-                        worst = worst.max(chunks.max(matches + stalls) + 1);
+                        let (pair_matches, stalls, laggy) = self.mask_counts(blocks.mask(m), b);
+                        *matches = pair_matches as u32;
+                        *drain = (chunks.max(pair_matches + stalls) + 1) as u32;
+                        totals.matches += pair_matches;
+                        totals.stalls += stalls;
+                        totals.laggy_chunks += laggy;
                     }
                     SweepMode::SequentialT => {
-                        let counts = self.pair_counts(blocks, m, b);
-                        sweep.matches[n * row_count + r] = counts.matches as u32;
-                        sweep.matches_total += counts.matches;
-                        sweep.stall_total += counts.stalls;
-                        sweep.laggy_chunk_total += counts.laggy_chunks;
-                        sweep.fired_total += counts.fired;
-                        let mut drain = 0u64;
-                        for &fired_t in &counts.t_counts[..blocks.planes()] {
-                            drain += chunks.max(fired_t as u64) + 1;
-                        }
-                        worst = worst.max(drain);
+                        let counts = self.pair_counts_inline(blocks, m, b);
+                        *matches = counts.matches as u32;
+                        *drain = counts.t_counts[..blocks.planes()]
+                            .iter()
+                            .map(|&fired_t| chunks.max(u64::from(fired_t)) + 1)
+                            .sum::<u64>() as u32;
+                        totals.matches += counts.matches;
+                        totals.stalls += counts.stalls;
+                        totals.laggy_chunks += counts.laggy_chunks;
+                        totals.fired += counts.fired;
                     }
                 }
             }
-            sweep.worst[n] = worst;
         }
-        sweep
+        out.totals += totals;
     }
 
-    /// Sweeps a whole layer tile by tile, fanning the tiles out over
-    /// `workers` scoped threads (`1` runs inline). Tiles are claimed off a
-    /// shared counter but each worker writes its own pre-allocated slot, so
-    /// the returned tile order — and therefore every downstream report —
-    /// is identical for any worker count.
+    /// Sweeps a whole layer: the pure compute phase, with no memory-system
+    /// state touched. Rows go in fixed blocks of [`ROW_BLOCK`], fanned out
+    /// over `workers` scoped threads (`1` runs inline). Each pair's counts
+    /// land in their own slot and the totals are integer sums, so the
+    /// result is identical for any worker count.
     pub fn sweep_layer(
         &self,
         blocks: &RowBlocks,
         b_words: &[&[u64]],
-        tile_rows: usize,
         mode: SweepMode,
         workers: usize,
-    ) -> Vec<TileSweep> {
-        assert!(tile_rows > 0, "tile height must be positive");
-        let tiles: Vec<Range<usize>> = (0..blocks.rows())
-            .step_by(tile_rows)
-            .map(|start| start..(start + tile_rows).min(blocks.rows()))
+    ) -> LayerSweep {
+        debug_assert!(blocks.row_words() < 1 << 22, "drain cycles overflow u32");
+        let rows = blocks.rows();
+        let mut sweep = LayerSweep::zeroed(rows, b_words.len());
+        let row_blocks: Vec<Range<usize>> = (0..rows)
+            .step_by(ROW_BLOCK)
+            .map(|start| start..(start + ROW_BLOCK).min(rows))
             .collect();
-        let workers = workers.max(1).min(tiles.len().max(1));
-        if workers <= 1 {
-            return tiles
-                .into_iter()
-                .map(|rows| self.sweep_tile(blocks, rows, b_words, mode))
-                .collect();
-        }
-        let slots: Vec<OnceLock<TileSweep>> = (0..tiles.len()).map(|_| OnceLock::new()).collect();
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let index = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(rows) = tiles.get(index) else {
-                        break;
-                    };
-                    let sweep = self.sweep_tile(blocks, rows.clone(), b_words, mode);
-                    slots[index].set(sweep).expect("each tile is claimed once");
-                });
+        if workers.min(row_blocks.len()) <= 1 {
+            for block in row_blocks {
+                let offset = block.start;
+                self.sweep_block(blocks, block, b_words, mode, &mut sweep, offset);
             }
+            return sweep;
+        }
+        // Workers sweep claimed blocks into block-local sweeps; the results
+        // are copied into place afterwards.
+        let next = AtomicUsize::new(0);
+        let swept: Vec<(usize, LayerSweep)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers.min(row_blocks.len()))
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut done = Vec::new();
+                        while let Some(block) = row_blocks.get(next.fetch_add(1, Ordering::Relaxed))
+                        {
+                            let mut local = LayerSweep::zeroed(block.len(), b_words.len());
+                            self.sweep_block(blocks, block.clone(), b_words, mode, &mut local, 0);
+                            done.push((block.start, local));
+                        }
+                        done
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|handle| handle.join().expect("sweep workers do not panic"))
+                .collect()
         });
-        slots
-            .into_iter()
-            .map(|slot| slot.into_inner().expect("all tiles swept"))
-            .collect()
+        for (start, local) in swept {
+            for n in 0..b_words.len() {
+                let at = n * rows + start;
+                let block = n * local.rows..(n + 1) * local.rows;
+                sweep.matches[at..at + local.rows].copy_from_slice(&local.matches[block.clone()]);
+                sweep.drain[at..at + local.rows].copy_from_slice(&local.drain[block]);
+            }
+            sweep.totals += local.totals;
+        }
+        sweep
     }
 }
 
@@ -453,14 +543,8 @@ fn popcnt_available() -> bool {
     }
 }
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "popcnt")]
-unsafe fn and_count_words_popcnt(a: &[u64], b: &[u64]) -> u64 {
-    and_count_words_portable(a, b)
-}
-
 #[inline(always)]
-fn and_count_words_portable(a: &[u64], b: &[u64]) -> u64 {
+fn and_count_words(a: &[u64], b: &[u64]) -> u64 {
     a.iter()
         .zip(b)
         .map(|(aw, bw)| (aw & bw).count_ones() as u64)
@@ -633,31 +717,63 @@ pub(crate) mod tests {
         assert_eq!(bounded.matches, unbounded.matches);
     }
 
+    /// The layer sweep agrees with per-pair `pair_counts` and is identical
+    /// for any worker count.
     #[test]
     fn sweep_layer_is_worker_count_invariant() {
-        let fibers: Vec<SpikeFiber> = (0..13)
+        // More rows than two blocks, so the workers split the layer.
+        let fibers: Vec<SpikeFiber> = (0..77)
             .map(|m| fiber(&[(m * 7 % 90, 0b1010), (m * 13 % 90, 0b0111)], 90, 4))
             .collect();
         let blocks = blocks(&fibers);
-        let b_masks: Vec<Bitmask> = (0..5)
+        let mut b_masks: Vec<Bitmask> = (0..5)
             .map(|n| Bitmask::from_indices(90, &[n * 11 % 90, n * 17 % 90, 3]).unwrap())
             .collect();
+        b_masks.push(Bitmask::ones(90));
         let b_words: Vec<&[u64]> = b_masks.iter().map(|b| b.words()).collect();
-        let kernel = PairSweepKernel::new(128, Some(8));
-        let reference = kernel.sweep_layer(&blocks, &b_words, 4, SweepMode::TemporalParallel, 1);
-        assert_eq!(reference.len(), 4);
-        for workers in [2, 4, 8] {
-            let swept =
-                kernel.sweep_layer(&blocks, &b_words, 4, SweepMode::TemporalParallel, workers);
-            assert_eq!(swept, reference, "workers={workers}");
-        }
-        for workers in [1, 2, 4] {
-            let seq = kernel.sweep_layer(&blocks, &b_words, 4, SweepMode::SequentialT, workers);
-            assert_eq!(
-                seq,
-                kernel.sweep_layer(&blocks, &b_words, 4, SweepMode::SequentialT, 1),
-                "workers={workers}"
-            );
+        let kernel = PairSweepKernel::new(128, Some(1));
+        for mode in [SweepMode::TemporalParallel, SweepMode::SequentialT] {
+            let reference = kernel.sweep_layer(&blocks, &b_words, mode, 1);
+            let mut totals = SweepTotals::default();
+            for (n, b) in b_words.iter().enumerate() {
+                for m in 0..fibers.len() {
+                    let counts = kernel.pair_counts(&blocks, m, b);
+                    let drain = match mode {
+                        SweepMode::TemporalParallel => {
+                            counts.chunks.max(counts.matches + counts.stalls) + 1
+                        }
+                        SweepMode::SequentialT => counts.t_counts[..4]
+                            .iter()
+                            .map(|&fired_t| counts.chunks.max(u64::from(fired_t)) + 1)
+                            .sum(),
+                    };
+                    assert_eq!(
+                        reference.column_matches(m..m + 1, n),
+                        [counts.matches as u32]
+                    );
+                    assert_eq!(
+                        reference.tile_worst(m..m + 1, n),
+                        drain,
+                        "{mode:?} ({m}, {n})"
+                    );
+                    totals += SweepTotals {
+                        matches: counts.matches,
+                        stalls: counts.stalls,
+                        laggy_chunks: counts.laggy_chunks,
+                        fired: if mode == SweepMode::SequentialT {
+                            counts.fired
+                        } else {
+                            0
+                        },
+                    };
+                }
+            }
+            assert_eq!(reference.totals, totals, "{mode:?}");
+            assert!(totals.stalls > 0, "the FIFO of one backpressures");
+            for workers in [2, 3, 8] {
+                let swept = kernel.sweep_layer(&blocks, &b_words, mode, workers);
+                assert_eq!(swept, reference, "{mode:?} at {workers} workers");
+            }
         }
     }
 
@@ -672,11 +788,10 @@ pub(crate) mod tests {
             .collect();
         let b_words: Vec<&[u64]> = b_masks.iter().map(|b| b.words()).collect();
         let kernel = PairSweepKernel::new(128, Some(8));
-        let per_pair: u64 = kernel
-            .sweep_layer(&blocks, &b_words, 16, SweepMode::SequentialT, 1)
-            .iter()
-            .map(|tile| tile.fired_total)
-            .sum();
+        let per_pair = kernel
+            .sweep_layer(&blocks, &b_words, SweepMode::SequentialT, 1)
+            .totals
+            .fired;
         let mut col_spikes = vec![0u32; 70];
         for f in &fibers {
             for (k, word) in f.iter() {

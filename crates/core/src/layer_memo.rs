@@ -3,7 +3,7 @@
 //!
 //! A design sweep runs many configurations of one model on one shared
 //! layer, and much of each run depends on only a few config fields: the
-//! LoAS pair sweep on the kernel geometry and the tile height, the LoAS
+//! LoAS pair sweep on the kernel geometry and the cycle model, the LoAS
 //! traffic replay on everything but the off-chip bandwidth, the traffic
 //! spans on the weight precision and the line size. The memo keeps each
 //! such result under exactly the inputs that decide it, so a sweep
@@ -20,9 +20,8 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 /// Entries one layer keeps; the oldest goes first. Layers outlive their
 /// campaign in a watching runner's prepared cache, so the bound is fixed.
 /// A 13-point LoAS sweep of TPPE count, bandwidth and cache capacity needs
-/// 12 (4 sweeps, 7 replays, one span table). A sweep holds 4 bytes per
-/// `(m, n)` pair, about the size of the layer's spike planes at `T = 4`;
-/// replays hold a few counters.
+/// 9 (one sweep, 7 replays, one span table). A sweep holds 8 bytes per
+/// `(m, n)` pair (matches and drain cycles); replays hold a few counters.
 pub(crate) const MEMO_CAPACITY: usize = 16;
 
 /// What a memo entry was derived from.
@@ -33,12 +32,11 @@ pub(crate) enum MemoKey {
         weight_bits: usize,
         line_bytes: usize,
     },
-    /// A LoAS phase-1 sweep: the kernel's chunk width and FIFO depth, the
-    /// cycle model and the tile height.
+    /// A LoAS phase-1 sweep: the kernel's chunk width and FIFO depth and
+    /// the cycle model (the TPPE count only enters the replay).
     Sweep {
         kernel: PairSweepKernel,
         mode: SweepMode,
-        tile_rows: usize,
     },
     /// A LoAS phase-2 replay: the whole config, off-chip bandwidth fields
     /// normalised.

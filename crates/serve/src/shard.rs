@@ -92,8 +92,8 @@ fn line_job_id(line: &str) -> Option<usize> {
 /// # Errors
 ///
 /// Returns [`ServeError::Merge`] on a missing shard file, an unparsable
-/// line, a duplicate job id, or incomplete coverage — merging never
-/// fabricates a report.
+/// line, a job reported by a shard that does not own it, a duplicate job
+/// id, or incomplete coverage — merging never fabricates a report.
 pub fn merge_shards(
     report_dir: &Path,
     shards: usize,
@@ -121,6 +121,12 @@ pub fn merge_shards(
             if id >= expected_jobs {
                 return Err(ServeError::Merge(format!(
                     "shard {rank} reports job {id}, campaign has {expected_jobs}"
+                )));
+            }
+            if id % shards != rank {
+                return Err(ServeError::Merge(format!(
+                    "shard {rank} reports job {id}, which shard {} owns",
+                    id % shards
                 )));
             }
             if lines[id].replace(line.to_owned()).is_some() {
@@ -204,6 +210,24 @@ mod tests {
         )
         .unwrap();
         assert!(merge_shards(&dir, 2, 4).is_err());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn merge_rejects_jobs_from_a_shard_that_does_not_own_them() {
+        let dir = std::env::temp_dir().join(format!("loas-serve-owner-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let line = |id: usize| format!("{{\"job\":{id},\"label\":\"x\"}}");
+        // Shard 0 holds both jobs of a 2-way campaign; shard 1 never ran.
+        std::fs::write(
+            dir.join("report.shard-0.jsonl"),
+            format!("{}\n{}\n", line(0), line(1)),
+        )
+        .unwrap();
+        std::fs::write(dir.join("report.shard-1.jsonl"), "").unwrap();
+        let error = merge_shards(&dir, 2, 2).unwrap_err().to_string();
+        assert!(error.contains("shard 0 reports job 1"), "{error}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -556,19 +556,28 @@ impl SramCache {
         true
     }
 
-    /// Ledgers `touches` line reads of `class`, `first_touches` of them
-    /// misses and the rest hits: the closed form of replaying them through
-    /// [`SramCache::access_span`] when [`SramCache::fits_without_eviction`]
-    /// holds for every line the replay touches, where each distinct line
-    /// misses exactly once. Tag and LRU state are left as they are, so the
-    /// call stands in for the whole replay, not for part of one.
+    /// Ledgers `touches` line touches, `first_touches` of them misses and
+    /// the rest hits: the closed form of replaying them through
+    /// [`SramCache::access_span`] (line reads of `Some(class)`) or
+    /// [`SramCache::probe_span`] (`None`: tag touches that ledger no line
+    /// traffic) when [`SramCache::fits_without_eviction`] holds for every
+    /// line the replay touches, where each distinct line misses exactly
+    /// once. Tag and LRU state are left as they are, so the call stands in
+    /// for the whole replay, not for part of one.
     ///
     /// # Panics
     ///
     /// Panics when `first_touches > touches`.
-    pub fn record_unevicted(&mut self, class: TrafficClass, touches: u64, first_touches: u64) {
+    pub fn record_unevicted(
+        &mut self,
+        class: Option<TrafficClass>,
+        touches: u64,
+        first_touches: u64,
+    ) {
         assert!(first_touches <= touches, "more first touches than touches");
-        self.traffic.record(class, touches * self.line_bytes as u64);
+        if let Some(class) = class {
+            self.traffic.record(class, touches * self.line_bytes as u64);
+        }
         self.stats.misses += first_touches;
         self.stats.hits += touches - first_touches;
     }
@@ -857,14 +866,20 @@ mod tests {
                 touches.swap(i, (state % (i as u64 + 1)) as usize);
             }
             let mut walked = new_cache();
+            let mut probed = new_cache();
             for &line in &touches {
                 let span = LineSpan { first_line: line, n_lines: 1 };
                 walked.access_span(span, TrafficClass::Weight);
+                probed.probe_span(span);
             }
             let mut closed = new_cache();
-            closed.record_unevicted(TrafficClass::Weight, touches.len() as u64, footprint.len() as u64);
+            closed.record_unevicted(Some(TrafficClass::Weight), touches.len() as u64, footprint.len() as u64);
             prop_assert_eq!(walked.stats(), closed.stats());
             prop_assert_eq!(walked.traffic(), closed.traffic());
+            let mut closed_probes = new_cache();
+            closed_probes.record_unevicted(None, touches.len() as u64, footprint.len() as u64);
+            prop_assert_eq!(probed.stats(), closed_probes.stats());
+            prop_assert_eq!(probed.traffic(), closed_probes.traffic());
             // A cache that already holds lines never claims a fit.
             prop_assert!(!walked.fits_without_eviction([]));
 
