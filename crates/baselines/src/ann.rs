@@ -5,7 +5,7 @@
 
 use crate::common::Machine;
 use loas_core::kernel::{PairSweepKernel, RowBlocks, SweepMode};
-use loas_core::{weight_views, LayerReport, SweepStrategy};
+use loas_core::{weight_views, LayerReport};
 use loas_sim::TrafficClass;
 use loas_sparse::{Bitmask, WeightFiber, POINTER_BITS};
 use loas_workloads::AnnWorkload;
@@ -53,24 +53,63 @@ impl AnnPrepared {
 }
 
 /// SparTen running the dual-sparse ANN (two fast prefix-sum circuits; 8-bit
-/// activations need explicit value fetches, unlike spike trains). Sweep
-/// strategy from the `LOAS_SWEEP` environment.
+/// activations need explicit value fetches, unlike spike trains). The pair
+/// intersections run as one pure [`PairSweepKernel`] pass over the layer,
+/// and the per-pair sums fold into layer totals.
 pub fn run_sparten_ann(prepared: &AnnPrepared) -> LayerReport {
-    run_sparten_ann_with(prepared, SweepStrategy::from_env())
+    let shape = prepared.shape;
+    let chunks = (shape.k.div_ceil(128)).max(1) as u64;
+    let mut machine = sparten_ann_offchip(prepared);
+
+    // Pure phase: one kernel pass over the layer. The per-pair sums (MACs,
+    // prefix-sum activity, matched value fetches) are linear, so the
+    // layer totals fold exactly; only the per-tile peak is not.
+    let b_words: Vec<&[u64]> = prepared
+        .b_fibers
+        .iter()
+        .map(|fiber| fiber.bitmask().words())
+        .collect();
+    let sweep = PairSweepKernel::new(128, None).sweep_layer(
+        &prepared.row_blocks,
+        &b_words,
+        SweepMode::TemporalParallel,
+        1,
+    );
+    let pes = crate::common::BASELINE_PES;
+    let mask_bytes = shape.k.div_ceil(8) as u64;
+    let mut compute = 0u64;
+    for start in (0..shape.m).step_by(pes) {
+        let rows = start..(start + pes).min(shape.m);
+        // The tile reads each row's and each column's bitmask once and
+        // writes its outputs; each column waits for its slowest row.
+        machine.cache.read_untagged(
+            TrafficClass::Format,
+            (rows.len() + shape.n) as u64 * mask_bytes,
+        );
+        for n in 0..shape.n {
+            let peak = sweep.column_matches(rows.clone(), n).iter().max();
+            compute += chunks + peak.map_or(0, |&peak| u64::from(peak)) + 1;
+        }
+        machine
+            .cache
+            .write(TrafficClass::Output, (rows.len() * shape.n) as u64);
+    }
+    // Matched activations *and* weights are fetched by value; both
+    // offsets come from fast prefix-sums (two circuits).
+    let matches = sweep.totals.matches;
+    machine.stats.ops.macs += matches;
+    machine.stats.ops.fast_prefix_cycles += 2 * ((shape.m * shape.n) as u64 * chunks + matches);
+    machine.cache.read_untagged(TrafficClass::Input, matches);
+    machine.cache.read_untagged(TrafficClass::Weight, matches);
+    machine.finish(&prepared.name, "SparTen-ANN", compute)
 }
 
-/// [`run_sparten_ann`] with an explicit sweep strategy: the kernel path
-/// runs the pair intersections as one pure [`PairSweepKernel`] pass over
-/// the layer and folds the per-pair sums; the reference path is the
-/// pre-kernel scalar loop. Reports are byte-identical (asserted in tests).
-pub fn run_sparten_ann_with(prepared: &AnnPrepared, sweep: SweepStrategy) -> LayerReport {
+/// SparTen-ANN's machine with the off-chip streams charged: compressed
+/// activations (bitmask + 8-bit values), compressed weights, dense 8-bit
+/// outputs.
+fn sparten_ann_offchip(prepared: &AnnPrepared) -> Machine {
     let shape = prepared.shape;
-    let pes = crate::common::BASELINE_PES;
-    let chunks = (shape.k.div_ceil(128)).max(1) as u64;
     let mut machine = Machine::standard();
-
-    // Off-chip: compressed activations (bitmask + 8-bit values), compressed
-    // weights, dense 8-bit outputs.
     machine.hbm.read_bits(
         TrafficClass::Format,
         (shape.m * (shape.k + POINTER_BITS)) as u64,
@@ -89,82 +128,7 @@ pub fn run_sparten_ann_with(prepared: &AnnPrepared, sweep: SweepStrategy) -> Lay
     machine
         .hbm
         .write(TrafficClass::Output, (shape.m * shape.n) as u64);
-
-    let mut compute = 0u64;
-    // Pure phase: one kernel pass over the layer. The per-pair sums (MACs,
-    // prefix-sum activity, matched value fetches) are linear, so the
-    // layer totals fold exactly; only the per-tile peak is not.
-    let layer_sweep = (sweep == SweepStrategy::Kernel).then(|| {
-        let b_words: Vec<&[u64]> = prepared
-            .b_fibers
-            .iter()
-            .map(|fiber| fiber.bitmask().words())
-            .collect();
-        PairSweepKernel::new(128, None).sweep_layer(
-            &prepared.row_blocks,
-            &b_words,
-            SweepMode::TemporalParallel,
-            1,
-        )
-    });
-    let mut tile_start = 0usize;
-    while tile_start < shape.m {
-        let rows = tile_start..(tile_start + pes).min(shape.m);
-        for m in rows.clone() {
-            machine
-                .cache
-                .read_untagged(TrafficClass::Format, shape.k.div_ceil(8) as u64);
-            let _ = m;
-        }
-        match &layer_sweep {
-            Some(layer_sweep) => {
-                for n in 0..shape.n {
-                    machine
-                        .cache
-                        .read_untagged(TrafficClass::Format, shape.k.div_ceil(8) as u64);
-                    let column = layer_sweep.column_matches(rows.clone(), n);
-                    let peak = column.iter().copied().max().unwrap_or(0) as u64;
-                    compute += chunks + peak + 1;
-                }
-            }
-            None => {
-                for n in 0..shape.n {
-                    let fiber_b = &prepared.b_fibers[n];
-                    machine
-                        .cache
-                        .read_untagged(TrafficClass::Format, shape.k.div_ceil(8) as u64);
-                    let mut worst = 0u64;
-                    for m in rows.clone() {
-                        let matches = prepared.a_row_masks[m]
-                            .and_count(fiber_b.bitmask())
-                            .expect("equal K") as u64;
-                        worst = worst.max(chunks + matches + 1);
-                        machine.stats.ops.macs += matches;
-                        // Both offsets come from fast prefix-sums (two
-                        // circuits).
-                        machine.stats.ops.fast_prefix_cycles += 2 * (chunks + matches);
-                        // Matched activations *and* weights are fetched by
-                        // value.
-                        machine.cache.read_untagged(TrafficClass::Input, matches);
-                        machine.cache.read_untagged(TrafficClass::Weight, matches);
-                    }
-                    compute += worst;
-                }
-            }
-        }
-        machine
-            .cache
-            .write(TrafficClass::Output, (rows.len() * shape.n) as u64);
-        tile_start = rows.end;
-    }
-    if let Some(layer_sweep) = &layer_sweep {
-        let matches = layer_sweep.totals.matches;
-        machine.stats.ops.macs += matches;
-        machine.stats.ops.fast_prefix_cycles += 2 * ((shape.m * shape.n) as u64 * chunks + matches);
-        machine.cache.read_untagged(TrafficClass::Input, matches);
-        machine.cache.read_untagged(TrafficClass::Weight, matches);
-    }
-    machine.finish(&prepared.name, "SparTen-ANN", compute)
+    machine
 }
 
 /// Gamma running the dual-sparse ANN (row-wise Gustavson with a hardware
@@ -273,12 +237,53 @@ mod tests {
         );
     }
 
+    /// The oracle: the scalar per-pair loop. It shares only the off-chip
+    /// preamble and the report assembly with [`run_sparten_ann`].
+    fn reference_sparten_ann(prepared: &AnnPrepared) -> LayerReport {
+        let shape = prepared.shape;
+        let pes = crate::common::BASELINE_PES;
+        let chunks = (shape.k.div_ceil(128)).max(1) as u64;
+        let mut machine = sparten_ann_offchip(prepared);
+        let mut compute = 0u64;
+        let mut tile_start = 0usize;
+        while tile_start < shape.m {
+            let rows = tile_start..(tile_start + pes).min(shape.m);
+            for _ in rows.clone() {
+                machine
+                    .cache
+                    .read_untagged(TrafficClass::Format, shape.k.div_ceil(8) as u64);
+            }
+            for fiber_b in &prepared.b_fibers {
+                machine
+                    .cache
+                    .read_untagged(TrafficClass::Format, shape.k.div_ceil(8) as u64);
+                let mut worst = 0u64;
+                for m in rows.clone() {
+                    let matches = prepared.a_row_masks[m]
+                        .and_count(fiber_b.bitmask())
+                        .expect("equal K") as u64;
+                    worst = worst.max(chunks + matches + 1);
+                    machine.stats.ops.macs += matches;
+                    machine.stats.ops.fast_prefix_cycles += 2 * (chunks + matches);
+                    machine.cache.read_untagged(TrafficClass::Input, matches);
+                    machine.cache.read_untagged(TrafficClass::Weight, matches);
+                }
+                compute += worst;
+            }
+            machine
+                .cache
+                .write(TrafficClass::Output, (rows.len() * shape.n) as u64);
+            tile_start = rows.end;
+        }
+        machine.finish(&prepared.name, "SparTen-ANN", compute)
+    }
+
     #[test]
     fn ann_kernel_and_reference_sweeps_are_byte_identical() {
         let p = prepared();
         assert_eq!(
-            run_sparten_ann_with(&p, SweepStrategy::Kernel).to_portable(),
-            run_sparten_ann_with(&p, SweepStrategy::Reference).to_portable()
+            run_sparten_ann(&p).to_portable(),
+            reference_sparten_ann(&p).to_portable()
         );
     }
 

@@ -11,13 +11,11 @@
 //!   traffic the lowest of the baselines, but the inflated partial-row
 //!   working set raises the cache miss rate (Fig. 14 discussion).
 //!
-//! # Two-phase execution (simulator performance)
+//! # Cache accounting (simulator performance)
 //!
-//! The oracle, [`loas_core::SweepStrategy::Reference`], walks every
-//! `(m, t, k)` fetch through the FiberCache tag model line by line. The
-//! default [`loas_core::SweepStrategy::Kernel`] path first builds the
-//! footprint: the lines of every `B` row that `A` fires at all, plus the
-//! psum rows of the PEs in use. The footprint picks the walk:
+//! The model first builds the footprint of its FiberCache walk: the lines
+//! of every `B` row that `A` fires at all, plus the psum rows of the PEs
+//! in use. The footprint picks the walk:
 //!
 //! * **It fits** ([`SramCache::fits_without_eviction`]: no set receives
 //!   more than `ways` of its lines). Nothing is ever evicted, so each
@@ -31,16 +29,15 @@
 //!   psum row 0 is first accessed. Every fig13-grid layer fits the
 //!   paper's 256 KB FiberCache.
 //! * **It does not fit.** Every fetch goes through the tag model along
-//!   per-`B`-row [`LineSpan`]s. Each row carries a [`SpanResidency`]
-//!   token, so a row with no eviction in its sets since its last fetch is
-//!   all hits with no tag compares.
+//!   per-`B`-row [`LineSpan`]s.
 //!
-//! Both walks produce reports byte-identical to the oracle's (asserted in
-//! tests and ci.sh).
+//! This module's tests keep the per-`(m, t, k)` address walk, line by
+//! line through the tags, as the oracle both walks must match byte for
+//! byte.
 
 use crate::common::{config_builder, Machine, BASELINE_CACHE_BYTES, BASELINE_PES};
-use loas_core::{Accelerator, LayerReport, PreparedLayer, SweepStrategy};
-use loas_sim::{LineSpan, SpanResidency, SramCache, TrafficClass};
+use loas_core::{Accelerator, LayerReport, PreparedLayer};
+use loas_sim::{LineSpan, SramCache, TrafficClass};
 
 /// Typed configuration of the Gamma-SNN model. Registered in the
 /// accelerator catalog as `"gamma"`; the FiberCache geometry fields are
@@ -166,11 +163,10 @@ impl GammaConfig {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GammaSnn {
     params: GammaConfig,
-    sweep: SweepStrategy,
 }
 
 impl Default for GammaSnn {
-    /// Paper parameters, sweep strategy from the `LOAS_SWEEP` environment.
+    /// Paper parameters.
     fn default() -> Self {
         GammaSnn::new(GammaConfig::default())
     }
@@ -179,17 +175,56 @@ impl Default for GammaSnn {
 impl GammaSnn {
     /// Creates the model with the given configuration.
     pub fn new(params: GammaConfig) -> Self {
-        GammaSnn {
-            params,
-            sweep: SweepStrategy::from_env(),
-        }
+        GammaSnn { params }
     }
 
-    /// Selects the traffic-path strategy explicitly (overriding the
-    /// `LOAS_SWEEP` environment default).
-    pub fn with_sweep(mut self, sweep: SweepStrategy) -> Self {
-        self.sweep = sweep;
-        self
+    /// The machine with the off-chip streams charged: `A` as per-timestep
+    /// spike-train row fibers (the raw train doubles as the coordinate
+    /// mask, like SparTen — coordinate CSR would *exceed* dense at SNN
+    /// densities), `B` fibers once (the FiberCache keeps them resident),
+    /// output rows after the merger. Partial rows merge on chip (no psum
+    /// DRAM traffic — Gust's strength).
+    fn offchip(&self, layer: &PreparedLayer) -> Machine {
+        let p = self.params;
+        let shape = layer.shape;
+        let mut machine = Machine::with_cache(
+            p.cache_bytes,
+            p.cache_line_bytes,
+            p.cache_ways,
+            p.cache_banks,
+        );
+        machine.hbm.read_bits(
+            TrafficClass::Input,
+            (shape.m * shape.t * (shape.k + loas_sparse::POINTER_BITS)) as u64,
+        );
+        // B rows arrive as bitmask fibers (the shared weight format of this
+        // substrate): N-bit row mask + pointer per row, read once into the
+        // FiberCache.
+        machine.hbm.read_bits(
+            TrafficClass::Format,
+            (shape.k * (shape.n + loas_sparse::POINTER_BITS)) as u64,
+        );
+        // Gamma has no output-side spike compressor (that is a LoAS
+        // contribution): output spike trains leave dense.
+        machine
+            .hbm
+            .write_bits(TrafficClass::Output, (shape.m * shape.n * shape.t) as u64);
+        machine
+    }
+
+    /// The report assembly: op counts, then the machine's rooflines.
+    fn finish(
+        &self,
+        layer: &PreparedLayer,
+        mut machine: Machine,
+        compute: u64,
+        products: u64,
+    ) -> LayerReport {
+        let shape = layer.shape;
+        machine.stats.ops.accumulates = products;
+        machine.stats.ops.merges = products;
+        machine.stats.ops.lif_updates = (shape.m * shape.n * shape.t) as u64;
+        machine.finish(&layer.name, &self.name(), compute)
     }
 
     /// Walks the rows of `A` in PE-tile order, one `(m, t)` merge at a
@@ -309,182 +344,75 @@ impl Accelerator for GammaSnn {
     fn run_layer(&mut self, layer: &PreparedLayer) -> LayerReport {
         let p = self.params;
         let shape = layer.shape;
-        let mut machine = Machine::with_cache(
-            p.cache_bytes,
-            p.cache_line_bytes,
-            p.cache_ways,
-            p.cache_banks,
-        );
+        let mut machine = self.offchip(layer);
+        let line_bytes = machine.cache.line_bytes();
+        let line = line_bytes as u64;
         let coord_bits = loas_sparse::coordinate_bits(shape.n);
-
-        // ---- Off-chip: A as per-timestep spike-train row fibers (the raw
-        // train doubles as the coordinate mask, like SparTen — coordinate
-        // CSR would *exceed* dense at SNN densities); B fibers once (the
-        // FiberCache keeps them resident); output rows leave compressed
-        // after the merger; partial rows merge on chip (no psum DRAM
-        // traffic — Gust's strength).
-        machine.hbm.read_bits(
-            TrafficClass::Input,
-            (shape.m * shape.t * (shape.k + loas_sparse::POINTER_BITS)) as u64,
-        );
-        // B rows arrive as bitmask fibers (the shared weight format of this
-        // substrate): N-bit row mask + pointer per row, read once into the
-        // FiberCache.
-        machine.hbm.read_bits(
-            TrafficClass::Format,
-            (shape.k * (shape.n + loas_sparse::POINTER_BITS)) as u64,
-        );
-        let line = machine.cache.line_bytes() as u64;
-        // Gamma has no output-side spike compressor (that is a LoAS
-        // contribution): output spike trains leave dense.
-        machine
-            .hbm
-            .write_bits(TrafficClass::Output, (shape.m * shape.n * shape.t) as u64);
 
         // Address map: B rows live in the FiberCache; partial output rows
         // contend with them for capacity (the Fig. 14 miss-rate effect).
-        let mut b_row_addr = vec![0u64; shape.k];
         let mut addr = 0u64;
-        for (k, slot) in b_row_addr.iter_mut().enumerate() {
-            *slot = addr;
-            addr += ((layer.b_row_nnz[k] * (p.weight_bits + coord_bits)).div_ceil(8)) as u64;
-        }
-        let psum_row_base = addr;
+        let b_row_span: Vec<LineSpan> = (layer.b_row_nnz.iter())
+            .map(|&nnz| {
+                let bytes = ((nnz * (p.weight_bits + coord_bits)).div_ceil(8)) as u64;
+                let span = LineSpan::of_range(addr, bytes.max(1), line_bytes);
+                addr += bytes;
+                span
+            })
+            .collect();
         let psum_row_bytes = (shape.n * p.psum_bytes) as u64;
+        let psum_span: Vec<LineSpan> = (0..p.pes)
+            .map(|pe| {
+                LineSpan::of_range(
+                    addr + pe as u64 * psum_row_bytes,
+                    psum_row_bytes,
+                    line_bytes,
+                )
+            })
+            .collect();
 
-        let (compute, products) = match self.sweep {
-            // The pre-span oracle: per-access address arithmetic, per-line
-            // tag walks.
-            SweepStrategy::Reference => {
-                let mut compute = 0u64;
-                let mut products = 0u64;
-                for tile in 0..shape.m.div_ceil(p.pes) {
-                    let rows = (tile * p.pes)..((tile + 1) * p.pes).min(shape.m);
-                    let mut worst = 0u64;
-                    for m in rows {
-                        let mut row_cycles = 0u64;
-                        for (t, plane) in layer.workload.spikes.planes().iter().enumerate() {
-                            let mut fibers = 0usize;
-                            let mut row_products = 0u64;
-                            for k in plane.row(m).iter_ones() {
-                                let nnz_b = layer.b_row_nnz[k] as u64;
-                                // Fetch B row k from the FiberCache (repeated every
-                                // timestep and every row of A that needs it).
-                                let bytes = ((layer.b_row_nnz[k] * (p.weight_bits + coord_bits))
-                                    .div_ceil(8))
-                                    as u64;
-                                let missed = machine.cache.access_range(
-                                    b_row_addr[k],
-                                    bytes.max(1),
-                                    TrafficClass::Weight,
-                                );
-                                machine.hbm.read(TrafficClass::Weight, missed * line);
-                                row_products += nnz_b.max(1);
-                                fibers += 1;
-                            }
-                            // Merge: one element per cycle through the radix-64
-                            // merger; more fibers than the radix force extra rounds
-                            // through partial rows (re-read + re-write).
-                            let rounds = p.merge_rounds(fibers);
-                            row_cycles += (row_products / p.merge_rate) * rounds;
-                            products += row_products;
-                            // The partial output row streams through the cache once
-                            // per timestep (write + readback by the merger).
-                            machine.cache.access_range(
-                                psum_row_base + (m % p.pes) as u64 * psum_row_bytes,
-                                psum_row_bytes,
-                                TrafficClass::Psum,
-                            );
-                            machine.cache.write(TrafficClass::Psum, psum_row_bytes);
-                            let _ = t;
-                        }
-                        worst = worst.max(row_cycles);
+        // When the footprint cannot evict, the counts follow from it and
+        // only compute is walked; otherwise every B-row fetch and psum
+        // pass goes through the tags, in the order of the oracle.
+        let (compute, products) = if let Some(misses) =
+            unevicted_misses(&machine.cache, layer, &b_row_span, &psum_span)
+        {
+            let walked = self.walk_rows(layer, &mut machine, |_, _| {}, |_, _| {});
+            let weight_touches: u64 = (layer.col_spikes.iter().zip(&b_row_span))
+                .map(|(&spikes, span)| u64::from(spikes) * span.n_lines)
+                .sum();
+            let psum_touches = shape.t as u64
+                * (0..shape.m)
+                    .map(|m| psum_span[m % p.pes].n_lines)
+                    .sum::<u64>();
+            let cache = &mut machine.cache;
+            cache.record_unevicted(Some(TrafficClass::Weight), weight_touches, misses.weight);
+            cache.record_unevicted(Some(TrafficClass::Psum), psum_touches, misses.psum);
+            cache.write(
+                TrafficClass::Psum,
+                (shape.m * shape.t) as u64 * psum_row_bytes,
+            );
+            machine.hbm.read(TrafficClass::Weight, misses.weight * line);
+            walked
+        } else {
+            self.walk_rows(
+                layer,
+                &mut machine,
+                |machine, k| {
+                    let missed = machine
+                        .cache
+                        .access_span(b_row_span[k], TrafficClass::Weight);
+                    if missed > 0 {
+                        machine.hbm.read(TrafficClass::Weight, missed * line);
                     }
-                    compute += worst;
-                }
-                (compute, products)
-            }
-            // The cache-model-aware walk: per-B-row spans precomputed once.
-            // When the footprint cannot evict, the counts follow from it and
-            // only compute is walked; otherwise residency tokens make an
-            // unevicted row's refetch all-hits with no tag compares. Access
-            // order is identical to the oracle, so reports are byte-identical.
-            SweepStrategy::Kernel => {
-                let line_bytes = machine.cache.line_bytes();
-                let b_row_span: Vec<LineSpan> = b_row_addr
-                    .iter()
-                    .zip(layer.b_row_nnz.iter())
-                    .map(|(&addr, &nnz)| {
-                        let bytes = ((nnz * (p.weight_bits + coord_bits)).div_ceil(8)) as u64;
-                        LineSpan::of_range(addr, bytes.max(1), line_bytes)
-                    })
-                    .collect();
-                let psum_span: Vec<LineSpan> = (0..p.pes)
-                    .map(|pe| {
-                        LineSpan::of_range(
-                            psum_row_base + pe as u64 * psum_row_bytes,
-                            psum_row_bytes,
-                            line_bytes,
-                        )
-                    })
-                    .collect();
-                if let Some(misses) =
-                    unevicted_misses(&machine.cache, layer, &b_row_span, &psum_span)
-                {
-                    let walked = self.walk_rows(layer, &mut machine, |_, _| {}, |_, _| {});
-                    let weight_touches: u64 = (layer.col_spikes.iter().zip(&b_row_span))
-                        .map(|(&spikes, span)| u64::from(spikes) * span.n_lines)
-                        .sum();
-                    let psum_touches = shape.t as u64
-                        * (0..shape.m)
-                            .map(|m| psum_span[m % p.pes].n_lines)
-                            .sum::<u64>();
-                    let cache = &mut machine.cache;
-                    cache.record_unevicted(
-                        Some(TrafficClass::Weight),
-                        weight_touches,
-                        misses.weight,
-                    );
-                    cache.record_unevicted(Some(TrafficClass::Psum), psum_touches, misses.psum);
-                    cache.write(
-                        TrafficClass::Psum,
-                        (shape.m * shape.t) as u64 * psum_row_bytes,
-                    );
-                    machine.hbm.read(TrafficClass::Weight, misses.weight * line);
-                    walked
-                } else {
-                    let mut b_row_residency = vec![SpanResidency::default(); shape.k];
-                    let mut psum_residency = vec![SpanResidency::default(); p.pes];
-                    self.walk_rows(
-                        layer,
-                        &mut machine,
-                        |machine, k| {
-                            let missed = machine.cache.access_span_resident(
-                                b_row_span[k],
-                                &mut b_row_residency[k],
-                                TrafficClass::Weight,
-                            );
-                            if missed > 0 {
-                                machine.hbm.read(TrafficClass::Weight, missed * line);
-                            }
-                        },
-                        |machine, pe| {
-                            machine.cache.access_span_resident(
-                                psum_span[pe],
-                                &mut psum_residency[pe],
-                                TrafficClass::Psum,
-                            );
-                            machine.cache.write(TrafficClass::Psum, psum_row_bytes);
-                        },
-                    )
-                }
-            }
+                },
+                |machine, pe| {
+                    machine.cache.access_span(psum_span[pe], TrafficClass::Psum);
+                    machine.cache.write(TrafficClass::Psum, psum_row_bytes);
+                },
+            )
         };
-
-        machine.stats.ops.accumulates = products;
-        machine.stats.ops.merges = products;
-        machine.stats.ops.lif_updates = (shape.m * shape.n * shape.t) as u64;
-        machine.finish(&layer.name, &self.name(), compute)
+        self.finish(layer, machine, compute, products)
     }
 }
 
@@ -556,11 +484,66 @@ mod tests {
         );
     }
 
-    fn portable(config: GammaConfig, sweep: SweepStrategy, layer: &PreparedLayer) -> String {
-        GammaSnn::new(config)
-            .with_sweep(sweep)
-            .run_layer(layer)
-            .to_portable()
+    /// The oracle: every `(m, t, k)` fetch walks the FiberCache tags line
+    /// by line through per-access address arithmetic. It shares only the
+    /// off-chip preamble and the report assembly with the model.
+    fn reference(p: GammaConfig, layer: &PreparedLayer) -> LayerReport {
+        let model = GammaSnn::new(p);
+        let shape = layer.shape;
+        let mut machine = model.offchip(layer);
+        let line = machine.cache.line_bytes() as u64;
+        let coord_bits = loas_sparse::coordinate_bits(shape.n);
+        let mut b_row_addr = vec![0u64; shape.k];
+        let mut addr = 0u64;
+        for (k, slot) in b_row_addr.iter_mut().enumerate() {
+            *slot = addr;
+            addr += ((layer.b_row_nnz[k] * (p.weight_bits + coord_bits)).div_ceil(8)) as u64;
+        }
+        let psum_row_base = addr;
+        let psum_row_bytes = (shape.n * p.psum_bytes) as u64;
+        let mut compute = 0u64;
+        let mut products = 0u64;
+        for tile in 0..shape.m.div_ceil(p.pes) {
+            let rows = (tile * p.pes)..((tile + 1) * p.pes).min(shape.m);
+            let mut worst = 0u64;
+            for m in rows {
+                let mut row_cycles = 0u64;
+                for plane in layer.workload.spikes.planes() {
+                    let mut fibers = 0usize;
+                    let mut row_products = 0u64;
+                    for k in plane.row(m).iter_ones() {
+                        // Fetch B row k from the FiberCache (repeated every
+                        // timestep and every row of A that needs it).
+                        let bytes = ((layer.b_row_nnz[k] * (p.weight_bits + coord_bits))
+                            .div_ceil(8)) as u64;
+                        let missed = machine.cache.access_range(
+                            b_row_addr[k],
+                            bytes.max(1),
+                            TrafficClass::Weight,
+                        );
+                        machine.hbm.read(TrafficClass::Weight, missed * line);
+                        row_products += (layer.b_row_nnz[k] as u64).max(1);
+                        fibers += 1;
+                    }
+                    // Merge: one element per cycle through the radix-64
+                    // merger; more fibers than the radix force extra
+                    // rounds through partial rows.
+                    row_cycles += (row_products / p.merge_rate) * p.merge_rounds(fibers);
+                    products += row_products;
+                    // The partial output row streams through the cache
+                    // once per timestep (write + readback by the merger).
+                    machine.cache.access_range(
+                        psum_row_base + (m % p.pes) as u64 * psum_row_bytes,
+                        psum_row_bytes,
+                        TrafficClass::Psum,
+                    );
+                    machine.cache.write(TrafficClass::Psum, psum_row_bytes);
+                }
+                worst = worst.max(row_cycles);
+            }
+            compute += worst;
+        }
+        model.finish(layer, machine, compute, products)
     }
 
     #[test]
@@ -603,14 +586,9 @@ mod tests {
                 cache_ways: ways,
                 ..GammaConfig::default()
             };
-            let oracle = |config| {
-                GammaSnn::new(config)
-                    .with_sweep(SweepStrategy::Reference)
-                    .run_layer(&layer)
-            };
-            let golden = oracle(config);
+            let golden = reference(config, &layer);
             assert_eq!(
-                portable(config, SweepStrategy::Kernel, &layer),
+                GammaSnn::new(config).run_layer(&layer).to_portable(),
                 golden.to_portable(),
                 "{config:?} on {:?}",
                 layer.shape
@@ -622,7 +600,7 @@ mod tests {
                 cache_ways: 1,
                 ..config
             };
-            if golden.stats.cache.misses == oracle(boundless).stats.cache.misses {
+            if golden.stats.cache.misses == reference(boundless, &layer).stats.cache.misses {
                 fitting += 1;
             } else {
                 evicting += 1;
@@ -659,9 +637,7 @@ mod tests {
         for (fired, weight_dram) in [(false, 0), (true, 64)] {
             workload.spikes.set(0, 1, 0, fired);
             let layer = PreparedLayer::new(&workload);
-            let report = GammaSnn::new(config)
-                .with_sweep(SweepStrategy::Kernel)
-                .run_layer(&layer);
+            let report = GammaSnn::new(config).run_layer(&layer);
             assert_eq!(report.stats.cache.misses, 1);
             assert_eq!(
                 report.stats.dram.get(TrafficClass::Weight),
@@ -670,7 +646,7 @@ mod tests {
             );
             assert_eq!(
                 report.to_portable(),
-                portable(config, SweepStrategy::Reference, &layer)
+                reference(config, &layer).to_portable()
             );
         }
     }

@@ -12,10 +12,15 @@
 //! * **Per-spike coordinates**: each spike is stored as a CSR coordinate
 //!   (`log2(M)` bits per spike per timestep), the largest compressed-format
 //!   footprint of all designs (Fig. 14).
+//!
+//! Every spike at column `k`, in any row and timestep, costs the same
+//! stream cycles and products, so the model sums the stream in closed form
+//! from the per-column spike counts. This module's tests keep the
+//! per-spike loop as the oracle.
 
 use crate::common::{config_builder, Machine};
-use loas_core::{Accelerator, LayerReport, PreparedLayer, SweepStrategy};
-use loas_sim::{LineSpan, SpanResidency, TrafficClass};
+use loas_core::{Accelerator, LayerReport, PreparedLayer};
+use loas_sim::TrafficClass;
 
 /// Typed configuration of the GoSPA-SNN model. Registered in the
 /// accelerator catalog as `"gospa"`.
@@ -83,11 +88,10 @@ loas_core::impl_model_config!(GospaConfig, "gospa", {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GospaSnn {
     params: GospaConfig,
-    sweep: SweepStrategy,
 }
 
 impl Default for GospaSnn {
-    /// Paper parameters, sweep strategy from the `LOAS_SWEEP` environment.
+    /// Paper parameters.
     fn default() -> Self {
         GospaSnn::new(GospaConfig::default())
     }
@@ -96,17 +100,7 @@ impl Default for GospaSnn {
 impl GospaSnn {
     /// Creates the model with the given configuration.
     pub fn new(params: GospaConfig) -> Self {
-        GospaSnn {
-            params,
-            sweep: SweepStrategy::from_env(),
-        }
-    }
-
-    /// Selects the traffic-path strategy explicitly (overriding the
-    /// `LOAS_SWEEP` environment default).
-    pub fn with_sweep(mut self, sweep: SweepStrategy) -> Self {
-        self.sweep = sweep;
-        self
+        GospaSnn { params }
     }
 
     /// Off-chip psum traffic (bytes) for a given live-psum footprint: what
@@ -115,21 +109,15 @@ impl GospaSnn {
     pub fn psum_spill_bytes(&self, live_psum_bytes: u64) -> u64 {
         live_psum_bytes.saturating_sub(self.params.psum_buffer_bytes as u64)
     }
-}
 
-impl Accelerator for GospaSnn {
-    fn name(&self) -> String {
-        "GoSPA-SNN".to_owned()
-    }
-
-    fn run_layer(&mut self, layer: &PreparedLayer) -> LayerReport {
+    /// The machine with the off-chip streams charged — `A` in per-timestep
+    /// CSR (coordinates only: the costliest format for unary spikes), `B`
+    /// in CSR with values, psum spills, outputs dense — and the spill
+    /// bytes.
+    fn offchip(&self, layer: &PreparedLayer) -> (Machine, u64) {
         let p = self.params;
         let shape = layer.shape;
         let mut machine = Machine::standard();
-
-        // ---- Off-chip: A in per-timestep CSR (coordinates only: the
-        // costliest format for unary spikes), B in CSR with values, psum
-        // spills, outputs dense.
         let (_, a_format_bits) = layer.a_csr_bits();
         machine.hbm.read_bits(TrafficClass::Format, a_format_bits);
         let b_nnz = layer.b_nnz();
@@ -147,119 +135,79 @@ impl Accelerator for GospaSnn {
         machine
             .hbm
             .write_bits(TrafficClass::Output, (shape.m * shape.n * shape.t) as u64);
+        (machine, spill)
+    }
 
-        // ---- Compute + on-chip traffic.
+    /// The report assembly: op counts, the spill's write-port cycles, then
+    /// the machine's rooflines.
+    fn finish(
+        &self,
+        layer: &PreparedLayer,
+        mut machine: Machine,
+        compute: u64,
+        products: u64,
+        spill: u64,
+    ) -> LayerReport {
+        let shape = layer.shape;
+        machine.stats.ops.accumulates = products;
+        machine.stats.ops.lif_updates = (shape.m * shape.n * shape.t) as u64;
+        // Spill transfers also occupy the compute pipeline's write port.
+        machine.finish(&layer.name, &self.name(), compute + spill / 16)
+    }
+}
+
+impl Accelerator for GospaSnn {
+    fn name(&self) -> String {
+        "GoSPA-SNN".to_owned()
+    }
+
+    fn run_layer(&mut self, layer: &PreparedLayer) -> LayerReport {
+        let p = self.params;
+        let shape = layer.shape;
+        let (mut machine, spill) = self.offchip(layer);
+
         // GoSPA streams one non-zero activation per cycle; each occupies the
-        // 16 accumulation lanes for ceil(nnzB_row / lanes) cycles.
+        // 16 accumulation lanes for `max(1, ⌈nnzB_row(k) / lanes⌉)` cycles
+        // and makes `nnzB_row(k)` products, whatever its row and timestep.
         let mut compute = 0u64;
-        let mut products_total = 0u64;
-        // Address map for B rows (tagged: GoSPA's k-major order touches each
-        // row once per timestep, so the cache keeps them hot — the
-        // output-stationary dataflow's low miss rate, Fig. 14).
-        let mut b_row_addr = vec![0u64; shape.k];
-        let mut addr = 0u64;
-        for (k, slot) in b_row_addr.iter_mut().enumerate() {
-            *slot = addr;
-            addr += ((layer.b_row_nnz[k] * (p.weight_bits + coord_bits)).div_ceil(8)) as u64;
+        let mut products = 0u64;
+        for (&spikes, &nnz_b) in layer.col_spikes.iter().zip(layer.b_row_nnz.iter()) {
+            let (spikes, nnz_b) = (u64::from(spikes), nnz_b as u64);
+            compute += spikes * (nnz_b.div_ceil(p.lanes as u64)).max(1);
+            products += spikes * nnz_b;
         }
-        // The span path of the k-major walk: per-row spans precomputed
-        // once, residency tokens so the timestep-over-timestep re-walk of
-        // a still-hot row is all-hits with no tag compares. The reference
-        // strategy keeps the per-access arithmetic below as the oracle;
-        // reports are byte-identical either way (asserted in tests).
-        let mut spanned_rows = (self.sweep == SweepStrategy::Kernel).then(|| {
-            let line_bytes = machine.cache.line_bytes();
-            let spans: Vec<LineSpan> = b_row_addr
-                .iter()
-                .zip(layer.b_row_nnz.iter())
-                .map(|(&row_addr, &nnz)| {
-                    let bytes = ((nnz * (p.weight_bits + coord_bits)).div_ceil(8)) as u64;
-                    LineSpan::of_range(row_addr, bytes, line_bytes)
-                })
-                .collect();
-            (spans, vec![SpanResidency::default(); shape.k])
-        });
-        // The kernel path sums the stream in closed form: every spike at
-        // column `k`, in any row and timestep, costs the same
-        // `max(1, ⌈nnzB_row(k) / lanes⌉)` cycles and `nnzB_row(k)`
-        // products, and the per-column spike counts are precomputed.
-        if self.sweep == SweepStrategy::Kernel {
-            for (&spikes, &nnz_b) in layer.col_spikes.iter().zip(layer.b_row_nnz.iter()) {
-                let (spikes, nnz_b) = (u64::from(spikes), nnz_b as u64);
-                compute += spikes * (nnz_b.div_ceil(p.lanes as u64)).max(1);
-                products_total += spikes * nnz_b;
-            }
-        }
-        for (t, plane) in layer.workload.spikes.planes().iter().enumerate() {
-            // Per-timestep activation stream: per-column counts of A.
-            let spikes_t = match self.sweep {
-                SweepStrategy::Kernel => plane.popcount() as u64,
-                SweepStrategy::Reference => {
-                    let mut spikes_t = 0u64;
-                    for m in 0..shape.m {
-                        for k in plane.row(m).iter_ones() {
-                            let nnz_b = layer.b_row_nnz[k] as u64;
-                            compute += (nnz_b.div_ceil(p.lanes as u64)).max(1);
-                            products_total += nnz_b;
-                            spikes_t += 1;
-                        }
-                    }
-                    spikes_t
-                }
-            };
+        let coord_bits = loas_sparse::coordinate_bits(shape.n);
+        let b_row_bytes = |nnz: usize| ((nnz * (p.weight_bits + coord_bits)).div_ceil(8)) as u64;
+        let psum_bytes = (shape.m * shape.n * p.psum_bytes) as u64;
+        for plane in layer.workload.spikes.planes() {
             // On-chip: the timestep's CSR stream (coordinates) + B rows
             // (read once per (k, t) on average thanks to k-major order).
             machine.cache.read_untagged(
                 TrafficClass::Format,
-                (spikes_t * loas_sparse::coordinate_bits(shape.m) as u64).div_ceil(8),
+                (plane.popcount() as u64 * loas_sparse::coordinate_bits(shape.m) as u64)
+                    .div_ceil(8),
             );
-            machine.cache.read_untagged(
-                TrafficClass::Weight,
-                ((b_nnz * (p.weight_bits + coord_bits)) as u64).div_ceil(8),
-            );
-            // B rows walk through the cache in k-major order once per
-            // timestep: hot after the first pass.
-            match spanned_rows.as_mut() {
-                Some((spans, residency)) => {
-                    for (k, &nnz) in layer.b_row_nnz.iter().enumerate() {
-                        if nnz > 0 {
-                            machine.cache.access_span_resident(
-                                spans[k],
-                                &mut residency[k],
-                                TrafficClass::Weight,
-                            );
-                        }
-                    }
+            machine
+                .cache
+                .read_untagged(TrafficClass::Weight, b_row_bytes(layer.b_nnz()));
+            // B rows walk through the cache tags in k-major order once per
+            // timestep: hot after the first pass — the output-stationary
+            // dataflow's low miss rate (Fig. 14).
+            let mut addr = 0u64;
+            for &nnz in layer.b_row_nnz.iter() {
+                let bytes = b_row_bytes(nnz);
+                if nnz > 0 {
+                    machine
+                        .cache
+                        .access_range(addr, bytes, TrafficClass::Weight);
                 }
-                None => {
-                    for (&row_addr, &nnz) in b_row_addr.iter().zip(layer.b_row_nnz.iter()) {
-                        if nnz > 0 {
-                            let bytes = ((nnz * (p.weight_bits + coord_bits)).div_ceil(8)) as u64;
-                            machine
-                                .cache
-                                .access_range(row_addr, bytes, TrafficClass::Weight);
-                        }
-                    }
-                }
+                addr += bytes;
             }
             // Completed psums cross SRAM once on the way out (+ LIF read).
-            machine.cache.write(
-                TrafficClass::Psum,
-                (shape.m * shape.n * p.psum_bytes) as u64,
-            );
-            machine.cache.read_untagged(
-                TrafficClass::Psum,
-                (shape.m * shape.n * p.psum_bytes) as u64,
-            );
-            let _ = t;
+            machine.cache.write(TrafficClass::Psum, psum_bytes);
+            machine.cache.read_untagged(TrafficClass::Psum, psum_bytes);
         }
-
-        machine.stats.ops.accumulates = products_total;
-        machine.stats.ops.lif_updates = (shape.m * shape.n * shape.t) as u64;
-        // Spill transfers also occupy the compute pipeline's write port.
-        compute += spill / 16;
-
-        machine.finish(&layer.name, &self.name(), compute)
+        self.finish(layer, machine, compute, products, spill)
     }
 }
 
@@ -332,25 +280,69 @@ mod tests {
         );
     }
 
-    /// The kernel path (closed-form stream sums, span walk) against the
-    /// per-spike, per-access oracle, on layers with and without psum
-    /// spills, a fine-tuned layer, and lane counts that do and do not
-    /// divide the `B` rows.
+    /// The oracle: the stream walked spike by spike, and the `B` rows by
+    /// per-access address arithmetic. It shares only the off-chip
+    /// preamble and the report assembly with the model.
+    fn reference(model: GospaSnn, layer: &PreparedLayer) -> LayerReport {
+        let p = model.params;
+        let shape = layer.shape;
+        let (mut machine, spill) = model.offchip(layer);
+        let coord_bits = loas_sparse::coordinate_bits(shape.n);
+        let mut b_row_addr = vec![0u64; shape.k];
+        let mut addr = 0u64;
+        for (k, slot) in b_row_addr.iter_mut().enumerate() {
+            *slot = addr;
+            addr += ((layer.b_row_nnz[k] * (p.weight_bits + coord_bits)).div_ceil(8)) as u64;
+        }
+        let (mut compute, mut products) = (0u64, 0u64);
+        for plane in layer.workload.spikes.planes() {
+            let mut spikes_t = 0u64;
+            for m in 0..shape.m {
+                for k in plane.row(m).iter_ones() {
+                    let nnz_b = layer.b_row_nnz[k] as u64;
+                    compute += (nnz_b.div_ceil(p.lanes as u64)).max(1);
+                    products += nnz_b;
+                    spikes_t += 1;
+                }
+            }
+            machine.cache.read_untagged(
+                TrafficClass::Format,
+                (spikes_t * loas_sparse::coordinate_bits(shape.m) as u64).div_ceil(8),
+            );
+            machine.cache.read_untagged(
+                TrafficClass::Weight,
+                ((layer.b_nnz() * (p.weight_bits + coord_bits)) as u64).div_ceil(8),
+            );
+            for (&row_addr, &nnz) in b_row_addr.iter().zip(layer.b_row_nnz.iter()) {
+                if nnz > 0 {
+                    let bytes = ((nnz * (p.weight_bits + coord_bits)).div_ceil(8)) as u64;
+                    machine
+                        .cache
+                        .access_range(row_addr, bytes, TrafficClass::Weight);
+                }
+            }
+            let psum_bytes = (shape.m * shape.n * p.psum_bytes) as u64;
+            machine.cache.write(TrafficClass::Psum, psum_bytes);
+            machine.cache.read_untagged(TrafficClass::Psum, psum_bytes);
+        }
+        model.finish(layer, machine, compute, products, spill)
+    }
+
+    /// The closed-form stream sums against the per-spike oracle, on
+    /// layers with and without psum spills, a fine-tuned layer, and lane
+    /// counts that do and do not divide the `B` rows.
     #[test]
     fn span_and_reference_walks_are_byte_identical() {
         let spilling = layer(4, 512);
         for l in [layer(4, 64), layer(1, 16), spilling.fine_tuned(), spilling] {
             for lanes in [1, 3, 16] {
-                let model = GospaSnn::new(GospaConfig::builder().lanes(lanes).build());
-                let golden = model
-                    .with_sweep(SweepStrategy::Reference)
-                    .run_layer(&l)
-                    .to_portable();
-                let kernel = model
-                    .with_sweep(SweepStrategy::Kernel)
-                    .run_layer(&l)
-                    .to_portable();
-                assert_eq!(kernel, golden, "{} at {lanes} lanes", l.name);
+                let mut model = GospaSnn::new(GospaConfig::builder().lanes(lanes).build());
+                assert_eq!(
+                    model.run_layer(&l).to_portable(),
+                    reference(model, &l).to_portable(),
+                    "{} at {lanes} lanes",
+                    l.name
+                );
             }
         }
     }

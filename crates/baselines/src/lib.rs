@@ -46,7 +46,7 @@ mod sparten;
 mod stellar;
 mod systolic;
 
-pub use ann::{run_gamma_ann, run_sparten_ann, run_sparten_ann_with, AnnPrepared};
+pub use ann::{run_gamma_ann, run_sparten_ann, AnnPrepared};
 pub use common::{BASELINE_CACHE_BYTES, BASELINE_HBM_GBPS, BASELINE_PES};
 pub use gamma::{GammaConfig, GammaConfigBuilder, GammaSnn};
 pub use gospa::{GospaConfig, GospaConfigBuilder, GospaSnn};

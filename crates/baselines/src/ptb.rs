@@ -56,7 +56,7 @@ impl PtbConfig {
         if !in_range {
             return Err("utilization must be in (0, 1]".to_owned());
         }
-        Ok(())
+        loas_core::check_precision(self.weight_bits, None)
     }
 
     fn validated(self) -> Self {

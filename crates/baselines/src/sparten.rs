@@ -16,23 +16,22 @@
 //! * Between timestep rounds the join pipeline drains and restarts
 //!   ([`SparTenConfig::timestep_restart_cycles`]).
 //!
-//! # Two-phase execution (simulator performance)
+//! # Aggregated sweep (simulator performance)
 //!
 //! The per-`(row, column, timestep)` AND-popcount sweep only enters the
 //! report through sums that are linear in the per-timestep match counts,
-//! so the kernel strategy replaces the whole `O(M·N·T·K/64)` sweep with
-//! the `O(nnz)` identity `Σ_{n,t} |A_t[m] ∧ B[n]| = Σ_k fires(m, k) ·
-//! rowNNZ_B(k)` folded per tile, then replays the tag-accurate cache
-//! accesses in the original order. [`loas_core::SweepStrategy::Reference`]
-//! preserves the pre-kernel scalar loop; both produce byte-identical
-//! reports (asserted in tests). The kernel shortcut requires byte-aligned
-//! weights (`weight_bits % 8 == 0`, true for the paper configuration) so
+//! so the model replaces the whole `O(M·N·T·K/64)` sweep with the `O(nnz)`
+//! identity `Σ_{n,t} |A_t[m] ∧ B[n]| = Σ_k fires(m, k) · rowNNZ_B(k)`
+//! folded per tile. The identity needs byte-aligned weights
+//! (`weight_bits % 8 == 0`, true for the paper configuration) so that
 //! per-access byte rounding stays exact under aggregation; other widths
-//! fall back to the scalar loop.
+//! run the scalar per-`(pair, timestep)` loop. Both share the tag walk of
+//! the `bm-B` rounds, and this module's tests check them against each
+//! other on byte-aligned weights.
 
 use crate::common::{config_builder, Machine, BASELINE_CACHE_BYTES, BASELINE_PES};
-use loas_core::{Accelerator, LayerReport, PreparedLayer, SweepStrategy};
-use loas_sim::{Cycle, LineSpan, SpanResidency, TrafficClass};
+use loas_core::{Accelerator, LayerReport, PreparedLayer};
+use loas_sim::TrafficClass;
 use loas_sparse::POINTER_BITS;
 
 /// Typed configuration of the SparTen-SNN model (the paper's Section V
@@ -131,11 +130,10 @@ loas_core::impl_model_config!(SparTenConfig, "sparten", {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SparTenSnn {
     params: SparTenConfig,
-    sweep: SweepStrategy,
 }
 
 impl Default for SparTenSnn {
-    /// Paper parameters, sweep strategy from the `LOAS_SWEEP` environment.
+    /// Paper parameters.
     fn default() -> Self {
         SparTenSnn::new(SparTenConfig::default())
     }
@@ -144,32 +142,18 @@ impl Default for SparTenSnn {
 impl SparTenSnn {
     /// Creates the model with the given configuration.
     pub fn new(params: SparTenConfig) -> Self {
-        SparTenSnn {
-            params,
-            sweep: SweepStrategy::from_env(),
-        }
+        SparTenSnn { params }
     }
 
-    /// Selects the pure-phase sweep strategy explicitly (overriding the
-    /// `LOAS_SWEEP` environment default).
-    pub fn with_sweep(mut self, sweep: SweepStrategy) -> Self {
-        self.sweep = sweep;
-        self
-    }
-
-    /// Whether the aggregated kernel shortcut is exact for these
-    /// parameters (per-timestep weight-byte rounding must be linear).
+    /// Whether the aggregated sweep is exact for these parameters
+    /// (per-timestep weight-byte rounding must be linear).
     fn kernel_path(&self) -> bool {
-        self.sweep == SweepStrategy::Kernel && self.params.weight_bits.is_multiple_of(8)
-    }
-}
-
-impl Accelerator for SparTenSnn {
-    fn name(&self) -> String {
-        "SparTen-SNN".to_owned()
+        self.params.weight_bits.is_multiple_of(8)
     }
 
-    fn run_layer(&mut self, layer: &PreparedLayer) -> LayerReport {
+    /// Simulates `layer`, with the aggregated sweep when `aggregated` and
+    /// the scalar per-`(pair, timestep)` loop otherwise.
+    fn simulate(&self, layer: &PreparedLayer, aggregated: bool) -> LayerReport {
         let p = self.params;
         let shape = layer.shape;
         let mut machine = Machine::with_cache(
@@ -207,33 +191,16 @@ impl Accelerator for SparTenSnn {
         let mut compute = 0u64;
         let planes = layer.workload.spikes.planes();
         let row_bytes = shape.k.div_ceil(8) as u64;
-
-        // Span path (kernel strategy): the bm-B rounds and A-row loads go
-        // through precomputed LineSpans, with residency tokens on bm-B so
-        // the `T` back-to-back re-scans of a still-resident bitmask (and
-        // the next tile's revisit) take the all-hits fast path. The
-        // reference strategy keeps the per-access arithmetic as the
-        // oracle; reports are byte-identical (asserted in tests).
-        let line_bytes = machine.cache.line_bytes();
         let b_bm_bytes = (shape.k + POINTER_BITS).div_ceil(8) as u64;
-        let mut spanned_b = self.kernel_path().then(|| {
-            let spans: Vec<LineSpan> = b_addr
-                .iter()
-                .map(|&addr| LineSpan::of_range(addr, b_bm_bytes, line_bytes))
-                .collect();
-            (spans, vec![SpanResidency::default(); shape.n])
-        });
 
         let mut tile_start = 0usize;
         while tile_start < shape.m {
             let tile_end = (tile_start + p.pes).min(shape.m);
             let rows = tile_start..tile_end;
             // Each PE holds its row's spike trains (per timestep) while the
-            // column loop sweeps: one SRAM pass per (row, t) per layer
-            // (each span is touched once, so `access_range`'s internal
-            // span batching is already optimal here — no token needed).
+            // column loop sweeps: one SRAM pass per (row, t) per layer.
             for m in rows.clone() {
-                for (t, _) in planes.iter().enumerate() {
+                for t in 0..shape.t {
                     let missed = machine.cache.access_range(
                         a_plane_bytes * t as u64 + (m as u64) * row_bytes,
                         row_bytes,
@@ -242,38 +209,33 @@ impl Accelerator for SparTenSnn {
                     machine.hbm.read(TrafficClass::Input, missed * line);
                 }
             }
+            // bm-B is re-broadcast once per timestep round (the join unit
+            // scans it anew each round); rounds that fall out of the cache
+            // refetch from DRAM.
+            for &addr in &b_addr {
+                for _ in 0..shape.t {
+                    let missed = machine
+                        .cache
+                        .access_range(addr, b_bm_bytes, TrafficClass::Format);
+                    machine.hbm.read(TrafficClass::Format, missed * line);
+                }
+            }
             // SparTen assigns (row-chunk, column-chunk) pairs to PEs
             // greedily, so unlike LoAS it keeps all 16 PEs busy even when
             // the tile has fewer than 16 rows: account work at pair
             // granularity divided across PEs.
             let mut tile_work = 0u64;
-            if self.kernel_path() {
-                // Pure phase: the tile's total per-timestep match count in
+            if aggregated {
+                // The tile's total per-timestep match count in
                 // O(nnz_tile) — every fired (m, k, t) bit meets
-                // rowNNZ_B(k) columns.
+                // rowNNZ_B(k) columns. The per-(pair, timestep) weight
+                // fetches and op counts are commutative sums, folded per
+                // tile.
                 let fired_tile: u64 = rows
                     .clone()
                     .flat_map(|m| layer.a_fibers[m].iter())
                     .map(|(k, word)| word.fire_count() as u64 * layer.b_row_nnz[k] as u64)
                     .sum();
-                // Traffic phase: the tag-accurate bm-B rounds replay in the
-                // original order through the precomputed spans + residency
-                // tokens; the per-(pair, timestep) weight fetches and op
-                // counts are commutative sums, folded per tile.
-                let (b_bm_span, b_bm_residency) =
-                    spanned_b.as_mut().expect("kernel path precomputes spans");
-                for n in 0..shape.n {
-                    for _t in 0..shape.t {
-                        let missed = machine.cache.access_span_resident(
-                            b_bm_span[n],
-                            &mut b_bm_residency[n],
-                            TrafficClass::Format,
-                        );
-                        if missed > 0 {
-                            machine.hbm.read(TrafficClass::Format, missed * line);
-                        }
-                    }
-                }
                 let rounds = (rows.len() * shape.n * shape.t) as u64;
                 tile_work += rounds * (chunks + p.timestep_restart_cycles + 1) + fired_tile;
                 machine.cache.read_untagged(
@@ -284,22 +246,11 @@ impl Accelerator for SparTenSnn {
                 machine.stats.ops.fast_prefix_cycles += rounds * chunks + fired_tile;
                 machine.stats.ops.lif_updates += rounds;
             } else {
-                for (n, fiber_b) in layer.b_fibers.iter().enumerate() {
-                    let bm_b = fiber_b.bitmask();
-                    let b_bm_bytes = (shape.k + POINTER_BITS).div_ceil(8) as u64;
-                    // bm-B is re-broadcast once per timestep round (the join
-                    // unit scans it anew each round); rounds that fall out of
-                    // the cache refetch from DRAM.
-                    for _t in 0..shape.t {
-                        let missed =
-                            machine
-                                .cache
-                                .access_range(b_addr[n], b_bm_bytes, TrafficClass::Format);
-                        machine.hbm.read(TrafficClass::Format, missed * line);
-                    }
+                for fiber_b in layer.b_fibers.iter() {
                     for m in rows.clone() {
                         for plane in planes {
-                            let matches_t = plane.row(m).and_count(bm_b).expect("equal K") as u64;
+                            let matches_t =
+                                plane.row(m).and_count(fiber_b.bitmask()).expect("equal K") as u64;
                             tile_work += chunks + matches_t + p.timestep_restart_cycles + 1; // LIF step
 
                             // Matched weights fetched per timestep round: no
@@ -324,8 +275,17 @@ impl Accelerator for SparTenSnn {
             }
             tile_start = tile_end;
         }
-        let _ = Cycle(compute);
         machine.finish(&layer.name, &self.name(), compute)
+    }
+}
+
+impl Accelerator for SparTenSnn {
+    fn name(&self) -> String {
+        "SparTen-SNN".to_owned()
+    }
+
+    fn run_layer(&mut self, layer: &PreparedLayer) -> LayerReport {
+        self.simulate(layer, self.kernel_path())
     }
 }
 
@@ -399,18 +359,14 @@ mod tests {
 
     #[test]
     fn kernel_and_reference_sweeps_are_byte_identical() {
-        // The O(nnz) aggregated sweep must reproduce the pre-kernel
+        // The O(nnz) aggregated sweep must reproduce the scalar
         // per-(pair, timestep) loop bit for bit.
         let l = layer();
-        let golden = SparTenSnn::default()
-            .with_sweep(SweepStrategy::Reference)
-            .run_layer(&l)
-            .to_portable();
-        let kernel = SparTenSnn::default()
-            .with_sweep(SweepStrategy::Kernel)
-            .run_layer(&l)
-            .to_portable();
-        assert_eq!(kernel, golden);
+        let mut model = SparTenSnn::default();
+        assert_eq!(
+            model.run_layer(&l).to_portable(),
+            model.simulate(&l, false).to_portable()
+        );
     }
 
     #[test]
@@ -418,12 +374,9 @@ mod tests {
         let model = SparTenSnn::new(SparTenConfig {
             weight_bits: 6,
             ..SparTenConfig::default()
-        })
-        .with_sweep(SweepStrategy::Kernel);
+        });
         assert!(!model.kernel_path(), "6-bit weights round per access");
-        assert!(SparTenSnn::default()
-            .with_sweep(SweepStrategy::Kernel)
-            .kernel_path());
+        assert!(SparTenSnn::default().kernel_path());
     }
 
     #[test]

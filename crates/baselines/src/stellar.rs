@@ -47,7 +47,7 @@ impl StellarConfig {
         if self.array_rows == 0 || self.array_cols == 0 {
             return Err("empty systolic array".to_owned());
         }
-        Ok(())
+        loas_core::check_precision(self.weight_bits, None)
     }
 
     fn validated(self) -> Self {

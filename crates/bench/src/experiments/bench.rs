@@ -8,10 +8,8 @@
 //! the current PR's record must not regress kernel pairs/s or end-to-end
 //! wall time by more than 20% against its predecessor:
 //!
-//! * **A/B wall clock** — every design simulated single-threaded with the
-//!   pre-kernel scalar sweep ([`SweepStrategy::Reference`]) and with the
-//!   two-phase [`PairSweepKernel`] path, same prepared layers, per-design
-//!   and total speedup;
+//! * **simulation wall clock** — every design simulated single-threaded
+//!   over the same prepared layers, per design and in total;
 //! * **kernel throughput** — pairs/second of the pure intersection phase,
 //!   measured through the criterion shim's `measure_median`;
 //! * **campaign wall time** — the whole grid as one cold-store engine
@@ -22,13 +20,11 @@
 //! `repro all` skips this experiment — run it explicitly with
 //! `repro bench` (CI runs `repro --quick bench` as a perf smoke).
 //!
-//! [`PairSweepKernel`]: loas_core::kernel::PairSweepKernel
-//! [`SweepStrategy`]: loas_core::SweepStrategy
 
 use crate::context::{Context, Design};
 use crate::report::Table;
 use loas_core::kernel::SweepMode;
-use loas_core::{Accelerator, PreparedLayer, SweepStrategy};
+use loas_core::PreparedLayer;
 use loas_engine::Campaign;
 use loas_workloads::networks::{self, NetworkSpec};
 use std::sync::Arc;
@@ -67,8 +63,8 @@ fn design_layers(ctx: &Context, design: Design) -> Vec<Arc<PreparedLayer>> {
 }
 
 /// One single-threaded simulation pass of `design` over its grid layers.
-fn timed_pass(design: Design, layers: &[Arc<PreparedLayer>], sweep: SweepStrategy) -> f64 {
-    let mut model = model_for(design, sweep);
+fn timed_pass(design: Design, layers: &[Arc<PreparedLayer>]) -> f64 {
+    let mut model = design.accelerator_spec().build();
     let start = Instant::now();
     let mut checksum = 0u64;
     for layer in layers {
@@ -76,24 +72,6 @@ fn timed_pass(design: Design, layers: &[Arc<PreparedLayer>], sweep: SweepStrateg
     }
     std::hint::black_box(checksum);
     start.elapsed().as_secs_f64()
-}
-
-/// Builds the design's model pinned to the given sweep strategy (since
-/// PR 5 every spMspM design has a Reference/Kernel toggle — Gamma and
-/// GoSPA gained one with the span-based traffic path).
-fn model_for(design: Design, sweep: SweepStrategy) -> Box<dyn Accelerator + Send> {
-    match design {
-        Design::SparTen => Box::new(loas_baselines::SparTenSnn::default().with_sweep(sweep)),
-        Design::Gamma => Box::new(loas_baselines::GammaSnn::default().with_sweep(sweep)),
-        Design::Gospa => Box::new(loas_baselines::GospaSnn::default().with_sweep(sweep)),
-        Design::Loas | Design::LoasFt => {
-            let spec = design.accelerator_spec();
-            let config: &loas_core::LoasConfig =
-                spec.typed_config().expect("LoAS designs map to LoAS specs");
-            Box::new(loas_core::Loas::new(config.clone()).with_sweep(sweep))
-        }
-        _ => design.accelerator_spec().build(),
-    }
 }
 
 /// Runs the benchmark, writes the JSON record, and returns the summary
@@ -108,19 +86,12 @@ pub fn run(ctx: &mut Context) -> Vec<Table> {
 fn run_to(ctx: &mut Context, path: &str) -> Vec<Table> {
     let designs = Design::SPMSPM_SET;
 
-    // ---- A/B: pre-kernel scalar sweep vs two-phase kernel, one thread.
-    let mut rows: Vec<(Design, f64, f64)> = Vec::new();
-    let mut scalar_total = 0.0f64;
-    let mut kernel_total = 0.0f64;
-    for design in designs {
-        let layers = design_layers(ctx, design);
-        let scalar = timed_pass(design, &layers, SweepStrategy::Reference);
-        let kernel = timed_pass(design, &layers, SweepStrategy::Kernel);
-        scalar_total += scalar;
-        kernel_total += kernel;
-        rows.push((design, scalar, kernel));
-    }
-    let speedup = scalar_total / kernel_total.max(1e-12);
+    // ---- Simulation wall clock per design, one thread.
+    let rows: Vec<(Design, f64)> = designs
+        .into_iter()
+        .map(|design| (design, timed_pass(design, &design_layers(ctx, design))))
+        .collect();
+    let kernel_total: f64 = rows.iter().map(|&(_, seconds)| seconds).sum();
 
     // ---- Kernel throughput: the pure intersection phase alone, via the
     // criterion shim (median of repeated full-grid sweeps).
@@ -195,16 +166,13 @@ fn run_to(ctx: &mut Context, path: &str) -> Vec<Table> {
     json.push_str(&format!(
         "  \"kernel_pairs_per_sec\": {pairs_per_sec:.0},\n"
     ));
-    for &(design, scalar, kernel) in &rows {
+    for &(design, kernel) in &rows {
         json.push_str(&format!(
-            "  \"{}\": {{\"scalar_seconds\": {scalar:.4}, \"kernel_seconds\": {kernel:.4}, \"speedup\": {:.3}}},\n",
-            design.name().replace(['(', ')'], ""),
-            scalar / kernel.max(1e-12)
+            "  \"{}\": {{\"kernel_seconds\": {kernel:.4}}},\n",
+            design.name().replace(['(', ')'], "")
         ));
     }
-    json.push_str(&format!("  \"scalar_seconds\": {scalar_total:.4},\n"));
     json.push_str(&format!("  \"kernel_seconds\": {kernel_total:.4},\n"));
-    json.push_str(&format!("  \"speedup\": {speedup:.3},\n"));
     json.push_str(&format!(
         "  \"campaign_wall_seconds\": {:.4}\n",
         outcome.wall_seconds
@@ -214,27 +182,13 @@ fn run_to(ctx: &mut Context, path: &str) -> Vec<Table> {
 
     // ---- Summary table.
     let mut table = Table::new(
-        "bench — simulator wall clock, fig13 grid, 1 thread (scalar = pre-kernel path)",
-        vec!["design", "scalar (s)", "kernel (s)", "speedup"],
+        "bench — simulator wall clock, fig13 grid, 1 thread",
+        vec!["design", "kernel (s)"],
     );
-    for &(design, scalar, kernel) in &rows {
-        table.push_row(
-            design.name().to_owned(),
-            vec![
-                format!("{scalar:.3}"),
-                format!("{kernel:.3}"),
-                format!("{:.2}x", scalar / kernel.max(1e-12)),
-            ],
-        );
+    for &(design, kernel) in &rows {
+        table.push_row(design.name().to_owned(), vec![format!("{kernel:.3}")]);
     }
-    table.push_row(
-        "total".to_owned(),
-        vec![
-            format!("{scalar_total:.3}"),
-            format!("{kernel_total:.3}"),
-            format!("{speedup:.2}x"),
-        ],
-    );
+    table.push_row("total".to_owned(), vec![format!("{kernel_total:.3}")]);
     table.push_note(format!(
         "kernel sweep: {:.1}M pairs/s over {pairs} pairs; cold 1-worker campaign ({} jobs): {:.2}s; record: {path}",
         pairs_per_sec / 1e6,
@@ -260,7 +214,8 @@ mod tests {
         let written = std::fs::read_to_string(&path).expect("record written");
         assert!(written.contains("\"format\": \"loas-bench/1\""));
         assert!(written.contains(&format!("\"pr\": {BENCH_PR}")));
-        assert!(written.contains("\"speedup\""));
+        assert!(written.contains("\"kernel_seconds\""));
+        assert!(!written.contains("\"speedup\""));
         assert!(written.contains("\"campaign_wall_seconds\""));
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -19,32 +19,27 @@
 //! worker threads. The sweep does not depend on the TPPE count: the
 //! **sequential traffic phase** applies the tile height, taking each
 //! tile's broadcast barrier from the per-pair drains, and replays the
-//! memory system. On the kernel strategy it first builds the replay's
-//! footprint from the layer's precomputed [`TrafficSpans`]:
+//! memory system along the layer's precomputed [`TrafficSpans`]. It first
+//! builds the replay's footprint:
 //!
 //! * **It fits** ([`SramCache::fits_without_eviction`]). Each distinct
 //!   line misses on its first touch and hits after, so hits, misses and
 //!   the `Format` refetches follow from first touches marked in the
 //!   replay's object order, with one pass over each column's matches and
 //!   no tag walk.
-//! * **It does not fit.** The tag-accurate cache is walked in the exact
-//!   pre-kernel order along the spans, with
-//!   [`SpanResidency`](loas_sim::SpanResidency) tokens on the per-column
-//!   fiber-B broadcasts so re-touching a still-resident fiber takes the
-//!   cache's all-hits fast path.
+//! * **It does not fit.** The tag-accurate cache is walked span by span
+//!   in the replay order.
 //!
-//! Verification runs take the span walk, and the reference strategy keeps
-//! the original per-access arithmetic as the oracle. Reports are
-//! byte-identical by construction for any [`SweepStrategy`] and worker
-//! count (asserted via the portable serialization in this crate's tests
-//! and in ci.sh).
+//! Verification runs take the span walk. This module's tests keep the
+//! pre-kernel scalar sweep and the per-access address-arithmetic walk as
+//! the oracle, and assert byte-identical reports at every worker count.
 //!
-//! Only the final roofline reads the off-chip bandwidth. On the kernel
-//! strategy both phases are memoized on the [`PreparedLayer`]: the sweep
-//! under its kernel geometry and cycle model, the replay under the whole
-//! config but the bandwidth fields. A design sweep over one layer thus
-//! simulates each distinct phase once. Reference and verification runs
-//! always simulate in full and never touch the memo.
+//! Only the final roofline reads the off-chip bandwidth. Both phases are
+//! memoized on the [`PreparedLayer`]: the sweep under its kernel geometry
+//! and cycle model, the replay under the whole config but the bandwidth
+//! fields. A design sweep over one layer thus simulates each distinct
+//! phase once. Verification runs always simulate in full and never touch
+//! the memo.
 //!
 //! # Traffic accounting (what the paper's Figs. 13-14 count)
 //!
@@ -73,52 +68,12 @@ use crate::metrics::{Accelerator, LayerReport};
 use crate::prepared::{PreparedLayer, TrafficSpans};
 use crate::tppe::Tppe;
 use loas_sim::{
-    ClockDomain, Crossbar, Cycle, EnergyModel, HbmModel, LineSpan, SimStats, SpanResidency,
-    SramCache, TrafficClass, TrafficLedger,
+    ClockDomain, Crossbar, Cycle, EnergyModel, HbmModel, LineSpan, SimStats, SramCache,
+    TrafficClass, TrafficLedger,
 };
 use loas_snn::SpikeTensor;
-use loas_sparse::{Bitmask, PackedSpikes, POINTER_BITS};
+use loas_sparse::{PackedSpikes, POINTER_BITS};
 use std::ops::Range;
-use std::sync::Arc;
-
-/// How a model computes its pure pair-intersection phase.
-///
-/// Both strategies produce byte-identical reports; [`SweepStrategy::Kernel`]
-/// is the optimized default and [`SweepStrategy::Reference`] preserves the
-/// pre-kernel scalar code path for cross-checking and as the benchmark
-/// baseline every perf PR is judged against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SweepStrategy {
-    /// The cache-friendly [`PairSweepKernel`] sweep over the prepared
-    /// structure-of-arrays layout, parallelizable across row tiles.
-    #[default]
-    Kernel,
-    /// The pre-kernel scalar path: per-pair bitmask chunk iteration plus
-    /// per-timestep `and_count`s, sequential.
-    Reference,
-}
-
-impl SweepStrategy {
-    /// Resolves the strategy from the `LOAS_SWEEP` environment variable:
-    /// `scalar` / `reference` select the pre-kernel path (letting CI and
-    /// A/B runs toggle whole campaigns without plumbing flags), `kernel` /
-    /// unset the kernel.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any other value: a typo here would silently turn the
-    /// scalar-vs-kernel golden A/B into a kernel-vs-kernel no-op, so
-    /// unknown toggles fail loud instead.
-    pub fn from_env() -> Self {
-        match std::env::var("LOAS_SWEEP").ok().as_deref() {
-            Some("scalar") | Some("reference") => SweepStrategy::Reference,
-            Some("kernel") | Some("") | None => SweepStrategy::Kernel,
-            Some(other) => panic!(
-                "unknown LOAS_SWEEP value `{other}` (expected `kernel`, `scalar`, or `reference`)"
-            ),
-        }
-    }
-}
 
 /// The LoAS accelerator simulator.
 ///
@@ -141,7 +96,6 @@ pub struct Loas {
     config: LoasConfig,
     energy: EnergyModel,
     verify_outputs: bool,
-    sweep: SweepStrategy,
     intra_workers: usize,
 }
 
@@ -152,7 +106,6 @@ impl Loas {
             config,
             energy: EnergyModel::default(),
             verify_outputs: false,
-            sweep: SweepStrategy::from_env(),
             intra_workers: 1,
         }
     }
@@ -161,13 +114,6 @@ impl Loas {
     /// output spikes) — slower, used for functional verification.
     pub fn with_verification(mut self, verify: bool) -> Self {
         self.verify_outputs = verify;
-        self
-    }
-
-    /// Selects the pure-phase sweep strategy explicitly (overriding the
-    /// `LOAS_SWEEP` environment default).
-    pub fn with_sweep(mut self, sweep: SweepStrategy) -> Self {
-        self.sweep = sweep;
         self
     }
 
@@ -182,10 +128,6 @@ impl Loas {
     /// The configuration in use.
     pub fn config(&self) -> &LoasConfig {
         &self.config
-    }
-
-    fn chunk_words(&self) -> usize {
-        self.config.bitmask_bits / 64
     }
 
     fn fifo_depth(&self) -> Option<usize> {
@@ -211,75 +153,6 @@ impl Loas {
         }
     }
 
-    /// Per-pair cycle/op metrics from word-level popcounts.
-    ///
-    /// Counting semantics (matches, prefix-sum activity, backpressure)
-    /// are identical to [`crate::InnerJoinUnit::join`]; the *latency* model
-    /// here is the steady-state pipelined one: chunk streaming (one
-    /// 128-bit chunk per cycle) overlaps match draining (one match per
-    /// cycle from the fast prefix-sum), so a pair costs
-    /// `max(chunks, matches + backpressure)`. The laggy-correction tail is
-    /// amortized across back-to-back output neurons (the next pair's
-    /// streaming proceeds while the previous corrections drain, Fig. 10's
-    /// "new fetch") and is exposed once per row tile in `run_layer`.
-    fn pair_metrics(&self, bm_a: &Bitmask, bm_b: &Bitmask) -> PairMetrics {
-        let chunk_words = self.chunk_words().max(1);
-        let fifo = self.fifo_depth().map_or(u64::MAX, |d| d as u64);
-        let mut matches = 0u64;
-        let mut laggy_chunks = 0u64;
-        let mut stalls = 0u64;
-        let mut chunks_scanned = 0u64;
-        for chunk_matches in bm_a.chunked_and_counts(bm_b, chunk_words) {
-            matches += chunk_matches;
-            chunks_scanned += 1;
-            stalls += chunk_matches.saturating_sub(fifo);
-            if chunk_matches > 0 {
-                laggy_chunks += 1;
-            }
-        }
-        // Pipelined latency: streaming and draining overlap. Fast/laggy
-        // prefix-sum activity (`chunks + matches` per pair, laggy sweeps
-        // per active chunk) is folded into the stats from tile aggregates.
-        PairMetrics {
-            matches,
-            chunks: chunks_scanned,
-            cycles: chunks_scanned.max(matches + stalls),
-            laggy_chunks,
-            stall_cycles: stalls,
-        }
-    }
-
-    /// The pre-kernel scalar sweep: fills the same [`LayerSweep`] as
-    /// [`PairSweepKernel::sweep_layer`] from per-pair [`Loas::pair_metrics`]
-    /// calls plus per-timestep plane `and_count`s, sequentially.
-    fn reference_sweep(&self, layer: &PreparedLayer, mode: SweepMode) -> LayerSweep {
-        let shape = layer.shape;
-        let planes = layer.workload.spikes.planes();
-        let mut sweep = LayerSweep::zeroed(shape.m, shape.n);
-        for (n, fiber_b) in layer.b_fibers.iter().enumerate() {
-            for m in 0..shape.m {
-                let metrics = self.pair_metrics(layer.a_mask(m), fiber_b.bitmask());
-                sweep.totals.matches += metrics.matches;
-                sweep.totals.stalls += metrics.stall_cycles;
-                sweep.totals.laggy_chunks += metrics.laggy_chunks;
-                let mut sequential_cycles = 0u64;
-                for plane in planes {
-                    let matches_t =
-                        plane.row(m).and_count(fiber_b.bitmask()).expect("equal K") as u64;
-                    sweep.totals.fired += matches_t;
-                    sequential_cycles += metrics.chunks.max(matches_t) + 1; // + LIF step
-                }
-                let drain = match mode {
-                    SweepMode::TemporalParallel => metrics.cycles + 1, // + P-LIF
-                    SweepMode::SequentialT => sequential_cycles,
-                };
-                sweep.matches[n * shape.m + m] = metrics.matches as u32;
-                sweep.drain[n * shape.m + m] = drain as u32;
-            }
-        }
-        sweep
-    }
-
     /// The memo key of this config's replay: every field but the two only
     /// the roofline reads, which take their Table III values.
     fn replay_key(&self) -> MemoKey {
@@ -303,23 +176,17 @@ impl Loas {
     /// Phase 1 (pure compute): the pair-intersection sweep, with no
     /// memory-system state touched. It does not depend on the TPPE count.
     fn sweep_layer(&self, layer: &PreparedLayer) -> LayerSweep {
-        let mode = self.sweep_mode();
-        match self.sweep {
-            SweepStrategy::Kernel => {
-                let b_words: Vec<&[u64]> = layer
-                    .b_fibers
-                    .iter()
-                    .map(|fiber| fiber.bitmask().words())
-                    .collect();
-                self.sweep_kernel().sweep_layer(
-                    &layer.row_blocks,
-                    &b_words,
-                    mode,
-                    self.intra_workers,
-                )
-            }
-            SweepStrategy::Reference => self.reference_sweep(layer, mode),
-        }
+        let b_words: Vec<&[u64]> = layer
+            .b_fibers
+            .iter()
+            .map(|fiber| fiber.bitmask().words())
+            .collect();
+        self.sweep_kernel().sweep_layer(
+            &layer.row_blocks,
+            &b_words,
+            self.sweep_mode(),
+            self.intra_workers,
+        )
     }
 
     /// The row tiles of an `m`-row layer: one row per TPPE.
@@ -331,19 +198,41 @@ impl Loas {
 
     /// Phase 2 (sequential traffic): off-chip streaming, the global cache
     /// and the tile schedule, with the sweep's op counts folded in. It
-    /// never reads the off-chip bandwidth. With `spans`, the cache is
-    /// counted from its footprint when that cannot evict and walked along
-    /// the spans otherwise; without, it is walked by address arithmetic
-    /// (the oracle). With `verified_output`, each pair also runs the
+    /// never reads the off-chip bandwidth. The cache is counted from its
+    /// footprint when that cannot evict and walked along the spans
+    /// otherwise. With `verified_output`, each pair also runs the
     /// bit-exact TPPE datapath on the walk and records its output spikes
     /// there.
     fn replay(
         &self,
         layer: &PreparedLayer,
         sweep: &LayerSweep,
-        spans: Option<Arc<TrafficSpans>>,
+        spans: &TrafficSpans,
         verified_output: Option<&mut SpikeTensor>,
     ) -> Replay {
+        let (mut cache, mut dram) = self.offchip(layer, spans.out_row_bytes);
+        let counted = verified_output.is_none()
+            && self.count_unevicted(layer, sweep, spans, &mut cache, &mut dram);
+        if !counted {
+            self.walk_cache(layer, sweep, spans, &mut cache, &mut dram, verified_output);
+        }
+        // Per-row per-timestep firing counts enter the report only through
+        // global sums: corrections = T * matches - fired. The temporal-
+        // parallel sweep leaves them out, and the layer total follows in
+        // O(K) from the column spike counts.
+        let fired_total = match self.sweep_mode() {
+            SweepMode::TemporalParallel => fired_grand_total(&layer.col_spikes, &layer.b_row_nnz),
+            SweepMode::SequentialT => sweep.totals.fired,
+        };
+        self.fold(layer, sweep, fired_total, cache, dram)
+    }
+
+    /// The replay's preamble: the global cache and the off-chip ledger
+    /// with the compulsory streams charged — the packed `A` payload and
+    /// the weights in, `out_row_bytes` per output row out. Bitmasks are
+    /// charged miss-driven through the cache tags, so capacity behaviour
+    /// (not an assumption) decides refetches.
+    fn offchip(&self, layer: &PreparedLayer, out_row_bytes: u64) -> (SramCache, TrafficLedger) {
         let shape = layer.shape;
         let mut dram = TrafficLedger::new();
         let mut cache = SramCache::new(
@@ -352,22 +241,6 @@ impl Loas {
             self.config.cache_ways,
             self.config.cache_banks,
         );
-        let mut stats = SimStats::new();
-
-        // Per-row per-timestep firing counts enter the report only through
-        // global sums: corrections = T * matches - fired. The kernel path
-        // computes the layer total in O(K) instead of sweeping plane rows.
-        let fired_total: u64 = match (self.sweep_mode(), self.sweep) {
-            (SweepMode::TemporalParallel, SweepStrategy::Kernel) => {
-                fired_grand_total(&layer.col_spikes, &layer.b_row_nnz)
-            }
-            _ => sweep.totals.fired,
-        };
-
-        // Off-chip traffic: the packed A payload streams in once
-        // (compulsory); bitmasks and weight fibers are charged miss-driven
-        // through the FiberCache tags, so capacity behaviour (not an
-        // assumption) decides refetches.
         let (a_payload_bits, _) = layer.a_compressed_bits();
         dram.record_bits(TrafficClass::Input, a_payload_bits);
         let (b_payload_bits, _) = layer.b_compressed_bits(self.config.weight_bits);
@@ -375,35 +248,30 @@ impl Loas {
 
         // Output compression per row: the inverted laggy prefix-sum
         // overlaps the next tile's compute, so only traffic is charged.
-        // Every path charges the same estimate — a bitmask + pointer per
+        // Every run charges the same estimate — a bitmask + pointer per
         // row plus packed payload at the ~90% output sparsity the paper
         // reports (Section II-B) — so that verification mode never
         // perturbs the performance model.
-        let out_row_bytes = match &spans {
-            Some(spans) => spans.out_row_bytes,
-            None => ((shape.n + POINTER_BITS) as u64 + (shape.n as u64 / 10) * shape.t as u64)
-                .div_ceil(8),
-        };
         cache.write(TrafficClass::Output, shape.m as u64 * out_row_bytes);
         dram.record(TrafficClass::Output, shape.m as u64 * out_row_bytes);
+        (cache, dram)
+    }
 
-        let counted = verified_output.is_none()
-            && spans.as_deref().is_some_and(|spans| {
-                self.count_unevicted(layer, sweep, spans, &mut cache, &mut dram)
-            });
-        if !counted {
-            let probes = match spans {
-                Some(spans) => TrafficProbes::spans(layer, spans),
-                None => TrafficProbes::address(layer, self.config.weight_bits),
-            };
-            self.walk_cache(layer, sweep, probes, &mut cache, &mut dram, verified_output);
-        }
+    /// Closes the replay: the tile schedule, and the sweep's op-count
+    /// aggregates folded into the stats with the ledgers. Every term is a
+    /// commutative sum over pairs, so layer-level aggregation reproduces
+    /// the per-pair accumulation of a scalar loop exactly.
+    fn fold(
+        &self,
+        layer: &PreparedLayer,
+        sweep: &LayerSweep,
+        fired_total: u64,
+        mut cache: SramCache,
+        dram: TrafficLedger,
+    ) -> Replay {
+        let shape = layer.shape;
         let compute = self.schedule(layer, sweep);
-
-        // ---- Fold the sweep's op-count aggregates into the stats. Every
-        // term is a commutative sum over pairs, so layer-level aggregation
-        // reproduces the per-pair accumulation of the pre-kernel loop
-        // exactly (asserted byte-identical in tests).
+        let mut stats = SimStats::new();
         let pairs = (shape.m * shape.n) as u64;
         let chunks_per_pair = self.sweep_kernel().chunks_for(shape.k.div_ceil(64));
         let totals = sweep.totals;
@@ -433,6 +301,39 @@ impl Loas {
         stats.sram = sram_traffic;
         stats.cache = cache_stats;
         Replay { compute, stats }
+    }
+
+    /// The report assembly: the roofline of compute overlapped with
+    /// off-chip streaming and with aggregate banked-SRAM bandwidth
+    /// (banks x 16-byte ports), then the energy roll-up.
+    fn report(
+        &self,
+        layer: &PreparedLayer,
+        replay: Replay,
+        output: Option<SpikeTensor>,
+    ) -> LayerReport {
+        let Replay { compute, mut stats } = replay;
+        let hbm = HbmModel::new(
+            self.config.hbm_gbps,
+            self.config.hbm_channels,
+            ClockDomain::default(),
+        );
+        let dram_cycles = hbm.transfer_cycles(stats.dram.total()).get();
+        let sram_bw = (self.config.cache_banks * self.config.crossbar_bus_bytes) as u64;
+        let sram_cycles = stats.sram.total().div_ceil(sram_bw.max(1));
+        let total = compute.max(dram_cycles).max(sram_cycles);
+        stats.cycles = Cycle(total);
+        if total > compute {
+            stats.stall_cycles += Cycle(total - compute);
+        }
+        let energy = self.energy.energy_of(&stats);
+        LayerReport {
+            workload: layer.name.clone(),
+            accelerator: self.name(),
+            stats,
+            energy,
+            output,
+        }
     }
 
     /// The tile schedule's compute cycles. Per row tile: the `bm-A`
@@ -482,7 +383,7 @@ impl Loas {
         &self,
         layer: &PreparedLayer,
         sweep: &LayerSweep,
-        mut probes: TrafficProbes,
+        spans: &TrafficSpans,
         cache: &mut SramCache,
         dram: &mut TrafficLedger,
         mut verified_output: Option<&mut SpikeTensor>,
@@ -496,20 +397,22 @@ impl Loas {
         let mut join_scratch = JoinScratch::new(shape.t);
         let mut row_words_buf: Vec<PackedSpikes> = Vec::new();
         for rows in self.tiles(shape.m) {
-            for m in rows.clone() {
-                let missed = probes.load_a_bitmask(cache, m);
+            for &span in &spans.a_bm_span[rows.clone()] {
+                let missed = cache.access_span(span, TrafficClass::Format);
                 dram.record(TrafficClass::Format, missed * line);
             }
             for (n, fiber_b) in layer.b_fibers.iter().enumerate() {
-                let b_payload_bytes = (fiber_b.nnz() * self.config.weight_bits).div_ceil(8) as u64;
-                let missed_bm = probes.load_b_fiber(cache, n, b_payload_bytes);
+                // One cache read of bm-B + weights serves all TPPEs; the
+                // bitmask's misses are the Format refetch HBM is charged.
+                let missed_bm = cache.access_span(spans.b_bm_span[n], TrafficClass::Format);
                 dram.record(TrafficClass::Format, missed_bm * line);
+                cache.access_span(spans.b_payload_span[n], TrafficClass::Weight);
                 for (m, &matches) in rows.clone().zip(sweep.column_matches(rows.clone(), n)) {
                     // Exact bytes ledgered, lines tagged (resident payload
                     // hits).
                     let payload_bytes = payload_bytes(matches, shape.t);
                     cache.read_untagged(TrafficClass::Input, payload_bytes);
-                    probes.probe_a_payload(cache, m, payload_bytes);
+                    cache.probe_span(spans.a_payload_span(m, payload_bytes));
 
                     if let Some(out) = verified_output.as_deref_mut() {
                         let outcome = tppe.process_with(
@@ -684,15 +587,6 @@ fn replay_footprint(
     footprint
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct PairMetrics {
-    matches: u64,
-    chunks: u64,
-    cycles: u64,
-    laggy_chunks: u64,
-    stall_cycles: u64,
-}
-
 /// The traffic replay's outcome: a report but for the roofline, the one
 /// step that reads the off-chip bandwidth.
 #[derive(Debug, Clone, Copy)]
@@ -702,131 +596,6 @@ struct Replay {
     /// Op counts, sweep stalls, DRAM/SRAM ledgers and cache counters
     /// (`cycles` still unset).
     stats: SimStats,
-}
-
-/// The tag-accurate probe endpoints of the sequential traffic replay.
-///
-/// [`SweepStrategy::Kernel`] drives the cache through the layer's
-/// [`TrafficSpans`] — no per-access address arithmetic, and
-/// [`SpanResidency`] tokens on the per-column fiber-B objects so the
-/// re-broadcast of a still-resident fiber to the next row tile takes the
-/// all-hits fast path. [`SweepStrategy::Reference`] keeps the original
-/// address map and per-access `access_range`/`probe_range` arithmetic as
-/// the oracle. Both variants touch the same lines in the same order, so
-/// reports are byte-identical (asserted in tests and ci.sh).
-enum TrafficProbes {
-    Spans {
-        spans: Arc<TrafficSpans>,
-        a_payload_residency: Vec<SpanResidency>,
-        b_bm_residency: Vec<SpanResidency>,
-        b_payload_residency: Vec<SpanResidency>,
-    },
-    Address {
-        a_addr: Vec<u64>,
-        b_addr: Vec<u64>,
-        bm_bytes: u64,
-    },
-}
-
-impl TrafficProbes {
-    fn spans(layer: &PreparedLayer, spans: Arc<TrafficSpans>) -> Self {
-        TrafficProbes::Spans {
-            a_payload_residency: vec![SpanResidency::default(); layer.shape.m],
-            b_bm_residency: vec![SpanResidency::default(); layer.shape.n],
-            b_payload_residency: vec![SpanResidency::default(); layer.shape.n],
-            spans,
-        }
-    }
-
-    fn address(layer: &PreparedLayer, weight_bits: usize) -> Self {
-        // Address map for the tag-accurate cache: A fibers then B.
-        let shape = layer.shape;
-        let mut a_addr = Vec::with_capacity(shape.m);
-        let mut addr = 0u64;
-        for fiber in &layer.a_fibers {
-            a_addr.push(addr);
-            addr += fiber.storage_bits(shape.t).div_ceil(8) as u64;
-        }
-        let mut b_addr = Vec::with_capacity(shape.n);
-        for fiber in layer.b_fibers.iter() {
-            b_addr.push(addr);
-            addr += fiber.storage_bits(weight_bits).div_ceil(8) as u64;
-        }
-        TrafficProbes::Address {
-            a_addr,
-            b_addr,
-            bm_bytes: (shape.k + POINTER_BITS).div_ceil(8) as u64,
-        }
-    }
-
-    /// Loads `bm-A` (+ pointer) of row `m`; returns missed lines.
-    fn load_a_bitmask(&mut self, cache: &mut SramCache, m: usize) -> u64 {
-        match self {
-            TrafficProbes::Spans { spans, .. } => {
-                cache.access_span(spans.a_bm_span[m], TrafficClass::Format)
-            }
-            TrafficProbes::Address {
-                a_addr, bm_bytes, ..
-            } => cache.access_range(a_addr[m], *bm_bytes, TrafficClass::Format),
-        }
-    }
-
-    /// Broadcasts `bm-B` + the weight payload of column `n`; returns the
-    /// bitmask's missed lines (the Format refetch the HBM model charges).
-    fn load_b_fiber(&mut self, cache: &mut SramCache, n: usize, payload_bytes: u64) -> u64 {
-        match self {
-            TrafficProbes::Spans {
-                spans,
-                b_bm_residency,
-                b_payload_residency,
-                ..
-            } => {
-                let missed_bm = cache.access_span_resident(
-                    spans.b_bm_span[n],
-                    &mut b_bm_residency[n],
-                    TrafficClass::Format,
-                );
-                cache.access_span_resident(
-                    spans.b_payload_span[n],
-                    &mut b_payload_residency[n],
-                    TrafficClass::Weight,
-                );
-                missed_bm
-            }
-            TrafficProbes::Address {
-                b_addr, bm_bytes, ..
-            } => {
-                let missed_bm = cache.access_range(b_addr[n], *bm_bytes, TrafficClass::Format);
-                cache.access_range(b_addr[n] + *bm_bytes, payload_bytes, TrafficClass::Weight);
-                missed_bm
-            }
-        }
-    }
-
-    /// Tags the on-demand fetch of row `m`'s first `payload_bytes` packed
-    /// payload bytes (byte traffic is ledgered separately by the caller).
-    fn probe_a_payload(&mut self, cache: &mut SramCache, m: usize, payload_bytes: u64) {
-        match self {
-            TrafficProbes::Spans {
-                spans,
-                a_payload_residency,
-                ..
-            } => {
-                // The per-pair probe: same base line every pair of row
-                // `m`, only the length varies — the residency token's
-                // prefix salvage keeps it at one tag compare per line.
-                cache.probe_span_resident(
-                    spans.a_payload_span(m, payload_bytes),
-                    &mut a_payload_residency[m],
-                );
-            }
-            TrafficProbes::Address {
-                a_addr, bm_bytes, ..
-            } => {
-                cache.probe_range(a_addr[m] + *bm_bytes, payload_bytes);
-            }
-        }
-    }
 }
 
 impl Default for Loas {
@@ -866,61 +635,155 @@ impl Accelerator for Loas {
             .verify_outputs
             .then(|| SpikeTensor::zeros(shape.m, shape.n, shape.t));
         let (weight_bits, line_bytes) = (self.config.weight_bits, self.config.cache_line_bytes);
-        let replay = match self.sweep {
+        let replay = match verified_output.as_mut() {
             // Jobs sharing the layer reuse the replay of any config that
             // differs only in off-chip bandwidth, and the sweep of any with
             // the same kernel and cycle model.
-            SweepStrategy::Kernel if verified_output.is_none() => {
-                *layer.memo.get_or_insert_with(self.replay_key(), || {
-                    let sweep = layer
-                        .memo
-                        .get_or_insert_with(self.sweep_key(), || self.sweep_layer(layer));
-                    let spans = layer.traffic_spans(weight_bits, line_bytes);
-                    self.replay(layer, &sweep, Some(spans), None)
-                })
-            }
-            SweepStrategy::Kernel => {
-                let spans = Arc::new(TrafficSpans::build(layer, weight_bits, line_bytes));
-                let sweep = self.sweep_layer(layer);
-                self.replay(layer, &sweep, Some(spans), verified_output.as_mut())
-            }
-            SweepStrategy::Reference => {
-                let sweep = self.sweep_layer(layer);
-                self.replay(layer, &sweep, None, verified_output.as_mut())
+            None => *layer.memo.get_or_insert_with(self.replay_key(), || {
+                let sweep = layer
+                    .memo
+                    .get_or_insert_with(self.sweep_key(), || self.sweep_layer(layer));
+                let spans = layer.traffic_spans(weight_bits, line_bytes);
+                self.replay(layer, &sweep, &spans, None)
+            }),
+            Some(output) => {
+                let spans = TrafficSpans::build(layer, weight_bits, line_bytes);
+                self.replay(layer, &self.sweep_layer(layer), &spans, Some(output))
             }
         };
-
-        // ---- Roofline: compute overlapped with off-chip streaming and
-        // with aggregate banked-SRAM bandwidth (banks x 16-byte ports).
-        let Replay { compute, mut stats } = replay;
-        let hbm = HbmModel::new(
-            self.config.hbm_gbps,
-            self.config.hbm_channels,
-            ClockDomain::default(),
-        );
-        let dram_cycles = hbm.transfer_cycles(stats.dram.total()).get();
-        let sram_bw = (self.config.cache_banks * self.config.crossbar_bus_bytes) as u64;
-        let sram_cycles = stats.sram.total().div_ceil(sram_bw.max(1));
-        let total = compute.max(dram_cycles).max(sram_cycles);
-        stats.cycles = Cycle(total);
-        if total > compute {
-            stats.stall_cycles += Cycle(total - compute);
-        }
-        let energy = self.energy.energy_of(&stats);
-        LayerReport {
-            workload: layer.name.clone(),
-            accelerator: self.name(),
-            stats,
-            energy,
-            output: verified_output,
-        }
+        self.report(layer, replay, verified_output)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use loas_sparse::Bitmask;
     use loas_workloads::{LayerShape, SparsityProfile, WorkloadGenerator};
+    use proptest::prelude::*;
+
+    /// The oracle's per-pair cycle/op metrics from word-level popcounts.
+    #[derive(Debug, Clone, Copy, Default)]
+    struct PairMetrics {
+        matches: u64,
+        chunks: u64,
+        cycles: u64,
+        laggy_chunks: u64,
+        stall_cycles: u64,
+    }
+
+    /// One pair through the pre-kernel scalar join. Counting semantics
+    /// (matches, prefix-sum activity, backpressure) are identical to
+    /// [`crate::InnerJoinUnit::join`]; the latency is the steady-state
+    /// pipelined one, `max(chunks, matches + backpressure)`: one 128-bit
+    /// chunk streams per cycle while matches drain one per cycle.
+    fn pair_metrics(loas: &Loas, bm_a: &Bitmask, bm_b: &Bitmask) -> PairMetrics {
+        let chunk_words = (loas.config.bitmask_bits / 64).max(1);
+        let fifo = loas.fifo_depth().map_or(u64::MAX, |d| d as u64);
+        let mut metrics = PairMetrics::default();
+        for chunk_matches in bm_a.chunked_and_counts(bm_b, chunk_words) {
+            metrics.matches += chunk_matches;
+            metrics.chunks += 1;
+            metrics.stall_cycles += chunk_matches.saturating_sub(fifo);
+            if chunk_matches > 0 {
+                metrics.laggy_chunks += 1;
+            }
+        }
+        metrics.cycles = metrics.chunks.max(metrics.matches + metrics.stall_cycles);
+        metrics
+    }
+
+    /// The pre-kernel scalar sweep: fills the same [`LayerSweep`] as
+    /// [`PairSweepKernel::sweep_layer`] from per-pair [`pair_metrics`]
+    /// calls plus per-timestep plane `and_count`s, sequentially.
+    fn reference_sweep(loas: &Loas, layer: &PreparedLayer) -> LayerSweep {
+        let shape = layer.shape;
+        let planes = layer.workload.spikes.planes();
+        let mut sweep = LayerSweep::zeroed(shape.m, shape.n);
+        for (n, fiber_b) in layer.b_fibers.iter().enumerate() {
+            for m in 0..shape.m {
+                let metrics = pair_metrics(loas, layer.a_mask(m), fiber_b.bitmask());
+                sweep.totals.matches += metrics.matches;
+                sweep.totals.stalls += metrics.stall_cycles;
+                sweep.totals.laggy_chunks += metrics.laggy_chunks;
+                let mut sequential_cycles = 0u64;
+                for plane in planes {
+                    let matches_t =
+                        plane.row(m).and_count(fiber_b.bitmask()).expect("equal K") as u64;
+                    sweep.totals.fired += matches_t;
+                    sequential_cycles += metrics.chunks.max(matches_t) + 1; // + LIF step
+                }
+                let drain = match loas.sweep_mode() {
+                    SweepMode::TemporalParallel => metrics.cycles + 1, // + P-LIF
+                    SweepMode::SequentialT => sequential_cycles,
+                };
+                sweep.matches[n * shape.m + m] = metrics.matches as u32;
+                sweep.drain[n * shape.m + m] = drain as u32;
+            }
+        }
+        sweep
+    }
+
+    /// The oracle's cache walk: the replay order of [`Loas::walk_cache`]
+    /// through per-access address arithmetic over an `A`-then-`B` address
+    /// map, line by line through the tags.
+    fn address_walk(
+        loas: &Loas,
+        layer: &PreparedLayer,
+        sweep: &LayerSweep,
+        cache: &mut SramCache,
+        dram: &mut TrafficLedger,
+    ) {
+        let shape = layer.shape;
+        let line = loas.config.cache_line_bytes as u64;
+        let bm_bytes = (shape.k + POINTER_BITS).div_ceil(8) as u64;
+        let mut addr = 0u64;
+        let mut a_addr = Vec::with_capacity(shape.m);
+        for fiber in &layer.a_fibers {
+            a_addr.push(addr);
+            addr += fiber.storage_bits(shape.t).div_ceil(8) as u64;
+        }
+        let mut b_addr = Vec::with_capacity(shape.n);
+        for fiber in layer.b_fibers.iter() {
+            b_addr.push(addr);
+            addr += fiber.storage_bits(loas.config.weight_bits).div_ceil(8) as u64;
+        }
+        for start in (0..shape.m).step_by(loas.config.tppes) {
+            let rows = start..(start + loas.config.tppes).min(shape.m);
+            for m in rows.clone() {
+                let missed = cache.access_range(a_addr[m], bm_bytes, TrafficClass::Format);
+                dram.record(TrafficClass::Format, missed * line);
+            }
+            for (n, fiber_b) in layer.b_fibers.iter().enumerate() {
+                let missed = cache.access_range(b_addr[n], bm_bytes, TrafficClass::Format);
+                dram.record(TrafficClass::Format, missed * line);
+                let weight_bytes = (fiber_b.nnz() * loas.config.weight_bits).div_ceil(8) as u64;
+                cache.access_range(b_addr[n] + bm_bytes, weight_bytes, TrafficClass::Weight);
+                for m in rows.clone() {
+                    let matches = u64::from(sweep.matches[n * shape.m + m]);
+                    let bytes = (matches * shape.t as u64).div_ceil(8);
+                    cache.read_untagged(TrafficClass::Input, bytes);
+                    cache.probe_range(a_addr[m] + bm_bytes, bytes);
+                }
+            }
+        }
+    }
+
+    /// The oracle's report: [`reference_sweep`] and [`address_walk`], with
+    /// the output estimate by its formula. It shares only the off-chip
+    /// preamble and the report assembly (tile schedule, op-count fold and
+    /// roofline) with [`Loas::run_layer`].
+    fn reference_report(config: &LoasConfig, layer: &PreparedLayer) -> String {
+        let loas = Loas::new(config.clone());
+        let shape = layer.shape;
+        let sweep = reference_sweep(&loas, layer);
+        let out_row_bytes =
+            ((shape.n + POINTER_BITS) as u64 + (shape.n as u64 / 10) * shape.t as u64).div_ceil(8);
+        let (mut cache, mut dram) = loas.offchip(layer, out_row_bytes);
+        address_walk(&loas, layer, &sweep, &mut cache, &mut dram);
+        let replay = loas.fold(layer, &sweep, sweep.totals.fired, cache, dram);
+        loas.report(layer, replay, None).to_portable()
+    }
 
     /// 70 rows: three sweep blocks, so intra-layer workers split the layer,
     /// and several row tiles at any TPPE count up to 32.
@@ -1043,11 +906,25 @@ mod tests {
         assert!(penalty < 1.15, "throughput penalty {penalty}");
     }
 
-    /// Every LoAS variant must produce byte-identical portable reports for
-    /// the kernel and pre-kernel sweep strategies, at any intra-layer
-    /// worker count and TPPE count, on global caches the replay's
-    /// footprint fits (counted from first touches) and overflows (walked
-    /// tag by tag) — the two-phase refactor's core guarantee.
+    /// Whether `loas` counts its replay of `layer` from the footprint.
+    fn fits(loas: &Loas, layer: &PreparedLayer) -> bool {
+        let config = &loas.config;
+        let spans = TrafficSpans::build(layer, config.weight_bits, config.cache_line_bytes);
+        let (mut cache, mut dram) = loas.offchip(layer, spans.out_row_bytes);
+        loas.count_unevicted(
+            layer,
+            &loas.sweep_layer(layer),
+            &spans,
+            &mut cache,
+            &mut dram,
+        )
+    }
+
+    /// Every LoAS variant must produce byte-identical portable reports to
+    /// the oracle, at any intra-layer worker count and TPPE count, on
+    /// global caches the replay's footprint fits (counted from first
+    /// touches) and overflows (walked tag by tag) — the two-phase
+    /// refactor's core guarantee.
     #[test]
     fn kernel_and_reference_sweeps_are_byte_identical() {
         let layer = tiled_layer();
@@ -1069,7 +946,7 @@ mod tests {
             (8192, 8),
             (16384, 16),
         ];
-        let (mut fits, mut evicts) = (0, 0);
+        let (mut fitting, mut evicting) = (0, 0);
         for variant in variants {
             for (cache_bytes, cache_ways) in caches {
                 for tppes in [4, 32] {
@@ -1079,41 +956,62 @@ mod tests {
                         .tppes(tppes)
                         .build();
                     config.cache_ways = cache_ways;
-                    let oracle = Loas::new(config.clone()).with_sweep(SweepStrategy::Reference);
-                    let golden = oracle.clone().run_layer(&layer).to_portable();
-                    let sweep = oracle.sweep_layer(&layer);
-                    let spans =
-                        TrafficSpans::build(&layer, config.weight_bits, config.cache_line_bytes);
-                    let cache = || SramCache::new(cache_bytes, 64, cache_ways, config.cache_banks);
-                    if oracle.count_unevicted(
-                        &layer,
-                        &sweep,
-                        &spans,
-                        &mut cache(),
-                        &mut TrafficLedger::new(),
-                    ) {
-                        fits += 1;
+                    let golden = reference_report(&config, &layer);
+                    if fits(&Loas::new(config.clone()), &layer) {
+                        fitting += 1;
                     } else {
-                        evicts += 1;
+                        evicting += 1;
                     }
                     for workers in [1usize, 2, 4] {
+                        // A fresh layer each run: a memo hit would skip
+                        // the sweep at this worker count.
                         let report = Loas::new(config.clone())
-                            .with_sweep(SweepStrategy::Kernel)
                             .with_intra_workers(workers)
-                            .run_layer(&layer)
+                            .run_layer(&tiled_layer())
                             .to_portable();
                         assert_eq!(
                             report,
                             golden,
-                            "{} with {tppes} TPPEs, a {cache_bytes}-byte {cache_ways}-way \
+                            "{:?} with {tppes} TPPEs, a {cache_bytes}-byte {cache_ways}-way \
                              cache and {workers} workers",
-                            oracle.name()
+                            variant.clone().build()
                         );
                     }
                 }
             }
         }
-        assert!(fits >= 8 && evicts >= 8, "{fits} fit, {evicts} evict");
+        assert!(
+            fitting >= 8 && evicting >= 8,
+            "{fitting} fit, {evicting} evict"
+        );
+
+        // Full-size V-L8 (Table II): its replay overflows a 64 KB global
+        // cache (the span walk) and fits the 256 KB one (the count).
+        let profile = SparsityProfile {
+            spike_origin: 0.881,
+            silent: 0.765,
+            silent_ft: 0.868,
+            weight: 0.968,
+        };
+        let v_l8 = WorkloadGenerator::new(7)
+            .generate("V-L8", LayerShape::new(4, 16, 512, 2304), &profile)
+            .unwrap();
+        let v_l8 = PreparedLayer::new(&v_l8);
+        for (cache_bytes, fitting) in [(64 * 1024, false), (256 * 1024, true)] {
+            for tppes in [4, 32] {
+                let config = LoasConfig::builder()
+                    .cache_bytes(cache_bytes)
+                    .tppes(tppes)
+                    .build();
+                let loas = Loas::new(config.clone());
+                assert_eq!(fits(&loas, &v_l8), fitting, "{cache_bytes}-byte cache");
+                assert_eq!(
+                    loas.clone().run_layer(&v_l8).to_portable(),
+                    reference_report(&config, &v_l8),
+                    "V-L8 with {tppes} TPPEs and a {cache_bytes}-byte cache"
+                );
+            }
+        }
     }
 
     /// The footprint that decides whether the replay can evict holds
@@ -1128,8 +1026,7 @@ mod tests {
             .unwrap();
         let dense = PreparedLayer::new(&dense);
         for (layer, weight_bits) in [(tiled_layer(), 8), (small_layer(), 4), (dense, 8)] {
-            let loas = Loas::default().with_sweep(SweepStrategy::Reference);
-            let sweep = loas.sweep_layer(&layer);
+            let sweep = Loas::default().sweep_layer(&layer);
             let spans = TrafficSpans::build(&layer, weight_bits, 64);
             let mut walked = std::collections::BTreeSet::new();
             let mut touch =
@@ -1171,12 +1068,8 @@ mod tests {
         let cache =
             [64, 128, 256, 512].map(|kb| LoasConfig::builder().cache_bytes(kb * 1024).build());
         for config in tppes.into_iter().chain(bandwidth).chain(cache) {
-            let shared = Loas::new(config.clone())
-                .with_sweep(SweepStrategy::Kernel)
-                .run_layer(&layer);
-            let fresh = Loas::new(config)
-                .with_sweep(SweepStrategy::Kernel)
-                .run_layer(&small_layer());
+            let shared = Loas::new(config.clone()).run_layer(&layer);
+            let fresh = Loas::new(config).run_layer(&small_layer());
             assert_eq!(shared.to_portable(), fresh.to_portable());
         }
         let stats = layer.memo_stats();
@@ -1191,31 +1084,39 @@ mod tests {
     #[test]
     fn reference_and_verified_runs_bypass_the_memo() {
         let layer = small_layer();
-        Loas::default()
-            .with_sweep(SweepStrategy::Reference)
-            .run_layer(&layer);
-        Loas::default()
-            .with_sweep(SweepStrategy::Kernel)
-            .with_verification(true)
-            .run_layer(&layer);
+        reference_report(&LoasConfig::table3(), &layer);
+        Loas::default().with_verification(true).run_layer(&layer);
         assert_eq!(layer.memo_stats(), crate::MemoStats::default());
     }
 
-    #[test]
-    fn sweep_strategy_env_parsing() {
-        // from_env reads the process environment; the mapping itself is
-        // what needs pinning (set_var would race the parallel harness).
-        assert_eq!(SweepStrategy::default(), SweepStrategy::Kernel);
-        let map = |v: Option<&str>| match v {
-            Some("scalar") | Some("reference") => Some(SweepStrategy::Reference),
-            Some("kernel") | Some("") | None => Some(SweepStrategy::Kernel),
-            Some(_) => None, // from_env panics: a typo must not pass as Kernel
-        };
-        assert_eq!(map(Some("scalar")), Some(SweepStrategy::Reference));
-        assert_eq!(map(Some("reference")), Some(SweepStrategy::Reference));
-        assert_eq!(map(Some("kernel")), Some(SweepStrategy::Kernel));
-        assert_eq!(map(Some("")), Some(SweepStrategy::Kernel));
-        assert_eq!(map(None), Some(SweepStrategy::Kernel));
-        assert_eq!(map(Some("Scalar")), None, "case typos fail loud");
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        /// The span-driven replay against the oracle on random shapes.
+        #[test]
+        fn span_replay_is_byte_identical_to_the_reference_oracle(
+            shape in (2usize..=20, 2usize..=16, 16usize..=160),
+            profile in (60.0f64..88.0, 45.0f64..65.0, 1.0f64..10.0, 82.0f64..98.0),
+        ) {
+            let (m, n, k) = shape;
+            let (origin, silent, ft_extra, weight) = profile;
+            let Ok(profile) =
+                SparsityProfile::from_percentages(origin, silent, silent + ft_extra, weight)
+            else {
+                continue;
+            };
+            let Ok(workload) = WorkloadGenerator::default().generate(
+                &format!("span-prop-{m}-{n}-{k}"),
+                LayerShape::new(4, m, n, k),
+                &profile,
+            ) else {
+                continue; // infeasible profile draw: nothing to check
+            };
+            let layer = PreparedLayer::new(&workload);
+            prop_assert_eq!(
+                Loas::default().run_layer(&layer).to_portable(),
+                reference_report(&LoasConfig::table3(), &layer)
+            );
+        }
     }
 }

@@ -140,6 +140,9 @@ impl LoasConfig {
         if self.hbm_channels == 0 {
             return Err("need at least one off-chip channel".to_owned());
         }
+        if self.crossbar_bus_bytes == 0 {
+            return Err("degenerate crossbar bus width".to_owned());
+        }
         check_precision(self.weight_bits, None)?;
         loas_sim::check_cache_geometry(
             self.cache_bytes,

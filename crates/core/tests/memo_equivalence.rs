@@ -3,7 +3,7 @@
 //! sweeps, replays and span tables) must report byte for byte what each
 //! config reports on a freshly prepared layer.
 
-use loas_core::{Accelerator, Loas, LoasConfig, PreparedLayer, SweepStrategy};
+use loas_core::{Accelerator, Loas, LoasConfig, PreparedLayer};
 use loas_workloads::{LayerShape, LayerWorkload, SparsityProfile, WorkloadGenerator};
 use proptest::prelude::*;
 
@@ -34,10 +34,7 @@ fn workload(shape: (usize, usize, usize, usize), seed: u64) -> Option<LayerWorkl
 }
 
 fn report(config: &LoasConfig, layer: &PreparedLayer) -> String {
-    Loas::new(config.clone())
-        .with_sweep(SweepStrategy::Kernel)
-        .run_layer(layer)
-        .to_portable()
+    Loas::new(config.clone()).run_layer(layer).to_portable()
 }
 
 proptest! {

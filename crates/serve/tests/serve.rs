@@ -279,6 +279,52 @@ fn workloads_beyond_sixteen_timesteps_are_rejected_at_enqueue() {
 }
 
 #[test]
+fn degenerate_crossbars_and_dense_precisions_are_rejected_at_enqueue() {
+    // A LoAS crossbar bus of 0 bytes used to pass enqueue and then panic
+    // every runner ("degenerate crossbar"), leaving the campaign queued
+    // forever; PTB and Stellar took any weight precision and reported 0
+    // weight DRAM bytes for 2^62-bit weights.
+    let spec = |accelerator: &str| {
+        format!(
+            r#"{{"version": 2, "name": "degenerate", "jobs": [{{
+                "workload": {{"name": "V-L8", "shape": {{"t": 4, "m": 16, "n": 512, "k": 2304}},
+                             "profile": {{"spike_origin": 0.881, "silent": 0.765,
+                                         "silent_ft": 0.868, "weight": 0.968}},
+                             "seed": 7}},
+                "accelerator": {accelerator}}}]}}"#
+        )
+    };
+    let root = temp_root("degenerate");
+    let queue = Queue::init(&root).unwrap();
+    for accelerator in [
+        r#"{"name": "loas", "config": {"timesteps": 4, "crossbar_bus_bytes": 0}}"#,
+        r#"{"name": "ptb", "config": {"weight_bits": 4611686018427387904}}"#,
+        r#"{"name": "ptb", "config": {"weight_bits": 0}}"#,
+        r#"{"name": "stellar", "config": {"weight_bits": 4611686018427387904}}"#,
+        r#"{"name": "stellar", "config": {"weight_bits": 0}}"#,
+    ] {
+        let error = queue.enqueue(&spec(accelerator)).unwrap_err();
+        assert!(
+            matches!(error, ServeError::Spec(_)),
+            "{accelerator}: {error}"
+        );
+    }
+    assert!(
+        queue.submissions().unwrap().is_empty(),
+        "nothing was queued"
+    );
+    // The bounds themselves are accepted.
+    for accelerator in [
+        r#"{"name": "loas", "config": {"timesteps": 4, "crossbar_bus_bytes": 1}}"#,
+        r#"{"name": "ptb", "config": {"weight_bits": 32}}"#,
+        r#"{"name": "stellar", "config": {"weight_bits": 1}}"#,
+    ] {
+        queue.enqueue(&spec(accelerator)).unwrap();
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
 fn unbounded_precisions_are_rejected_at_enqueue() {
     // A weight precision of 2^62 bits used to pass enqueue and then walk
     // fiber spans of ~2^53 cache lines in `run`, stalling the queue.

@@ -50,7 +50,6 @@ pub use crossbar::Crossbar;
 pub use energy::{EnergyBreakdown, EnergyModel, EnergyParams};
 pub use fifo::Fifo;
 pub use memory::{
-    check_cache_geometry, Access, DoubleBuffer, HbmModel, LineSpan, ScratchBuffer, SpanResidency,
-    SramCache,
+    check_cache_geometry, Access, DoubleBuffer, HbmModel, LineSpan, ScratchBuffer, SramCache,
 };
 pub use stats::{CacheStats, OpCounts, SimStats, TrafficClass, TrafficLedger};

@@ -6,4 +6,4 @@ mod sram;
 
 pub use buffer::{DoubleBuffer, ScratchBuffer};
 pub use dram::HbmModel;
-pub use sram::{check_cache_geometry, Access, LineSpan, SpanResidency, SramCache};
+pub use sram::{check_cache_geometry, Access, LineSpan, SramCache};

@@ -6,9 +6,9 @@
 //! normalized miss-rate comparison of Fig. 14, and ledgers all read/write
 //! bytes for the on-chip traffic plots of Fig. 13.
 //!
-//! # Simulator performance (PR 5)
+//! # Simulator performance
 //!
-//! Three layers of mechanism keep the tag-accurate model off the profile
+//! Two layers of mechanism keep the tag-accurate model off the profile
 //! without changing a single hit/miss outcome:
 //!
 //! 1. **Indexed lookup** — resident lines live in an O(1) hash index
@@ -21,22 +21,12 @@
 //!    it once as a [`LineSpan`] and call [`SramCache::access_span`] /
 //!    [`SramCache::probe_span`]: one ledger record and one tight loop
 //!    instead of a function call per 64-byte line.
-//! 3. **Residency fast path** — a caller that re-touches the same span
-//!    many times (Gamma's B-row walk, LoAS's per-tile fiber-B broadcast)
-//!    keeps a [`SpanResidency`] token. The cache tracks, per set, the tick
-//!    of the last eviction; when a span's last full probe postdates every
-//!    eviction in its sets, every line is still resident, so the access is
-//!    all-hits and only the LRU/tick updates run — no tag compares at all.
-//!    When the whole-span check fails (or the probe length varies, as in
-//!    the per-pair payload probes), a per-line salvage tier revalidates
-//!    each recorded slot with a single tag compare before falling back to
-//!    the hash index.
 //!
 //! A replay whose whole footprint fits the cache skips the tags
 //! altogether: when [`SramCache::fits_without_eviction`] holds, every
 //! distinct line misses exactly once in any access order, and
 //! [`SramCache::record_unevicted`] ledgers the replay from its touch and
-//! line counts (Gamma-SNN's FiberCache walk).
+//! line counts (the LoAS and Gamma-SNN global-cache replays).
 
 use crate::stats::{CacheStats, TrafficClass, TrafficLedger};
 use std::collections::HashMap;
@@ -103,36 +93,6 @@ impl LineSpan {
     pub fn is_empty(&self) -> bool {
         self.n_lines == 0
     }
-}
-
-/// A caller-held residency token for a [`LineSpan`] that is probed
-/// repeatedly (see [`SramCache::access_span_resident`]). Holds the span's
-/// slots as of its last recording plus the tick its last full probe
-/// finished at; the cache validates them against its per-set eviction
-/// epochs (whole-span all-hits fast path) or per line against the tag
-/// array (salvage path, one compare per line instead of a hash probe).
-///
-/// A token is bound to one base address: probes through the same token
-/// may vary in length (`n_lines`) — shorter probes reuse the recorded
-/// slot prefix, longer ones extend it — which is what the per-pair
-/// payload probes of the LoAS replay need.
-#[derive(Debug, Clone, Default)]
-pub struct SpanResidency {
-    /// The longest span recorded through this token (fast paths only fire
-    /// on a matching `first_line`, so reusing a token across objects
-    /// degrades safely to the slow path).
-    span: LineSpan,
-    /// Tick at which the last probe covering the whole recorded span
-    /// completed (0: never).
-    last_full_tick: u64,
-    /// Cache generation the slots were recorded in.
-    generation: u64,
-    /// Epoch-path eligibility: spans longer than the set count can evict
-    /// their own earlier lines mid-probe, so they never take the
-    /// whole-span fast path (the per-line salvage path still applies).
-    eligible: bool,
-    /// Slot of each recorded line, in span order.
-    slots: Vec<u32>,
 }
 
 /// Hashes abstract line ids with one multiply + xor-shift — line ids are
@@ -226,12 +186,6 @@ pub struct SramCache {
     /// Resident-line index: line id → slot in `tags`/`lru`. Kept exactly
     /// in sync with `tags` so lookups are O(1) instead of O(ways).
     index: HashMap<u64, u32, LineIdHash>,
-    /// Per-set tick of the last eviction (0: never evicted). Insertions
-    /// into invalid ways displace nothing and leave the epoch untouched.
-    evict_epoch: Vec<u64>,
-    /// Bumped on [`SramCache::take_results`] so stale [`SpanResidency`]
-    /// tokens recorded before a reset never validate.
-    generation: u64,
     tick: u64,
     stats: CacheStats,
     traffic: TrafficLedger,
@@ -263,8 +217,6 @@ impl SramCache {
             tags: vec![None; sets * ways],
             lru: vec![0; sets * ways],
             index: HashMap::with_capacity_and_hasher(sets * ways, LineIdHash),
-            evict_epoch: vec![0; sets],
-            generation: 0,
             tick: 0,
             stats: CacheStats::default(),
             traffic: TrafficLedger::new(),
@@ -286,7 +238,7 @@ impl SramCache {
         self.banks
     }
 
-    /// Number of sets (the wrap bound for span fast-path eligibility).
+    /// Number of sets.
     pub fn sets(&self) -> usize {
         self.sets
     }
@@ -298,22 +250,14 @@ impl SramCache {
     }
 
     /// Tag-touches one line without ledgering traffic: the shared core of
-    /// every access/probe entry point. Returns the outcome and the line's
-    /// slot after the access.
+    /// every access/probe entry point.
     #[inline]
-    fn touch_line(&mut self, line_id: u64) -> (Access, u32) {
+    fn touch_line(&mut self, line_id: u64) -> Access {
         self.tick += 1;
-        self.lookup_ticked(line_id)
-    }
-
-    /// [`SramCache::touch_line`] with the tick already advanced (the
-    /// salvage path bumps the tick before its tag compare).
-    #[inline]
-    fn lookup_ticked(&mut self, line_id: u64) -> (Access, u32) {
         if let Some(&slot) = self.index.get(&line_id) {
             self.lru[slot as usize] = self.tick;
             self.stats.hits += 1;
-            return (Access::Hit, slot);
+            return Access::Hit;
         }
         // Miss: evict LRU way (invalid ways preferred, lowest index first —
         // the exact victim order of the pre-index linear-scan model).
@@ -332,12 +276,11 @@ impl SramCache {
         let slot = base + victim;
         if let Some(evicted) = self.tags[slot] {
             self.index.remove(&evicted);
-            self.evict_epoch[set] = self.tick;
         }
         self.tags[slot] = Some(line_id);
         self.lru[slot] = self.tick;
         self.index.insert(line_id, slot as u32);
-        (Access::Miss, slot as u32)
+        Access::Miss
     }
 
     /// Looks up line `line_id`, inserting on miss (LRU eviction). Records
@@ -345,7 +288,7 @@ impl SramCache {
     #[inline]
     pub fn access_line(&mut self, line_id: u64, class: TrafficClass) -> Access {
         self.traffic.record(class, self.line_bytes as u64);
-        self.touch_line(line_id).0
+        self.touch_line(line_id)
     }
 
     /// Accesses an object spanning `bytes` starting at abstract address
@@ -389,151 +332,11 @@ impl SramCache {
     fn touch_span(&mut self, span: LineSpan) -> u64 {
         let mut missed = 0;
         for i in 0..span.n_lines {
-            if self.touch_line(span.first_line + i).0 == Access::Miss {
+            if self.touch_line(span.first_line + i) == Access::Miss {
                 missed += 1;
             }
         }
         missed
-    }
-
-    /// Like [`SramCache::access_span`] for a span the caller probes
-    /// repeatedly, carrying a [`SpanResidency`] token between calls. When
-    /// the token's last full probe postdates every eviction in the span's
-    /// sets, all lines are provably still resident: the access is counted
-    /// as `n_lines` hits and only the LRU/tick updates run. Outcomes are
-    /// identical to the untracked span call for every access sequence.
-    #[inline]
-    pub fn access_span_resident(
-        &mut self,
-        span: LineSpan,
-        residency: &mut SpanResidency,
-        class: TrafficClass,
-    ) -> u64 {
-        if span.is_empty() {
-            return 0;
-        }
-        self.traffic
-            .record(class, span.n_lines * self.line_bytes as u64);
-        if self.span_all_resident(span, residency) {
-            self.touch_resident_hits(span, residency);
-            return 0;
-        }
-        self.touch_span_fallback(span, residency)
-    }
-
-    /// The probe (non-ledgering) form of [`SramCache::access_span_resident`].
-    #[inline]
-    pub fn probe_span_resident(&mut self, span: LineSpan, residency: &mut SpanResidency) -> u64 {
-        if span.is_empty() {
-            return 0;
-        }
-        if self.span_all_resident(span, residency) {
-            self.touch_resident_hits(span, residency);
-            return 0;
-        }
-        self.touch_span_fallback(span, residency)
-    }
-
-    /// Whole-span all-hits fast path: per line, in span order, the same
-    /// tick/LRU updates the slow path would perform — and nothing else (no
-    /// tag reads, no hashing).
-    #[inline]
-    fn touch_resident_hits(&mut self, span: LineSpan, residency: &mut SpanResidency) {
-        let mut tick = self.tick;
-        for &slot in &residency.slots {
-            tick += 1;
-            self.lru[slot as usize] = tick;
-        }
-        self.tick = tick;
-        self.stats.hits += span.n_lines;
-        residency.last_full_tick = tick;
-    }
-
-    /// The salvage and recording tiers of a tracked span touch — outlined
-    /// so the all-resident fast path above stays small enough to inline
-    /// into the replay loops.
-    fn touch_span_fallback(&mut self, span: LineSpan, residency: &mut SpanResidency) -> u64 {
-        if residency.generation == self.generation && residency.span.first_line == span.first_line {
-            // Per-line salvage: a recorded slot whose tag still matches is
-            // a hit validated by one array compare (no hash probe); stale
-            // or unrecorded lines take the indexed lookup. A probe may be
-            // shorter than the recorded span (reuse the slot prefix) or
-            // longer (extend it) — what the varying-length payload probes
-            // of the traffic replay need.
-            let recorded = residency.slots.len() as u64;
-            let common = span.n_lines.min(recorded);
-            let mut missed = 0;
-            for i in 0..common {
-                let line = span.first_line + i;
-                let slot = residency.slots[i as usize];
-                self.tick += 1;
-                if self.tags[slot as usize] == Some(line) {
-                    self.lru[slot as usize] = self.tick;
-                    self.stats.hits += 1;
-                } else {
-                    let (access, new_slot) = self.lookup_ticked(line);
-                    if access == Access::Miss {
-                        missed += 1;
-                    }
-                    residency.slots[i as usize] = new_slot;
-                }
-            }
-            for i in common..span.n_lines {
-                let (access, slot) = self.touch_line(span.first_line + i);
-                if access == Access::Miss {
-                    missed += 1;
-                }
-                residency.slots.push(slot);
-            }
-            if span.n_lines >= residency.span.n_lines {
-                // The probe covered the whole recorded prefix: the token
-                // now vouches for it as of this tick. (A shorter probe
-                // keeps the older vouch — still sound, because the epoch
-                // check rejects any set evicted since that tick.)
-                residency.span = span;
-                residency.eligible = span.n_lines <= self.sets as u64;
-                residency.last_full_tick = self.tick;
-            }
-            return missed;
-        }
-        // First recording (or a token rebound to a new base address).
-        residency.span = span;
-        residency.generation = self.generation;
-        residency.eligible = span.n_lines <= self.sets as u64;
-        residency.slots.clear();
-        residency.slots.reserve(span.n_lines as usize);
-        let mut missed = 0;
-        for i in 0..span.n_lines {
-            let (access, slot) = self.touch_line(span.first_line + i);
-            if access == Access::Miss {
-                missed += 1;
-            }
-            residency.slots.push(slot);
-        }
-        residency.last_full_tick = self.tick;
-        missed
-    }
-
-    /// Whether every line of `span` is provably resident: the token is
-    /// bound to this span in this cache generation, the span cannot evict
-    /// its own lines (distinct sets), and no set the span maps to has
-    /// evicted since the token's last full probe. Lines of a fully-probed
-    /// span are resident at probe end; residency is only ever ended by an
-    /// eviction in the line's set; therefore no eviction since ⇒ all
-    /// resident (and their slots unchanged).
-    #[inline]
-    fn span_all_resident(&self, span: LineSpan, residency: &SpanResidency) -> bool {
-        let bound = residency.eligible
-            & (residency.last_full_tick != 0)
-            & (residency.generation == self.generation)
-            & (residency.span == span);
-        if !bound {
-            return false;
-        }
-        let sets = self.sets as u64;
-        (0..span.n_lines).all(|i| {
-            self.evict_epoch[((span.first_line + i) % sets) as usize] <= residency.last_full_tick
-        })
     }
 
     /// Whether touching `distinct_lines` (each line at most once in the
@@ -611,8 +414,6 @@ impl SramCache {
         self.tags.fill(None);
         self.lru.fill(0);
         self.index.clear();
-        self.evict_epoch.fill(0);
-        self.generation += 1;
         self.tick = 0;
         out
     }
@@ -753,82 +554,6 @@ mod tests {
         assert_eq!(spanned.stats(), lined.stats());
         assert_eq!(spanned.traffic(), lined.traffic());
         assert_eq!(spanned.tag_snapshot(), lined.tag_snapshot());
-    }
-
-    #[test]
-    fn resident_fast_path_matches_slow_path() {
-        // Two identical caches: one probes a hot span through a residency
-        // token, the other through the plain span API. Interleave accesses
-        // that do and do not evict the hot span's sets.
-        let mut fast = SramCache::new(8 * 64, 64, 2, 1); // 4 sets
-        let mut slow = SramCache::new(8 * 64, 64, 2, 1);
-        let hot = LineSpan {
-            first_line: 0,
-            n_lines: 3,
-        };
-        let mut token = SpanResidency::default();
-        for round in 0..20u64 {
-            let a = fast.access_span_resident(hot, &mut token, TrafficClass::Weight);
-            let b = slow.access_span(hot, TrafficClass::Weight);
-            assert_eq!(a, b, "round {round}");
-            // Pressure: collides with the hot sets every third round.
-            if round % 3 == 0 {
-                for i in 0..3 {
-                    let line = 100 + round * 8 + i * 4;
-                    assert_eq!(
-                        fast.access_line(line, TrafficClass::Input),
-                        slow.access_line(line, TrafficClass::Input)
-                    );
-                }
-            }
-        }
-        assert_eq!(fast.stats(), slow.stats());
-        assert_eq!(fast.traffic(), slow.traffic());
-        assert_eq!(fast.tag_snapshot(), slow.tag_snapshot());
-    }
-
-    #[test]
-    fn resident_fast_path_survives_take_results() {
-        let mut c = SramCache::new(8 * 64, 64, 2, 1);
-        let span = LineSpan {
-            first_line: 0,
-            n_lines: 2,
-        };
-        let mut token = SpanResidency::default();
-        assert_eq!(
-            c.access_span_resident(span, &mut token, TrafficClass::Weight),
-            2
-        );
-        assert_eq!(
-            c.access_span_resident(span, &mut token, TrafficClass::Weight),
-            0
-        );
-        let _ = c.take_results();
-        // A stale token from before the reset must not claim residency.
-        assert_eq!(
-            c.access_span_resident(span, &mut token, TrafficClass::Weight),
-            2
-        );
-    }
-
-    #[test]
-    fn spans_longer_than_the_set_count_never_fast_path() {
-        // 4 sets: a 9-line span wraps and can evict its own earlier lines,
-        // so every probe must take the full tag walk.
-        let mut c = SramCache::new(8 * 64, 64, 2, 1);
-        let span = LineSpan {
-            first_line: 0,
-            n_lines: 9,
-        };
-        let mut token = SpanResidency::default();
-        let mut reference = SramCache::new(8 * 64, 64, 2, 1);
-        for _ in 0..4 {
-            let a = c.access_span_resident(span, &mut token, TrafficClass::Weight);
-            let b = reference.access_span(span, TrafficClass::Weight);
-            assert_eq!(a, b);
-        }
-        assert_eq!(c.stats(), reference.stats());
-        assert_eq!(c.tag_snapshot(), reference.tag_snapshot());
     }
 
     proptest! {

@@ -1,16 +1,15 @@
-//! Property test: the indexed, span-batched, residency-tracked
-//! [`SramCache`] is observationally identical to the original per-line
+//! Property test: the indexed, span-batched [`SramCache`] is observationally identical to the original per-line
 //! linear-tag-scan model over random access/probe/span sequences —
 //! identical hit/miss outcomes, statistics, traffic ledger, and eviction
 //! victims (asserted through full tag/LRU state equality after every
 //! operation, which pins the victim choice of every eviction).
 
-use loas_sim::{Access, LineSpan, SpanResidency, SramCache, TrafficClass};
+use loas_sim::{Access, LineSpan, SramCache, TrafficClass};
 use proptest::prelude::*;
 
 /// The pre-index reference model: a verbatim keep of the original
 /// `SramCache` tag logic — per-access linear scan over the ways of a set,
-/// one call per line, no index, no spans, no residency state. Kept
+/// one call per line, no index, no spans. Kept
 /// private to this test on purpose: it exists only to pin behaviour.
 struct ReferenceCache {
     line_bytes: usize,
@@ -118,9 +117,9 @@ const CLASSES: [TrafficClass; 3] = [
     TrafficClass::Format,
 ];
 
-/// The fixed spans the persistent residency tokens are bound to: a 1-line
-/// hot object, a multi-line object, one longer than the set count of the
-/// small geometry (epoch-ineligible), and a prefix-probed payload region.
+/// Fixed spans the replays re-touch many times: a 1-line hot object, a
+/// multi-line object, one longer than the set count of the small geometry
+/// (it evicts its own lines), and a prefix-probed payload region.
 const TRACKED_SPANS: [LineSpan; 4] = [
     LineSpan {
         first_line: 3,
@@ -159,8 +158,6 @@ proptest! {
         let (capacity, line, ways) = [(8 * 64, 64, 2), (16 * 32, 32, 4), (64 * 64, 64, 16)][geometry];
         let mut cache = SramCache::new(capacity, line, ways, 1);
         let mut reference = ReferenceCache::new(capacity, line, ways);
-        let mut tokens: Vec<SpanResidency> =
-            (0..TRACKED_SPANS.len()).map(|_| SpanResidency::default()).collect();
 
         for (kind, raw_addr, bytes, class_pick) in ops {
             let class = CLASSES[class_pick as usize];
@@ -198,27 +195,23 @@ proptest! {
                     );
                 }
                 4 | 5 => {
-                    // Persistent-token access of one of the fixed spans:
-                    // exercises the epoch fast path, the per-line salvage
-                    // tier, and the epoch-ineligible long span.
+                    // Repeated access of one of the fixed spans: the
+                    // re-broadcast pattern of the fiber and row walks.
                     let which = (raw_addr % TRACKED_SPANS.len() as u64) as usize;
                     let span = TRACKED_SPANS[which];
                     prop_assert_eq!(
-                        cache.access_span_resident(span, &mut tokens[which], class),
+                        cache.access_span(span, class),
                         reference.access_span(span, class)
                     );
                 }
                 6 => {
-                    // Varying-length prefix probe through one token — the
+                    // Varying-length prefix probe of one base line — the
                     // per-pair payload-probe pattern of the LoAS replay.
                     let span = LineSpan {
                         first_line: TRACKED_SPANS[3].first_line,
                         n_lines: bytes % (TRACKED_SPANS[3].n_lines + 3),
                     };
-                    prop_assert_eq!(
-                        cache.probe_span_resident(span, &mut tokens[3]),
-                        reference.touch_span(span)
-                    );
+                    prop_assert_eq!(cache.probe_span(span), reference.touch_span(span));
                 }
                 _ => {
                     let (ledger, stats) = cache.take_results();
@@ -227,8 +220,6 @@ proptest! {
                     prop_assert_eq!(stats.misses, misses);
                     let total: u64 = ref_bytes.iter().map(|&(_, b)| b).sum();
                     prop_assert_eq!(ledger.total(), total);
-                    // Stale tokens must never validate against the reset
-                    // tags (generation bump) — keep using them below.
                 }
             }
             // Tag arrays equal after every op ⇒ every eviction picked the
