@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# CI entry point: formatting, lints on the engine/serve crates, release
+# CI entry point: formatting, lints on every workspace crate, release
 # build, the full workspace test suite (tier-1 verify is those two steps;
 # the suite includes the committed golden-v1-spec memo-key assertions,
 # the v2 spec round-trip property test, the full-scale headline bands of
@@ -24,8 +24,8 @@ cd "$(dirname "$0")"
 echo "== cargo fmt --check"
 cargo fmt --all --check
 
-echo "== cargo clippy (loas-engine + loas-serve, deny warnings)"
-cargo clippy -p loas-engine -p loas-serve --all-targets -- -D warnings
+echo "== cargo clippy (whole workspace, all targets, deny warnings)"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== cargo build --release"
 cargo build --release
@@ -139,9 +139,12 @@ for bad in '{"name": "loas", "config": {"timesteps": 2, "hbm_channels": 0}}=chan
   fi
   grep "bad campaign spec" "$SMOKE/memory.err" | grep -q "${bad##*=}"
 done
-echo "garbage" > "$SMOKE/single/memo/00000000deadbeef.report"
+# The memo store is one append-only log; append a frame whose digest does
+# not check.
+test "$(ls -A "$SMOKE/single/memo")" = "entries.log"
+printf 'loas-memo 00000000deadbeef 7 0000000000000000\ngarbage' >> "$SMOKE/single/memo/entries.log"
 if "$SERVE" fsck "$SMOKE/single" > /dev/null 2>&1; then
-  echo "fsck missed an injected corrupt memo entry"; exit 1
+  echo "fsck missed an injected corrupt memo frame"; exit 1
 fi
 "$SERVE" fsck "$SMOKE/single" --prune | grep -q "1 pruned"
 "$SERVE" fsck "$SMOKE/single"

@@ -12,7 +12,7 @@ fn bench_experiments(c: &mut Criterion) {
         if *name == "fig15" {
             continue; // alias of table4
         }
-        group.bench_function(*name, |b| {
+        group.bench_function(name, |b| {
             b.iter(|| {
                 let mut ctx = Context::quick();
                 let tables = runner(&mut ctx);

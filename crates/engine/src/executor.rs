@@ -14,7 +14,8 @@ use crate::spec::{Campaign, WorkloadSpec};
 use loas_core::{LayerReport, PreparedLayer};
 use loas_workloads::WorkloadError;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::panic::AssertUnwindSafe;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Instant;
 
@@ -28,6 +29,14 @@ pub enum EngineError {
         /// The underlying generator error.
         source: WorkloadError,
     },
+    /// A job's model panicked while simulating; the run returns no
+    /// outcome.
+    JobPanicked {
+        /// The job's id within its campaign.
+        job: usize,
+        /// The panic message, on one line.
+        message: String,
+    },
 }
 
 impl std::fmt::Display for EngineError {
@@ -36,6 +45,7 @@ impl std::fmt::Display for EngineError {
             EngineError::Workload { workload, source } => {
                 write!(f, "cannot generate workload `{workload}`: {source}")
             }
+            EngineError::JobPanicked { job, message } => write!(f, "job {job}: {message}"),
         }
     }
 }
@@ -44,6 +54,7 @@ impl std::error::Error for EngineError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             EngineError::Workload { source, .. } => Some(source),
+            EngineError::JobPanicked { .. } => None,
         }
     }
 }
@@ -86,6 +97,17 @@ fn pinned_workers(value: Option<&str>) -> Option<usize> {
     value
         .and_then(|value| value.parse::<usize>().ok())
         .filter(|&workers| workers >= 1)
+}
+
+/// The message of a caught panic, on one line.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    let message = match payload.downcast_ref::<&str>() {
+        Some(message) => message,
+        None => payload
+            .downcast_ref::<String>()
+            .map_or("panic without a message", String::as_str),
+    };
+    message.replace('\n', " ")
 }
 
 /// Intra-layer worker share per job: the engine budget divided by the
@@ -286,7 +308,10 @@ impl Engine {
     /// # Errors
     ///
     /// Returns the first workload-generation failure; no jobs run in that
-    /// case.
+    /// case. A job whose model panics fails the campaign with
+    /// [`EngineError::JobPanicked`]: no further jobs start, results
+    /// already simulated are still written to `store`, and the engine
+    /// stays usable for the next campaign.
     pub fn run_where(
         &self,
         campaign: &Campaign,
@@ -355,7 +380,8 @@ impl Engine {
             .collect::<Result<_, _>>()?;
 
         let next = AtomicUsize::new(0);
-        let (sender, receiver) = mpsc::channel::<(usize, LayerReport, f64)>();
+        let panicked = AtomicBool::new(false);
+        let (sender, receiver) = mpsc::channel::<(usize, Result<LayerReport, String>, f64)>();
         let workers = self.workers.min(to_run.len().max(1));
         // Split the engine's worker budget between job-level and
         // intra-layer parallelism: campaigns with fewer jobs than budget
@@ -367,6 +393,7 @@ impl Engine {
             for _ in 0..workers {
                 let sender = sender.clone();
                 let next = &next;
+                let panicked = &panicked;
                 let layers = &layers;
                 let to_run = &to_run;
                 scope.spawn(move || loop {
@@ -374,10 +401,19 @@ impl Engine {
                     let Some(&index) = to_run.get(position) else {
                         break;
                     };
+                    if panicked.load(Ordering::Relaxed) {
+                        break;
+                    }
                     let job_start = Instant::now();
-                    let mut model = jobs[index].accelerator.build();
-                    model.set_intra_workers(intra_workers);
-                    let report = model.run_layer(&layers[position]);
+                    let report = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                        let mut model = jobs[index].accelerator.build();
+                        model.set_intra_workers(intra_workers);
+                        model.run_layer(&layers[position])
+                    }))
+                    .map_err(|payload| {
+                        panicked.store(true, Ordering::Relaxed);
+                        panic_message(payload.as_ref())
+                    });
                     if sender
                         .send((index, report, job_start.elapsed().as_secs_f64()))
                         .is_err()
@@ -419,15 +455,30 @@ impl Engine {
                 }
             };
             emit_ready(&mut pending, &mut records);
+            let mut failure: Option<(usize, String)> = None;
             for (index, report, sim_seconds) in receiver {
-                if let Some(store) = store {
-                    store.store(jobs[index].memo_key(), &report);
+                match report {
+                    Ok(report) => {
+                        if let Some(store) = store {
+                            store.store(jobs[index].memo_key(), &report);
+                        }
+                        pending.insert(index, make_record(index, report, sim_seconds));
+                        emit_ready(&mut pending, &mut records);
+                    }
+                    // Several jobs may panic before the workers stop: report
+                    // the lowest id.
+                    Err(message) => {
+                        if failure.as_ref().is_none_or(|(job, _)| index < *job) {
+                            failure = Some((index, message));
+                        }
+                    }
                 }
-                pending.insert(index, make_record(index, report, sim_seconds));
-                emit_ready(&mut pending, &mut records);
             }
-            records
-        });
+            match failure {
+                Some((job, message)) => Err(EngineError::JobPanicked { job, message }),
+                None => Ok(records),
+            }
+        })?;
         debug_assert_eq!(records.len(), selected.len());
 
         let stats_after = self.cache.stats();

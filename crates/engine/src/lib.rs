@@ -70,6 +70,6 @@ mod spec;
 
 pub use cache::{PreparedCache, PreparedCacheStats, DEFAULT_CACHE_CAPACITY};
 pub use executor::{default_workers, Engine, EngineError};
-pub use memo::{MemoKey, MemoStore, MemoStoreStats, ResultStore};
+pub use memo::{LogCheck, MemoKey, MemoStore, MemoStoreStats, ResultStore};
 pub use report::{json_escape, CampaignOutcome, JobRecord};
 pub use spec::{AcceleratorSpec, Campaign, JobSpec, WorkloadKey, WorkloadSpec, DEFAULT_SEED};

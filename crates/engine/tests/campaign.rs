@@ -261,3 +261,68 @@ fn tiny_cache_capacity_still_completes_and_matches() {
     let layers = tiny.prepare(&specs).unwrap();
     assert_eq!(layers.len(), specs.len());
 }
+
+/// A test-only catalog model whose every run panics.
+#[derive(Debug, Clone, Copy, Default)]
+struct PanickingConfig {
+    code: u64,
+}
+
+impl PanickingConfig {
+    fn check(&self) -> Result<(), String> {
+        Ok(())
+    }
+}
+
+loas_core::impl_model_config!(PanickingConfig, "panicking", { code: u64 });
+
+struct Panicking(u64);
+
+impl Accelerator for Panicking {
+    fn name(&self) -> String {
+        "Panicking".to_owned()
+    }
+
+    fn run_layer(&mut self, _layer: &loas_core::PreparedLayer) -> loas_core::LayerReport {
+        panic!("model bug {}", self.0)
+    }
+}
+
+fn panicking() -> AcceleratorSpec {
+    static REGISTER: std::sync::Once = std::sync::Once::new();
+    REGISTER.call_once(|| {
+        loas_core::catalog::register(loas_core::ModelEntry::new(
+            "panicking",
+            "test model whose runs panic",
+            1_000,
+            || Box::new(PanickingConfig::default()),
+            |config| {
+                let config = config.as_any().downcast_ref::<PanickingConfig>().unwrap();
+                Box::new(Panicking(config.code))
+            },
+        ))
+        .unwrap();
+    });
+    AcceleratorSpec::from_config(PanickingConfig { code: 7 })
+}
+
+#[test]
+fn a_panicking_job_fails_its_campaign_and_spares_the_next() {
+    let mut broken = Campaign::new("broken");
+    broken.push_layer(small_layer("panic-a", 1), AcceleratorSpec::loas());
+    broken.push_layer(small_layer("panic-a", 1), panicking());
+    broken.push_layer(small_layer("panic-b", 2), AcceleratorSpec::sparten());
+    let engine = Engine::new(2);
+    let error = engine.run(&broken).unwrap_err();
+    assert!(
+        matches!(&error, loas_engine::EngineError::JobPanicked { job: 1, .. }),
+        "{error:?}"
+    );
+    assert_eq!(error.to_string(), "job 1: model bug 7");
+
+    // The same engine, with its prepared-layer cache, runs the next
+    // campaign to the bytes a fresh engine produces.
+    let campaign = mixed_campaign();
+    let reference = Engine::new(2).run(&campaign).unwrap().jsonl();
+    assert_eq!(engine.run(&campaign).unwrap().jsonl(), reference);
+}

@@ -3,7 +3,7 @@
 
 use crate::error::ServeError;
 use crate::queue::{CampaignState, Queue, Submission};
-use loas_core::LayerReport;
+use loas_engine::MemoStore;
 use std::path::{Path, PathBuf};
 
 /// Expands one `enqueue` source argument into the spec files it names:
@@ -124,16 +124,14 @@ pub fn requeue(queue: &Queue, id: u64) -> Result<(), ServeError> {
 /// What an [`fsck`] pass found (and possibly pruned).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FsckReport {
-    /// Valid memo entries (well-named and parseable).
+    /// Valid frames in the memo log (header and digest check).
     pub valid_entries: usize,
-    /// Memo entries whose contents fail to parse as a portable
-    /// [`LayerReport`] — replayed loads would read these as misses, so
-    /// they only waste space.
-    pub corrupt_entries: Vec<PathBuf>,
-    /// Files in the memo directory that are not `<16-hex>.report` entries
-    /// (leftover temporaries from crashed writers, stray files). Files
-    /// younger than [`ORPHAN_GRACE`] are ignored entirely — they may be a
-    /// live writer's in-flight temporary about to be renamed into place.
+    /// Damaged stretches of the memo log (see [`MemoStore::check`]):
+    /// loads read them as misses, so they only waste space.
+    pub corrupt_frames: usize,
+    /// Files in the memo directory other than its log (a crashed prune's
+    /// temporary, entries of the one-file-per-entry layout, stray files).
+    /// Files younger than [`ORPHAN_GRACE`] are ignored entirely.
     pub orphan_files: Vec<PathBuf>,
     /// Report directories with no matching submission-log entry.
     pub orphan_report_dirs: Vec<PathBuf>,
@@ -144,7 +142,7 @@ pub struct FsckReport {
 impl FsckReport {
     /// Total problems found.
     pub fn problems(&self) -> usize {
-        self.corrupt_entries.len() + self.orphan_files.len() + self.orphan_report_dirs.len()
+        self.corrupt_frames + self.orphan_files.len() + self.orphan_report_dirs.len()
     }
 
     /// Whether the store is fully consistent.
@@ -153,11 +151,13 @@ impl FsckReport {
     }
 }
 
-/// How old a non-entry file in the memo directory must be before fsck
-/// treats it as an orphan. `MemoStore::store` writes a `.tmp` file and
-/// atomically renames it within milliseconds, so anything younger than
-/// this is presumed to be a **live** writer's in-flight temporary —
-/// pruning it would race the rename and silently drop a fresh result.
+/// How old a file in the memo directory other than the store's log must
+/// be before fsck treats it as an orphan. Writers only append to the log;
+/// the one other file the store makes is a prune's temporary, renamed over
+/// the log within milliseconds, so anything younger than this is presumed
+/// to be a **live** prune's — removing it would race the rename. Entries of
+/// the older one-file-per-entry layout (`<key>.report`) fall under this
+/// rule too: the log never reads them.
 pub const ORPHAN_GRACE: std::time::Duration = std::time::Duration::from_secs(60);
 
 /// Whether the file at `path` is older than [`ORPHAN_GRACE`] (unreadable
@@ -169,27 +169,14 @@ fn outlived_grace(path: &std::path::Path) -> bool {
         .unwrap_or(true)
 }
 
-/// Whether `name` is a well-formed memo entry file name
-/// (`<16 lowercase hex>.report` — the [`MemoKey`] display format).
-///
-/// [`MemoKey`]: loas_engine::MemoKey
-fn is_memo_entry_name(name: &str) -> bool {
-    name.strip_suffix(".report").is_some_and(|stem| {
-        stem.len() == 16
-            && stem
-                .bytes()
-                .all(|b| b.is_ascii_hexdigit() && !b.is_ascii_uppercase())
-    })
-}
-
 /// Integrity-checks the queue's memo store and report tree (ROADMAP item
-/// c): every memo entry must be named `<16-hex>.report` and parse as a
-/// portable [`LayerReport`]; every report directory must belong to a
-/// logged submission. With `prune`, corrupt entries and orphans are
-/// deleted (safe even against concurrent runners: corrupt entries already
-/// read as misses, and non-entry files are only considered orphans once
-/// they outlive [`ORPHAN_GRACE`] — a live writer's in-flight temporary is
-/// never touched).
+/// c): the store checks its log frame by frame ([`MemoStore::check`]),
+/// every other file in the memo directory is an orphan once it outlives
+/// [`ORPHAN_GRACE`], and every report directory must belong to a logged
+/// submission. With `prune`, the store rewrites its log without the
+/// damage ([`MemoStore::prune`], which documents how a prune racing a
+/// live writer can drop that writer's newest entries) and orphans are
+/// deleted.
 ///
 /// # Errors
 ///
@@ -199,32 +186,24 @@ pub fn fsck(queue: &Queue, prune: bool) -> Result<FsckReport, ServeError> {
     let mut report = FsckReport::default();
     let memo_dir = queue.memo_dir();
     if memo_dir.is_dir() {
-        let mut entries: Vec<PathBuf> = std::fs::read_dir(&memo_dir)
+        let store = MemoStore::open(&memo_dir).map_err(ServeError::io(&memo_dir))?;
+        let log = store.log_path();
+        let found =
+            if prune { store.prune() } else { store.check() }.map_err(ServeError::io(log))?;
+        report.valid_entries = found.valid_frames;
+        if prune {
+            report.pruned += found.damaged;
+        } else {
+            report.corrupt_frames = found.damaged;
+        }
+        let mut files: Vec<PathBuf> = std::fs::read_dir(&memo_dir)
             .map_err(ServeError::io(&memo_dir))?
             .filter_map(Result::ok)
             .map(|entry| entry.path())
+            .filter(|path| path != log && outlived_grace(path))
             .collect();
-        entries.sort();
-        for path in entries {
-            let well_named = path
-                .file_name()
-                .and_then(|name| name.to_str())
-                .is_some_and(is_memo_entry_name);
-            if !well_named {
-                if outlived_grace(&path) {
-                    report.orphan_files.push(path);
-                }
-                continue;
-            }
-            let parses = std::fs::read_to_string(&path)
-                .ok()
-                .is_some_and(|text| LayerReport::from_portable(&text).is_ok());
-            if parses {
-                report.valid_entries += 1;
-            } else {
-                report.corrupt_entries.push(path);
-            }
-        }
+        files.sort();
+        report.orphan_files = files;
     }
 
     // Report directories must trace back to a logged submission.
@@ -254,11 +233,7 @@ pub fn fsck(queue: &Queue, prune: bool) -> Result<FsckReport, ServeError> {
     }
 
     if prune {
-        for path in report
-            .corrupt_entries
-            .drain(..)
-            .chain(report.orphan_files.drain(..))
-        {
+        for path in report.orphan_files.drain(..) {
             std::fs::remove_file(&path).map_err(ServeError::io(&path))?;
             report.pruned += 1;
         }
@@ -418,51 +393,61 @@ mod tests {
         assert!(clean.is_clean(), "{clean:?}");
         assert_eq!(clean.valid_entries, 4);
 
-        // Inject: a corrupt entry, a stray temp file, an orphan report dir.
+        // Inject: a frame whose digest does not check, a stray temp file,
+        // an entry of the one-file-per-entry layout, an orphan report dir.
         let memo = queue.memo_dir();
-        std::fs::write(memo.join("00000000deadbeef.report"), "not a report").unwrap();
+        let log = MemoStore::open(&memo).unwrap().log_path().to_path_buf();
+        let mut appended = std::fs::File::options().append(true).open(&log).unwrap();
+        std::io::Write::write_all(
+            &mut appended,
+            b"loas-memo 00000000deadbeef 7 0000000000000000\ngarbage",
+        )
+        .unwrap();
         let temp = memo.join(".0123.tmp");
         std::fs::write(&temp, "dead writer").unwrap();
+        let old_entry = memo.join("00000000deadbeef.report");
+        std::fs::write(&old_entry, "loas-layer-report/1").unwrap();
         std::fs::create_dir_all(queue.root().join("reports/99999")).unwrap();
 
-        // The temp file is fresh: it could be a live writer mid-rename, so
-        // fsck must leave it alone (corrupt entry + orphan dir still flag).
+        // The fresh files could belong to a live prune, so fsck leaves them
+        // alone (the damaged frame and the orphan dir still flag).
         let racing = fsck(&queue, false).unwrap();
-        assert_eq!(racing.orphan_files.len(), 0, "fresh temp presumed live");
+        assert_eq!(racing.orphan_files.len(), 0, "fresh files presumed live");
         assert_eq!(racing.problems(), 2);
 
-        // Backdate it past the grace period: now it is a dead writer's
-        // leftover and a genuine orphan.
+        // Backdate them past the grace period: now they are orphans.
         let stale = std::time::SystemTime::now() - (ORPHAN_GRACE + ORPHAN_GRACE);
-        std::fs::File::options()
-            .write(true)
-            .open(&temp)
-            .unwrap()
-            .set_times(std::fs::FileTimes::new().set_modified(stale))
-            .unwrap();
+        for path in [&temp, &old_entry] {
+            std::fs::File::options()
+                .write(true)
+                .open(path)
+                .unwrap()
+                .set_times(std::fs::FileTimes::new().set_modified(stale))
+                .unwrap();
+        }
 
         let dirty = fsck(&queue, false).unwrap();
         assert_eq!(dirty.valid_entries, 4);
-        assert_eq!(dirty.corrupt_entries.len(), 1);
-        assert_eq!(dirty.orphan_files.len(), 1);
+        assert_eq!(dirty.corrupt_frames, 1);
+        assert_eq!(dirty.orphan_files, vec![temp, old_entry]);
         assert_eq!(dirty.orphan_report_dirs.len(), 1);
-        assert_eq!(dirty.problems(), 3);
+        assert_eq!(dirty.problems(), 4);
 
         let pruned = fsck(&queue, true).unwrap();
-        assert_eq!(pruned.pruned, 3);
+        assert_eq!(pruned.pruned, 4);
         let after = fsck(&queue, false).unwrap();
         assert!(after.is_clean(), "{after:?}");
         assert_eq!(after.valid_entries, 4, "valid entries survive pruning");
-        let _ = std::fs::remove_dir_all(queue.root());
-    }
+        let files: Vec<_> = std::fs::read_dir(&memo).unwrap().collect();
+        assert_eq!(files.len(), 1, "only the log is left");
 
-    #[test]
-    fn memo_entry_names_are_validated_strictly() {
-        assert!(is_memo_entry_name("0123456789abcdef.report"));
-        assert!(!is_memo_entry_name("0123456789ABCDEF.report"), "uppercase");
-        assert!(!is_memo_entry_name("0123456789abcde.report"), "short");
-        assert!(!is_memo_entry_name("0123456789abcdef.tmp"), "extension");
-        assert!(!is_memo_entry_name("xyzw456789abcdef.report"), "non-hex");
+        // The pruned store still replays the campaign in full.
+        queue
+            .enqueue(&campaign_to_json(&gamma_cache_campaign(true, 11)))
+            .unwrap();
+        let replay = drain(&queue, &small_options(), |_| {}).unwrap();
+        assert_eq!((replay.memo_hits, replay.simulated), (4, 0));
+        let _ = std::fs::remove_dir_all(queue.root());
     }
 
     #[test]

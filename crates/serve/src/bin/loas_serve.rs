@@ -255,7 +255,7 @@ fn cmd_fsck(args: &[String]) -> Result<(), ServeError> {
         "fsck {}: {} valid memo entries, {} corrupt, {} orphan files, {} orphan report dirs{}",
         queue.root().display(),
         report.valid_entries,
-        report.corrupt_entries.len(),
+        report.corrupt_frames,
         report.orphan_files.len(),
         report.orphan_report_dirs.len(),
         if prune {
@@ -264,12 +264,14 @@ fn cmd_fsck(args: &[String]) -> Result<(), ServeError> {
             String::new()
         }
     );
-    for path in report
-        .corrupt_entries
-        .iter()
-        .chain(&report.orphan_files)
-        .chain(&report.orphan_report_dirs)
-    {
+    if report.corrupt_frames > 0 {
+        println!(
+            "  problem: {} damaged stretch(es) in the memo log under {}",
+            report.corrupt_frames,
+            queue.memo_dir().display()
+        );
+    }
+    for path in report.orphan_files.iter().chain(&report.orphan_report_dirs) {
         println!("  problem: {}", path.display());
     }
     if !report.is_clean() {

@@ -10,8 +10,8 @@
 //!   engine, streaming JSON-lines reports; new campaigns can be enqueued
 //!   while others run and are picked up in the same pass.
 //! * **Result memoization** — every completed job's [`LayerReport`]
-//!   persists to the queue's content-addressed
-//!   [`MemoStore`](loas_engine::MemoStore), keyed on the
+//!   persists to the queue's append-only
+//!   [`MemoStore`](loas_engine::MemoStore) log, keyed on the
 //!   `(workload, accelerator)` content hash. A resubmitted or overlapping
 //!   campaign replays cached results **byte-identically** and only
 //!   simulates novel jobs; per-campaign `hits/simulated` counts are

@@ -10,7 +10,8 @@
 //!   specs/<id>.json        the campaign spec exactly as submitted
 //!   state/<id>             "queued" | "done" | "failed <message>"
 //!   reports/<id>/          report.jsonl, report.shard-K.jsonl, shard-K.done, summaries
-//!   memo/                  the shared result-memoization store
+//!   memo/entries.log       the shared result-memoization store: one
+//!                          append-only log (see `loas_engine::MemoStore`)
 //! ```
 //!
 //! Submission is atomic-enough for the serving model: the spec file is

@@ -5,8 +5,13 @@
 //! overwritten, deleted, or the tail cut off — and string escaping must
 //! round-trip every Unicode scalar through the parser. Shard reports are
 //! read back from other processes' files the same way, so `merge_shards`
-//! must return an error or the exact merge on any shard contents.
+//! must return an error or the exact merge on any shard contents. The
+//! memo log is shared by every runner of a queue: on random, truncated,
+//! spliced or mutated logs a `MemoStore` must never panic and never load
+//! a report other than the one a valid frame holds.
 
+use loas_core::LayerReport;
+use loas_engine::{MemoKey, MemoStore, ResultStore};
 use loas_serve::json::{escape, Json};
 use loas_serve::merge_shards;
 use loas_serve::spec_io::campaign_from_json;
@@ -65,12 +70,7 @@ fn expected_merge(shards: &[Vec<u8>], jobs: usize) -> Option<String> {
 /// Writes the shard files into a fresh directory and checks the merge of
 /// every campaign size up to 5 jobs against [`expected_merge`].
 fn check_merge(shards: &[Vec<u8>]) {
-    static CASE: AtomicUsize = AtomicUsize::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "loas-merge-fuzz-{}-{}",
-        std::process::id(),
-        CASE.fetch_add(1, Ordering::Relaxed)
-    ));
+    let dir = fuzz_dir("merge");
     std::fs::create_dir_all(&dir).unwrap();
     for (rank, bytes) in shards.iter().enumerate() {
         std::fs::write(dir.join(format!("report.shard-{rank}.jsonl")), bytes).unwrap();
@@ -97,6 +97,160 @@ fn valid_shards() -> Vec<Vec<u8>> {
         (line(0) + &line(2)).into_bytes(),
         (line(1) + &line(3)).into_bytes(),
     ]
+}
+
+/// A valid log's entries, bytes and frame ends (see [`valid_log`]).
+type ValidLog = (Vec<(MemoKey, String)>, Vec<u8>, Vec<usize>);
+
+/// Three reports stored under keys 1 to 3: each key with its portable
+/// body, the log a store writes for them, and where each frame ends.
+fn valid_log() -> &'static ValidLog {
+    static LOG: std::sync::OnceLock<ValidLog> = std::sync::OnceLock::new();
+    LOG.get_or_init(write_valid_log)
+}
+
+fn write_valid_log() -> ValidLog {
+    let dir = fuzz_dir("memo-valid");
+    let store = MemoStore::open(&dir).unwrap();
+    let mut entries = Vec::new();
+    let mut ends = Vec::new();
+    for key in 1..=3u64 {
+        let mut stats = loas_sim::SimStats::new();
+        stats.cycles = loas_sim::Cycle(1000 * key);
+        let report = LayerReport {
+            workload: format!("layer {key}"),
+            accelerator: "LoAS".to_owned(),
+            stats,
+            energy: loas_sim::EnergyBreakdown::default(),
+            output: None,
+        };
+        store.store(MemoKey::new(key), &report);
+        entries.push((MemoKey::new(key), report.to_portable()));
+        ends.push(std::fs::metadata(store.log_path()).unwrap().len() as usize);
+    }
+    let log = std::fs::read(store.log_path()).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+    (entries, log, ends)
+}
+
+/// A fresh scratch path for one fuzz case.
+fn fuzz_dir(tag: &str) -> std::path::PathBuf {
+    static CASE: AtomicUsize = AtomicUsize::new(0);
+    std::env::temp_dir().join(format!(
+        "loas-{tag}-fuzz-{}-{}",
+        std::process::id(),
+        CASE.fetch_add(1, Ordering::Relaxed)
+    ))
+}
+
+/// Loads every key of `entries` (and one never stored) from a store over
+/// `log`, before and after a prune. Each load misses or returns exactly
+/// its key's body; keys in `must_load` hit; a prune loses no hit and
+/// leaves no damage. Returns the keys that loaded.
+fn check_log(log: &[u8], entries: &[(MemoKey, String)], must_load: &[MemoKey]) -> Vec<MemoKey> {
+    let dir = fuzz_dir("memo-log");
+    let store = MemoStore::open(&dir).unwrap();
+    std::fs::write(store.log_path(), log).unwrap();
+    let loaded = |store: &MemoStore| -> Vec<MemoKey> {
+        assert!(store.load(MemoKey::new(0xdead_beef)).is_none());
+        entries
+            .iter()
+            .filter(|(key, body)| match store.load(*key) {
+                Some(report) => {
+                    assert_eq!(&report.to_portable(), body, "key {key}");
+                    true
+                }
+                None => false,
+            })
+            .map(|(key, _)| *key)
+            .collect()
+    };
+    let before = loaded(&store);
+    for key in must_load {
+        assert!(before.contains(key), "key {key} did not load");
+    }
+    assert_eq!(store.len(), before.len());
+    let found = store.check().unwrap();
+    assert!(found.valid_frames >= before.len());
+    assert_eq!(store.prune().unwrap(), found);
+    assert_eq!(store.check().unwrap().damaged, 0);
+    assert_eq!(
+        loaded(&store),
+        before,
+        "the pruned log serves the same hits"
+    );
+    assert_eq!(loaded(&MemoStore::open(&dir).unwrap()), before);
+    let _ = std::fs::remove_dir_all(&dir);
+    before
+}
+
+/// Bytes that steer random logs into the frame parser's header paths.
+const LOG_ALPHABET: &[u8] = b"loas-memo 0123456789abcdef\n=,";
+
+proptest! {
+    // Each case writes a log, so fewer cases than the parsers get.
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn random_logs_never_panic_or_load_a_stranger(
+        bytes in proptest::collection::vec(0u8..=255, 0..256),
+        picks in proptest::collection::vec(0usize..LOG_ALPHABET.len(), 0..256),
+    ) {
+        let (entries, _, _) = valid_log();
+        check_log(&bytes, entries, &[]);
+        let structured: Vec<u8> = picks.iter().map(|&pick| LOG_ALPHABET[pick]).collect();
+        check_log(&structured, entries, &[]);
+    }
+
+    #[test]
+    fn truncated_and_mutated_logs_keep_their_whole_frames(
+        at in any::<u64>(),
+        byte in 0u8..=255,
+    ) {
+        let (entries, log, ends) = valid_log();
+        prop_assert_eq!(check_log(log, entries, &[]).len(), 3);
+        let at = (at % log.len() as u64) as usize;
+        // Cut: every frame that ends before the cut still loads.
+        let whole: Vec<MemoKey> = entries
+            .iter()
+            .zip(ends)
+            .filter(|(_, &end)| end <= at)
+            .map(|((key, _), _)| *key)
+            .collect();
+        prop_assert_eq!(check_log(&log[..at], entries, &whole), whole);
+        // Overwrite: every frame the byte is not in still loads.
+        let mut overwritten = log.clone();
+        overwritten[at] = byte;
+        let starts = [0, ends[0], ends[1]];
+        let untouched: Vec<MemoKey> = entries
+            .iter()
+            .zip(starts.iter().zip(ends))
+            .filter(|(_, (&start, &end))| at < start || at >= end)
+            .map(|((key, _), _)| *key)
+            .collect();
+        check_log(&overwritten, entries, &untouched);
+    }
+
+    #[test]
+    fn spliced_logs_never_load_a_stranger(
+        cuts in (any::<u64>(), any::<u64>(), any::<u64>()),
+        junk in proptest::collection::vec(0usize..LOG_ALPHABET.len(), 0..32),
+    ) {
+        let (entries, log, _) = valid_log();
+        let (a, b, c) = cuts;
+        let [a, b, c] = [a, b, c].map(|cut| (cut % (log.len() as u64 + 1)) as usize);
+        let junk: Vec<u8> = junk.iter().map(|&pick| LOG_ALPHABET[pick]).collect();
+        // Head of the log, junk, a tail from elsewhere, and the whole log
+        // appended again after a torn middle.
+        let mut spliced = log[..a].to_vec();
+        spliced.extend_from_slice(&junk);
+        spliced.extend_from_slice(&log[b..]);
+        spliced.extend_from_slice(&log[..c]);
+        spliced.extend_from_slice(log);
+        // The last whole copy of the log is intact, so every key loads.
+        let keys: Vec<MemoKey> = entries.iter().map(|(key, _)| *key).collect();
+        prop_assert_eq!(check_log(&spliced, entries, &keys), keys);
+    }
 }
 
 proptest! {

@@ -184,8 +184,9 @@ mod tests {
     fn exclusive_prefix_sum_matches_rank() {
         let bm = Bitmask::from_indices(130, &[0, 5, 64, 127, 129]).unwrap();
         let ps = exclusive_prefix_sum(&bm);
-        for i in 0..=bm.len() {
-            assert_eq!(ps[i] as usize, bm.rank(i), "at {i}");
+        assert_eq!(ps.len(), bm.len() + 1);
+        for (i, &p) in ps.iter().enumerate() {
+            assert_eq!(p as usize, bm.rank(i), "at {i}");
         }
     }
 

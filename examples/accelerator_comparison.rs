@@ -23,13 +23,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("  realised sparsity: {}", workload.stats().table_row());
     let prepared = PreparedLayer::new(&workload);
 
-    let mut reports: Vec<LayerReport> = Vec::new();
-    reports.push(Loas::default().run_layer(&prepared));
-    reports.push(SparTenSnn::default().run_layer(&prepared));
-    reports.push(GospaSnn::default().run_layer(&prepared));
-    reports.push(GammaSnn::default().run_layer(&prepared));
-    reports.push(Ptb::default().run_layer(&prepared));
-    reports.push(Stellar::default().run_layer(&prepared));
+    let reports: Vec<LayerReport> = vec![
+        Loas::default().run_layer(&prepared),
+        SparTenSnn::default().run_layer(&prepared),
+        GospaSnn::default().run_layer(&prepared),
+        GammaSnn::default().run_layer(&prepared),
+        Ptb::default().run_layer(&prepared),
+        Stellar::default().run_layer(&prepared),
+    ];
 
     let loas = reports[0].clone();
     println!(

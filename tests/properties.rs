@@ -86,14 +86,15 @@ proptest! {
             }
         }
         let sums = bank.finalize();
-        for t in 0..4 {
+        prop_assert_eq!(sums.len(), 4);
+        for (t, &sum) in sums.iter().enumerate() {
             let mut expected = 0i64;
             for (k, w) in weights.iter().enumerate() {
                 if *w != 0 && row[k].fires_at(t) {
                     expected += *w as i64;
                 }
             }
-            prop_assert_eq!(sums[t], expected);
+            prop_assert_eq!(sum, expected);
         }
     }
 
