@@ -1,23 +1,24 @@
 #!/usr/bin/env bash
-# CI entry point: formatting, lints on every workspace crate, release
-# build, the full workspace test suite (tier-1 verify is those two steps;
-# the suite includes the committed golden-v1-spec memo-key assertions,
-# the v2 spec round-trip property test, the full-scale headline bands of
-# tests/headline.rs, and each model's unit tests comparing its one
-# production path against the scalar oracle kept in those tests), an
-# end-to-end loas-serve smoke test (enqueue -> run two shard processes ->
-# merge -> verify byte-identical to a single-process run -> warm-store
-# replay with zero simulations), a v1-vs-v2 spec A/B against the
-# committed pre-redesign report, a served baseline-config sweep (Gamma
-# FiberCache), smokes for the queue admin commands (batch enqueue,
-# requeue, fsck, models) and of enqueue refusing unrunnable specs (a LoAS
-# timestep mismatch, a workload t above 16, unbuildable memory systems),
-# a perf smoke emitting a quick-grid BENCH_PR5.json, a bench-trajectory
-# gate comparing the committed BENCH_PR5.json against BENCH_PR3.json
-# (fails on a >20% regression in kernel pairs/s or end-to-end wall time,
-# and requires the PR 5 record's >=1.3x end-to-end gain), and short
-# perfbench cold-grid, warm-replay and config-sweep runs that must report
-# "correct": true.
+# CI entry point: formatting, lints on every workspace crate, rustdoc
+# with warnings denied (a broken intra-doc link fails), release build,
+# the full workspace test suite (tier-1 verify is those two steps; the
+# suite includes the committed golden-v1-spec memo-key assertions, the v2
+# spec round-trip property test, the full-scale headline bands of
+# tests/headline.rs, each model's unit tests comparing its one production
+# path against the scalar oracle kept in those tests, and repro's
+# refusal of bad arguments), an end-to-end loas-serve smoke test (enqueue
+# -> run two shard processes -> merge -> verify byte-identical to a
+# single-process run -> warm-store replay with zero simulations), a
+# v1-vs-v2 spec A/B against the committed pre-redesign report, a served
+# baseline-config sweep (Gamma FiberCache), smokes for the queue admin
+# commands (batch enqueue, requeue, fsck, models) and of enqueue refusing
+# unrunnable specs (a LoAS timestep mismatch, a workload t above 16,
+# unbuildable memory systems), a bench-trajectory gate over the two
+# committed history records (BENCH_PR5.json against BENCH_PR3.json: fails
+# on a >20% regression in kernel pairs/s or end-to-end wall time, and
+# requires the PR 5 record's >=1.3x end-to-end gain), and short perfbench
+# cold-grid, warm-replay and config-sweep runs of the build under test
+# that must report "correct": true.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -26,6 +27,9 @@ cargo fmt --all --check
 
 echo "== cargo clippy (whole workspace, all targets, deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== cargo doc (whole workspace, deny warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
 echo "== cargo build --release"
 cargo build --release
@@ -156,12 +160,6 @@ for model in loas sparten gospa gamma ptb stellar; do
 done
 grep -q "cache_ways" "$SMOKE/models.out"
 grep -q "default 262144" "$SMOKE/models.out"
-
-echo "== perf smoke: bench experiment on the quick fig13 grid"
-LOAS_BENCH_OUT="$SMOKE/BENCH_PR5.json" target/release/repro --quick --workers 1 bench
-grep -q '"format": "loas-bench/1"' "$SMOKE/BENCH_PR5.json"
-grep -q '"kernel_seconds"' "$SMOKE/BENCH_PR5.json"
-echo "-- $(grep -o '"kernel_seconds": [0-9.]*' "$SMOKE/BENCH_PR5.json" | tail -1) (quick grid; the tracked full-grid record is BENCH_PR5.json at the repo root)"
 
 echo "== bench trajectory gate (committed BENCH_PR5.json vs BENCH_PR3.json)"
 # Both records are full-fidelity, 1-thread, cold-store measurements from

@@ -6,7 +6,7 @@
 use loas_core::{NetworkReport, PreparedLayer};
 use loas_engine::{AcceleratorSpec, Campaign, CampaignOutcome, Engine, ResultStore, WorkloadSpec};
 use loas_workloads::networks::{LayerSpec, NetworkSpec};
-use loas_workloads::{LayerWorkload, WorkloadGenerator};
+use loas_workloads::WorkloadGenerator;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -90,13 +90,13 @@ pub struct Context {
 }
 
 impl Context {
-    /// A full-fidelity context (used by the repro binary).
+    /// A full-fidelity context with the default worker count.
     pub fn full() -> Self {
         Context::with_workers(false, loas_engine::default_workers())
     }
 
-    /// A reduced context for tests/benches: layer `M` and `N` are shrunk
-    /// (sparsity statistics and model behaviour are scale-free).
+    /// A reduced context for tests: layer `M` and `N` are shrunk (sparsity
+    /// statistics and model behaviour are scale-free).
     pub fn quick() -> Self {
         Context::with_workers(true, loas_engine::default_workers())
     }
@@ -208,11 +208,6 @@ impl Context {
         self.engine
             .prepare(&workloads)
             .expect("table-2 profiles are feasible")
-    }
-
-    /// Prepares one standalone layer workload.
-    pub fn prepare_layer(&self, workload: &LayerWorkload) -> PreparedLayer {
-        PreparedLayer::new(workload)
     }
 
     /// Ensures network reports exist for every `(spec, design)` pair,

@@ -1,10 +1,11 @@
-//! One module per regenerated table/figure of the paper's evaluation.
+//! One module per regenerated table/figure of the paper's evaluation, plus
+//! the per-component `breakdown` of the Fig. 12/13 reports.
 
 use crate::context::Context;
 use crate::report::Table;
 
 pub mod ablations;
-pub mod bench;
+pub mod breakdown;
 pub mod fig05;
 pub mod fig11;
 pub mod fig12;
@@ -26,7 +27,8 @@ pub type ExperimentFn = fn(&mut Context) -> Vec<Table>;
 
 /// Experiment registry: name → runner (used by the `repro` binary). Order
 /// follows the paper's evaluation section; `fig15` is produced together
-/// with `table4` (same underlying breakdown).
+/// with `table4` (same underlying breakdown). `breakdown`, last, is not a
+/// paper figure: it splits the Fig. 12/13 reports by component.
 pub const ALL_EXPERIMENTS: &[(&str, ExperimentFn)] = &[
     ("table1", table1::run),
     ("table2", table2::run),
@@ -44,14 +46,8 @@ pub const ALL_EXPERIMENTS: &[(&str, ExperimentFn)] = &[
     ("fig19", fig19::run),
     ("ablations", ablations::run),
     ("sweeps", sweeps::run),
-    // Simulator-performance baseline, not a paper figure: excluded from
-    // `repro all` (it re-times the fig13 grid on both sweep strategies);
-    // run explicitly with `repro bench`.
-    ("bench", bench::run),
+    ("breakdown", breakdown::run),
 ];
-
-/// Experiments excluded when `all` is requested (run them by name).
-pub const EXCLUDED_FROM_ALL: &[&str] = &["bench"];
 
 #[cfg(test)]
 mod tests {

@@ -469,7 +469,7 @@ impl PairSweepKernel {
     }
 
     /// Sweeps a whole layer: the pure compute phase, with no memory-system
-    /// state touched. Rows go in fixed blocks of [`ROW_BLOCK`], fanned out
+    /// state touched. Rows go in fixed blocks of 32 (`ROW_BLOCK`), fanned out
     /// over `workers` scoped threads (`1` runs inline). Each pair's counts
     /// land in their own slot and the totals are integer sums, so the
     /// result is identical for any worker count.

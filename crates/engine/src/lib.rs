@@ -25,15 +25,7 @@
 //! by `(workload, accelerator)` content hash ([`JobSpec::memo_key`]) so
 //! resubmitted campaigns replay cached reports instead of simulating. The
 //! on-disk [`MemoStore`] is the durable implementation shared by
-//! `loas-serve`, the `campaign` binary (`--store`), and `repro`
-//! (`--store`).
-//!
-//! The `campaign` binary replays the paper's headline comparison (the full
-//! accelerator fleet over the four selected layers) as one campaign:
-//!
-//! ```text
-//! cargo run --release -p loas-engine --bin campaign -- --quick --workers 8
-//! ```
+//! `loas-serve` and `repro` (`--store`).
 //!
 //! [`NetworkReport`]: loas_core::NetworkReport
 //!

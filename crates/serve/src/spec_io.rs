@@ -444,8 +444,8 @@ fn accelerator_from_json_v2(spec: &Json, context: &str) -> Result<AcceleratorSpe
 }
 
 /// Builds the paper's headline campaign (the full 7-accelerator fleet over
-/// the four selected layers) as a submittable spec — the serving analogue
-/// of the `campaign` binary's built-in experiment.
+/// the four selected layers) as a submittable spec, as `loas-serve spec
+/// --headline` emits it.
 pub fn headline_campaign(quick: bool, seed: u64) -> Campaign {
     let mut campaign = Campaign::new(if quick {
         "headline (quick)"
@@ -468,8 +468,8 @@ pub fn headline_campaign(quick: bool, seed: u64) -> Campaign {
 }
 
 /// The FiberCache capacities the built-in Gamma sweep visits (the single
-/// source of truth lives on [`GammaConfig`], shared with the bench
-/// harness's sweep table).
+/// source of truth lives on [`loas_baselines::GammaConfig`], shared with
+/// the bench harness's sweep table).
 pub const GAMMA_CACHE_POINTS: [usize; 4] = loas_baselines::GammaConfig::CACHE_SWEEP_POINTS;
 
 /// Builds a baseline-config sweep campaign: Gamma-SNN's FiberCache
