@@ -9,6 +9,7 @@
 # refusal of bad arguments), an end-to-end loas-serve smoke test (enqueue
 # -> run two shard processes -> merge -> verify byte-identical to a
 # single-process run -> warm-store replay with zero simulations), a
+# spec whose campaign name and job label need escapes served end to end, a
 # v1-vs-v2 spec A/B against the committed pre-redesign report, a served
 # baseline-config sweep (Gamma FiberCache), smokes for the queue admin
 # commands (batch enqueue, requeue, fsck, models) and of enqueue refusing
@@ -68,6 +69,29 @@ grep -q "28 memo hits, 0 simulated" "$SMOKE/warm.out"
 echo "-- warm replay vs original report"
 cmp "$SMOKE/single/reports/00001/report.jsonl" "$SMOKE/single/reports/00002/report.jsonl"
 "$SERVE" status "$SMOKE/single"
+
+echo "== escaped campaign name and job label, enqueue to report"
+# Every other spec here is escape-free, so the parser borrows all of its
+# strings; this one's name and first label take the owned, unescaped path.
+cat > "$SMOKE/escaped.json" <<'SPEC'
+{"version": 2, "name": "esc \"q\" back\\slash caf\u00e9 \ud83d\ude00", "jobs": [
+  {"label": "label \"q\" b\\s caf\u00e9 \ud83d\ude00",
+   "workload": {"name": "w", "shape": {"t": 4, "m": 4, "n": 8, "k": 64},
+                "profile": {"spike_origin": 0.823, "silent": 0.741,
+                            "silent_ft": 0.796, "weight": 0.982},
+                "seed": 7},
+   "accelerator": "gamma"},
+  {"workload": {"name": "w", "shape": {"t": 4, "m": 4, "n": 8, "k": 64},
+                "profile": {"spike_origin": 0.823, "silent": 0.741,
+                            "silent_ft": 0.796, "weight": 0.982},
+                "seed": 7},
+   "accelerator": "sparten"}]}
+SPEC
+"$SERVE" init "$SMOKE/escq"
+"$SERVE" enqueue "$SMOKE/escq" "$SMOKE/escaped.json"
+"$SERVE" run "$SMOKE/escq"
+"$SERVE" status "$SMOKE/escq" | grep -F 'esc "q" back\slash café 😀' | grep -q "done"
+grep -qF '"label":"label \"q\" b\\s café 😀"' "$SMOKE/escq/reports/00001/report.jsonl"
 
 echo "== golden v1 spec A/B (pre-redesign schema through the catalog)"
 # The committed pre-redesign v1 spec must drive the catalog-dispatched

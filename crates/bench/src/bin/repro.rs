@@ -1,8 +1,9 @@
 //! The reproduction harness: regenerates every table and figure of the
 //! paper's evaluation section and prints `paper vs measured` tables.
 
-use loas_bench::experiments::{ExperimentFn, ALL_EXPERIMENTS};
+use loas_bench::experiments::{experiment, ExperimentFn, ALL_EXPERIMENTS};
 use loas_bench::Context;
+use std::io::{self, Write};
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -53,11 +54,9 @@ fn parse_options(args: impl IntoIterator<Item = String>) -> Result<Options, Stri
                 if name == "all" {
                     all = true;
                 } else {
-                    let entry = ALL_EXPERIMENTS
-                        .iter()
-                        .find(|(n, _)| *n == name)
-                        .ok_or_else(|| format!("unknown experiment `{name}`"))?;
-                    options.wanted.push(*entry);
+                    let entry =
+                        experiment(&name).ok_or_else(|| format!("unknown experiment `{name}`"))?;
+                    options.wanted.push(entry);
                 }
             }
         }
@@ -76,45 +75,65 @@ fn main() {
             std::process::exit(2);
         }
     };
+    if let Err(error) = run(&options, &mut io::stdout().lock()) {
+        // A closed stdout (`repro ... | head`) ends the run quietly.
+        if error.kind() != io::ErrorKind::BrokenPipe {
+            eprintln!("repro: cannot write the tables: {error}");
+            std::process::exit(1);
+        }
+    }
+}
+
+/// Runs the requested experiments, printing their tables to `out`.
+fn run(options: &Options, out: &mut impl Write) -> io::Result<()> {
     let mut ctx = Context::with_workers(options.quick, options.workers);
     if let Some(dir) = &options.store_dir {
         let store = loas_engine::MemoStore::open(dir).unwrap_or_else(|error| {
             eprintln!("cannot open memo store {}: {error}", dir.display());
             std::process::exit(1);
         });
-        println!(
+        writeln!(
+            out,
             "(memo store at {}: {} entries; repeated reproductions replay instead of simulating)",
             dir.display(),
             store.len()
-        );
+        )?;
         ctx.set_result_store(std::sync::Arc::new(store));
     }
     if options.quick {
-        println!("(quick mode: shrunken workloads — trends hold, magnitudes shift)");
+        writeln!(
+            out,
+            "(quick mode: shrunken workloads — trends hold, magnitudes shift)"
+        )?;
     }
     for (name, runner) in &options.wanted {
         let start = Instant::now();
         let tables = runner(&mut ctx);
         for table in &tables {
             assert!(table.is_consistent(), "inconsistent table in {name}");
-            print!("{table}");
+            write!(out, "{table}")?;
             if let Some(dir) = &options.csv_dir {
                 std::fs::create_dir_all(dir).expect("create csv dir");
                 let path = dir.join(format!("{}.csv", table.slug()));
                 std::fs::write(&path, table.to_csv()).expect("write csv");
             }
         }
-        println!("  [{name} done in {:.1?}]", start.elapsed());
+        writeln!(out, "  [{name} done in {:.1?}]", start.elapsed())?;
     }
     let cache = ctx.engine().cache_stats();
-    println!(
+    writeln!(
+        out,
         "[engine: {} workers, {} workloads generated, {} cache hits]",
         ctx.engine().workers(),
         cache.generated,
         cache.hits
-    );
+    )?;
     if options.store_dir.is_some() {
         let (memo_hits, simulated) = ctx.memo_totals();
-        println!("[memo store: {memo_hits} campaign jobs replayed, {simulated} simulated]");
+        writeln!(
+            out,
+            "[memo store: {memo_hits} campaign jobs replayed, {simulated} simulated]"
+        )?;
     }
+    out.flush()
 }

@@ -25,10 +25,10 @@ pub mod table4;
 /// An experiment entry point: consumes the shared context, returns tables.
 pub type ExperimentFn = fn(&mut Context) -> Vec<Table>;
 
-/// Experiment registry: name → runner (used by the `repro` binary). Order
-/// follows the paper's evaluation section; `fig15` is produced together
-/// with `table4` (same underlying breakdown). `breakdown`, last, is not a
-/// paper figure: it splits the Fig. 12/13 reports by component.
+/// Experiment registry: name → runner (used by the `repro` binary), each
+/// runner once, as `all` runs them. Order follows the paper's evaluation
+/// section. `breakdown`, last, is not a paper figure: it splits the
+/// Fig. 12/13 reports by component.
 pub const ALL_EXPERIMENTS: &[(&str, ExperimentFn)] = &[
     ("table1", table1::run),
     ("table2", table2::run),
@@ -39,7 +39,6 @@ pub const ALL_EXPERIMENTS: &[(&str, ExperimentFn)] = &[
     ("fig13", fig13::run),
     ("fig14", fig14::run),
     ("table4", table4::run),
-    ("fig15", table4::run),
     ("fig16", fig16::run),
     ("fig17", fig17::run),
     ("fig18", fig18::run),
@@ -49,15 +48,38 @@ pub const ALL_EXPERIMENTS: &[(&str, ExperimentFn)] = &[
     ("breakdown", breakdown::run),
 ];
 
+/// Names that select a registry runner under another name, and that `all`
+/// skips: `fig15` is produced together with `table4` (same underlying
+/// breakdown).
+pub const ALIASES: &[(&str, ExperimentFn)] = &[("fig15", table4::run)];
+
+/// The registry entry or alias called `name`.
+pub fn experiment(name: &str) -> Option<(&'static str, ExperimentFn)> {
+    ALL_EXPERIMENTS
+        .iter()
+        .chain(ALIASES)
+        .find(|(entry, _)| *entry == name)
+        .copied()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn registry_names_are_unique_except_table4_alias() {
-        let mut names: Vec<&str> = ALL_EXPERIMENTS.iter().map(|(n, _)| *n).collect();
+        let mut names: Vec<&str> = ALL_EXPERIMENTS
+            .iter()
+            .chain(ALIASES)
+            .map(|(n, _)| *n)
+            .collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), ALL_EXPERIMENTS.len());
+        assert_eq!(names.len(), ALL_EXPERIMENTS.len() + ALIASES.len());
+        // `fig15` is reached by name only, so `all` runs `table4` once.
+        assert!(ALL_EXPERIMENTS.iter().all(|(name, _)| *name != "fig15"));
+        assert_eq!(experiment("fig15").map(|(name, _)| name), Some("fig15"));
+        assert_eq!(experiment("table4").map(|(name, _)| name), Some("table4"));
+        assert!(experiment("fig99").is_none());
     }
 }

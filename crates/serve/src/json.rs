@@ -1,58 +1,61 @@
 //! A minimal JSON reader for campaign specs.
 //!
 //! The workspace is built offline (no `serde`), so the serving front end
-//! carries its own small recursive-descent parser. Numbers keep their raw
-//! token text: specs round-trip seeds as exact `u64`s and sparsity
-//! fractions as exact `f64` bit patterns (Rust's shortest-round-trip
-//! float formatting), which the content-hashed memo keys depend on.
+//! carries its own small recursive-descent parser. The tree borrows from
+//! the document: a string or key is a slice of it unless it holds an
+//! escape (then an owned copy, escapes resolved), and a number is its raw
+//! token: specs round-trip seeds as exact `u64`s and sparsity fractions
+//! as exact `f64` bit patterns (Rust's shortest-round-trip float
+//! formatting), which the content-hashed memo keys depend on.
 //!
 //! Specs arrive from outside the process, so the parser is an untrusted
 //! input boundary: it runs in time linear in the document, bounds its
 //! recursion at `MAX_DEPTH` nested containers, and reports every
 //! malformed document as an `Err` rather than a panic.
 
+use std::borrow::Cow;
+
 /// The deepest nesting of arrays and objects [`Json::parse`] accepts.
 /// Campaign specs nest five levels deep; the bound keeps a hostile
 /// document from overflowing the stack of the recursive descent.
 const MAX_DEPTH: usize = 128;
 
-/// A parsed JSON value.
+/// A parsed JSON value, borrowing from the document it was parsed from.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Json {
+pub enum Json<'a> {
     /// `null`.
     Null,
     /// `true` / `false`.
     Bool(bool),
     /// A number, kept as its raw token text for lossless reads.
-    Num(String),
-    /// A string (escapes resolved).
-    Str(String),
+    Num(&'a str),
+    /// A string: borrowed unless it held an escape, which is resolved.
+    Str(Cow<'a, str>),
     /// An array.
-    Arr(Vec<Json>),
-    /// An object, in source order.
-    Obj(Vec<(String, Json)>),
+    Arr(Vec<Json<'a>>),
+    /// An object, in source order (keys borrowed as strings are).
+    Obj(Vec<(Cow<'a, str>, Json<'a>)>),
 }
 
-impl Json {
+impl<'a> Json<'a> {
     /// Parses one JSON document (trailing whitespace allowed, nothing
     /// else).
     ///
     /// # Errors
     ///
     /// Returns a human-readable description of the first syntax error.
-    pub fn parse(text: &str) -> Result<Json, String> {
-        let bytes = text.as_bytes();
+    pub fn parse(text: &'a str) -> Result<Json<'a>, String> {
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos, 0)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
+        let value = parse_value(text, &mut pos, 0)?;
+        skip_ws(text.as_bytes(), &mut pos);
+        if pos != text.len() {
             return Err(format!("trailing content at byte {pos}"));
         }
         Ok(value)
     }
 
     /// Object field lookup (first match; `None` for non-objects).
-    pub fn get(&self, key: &str) -> Option<&Json> {
+    pub fn get(&self, key: &str) -> Option<&Json<'a>> {
         match self {
             Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
@@ -98,7 +101,7 @@ impl Json {
     }
 
     /// The array elements, if this is an array.
-    pub fn as_arr(&self) -> Option<&[Json]> {
+    pub fn as_arr(&self) -> Option<&[Json<'a>]> {
         match self {
             Json::Arr(items) => Some(items),
             _ => None,
@@ -107,7 +110,7 @@ impl Json {
 
     /// The object fields in source order, if this is an object (the v2
     /// spec schema iterates config-override objects).
-    pub fn as_obj(&self) -> Option<&[(String, Json)]> {
+    pub fn as_obj(&self) -> Option<&[(Cow<'a, str>, Json<'a>)]> {
         match self {
             Json::Obj(fields) => Some(fields),
             _ => None,
@@ -130,59 +133,55 @@ fn expect(bytes: &[u8], pos: &mut usize, byte: u8) -> Result<(), String> {
     }
 }
 
-/// Parses the value at `pos`, inside `depth` enclosing containers.
-fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
+/// Parses the value at `pos`, inside `depth` enclosing containers. The
+/// parser stops only past ASCII bytes, so it slices `text` on char bounds.
+fn parse_value<'a>(text: &'a str, pos: &mut usize, depth: usize) -> Result<Json<'a>, String> {
+    let bytes = text.as_bytes();
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         Some(b'{' | b'[') if depth == MAX_DEPTH => Err(format!(
             "nesting deeper than {MAX_DEPTH} levels at byte {}",
             *pos
         )),
-        Some(b'{') => parse_object(bytes, pos, depth + 1),
-        Some(b'[') => parse_array(bytes, pos, depth + 1),
-        Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
-        Some(b't') => parse_literal(bytes, pos, "true", Json::Bool(true)),
-        Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
-        Some(b'n') => parse_literal(bytes, pos, "null", Json::Null),
-        Some(_) => parse_number(bytes, pos),
+        Some(b'{') => parse_object(text, pos, depth + 1),
+        Some(b'[') => parse_array(text, pos, depth + 1),
+        Some(b'"') => Ok(Json::Str(parse_string(text, pos)?)),
+        Some(b't') => parse_literal(bytes, pos, "true").map(|()| Json::Bool(true)),
+        Some(b'f') => parse_literal(bytes, pos, "false").map(|()| Json::Bool(false)),
+        Some(b'n') => parse_literal(bytes, pos, "null").map(|()| Json::Null),
+        Some(_) => parse_number(text, pos),
         None => Err("unexpected end of input".to_owned()),
     }
 }
 
-fn parse_literal(
-    bytes: &[u8],
-    pos: &mut usize,
-    literal: &str,
-    value: Json,
-) -> Result<Json, String> {
+fn parse_literal(bytes: &[u8], pos: &mut usize, literal: &str) -> Result<(), String> {
     if bytes[*pos..].starts_with(literal.as_bytes()) {
         *pos += literal.len();
-        Ok(value)
+        Ok(())
     } else {
         Err(format!("bad literal at byte {}", *pos))
     }
 }
 
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_number<'a>(text: &'a str, pos: &mut usize) -> Result<Json<'a>, String> {
     let start = *pos;
-    if bytes.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    while *pos < bytes.len()
-        && matches!(bytes[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-    {
-        *pos += 1;
-    }
-    let token = std::str::from_utf8(&bytes[start..*pos]).map_err(|_| "bad utf8".to_owned())?;
+    *pos += text.as_bytes()[start..]
+        .iter()
+        .take_while(|&&byte| matches!(byte, b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-'))
+        .count();
+    let token = &text[start..*pos];
     if token.is_empty() || token.parse::<f64>().is_err() {
         return Err(format!("bad number `{token}` at byte {start}"));
     }
-    Ok(Json::Num(token.to_owned()))
+    Ok(Json::Num(token))
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
+/// Parses a string: the text between the quotes is borrowed, and the
+/// first escape switches to an owned copy with the escapes resolved.
+fn parse_string<'a>(text: &'a str, pos: &mut usize) -> Result<Cow<'a, str>, String> {
+    let bytes = text.as_bytes();
     expect(bytes, pos, b'"')?;
-    let mut out = String::new();
+    let mut out = Cow::Borrowed("");
     loop {
         match bytes.get(*pos) {
             None => return Err("unterminated string".to_owned()),
@@ -192,59 +191,58 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
             }
             Some(b'\\') => {
                 *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
+                let unescaped = match bytes.get(*pos) {
+                    Some(b'"') => '"',
+                    Some(b'\\') => '\\',
+                    Some(b'/') => '/',
+                    Some(b'b') => '\u{8}',
+                    Some(b'f') => '\u{c}',
+                    Some(b'n') => '\n',
+                    Some(b'r') => '\r',
+                    Some(b't') => '\t',
                     Some(b'u') => {
                         let first = parse_hex4(bytes, *pos + 1)?;
                         *pos += 4;
                         let code = if (0xD800..0xDC00).contains(&first) {
                             // Surrogate pair: expect `\uXXXX` low half.
-                            if bytes.get(*pos + 1) == Some(&b'\\')
-                                && bytes.get(*pos + 2) == Some(&b'u')
-                            {
-                                let low = parse_hex4(bytes, *pos + 3)?;
-                                if !(0xDC00..=0xDFFF).contains(&low) {
-                                    return Err("bad low surrogate".to_owned());
-                                }
-                                *pos += 6;
-                                0x10000 + ((first - 0xD800) << 10) + (low - 0xDC00)
-                            } else {
+                            if bytes.get(*pos + 1..*pos + 3) != Some(b"\\u") {
                                 return Err("lone high surrogate".to_owned());
                             }
+                            let low = parse_hex4(bytes, *pos + 3)?;
+                            if !(0xDC00..=0xDFFF).contains(&low) {
+                                return Err("bad low surrogate".to_owned());
+                            }
+                            *pos += 6;
+                            0x10000 + ((first - 0xD800) << 10) + (low - 0xDC00)
                         } else {
                             first
                         };
-                        out.push(
-                            char::from_u32(code).ok_or_else(|| "bad unicode escape".to_owned())?,
-                        );
+                        char::from_u32(code).ok_or_else(|| "bad unicode escape".to_owned())?
                     }
                     _ => return Err(format!("bad escape at byte {}", *pos)),
-                }
+                };
+                out.to_mut().push(unescaped);
                 *pos += 1;
             }
             Some(&byte) if byte < 0x20 => {
                 return Err(format!("raw control byte in string at {}", *pos))
             }
             Some(_) => {
-                // Copy the run of plain bytes up to the next quote,
-                // backslash or control byte in one step. The stops are
-                // ASCII, so they never split a multi-byte sequence, and
-                // validating only the run keeps a string O(length).
+                // Take the run of plain bytes up to the next quote,
+                // backslash or control byte in one step: ASCII stops never
+                // split a multi-byte sequence, and scanning only the run
+                // keeps a string O(length). A run follows the opening quote
+                // or an escape, so a still borrowed `out` is empty.
                 let start = *pos;
                 *pos = bytes[start..]
                     .iter()
                     .position(|&byte| matches!(byte, b'"' | b'\\' | 0..=0x1F))
                     .map_or(bytes.len(), |offset| start + offset);
-                let run = std::str::from_utf8(&bytes[start..*pos])
-                    .map_err(|_| "bad utf8 in string".to_owned())?;
-                out.push_str(run);
+                let run = &text[start..*pos];
+                match &mut out {
+                    Cow::Owned(owned) => owned.push_str(run),
+                    empty => *empty = Cow::Borrowed(run),
+                }
             }
         }
     }
@@ -266,7 +264,8 @@ fn parse_hex4(bytes: &[u8], start: usize) -> Result<u32, String> {
         .ok_or_else(|| "bad unicode escape".to_owned())
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
+fn parse_array<'a>(text: &'a str, pos: &mut usize, depth: usize) -> Result<Json<'a>, String> {
+    let bytes = text.as_bytes();
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -275,7 +274,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Stri
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos, depth)?);
+        items.push(parse_value(text, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -288,7 +287,8 @@ fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Stri
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
+fn parse_object<'a>(text: &'a str, pos: &mut usize, depth: usize) -> Result<Json<'a>, String> {
+    let bytes = text.as_bytes();
     expect(bytes, pos, b'{')?;
     let mut fields = Vec::new();
     skip_ws(bytes, pos);
@@ -298,10 +298,10 @@ fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Str
     }
     loop {
         skip_ws(bytes, pos);
-        let key = parse_string(bytes, pos)?;
+        let key = parse_string(text, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos, depth)?;
+        let value = parse_value(text, pos, depth)?;
         fields.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -378,7 +378,7 @@ mod tests {
     fn surrogate_pairs_need_a_low_half() {
         assert_eq!(
             Json::parse("\"\\uD83D\\uDE00\"").unwrap(),
-            Json::Str("\u{1F600}".to_owned())
+            Json::Str("\u{1F600}".into())
         );
         // A high half followed by a non-surrogate escape must not
         // underflow `low - 0xDC00`.

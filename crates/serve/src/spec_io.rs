@@ -36,7 +36,7 @@ use loas_core::{ConfigValue, LoasConfig};
 use loas_engine::{AcceleratorSpec, Campaign, JobSpec, WorkloadSpec};
 use loas_workloads::networks;
 use loas_workloads::{LayerShape, SparsityProfile};
-use std::fmt::Write as _;
+use std::fmt::{Arguments, Write as _};
 
 /// The schema version [`campaign_to_json`] writes.
 pub const SPEC_VERSION: u64 = 2;
@@ -124,24 +124,24 @@ fn spec_err(message: impl Into<String>) -> ServeError {
     ServeError::Spec(message.into())
 }
 
-fn required<'a>(value: &'a Json, key: &str, context: &str) -> Result<&'a Json, ServeError> {
+/// `value`'s field `key`; `at` names where `value` sits in the spec
+/// (`campaign`, `job 3`) and is formatted only into an error.
+fn required<'a>(value: &'a Json<'a>, key: &str, at: Arguments) -> Result<&'a Json<'a>, ServeError> {
     value
         .get(key)
-        .ok_or_else(|| spec_err(format!("missing `{key}` in {context}")))
+        .ok_or_else(|| spec_err(format!("missing `{key}` in {at}")))
 }
 
-fn required_usize(value: &Json, key: &str, context: &str) -> Result<usize, ServeError> {
-    required(value, key, context)?.as_usize().ok_or_else(|| {
-        spec_err(format!(
-            "`{key}` in {context} must be a non-negative integer"
-        ))
-    })
+fn required_usize(value: &Json, key: &str, at: Arguments) -> Result<usize, ServeError> {
+    required(value, key, at)?
+        .as_usize()
+        .ok_or_else(|| spec_err(format!("`{key}` in {at} must be a non-negative integer")))
 }
 
-fn required_f64(value: &Json, key: &str, context: &str) -> Result<f64, ServeError> {
-    required(value, key, context)?
+fn required_f64(value: &Json, key: &str, at: Arguments) -> Result<f64, ServeError> {
+    required(value, key, at)?
         .as_f64()
-        .ok_or_else(|| spec_err(format!("`{key}` in {context} must be a number")))
+        .ok_or_else(|| spec_err(format!("`{key}` in {at} must be a number")))
 }
 
 /// The schema versions [`campaign_from_json`] accepts.
@@ -174,10 +174,10 @@ pub fn campaign_from_json(text: &str) -> Result<Campaign, ServeError> {
             None => return Err(spec_err("`version` must be an integer")),
         },
     };
-    let name = required(&doc, "name", "campaign")?
+    let name = required(&doc, "name", format_args!("campaign"))?
         .as_str()
         .ok_or_else(|| spec_err("`name` must be a string"))?;
-    let jobs = required(&doc, "jobs", "campaign")?
+    let jobs = required(&doc, "jobs", format_args!("campaign"))?
         .as_arr()
         .ok_or_else(|| spec_err("`jobs` must be an array"))?;
     let mut campaign = Campaign::new(name);
@@ -212,12 +212,12 @@ pub(crate) fn runnable_campaign_from_json(text: &str) -> Result<Campaign, ServeE
 }
 
 fn job_from_json(job: &Json, index: usize, version: SpecVersion) -> Result<JobSpec, ServeError> {
-    let context = format!("job {index}");
-    let workload = workload_from_json(required(job, "workload", &context)?, &context)?;
-    let accelerator = required(job, "accelerator", &context)?;
+    let at = format_args!("job {index}");
+    let workload = workload_from_json(required(job, "workload", at)?, at)?;
+    let accelerator = required(job, "accelerator", at)?;
     let accelerator = match version {
-        SpecVersion::V1 => accelerator_from_json_v1(accelerator, &context)?,
-        SpecVersion::V2 => accelerator_from_json_v2(accelerator, &context)?,
+        SpecVersion::V1 => accelerator_from_json_v1(accelerator, at)?,
+        SpecVersion::V2 => accelerator_from_json_v2(accelerator, at)?,
     };
     let label = match job.get("label").and_then(Json::as_str) {
         Some(label) => label.to_owned(),
@@ -228,7 +228,7 @@ fn job_from_json(job: &Json, index: usize, version: SpecVersion) -> Result<JobSp
         Some(value) => Some(
             value
                 .as_str()
-                .ok_or_else(|| spec_err(format!("`network` in {context} must be a string")))?
+                .ok_or_else(|| spec_err(format!("`network` in {at} must be a string")))?
                 .to_owned(),
         ),
     };
@@ -236,7 +236,7 @@ fn job_from_json(job: &Json, index: usize, version: SpecVersion) -> Result<JobSp
         None => 0,
         Some(value) => value
             .as_usize()
-            .ok_or_else(|| spec_err(format!("`layer_index` in {context} must be an integer")))?,
+            .ok_or_else(|| spec_err(format!("`layer_index` in {at} must be an integer")))?,
     };
     Ok(JobSpec {
         label,
@@ -247,25 +247,25 @@ fn job_from_json(job: &Json, index: usize, version: SpecVersion) -> Result<JobSp
     })
 }
 
-fn workload_from_json(workload: &Json, context: &str) -> Result<WorkloadSpec, ServeError> {
-    let name = required(workload, "name", context)?
+fn workload_from_json(workload: &Json, at: Arguments) -> Result<WorkloadSpec, ServeError> {
+    let name = required(workload, "name", at)?
         .as_str()
-        .ok_or_else(|| spec_err(format!("workload `name` in {context} must be a string")))?;
-    let shape = required(workload, "shape", context)?;
+        .ok_or_else(|| spec_err(format!("workload `name` in {at} must be a string")))?;
+    let shape = required(workload, "shape", at)?;
     let shape = LayerShape::new(
-        required_usize(shape, "t", context)?,
-        required_usize(shape, "m", context)?,
-        required_usize(shape, "n", context)?,
-        required_usize(shape, "k", context)?,
+        required_usize(shape, "t", at)?,
+        required_usize(shape, "m", at)?,
+        required_usize(shape, "n", at)?,
+        required_usize(shape, "k", at)?,
     );
-    let profile = required(workload, "profile", context)?;
+    let profile = required(workload, "profile", at)?;
     // Fractions in [0, 1], copied bit-exactly (not percentages): the memo
     // key hashes these bits, so a spec round trip must not perturb them.
     let profile = SparsityProfile {
-        spike_origin: required_f64(profile, "spike_origin", context)?,
-        silent: required_f64(profile, "silent", context)?,
-        silent_ft: required_f64(profile, "silent_ft", context)?,
-        weight: required_f64(profile, "weight", context)?,
+        spike_origin: required_f64(profile, "spike_origin", at)?,
+        silent: required_f64(profile, "silent", at)?,
+        silent_ft: required_f64(profile, "silent_ft", at)?,
+        weight: required_f64(profile, "weight", at)?,
     };
     for (field, value) in [
         ("spike_origin", profile.spike_origin),
@@ -275,18 +275,18 @@ fn workload_from_json(workload: &Json, context: &str) -> Result<WorkloadSpec, Se
     ] {
         if !(0.0..=1.0).contains(&value) {
             return Err(spec_err(format!(
-                "profile `{field}` in {context} must be a fraction in [0, 1], got {value}"
+                "profile `{field}` in {at} must be a fraction in [0, 1], got {value}"
             )));
         }
     }
-    let seed = required(workload, "seed", context)?
+    let seed = required(workload, "seed", at)?
         .as_u64()
-        .ok_or_else(|| spec_err(format!("`seed` in {context} must be an integer")))?;
+        .ok_or_else(|| spec_err(format!("`seed` in {at} must be an integer")))?;
     let fine_tuned = match workload.get("fine_tuned") {
         None => false,
         Some(value) => value
             .as_bool()
-            .ok_or_else(|| spec_err(format!("`fine_tuned` in {context} must be a boolean")))?,
+            .ok_or_else(|| spec_err(format!("`fine_tuned` in {at} must be a boolean")))?,
     };
     let mut spec = WorkloadSpec::new(name, shape, profile).with_seed(seed);
     if fine_tuned {
@@ -297,13 +297,13 @@ fn workload_from_json(workload: &Json, context: &str) -> Result<WorkloadSpec, Se
 
 /// Resolves a bare accelerator name (catalog lookup plus the `"loas-ft"`
 /// convenience alias shared by both schema versions).
-fn named_accelerator(tag: &str, context: &str) -> Result<AcceleratorSpec, ServeError> {
+fn named_accelerator(tag: &str, at: Arguments) -> Result<AcceleratorSpec, ServeError> {
     if tag == "loas-ft" {
         return Ok(AcceleratorSpec::loas_ft());
     }
     AcceleratorSpec::by_name(tag).map_err(|_| {
         spec_err(format!(
-            "unknown accelerator `{tag}` in {context} (registered models: {}, or loas-ft)",
+            "unknown accelerator `{tag}` in {at} (registered models: {}, or loas-ft)",
             AcceleratorSpec::known_models().join("|")
         ))
     })
@@ -311,20 +311,20 @@ fn named_accelerator(tag: &str, context: &str) -> Result<AcceleratorSpec, ServeE
 
 /// The v1 (pre-catalog) accelerator form: a closed tag set or a
 /// `{"loas": {..overrides..}}` object over the Table III defaults.
-fn accelerator_from_json_v1(spec: &Json, context: &str) -> Result<AcceleratorSpec, ServeError> {
+fn accelerator_from_json_v1(spec: &Json, at: Arguments) -> Result<AcceleratorSpec, ServeError> {
     if let Some(tag) = spec.as_str() {
         return match tag {
             "sparten" | "gospa" | "gamma" | "ptb" | "stellar" | "loas" | "loas-ft" => {
-                named_accelerator(tag, context)
+                named_accelerator(tag, at)
             }
             other => Err(spec_err(format!(
-                "unknown accelerator `{other}` in {context} (want sparten|gospa|gamma|loas|loas-ft|ptb|stellar or {{\"loas\": {{...}}}})"
+                "unknown accelerator `{other}` in {at} (want sparten|gospa|gamma|loas|loas-ft|ptb|stellar or {{\"loas\": {{...}}}})"
             ))),
         };
     }
     let overrides = spec.get("loas").ok_or_else(|| {
         spec_err(format!(
-            "accelerator in {context} must be a tag string or a {{\"loas\": {{...}}}} object"
+            "accelerator in {at} must be a tag string or a {{\"loas\": {{...}}}} object"
         ))
     })?;
     let mut config = LoasConfig::table3();
@@ -370,34 +370,32 @@ fn accelerator_from_json_v1(spec: &Json, context: &str) -> Result<AcceleratorSpe
     set_bool(&mut config.two_fast_prefix, "two_fast_prefix")?;
     config
         .check()
-        .map_err(|message| spec_err(format!("invalid loas config in {context}: {message}")))?;
+        .map_err(|message| spec_err(format!("invalid loas config in {at}: {message}")))?;
     Ok(AcceleratorSpec::loas_with(config))
 }
 
 /// The v2 accelerator form: a bare catalog name, or
 /// `{"name": <model>, "config": {..field overrides..}}` validated against
 /// the model's registered typed configuration.
-fn accelerator_from_json_v2(spec: &Json, context: &str) -> Result<AcceleratorSpec, ServeError> {
+fn accelerator_from_json_v2(spec: &Json, at: Arguments) -> Result<AcceleratorSpec, ServeError> {
     if let Some(tag) = spec.as_str() {
-        return named_accelerator(tag, context);
+        return named_accelerator(tag, at);
     }
     if spec.as_obj().is_none() {
         return Err(spec_err(format!(
-            "accelerator in {context} must be a model-name string or a {{\"name\": ..., \"config\": {{...}}}} object"
+            "accelerator in {at} must be a model-name string or a {{\"name\": ..., \"config\": {{...}}}} object"
         )));
     }
-    let name = required(spec, "name", context)?
+    let name = required(spec, "name", at)?
         .as_str()
-        .ok_or_else(|| spec_err(format!("accelerator `name` in {context} must be a string")))?;
-    let mut accelerator = named_accelerator(name, context)?;
+        .ok_or_else(|| spec_err(format!("accelerator `name` in {at} must be a string")))?;
+    let mut accelerator = named_accelerator(name, at)?;
     let Some(config) = spec.get("config") else {
         return Ok(accelerator);
     };
-    let overrides = config.as_obj().ok_or_else(|| {
-        spec_err(format!(
-            "accelerator `config` in {context} must be an object"
-        ))
-    })?;
+    let overrides = config
+        .as_obj()
+        .ok_or_else(|| spec_err(format!("accelerator `config` in {at} must be an object")))?;
     // Coerce each override by the declared kind of the registered config
     // field, so integer tokens land in integer fields and float fields
     // accept both `128` and `128.0` spellings.
@@ -405,7 +403,7 @@ fn accelerator_from_json_v2(spec: &Json, context: &str) -> Result<AcceleratorSpe
     for (field, value) in overrides {
         let Some((_, kind)) = declared.iter().find(|(name, _)| name == field) else {
             return Err(spec_err(format!(
-                "model `{name}` has no config field `{field}` (in {context}; fields: {})",
+                "model `{name}` has no config field `{field}` (in {at}; fields: {})",
                 declared
                     .iter()
                     .map(|(name, _)| *name)
@@ -420,7 +418,7 @@ fn accelerator_from_json_v2(spec: &Json, context: &str) -> Result<AcceleratorSpe
         }
         .ok_or_else(|| {
             spec_err(format!(
-                "config field `{name}.{field}` in {context} must be {}",
+                "config field `{name}.{field}` in {at} must be {}",
                 match kind {
                     ConfigValue::UInt(_) => "a non-negative integer",
                     ConfigValue::Float(_) => "a number",
@@ -431,7 +429,7 @@ fn accelerator_from_json_v2(spec: &Json, context: &str) -> Result<AcceleratorSpe
         accelerator
             .config_mut()
             .set(field, coerced)
-            .map_err(|error| spec_err(format!("{error} (in {context})")))?;
+            .map_err(|error| spec_err(format!("{error} (in {at})")))?;
     }
     // Individually-plausible fields can combine into a configuration the
     // simulator would hang or panic on (a radix-1 merger, a zero-way
@@ -439,7 +437,7 @@ fn accelerator_from_json_v2(spec: &Json, context: &str) -> Result<AcceleratorSpe
     accelerator
         .config()
         .validate()
-        .map_err(|message| spec_err(format!("invalid `{name}` config in {context}: {message}")))?;
+        .map_err(|message| spec_err(format!("invalid `{name}` config in {at}: {message}")))?;
     Ok(accelerator)
 }
 

@@ -3,7 +3,10 @@
 //! neither `Json::parse` nor `spec_io::campaign_from_json` may panic on
 //! any input — arbitrary bytes, or the committed fig13 spec with one byte
 //! overwritten, deleted, or the tail cut off — and string escaping must
-//! round-trip every Unicode scalar through the parser. Shard reports are
+//! round-trip every Unicode scalar through the parser. The parsed tree
+//! borrows every string and key spelled without an escape and owns the
+//! rest, and a campaign whose names and labels need escapes survives a
+//! spec round trip. Shard reports are
 //! read back from other processes' files the same way, so `merge_shards`
 //! must return an error or the exact merge on any shard contents. The
 //! memo log is shared by every runner of a queue: on random, truncated,
@@ -11,11 +14,12 @@
 //! a report other than the one a valid frame holds.
 
 use loas_core::LayerReport;
-use loas_engine::{MemoKey, MemoStore, ResultStore};
+use loas_engine::{Campaign, MemoKey, MemoStore, ResultStore, DEFAULT_SEED};
 use loas_serve::json::{escape, Json};
 use loas_serve::merge_shards;
-use loas_serve::spec_io::campaign_from_json;
+use loas_serve::spec_io::{campaign_from_json, campaign_to_json, headline_campaign};
 use proptest::prelude::*;
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 const GOLDEN_SPEC: &str = include_str!("golden/fig13-quick.spec.json");
@@ -43,6 +47,34 @@ fn scalar(class: u32, code: u32) -> char {
         _ => code % 0x11_0000,
     };
     char::from_u32(code).unwrap_or(char::REPLACEMENT_CHARACTER)
+}
+
+/// Text drawn by [`scalar`], with a sixth class that picks a quote or a
+/// backslash, so most draws need an escape somewhere.
+fn spec_text(codes: &[(u32, u32)]) -> String {
+    codes
+        .iter()
+        .map(|&(class, code)| match class {
+            5 => ['"', '\\'][code as usize % 2],
+            _ => scalar(class, code),
+        })
+        .collect()
+}
+
+/// `c` spelled as `\uXXXX` escapes (a surrogate pair above the BMP), in
+/// upper- or lower-case hex.
+fn unicode_escape(c: char, upper: bool) -> String {
+    let mut units = [0u16; 2];
+    c.encode_utf16(&mut units)
+        .iter()
+        .map(|unit| {
+            if upper {
+                format!("\\u{unit:04X}")
+            } else {
+                format!("\\u{unit:04x}")
+            }
+        })
+        .collect()
 }
 
 /// The merge `merge_shards` must produce from these shard files, or `None`
@@ -272,7 +304,91 @@ proptest! {
     ) {
         let text: String = codes.iter().map(|&(class, code)| scalar(class, code)).collect();
         let doc = format!("\"{}\"", escape(&text));
-        prop_assert_eq!(Json::parse(&doc), Ok(Json::Str(text)));
+        prop_assert_eq!(Json::parse(&doc), Ok(Json::Str(text.into())));
+    }
+
+    #[test]
+    fn unescaped_strings_borrow_and_escaped_strings_own(
+        codes in proptest::collection::vec((0u32..6, any::<u32>()), 1..64),
+        upper in any::<bool>(),
+    ) {
+        let text = spec_text(&codes);
+        // Without the characters that need an escape, the payload is the
+        // document's own bytes between the quotes (an empty one may borrow
+        // any empty slice).
+        let plain: String = text
+            .chars()
+            .filter(|&c| c >= ' ' && c != '"' && c != '\\')
+            .collect();
+        let doc = format!("\"{plain}\"");
+        match Json::parse(&doc) {
+            Ok(Json::Str(Cow::Borrowed(parsed))) => {
+                prop_assert_eq!(parsed, plain.as_str());
+                prop_assert!(plain.is_empty() || parsed.as_ptr() == doc[1..].as_ptr());
+            }
+            other => prop_assert!(false, "{:?} parsed to {:?}", doc, other),
+        }
+        // Any escape, in short or `\u` form, makes an owned copy holding
+        // the same text.
+        let spelled: String = text.chars().map(|c| unicode_escape(c, upper)).collect();
+        for (doc, expected) in [
+            (format!("\"{}\\/\"", escape(&text)), format!("{text}/")),
+            (format!("\"{plain}{spelled}\""), format!("{plain}{text}")),
+        ] {
+            match Json::parse(&doc) {
+                Ok(Json::Str(Cow::Owned(parsed))) => prop_assert_eq!(parsed, expected),
+                other => prop_assert!(false, "{:?} parsed to {:?}", doc, other),
+            }
+        }
+    }
+
+    #[test]
+    fn keys_spelled_with_escapes_are_found_by_their_text(
+        codes in proptest::collection::vec((0u32..6, any::<u32>()), 0..16),
+        spell in proptest::collection::vec((any::<bool>(), any::<bool>()), 16),
+    ) {
+        let key = spec_text(&codes);
+        // Each character escaped or not at random (those that need an
+        // escape always are), after a decoy key that differs by a suffix.
+        let spelled: String = key
+            .chars()
+            .zip(&spell)
+            .map(|(c, &(escaped, upper))| {
+                if escaped {
+                    unicode_escape(c, upper)
+                } else {
+                    escape(&c.to_string())
+                }
+            })
+            .collect();
+        let doc = format!("{{\"{spelled}x\": 1, \"{spelled}\": 2}}");
+        let parsed = Json::parse(&doc).unwrap();
+        prop_assert_eq!(parsed.get(&key), Some(&Json::Num("2")));
+        prop_assert_eq!(parsed.get(&format!("{key}x")), Some(&Json::Num("1")));
+    }
+
+    #[test]
+    fn campaigns_with_escaped_names_and_labels_round_trip(
+        name in proptest::collection::vec((0u32..6, any::<u32>()), 0..32),
+        labels in proptest::collection::vec(
+            proptest::collection::vec((0u32..6, any::<u32>()), 0..32),
+            1..4,
+        ),
+    ) {
+        let headline = headline_campaign(true, DEFAULT_SEED);
+        let mut campaign = Campaign::new(spec_text(&name));
+        for (job, label) in headline.jobs().iter().zip(&labels) {
+            let mut job = job.clone();
+            job.label = spec_text(label);
+            campaign.push(job);
+        }
+        let text = campaign_to_json(&campaign);
+        let parsed = campaign_from_json(&text).unwrap();
+        prop_assert_eq!(&parsed.name, &campaign.name);
+        for (job, back) in campaign.jobs().iter().zip(parsed.jobs()) {
+            prop_assert_eq!(&back.label, &job.label);
+        }
+        prop_assert_eq!(campaign_to_json(&parsed), text);
     }
 
     #[test]
@@ -327,4 +443,11 @@ proptest! {
         cut[rank].truncate(at);
         check_merge(&cut);
     }
+}
+
+#[test]
+fn a_key_with_a_unicode_escape_is_found_by_its_text() {
+    let parsed = Json::parse(r#"{"na\u006de": "demo"}"#).unwrap();
+    assert_eq!(parsed.get("name").and_then(Json::as_str), Some("demo"));
+    assert!(matches!(parsed.as_obj(), Some([(Cow::Owned(key), _)]) if key == "name"));
 }
