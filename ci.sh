@@ -14,7 +14,8 @@
 # baseline-config sweep (Gamma FiberCache), smokes for the queue admin
 # commands (batch enqueue, requeue, fsck, models) and of enqueue refusing
 # unrunnable specs (a LoAS timestep mismatch, a workload t above 16,
-# unbuildable memory systems), a bench-trajectory gate over the two
+# unbuildable memory systems), a runner failing a stored spec cut short
+# and draining on, a bench-trajectory gate over the two
 # committed history records (BENCH_PR5.json against BENCH_PR3.json: fails
 # on a >20% regression in kernel pairs/s or end-to-end wall time, and
 # requires the PR 5 record's >=1.3x end-to-end gain), and short perfbench
@@ -176,6 +177,18 @@ if "$SERVE" fsck "$SMOKE/single" > /dev/null 2>&1; then
 fi
 "$SERVE" fsck "$SMOKE/single" --prune | grep -q "1 pruned"
 "$SERVE" fsck "$SMOKE/single"
+
+echo "== a stored spec cut short fails its campaign, and the queue drains on"
+# A spec file that no longer parses (here truncated after enqueue) used to
+# make every `run` exit 1 and leave the campaigns behind it queued.
+"$SERVE" init "$SMOKE/cutq"
+"$SERVE" enqueue "$SMOKE/cutq" --headline --quick
+"$SERVE" enqueue "$SMOKE/cutq" --headline --quick
+printf '{"name": "x", "jobs": [' > "$SMOKE/cutq/specs/00001.json"
+"$SERVE" run "$SMOKE/cutq"
+"$SERVE" status "$SMOKE/cutq" > "$SMOKE/cutq.status"
+grep "00001" "$SMOKE/cutq.status" | grep -q "failed spec: unexpected end of input"
+grep "00002" "$SMOKE/cutq.status" | grep -q "done"
 
 echo "== accelerator catalog listing (loas-serve models)"
 "$SERVE" models > "$SMOKE/models.out"

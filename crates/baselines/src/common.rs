@@ -15,7 +15,7 @@ pub const BASELINE_HBM_GBPS: f64 = 128.0;
 
 /// Generates a `LoasConfig`-style non-consuming builder for a baseline
 /// configuration struct: one setter per listed field, terminated by a
-/// validating `build()` (which calls the config's `validated()`).
+/// `build()` that panics with the config's `check()` message.
 macro_rules! config_builder {
     ($config:ident, $builder:ident, { $( $field:ident : $ty:ty ),* $(,)? }) => {
         #[doc = concat!("Builder for [`", stringify!($config), "`] (paper defaults).")]
@@ -39,7 +39,10 @@ macro_rules! config_builder {
             ///
             /// Panics on degenerate values (see the config's field docs).
             pub fn build(self) -> $config {
-                self.config.validated()
+                if let Err(message) = self.config.check() {
+                    panic!("{message}");
+                }
+                self.config
             }
         }
 

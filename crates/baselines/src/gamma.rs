@@ -112,13 +112,6 @@ impl GammaConfig {
             self.cache_banks,
         )
     }
-
-    fn validated(self) -> Self {
-        if let Err(message) = self.check() {
-            panic!("{message}");
-        }
-        self
-    }
 }
 
 config_builder!(GammaConfig, GammaConfigBuilder, {

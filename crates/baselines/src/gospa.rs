@@ -61,13 +61,6 @@ impl GospaConfig {
         }
         loas_core::check_precision(self.weight_bits, Some(self.psum_bytes))
     }
-
-    fn validated(self) -> Self {
-        if let Err(message) = self.check() {
-            panic!("{message}");
-        }
-        self
-    }
 }
 
 config_builder!(GospaConfig, GospaConfigBuilder, {

@@ -59,13 +59,6 @@ impl PtbConfig {
         loas_core::check_precision(self.weight_bits, None)
     }
 
-    fn validated(self) -> Self {
-        if let Err(message) = self.check() {
-            panic!("{message}");
-        }
-        self
-    }
-
     /// The configured array geometry.
     pub fn array(&self) -> SystolicArray {
         SystolicArray::new(self.array_rows, self.array_cols)

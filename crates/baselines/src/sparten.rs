@@ -95,13 +95,6 @@ impl SparTenConfig {
             self.cache_banks,
         )
     }
-
-    fn validated(self) -> Self {
-        if let Err(message) = self.check() {
-            panic!("{message}");
-        }
-        self
-    }
 }
 
 config_builder!(SparTenConfig, SparTenConfigBuilder, {

@@ -626,11 +626,9 @@ impl Accelerator for Loas {
 
     fn run_layer(&mut self, layer: &PreparedLayer) -> LayerReport {
         let shape = layer.shape;
-        assert_eq!(
-            shape.t, self.config.timesteps,
-            "configure LoAS with timesteps matching the workload (got T={} vs config {})",
-            shape.t, self.config.timesteps
-        );
+        if let Err(message) = self.config.check_workload(&shape) {
+            panic!("{message}");
+        }
         let mut verified_output = self
             .verify_outputs
             .then(|| SpikeTensor::zeros(shape.m, shape.n, shape.t));

@@ -40,6 +40,7 @@
 
 use crate::hash::ContentHasher;
 use crate::metrics::Accelerator;
+use loas_workloads::LayerShape;
 use std::sync::{OnceLock, RwLock};
 
 /// One typed configuration field value. The three kinds cover every knob
@@ -339,6 +340,7 @@ pub struct ModelEntry {
     default_config: fn() -> Box<dyn ModelConfig>,
     build: fn(&dyn ModelConfig) -> Box<dyn Accelerator + Send>,
     wants_fine_tuned: fn(&dyn ModelConfig) -> bool,
+    workload_check: fn(&dyn ModelConfig, &LayerShape) -> Result<(), String>,
 }
 
 impl std::fmt::Debug for ModelEntry {
@@ -369,6 +371,7 @@ impl ModelEntry {
             default_config,
             build,
             wants_fine_tuned: |_| false,
+            workload_check: |_, _| Ok(()),
         }
     }
 
@@ -384,6 +387,17 @@ impl ModelEntry {
     /// the fine-tuned (silent-neuron-masked) workload variant.
     pub fn wants_fine_tuned(mut self, predicate: fn(&dyn ModelConfig) -> bool) -> Self {
         self.wants_fine_tuned = predicate;
+        self
+    }
+
+    /// Installs the rule for which layer shapes a configuration can run
+    /// (default: all). Spec parsing runs it on every job, so it must not
+    /// allocate when a job passes.
+    pub fn workload_check(
+        mut self,
+        check: fn(&dyn ModelConfig, &LayerShape) -> Result<(), String>,
+    ) -> Self {
+        self.workload_check = check;
         self
     }
 
@@ -415,6 +429,19 @@ impl ModelEntry {
     /// Whether `config` asks for the fine-tuned workload variant.
     pub fn config_wants_fine_tuned(&self, config: &dyn ModelConfig) -> bool {
         (self.wants_fine_tuned)(config)
+    }
+
+    /// Whether `config` can run a layer of `shape`.
+    ///
+    /// # Errors
+    ///
+    /// The model's reason when it cannot.
+    pub fn check_workload(
+        &self,
+        config: &dyn ModelConfig,
+        shape: &LayerShape,
+    ) -> Result<(), String> {
+        (self.workload_check)(config, shape)
     }
 
     /// Absorbs a `(model, config)` identity into a memo-key hash. The
@@ -496,26 +523,22 @@ fn global() -> &'static RwLock<Catalog> {
 
 /// The LoAS entry `loas-core` seeds the global catalog with.
 fn loas_entry() -> ModelEntry {
+    fn loas(config: &dyn ModelConfig) -> Option<&crate::LoasConfig> {
+        config.as_any().downcast_ref()
+    }
     ModelEntry::new(
         "loas",
         "LoAS: fully temporal-parallel dual-sparse SNN accelerator (Table III)",
         4,
         || Box::new(crate::LoasConfig::table3()),
         |config| {
-            let config = config
-                .as_any()
-                .downcast_ref::<crate::LoasConfig>()
-                .expect("loas entry built with a LoasConfig");
+            let config = loas(config).expect("loas entry built with a LoasConfig");
             Box::new(crate::Loas::new(config.clone()))
         },
     )
     .hash_config_always()
-    .wants_fine_tuned(|config| {
-        config
-            .as_any()
-            .downcast_ref::<crate::LoasConfig>()
-            .is_some_and(|config| config.discard_low_activity_outputs)
-    })
+    .wants_fine_tuned(|config| loas(config).is_some_and(|c| c.discard_low_activity_outputs))
+    .workload_check(|config, shape| loas(config).map_or(Ok(()), |c| c.check_workload(shape)))
 }
 
 /// Registers `entry` into the process-global catalog.

@@ -152,6 +152,22 @@ impl LoasConfig {
         )
     }
 
+    /// Checks that the workload's `t` equals `timesteps`, to which the
+    /// TPPEs' accumulator lanes are fixed (Section IV).
+    ///
+    /// # Errors
+    ///
+    /// A message naming both timestep counts.
+    pub fn check_workload(&self, shape: &loas_workloads::LayerShape) -> Result<(), String> {
+        if shape.t != self.timesteps {
+            return Err(format!(
+                "LoAS runs {} timesteps, its workload t = {}",
+                self.timesteps, shape.t
+            ));
+        }
+        Ok(())
+    }
+
     /// Laggy prefix-sum latency over one bitmask chunk:
     /// `bitmask_bits / laggy_adders` cycles (8 with Table III values).
     pub fn laggy_latency_cycles(&self) -> u64 {

@@ -8,7 +8,7 @@
 
 use loas_core::{catalog, Accelerator, CatalogError, LoasConfig, ModelConfig, PreparedLayer};
 use loas_workloads::networks::{LayerSpec, NetworkSpec};
-use loas_workloads::{LayerShape, SparsityProfile, WorkloadError, WorkloadGenerator};
+use loas_workloads::{FiringModel, LayerShape, SparsityProfile, WorkloadError, WorkloadGenerator};
 use std::ops::Range;
 
 /// Makes sure every workspace model is registered in the process-global
@@ -396,6 +396,22 @@ impl JobSpec {
             workload,
             accelerator,
         }
+    }
+
+    /// Checks, allocating nothing when the job passes, that its workload
+    /// passes [`FiringModel::check`] and its model's catalog entry accepts
+    /// the shape ([`loas_core::ModelEntry::check_workload`]). Whether the
+    /// profile is reachable at `t` is decided when the workload generates.
+    ///
+    /// # Errors
+    ///
+    /// The first failed check's message.
+    pub fn check(&self) -> Result<(), String> {
+        let WorkloadSpec { shape, profile, .. } = &self.workload;
+        FiringModel::check(profile, shape.t).map_err(|error| error.to_string())?;
+        let config = self.accelerator.config();
+        self.accelerator
+            .with_entry(|entry| entry.check_workload(config, shape))
     }
 
     /// The job's result-memoization key: a stable content hash of the

@@ -64,23 +64,26 @@ pub fn collect_spec_paths(source: impl AsRef<Path>) -> Result<Vec<PathBuf>, Serv
     Ok(specs)
 }
 
-/// Submits a batch of spec files in one call (ROADMAP item d: LOKI-style
-/// design-space sweeps arrive as a directory of specs). All specs are
-/// read **and validated** before the first submission, so a broken spec
-/// anywhere in the batch means nothing is enqueued.
+/// Submits a batch of spec files in one call (LOKI-style design-space
+/// sweeps arrive as a directory of specs). Every spec is read and parsed
+/// once, as [`Queue::enqueue`] would, before the first submission, so a
+/// broken spec anywhere in the batch means nothing is enqueued.
 ///
 /// # Errors
 ///
 /// Returns the first read or validation failure, naming the file.
 pub fn enqueue_batch(queue: &Queue, specs: &[PathBuf]) -> Result<Vec<Submission>, ServeError> {
-    let mut texts = Vec::with_capacity(specs.len());
+    let mut batch = Vec::with_capacity(specs.len());
     for path in specs {
         let text = std::fs::read_to_string(path).map_err(ServeError::io(path))?;
-        crate::spec_io::runnable_campaign_from_json(&text)
+        let campaign = crate::spec_io::campaign_from_json(&text)
             .map_err(|error| ServeError::Spec(format!("{}: {error}", path.display())))?;
-        texts.push(text);
+        batch.push((text, campaign));
     }
-    texts.iter().map(|text| queue.enqueue(text)).collect()
+    batch
+        .iter()
+        .map(|(text, campaign)| queue.commit(text, campaign))
+        .collect()
 }
 
 /// Resets a `failed` campaign to `queued` and clears its stale partial

@@ -139,15 +139,17 @@ impl Queue {
     /// — a broken submission never enters the queue — and propagates I/O
     /// failures.
     pub fn enqueue(&self, spec_text: &str) -> Result<Submission, ServeError> {
-        let campaign = spec_io::runnable_campaign_from_json(spec_text)?;
-        if campaign.is_empty() {
-            return Err(ServeError::Spec("campaign has no jobs".to_owned()));
-        }
+        self.commit(spec_text, &spec_io::campaign_from_json(spec_text)?)
+    }
+
+    /// Stores `text`, already parsed into `campaign`, as the next
+    /// submission.
+    pub(crate) fn commit(&self, text: &str, campaign: &Campaign) -> Result<Submission, ServeError> {
         let id = self.submissions()?.last().map_or(1, |s| s.id + 1);
 
         let spec_path = self.spec_path(id);
         let temp = spec_path.with_extension(format!("tmp.{}", std::process::id()));
-        std::fs::write(&temp, spec_text).map_err(ServeError::io(&temp))?;
+        std::fs::write(&temp, text).map_err(ServeError::io(&temp))?;
         std::fs::rename(&temp, &spec_path).map_err(ServeError::io(&spec_path))?;
         self.set_state(id, &CampaignState::Queued)?;
 

@@ -14,7 +14,7 @@
 use crate::error::ServeError;
 use crate::queue::{CampaignState, Queue};
 use crate::shard::ShardSpec;
-use loas_engine::{Engine, MemoStore, ResultStore};
+use loas_engine::{Campaign, Engine, MemoStore, ResultStore};
 use std::io::Write as _;
 use std::time::{Duration, Instant};
 
@@ -85,9 +85,10 @@ pub struct CampaignProgress {
 ///
 /// # Errors
 ///
-/// Propagates queue I/O errors. Engine failures (infeasible workloads) do
-/// **not** abort the pass: the campaign is marked `failed` and draining
-/// continues with the next submission.
+/// Propagates queue I/O errors. A stored spec that cannot be read or
+/// parsed (`failed spec: <reason>`) and engine failures (infeasible
+/// workloads, panicking jobs) do **not** abort the pass: the campaign is
+/// marked `failed` and draining continues with the next submission.
 pub fn drain(
     queue: &Queue,
     options: &RunOptions,
@@ -131,22 +132,28 @@ fn drain_with(
             && !queue.shard_done(submission.id, options.shard.rank)
     }) {
         let id = submission.id;
-        match run_one(queue, engine, store, options, id) {
-            Ok(outcome) => {
-                summary.campaigns += 1;
-                summary.jobs += outcome.jobs;
-                summary.memo_hits += outcome.memo_hits;
-                summary.simulated += outcome.simulated;
-                summary.generated += outcome.generated;
-                progress(&outcome);
-            }
-            Err(ServeError::Engine(source)) => {
-                summary.campaigns += 1;
-                summary.failed += 1;
-                queue.set_state(id, &CampaignState::Failed(source.to_string()))?;
-            }
-            Err(other) => return Err(other),
-        }
+        summary.campaigns += 1;
+        // A stored spec this build cannot read or run (a damaged file, or
+        // one queued by a build with a looser gate) fails its campaign
+        // alone, as an engine failure does.
+        let reason = match queue.campaign(id) {
+            Err(ServeError::Spec(message)) => format!("spec: {message}"),
+            Err(error) => format!("spec: {error}"),
+            Ok(campaign) => match run_one(queue, engine, store, options, id, &campaign) {
+                Ok(outcome) => {
+                    summary.jobs += outcome.jobs;
+                    summary.memo_hits += outcome.memo_hits;
+                    summary.simulated += outcome.simulated;
+                    summary.generated += outcome.generated;
+                    progress(&outcome);
+                    continue;
+                }
+                Err(ServeError::Engine(source)) => source.to_string(),
+                Err(other) => return Err(other),
+            },
+        };
+        summary.failed += 1;
+        queue.set_state(id, &CampaignState::Failed(reason))?;
     }
     Ok(summary)
 }
@@ -157,8 +164,8 @@ fn run_one(
     store: Option<&MemoStore>,
     options: &RunOptions,
     id: u64,
+    campaign: &Campaign,
 ) -> Result<CampaignProgress, ServeError> {
-    let campaign = queue.campaign(id)?;
     let report_dir = queue.report_dir(id);
     std::fs::create_dir_all(&report_dir).map_err(ServeError::io(&report_dir))?;
 
@@ -173,7 +180,7 @@ fn run_one(
     let mut sink_error: Option<std::io::Error> = None;
     let generated_before = engine.cache_stats().generated;
     let run = engine.run_where(
-        &campaign,
+        campaign,
         Some(&job_ids),
         store.map(|s| s as &dyn ResultStore),
         |record| {
@@ -394,6 +401,37 @@ mod tests {
             CampaignState::Failed(_)
         ));
         assert_eq!(queue.state(good_id).unwrap(), CampaignState::Done);
+        let _ = std::fs::remove_dir_all(queue.root());
+    }
+
+    #[test]
+    fn stored_specs_that_no_longer_parse_fail_without_blocking_the_queue() {
+        let queue = temp_queue("stored-spec");
+        let spec = r#"{"version": 2, "name": "small", "jobs": [{
+            "workload": {"name": "w", "shape": {"t": 4, "m": 4, "n": 8, "k": 64},
+                         "profile": {"spike_origin": 0.823, "silent": 0.741,
+                                     "silent_ft": 0.796, "weight": 0.982},
+                         "seed": 7},
+            "accelerator": "gamma"}]}"#;
+        let [truncated, refused, good] = [(); 3].map(|_| queue.enqueue(spec).unwrap().id);
+        // A spec file cut short, and one a build with a looser gate queued:
+        // LoAS configured for 8 timesteps on a t = 4 workload.
+        let stored = |id: u64| queue.root().join("specs").join(format!("{id:05}.json"));
+        std::fs::write(stored(truncated), r#"{"name": "x", "jobs": ["#).unwrap();
+        let mismatch = spec.replace(
+            r#""gamma""#,
+            r#"{"name": "loas", "config": {"timesteps": 8}}"#,
+        );
+        std::fs::write(stored(refused), mismatch).unwrap();
+        let summary = drain(&queue, &small_options(), |_| {}).unwrap();
+        assert_eq!((summary.campaigns, summary.failed, summary.jobs), (3, 2, 1));
+        let state = |id: u64| queue.state(id).unwrap().to_string();
+        assert_eq!(state(truncated), "failed spec: unexpected end of input");
+        assert_eq!(
+            state(refused),
+            "failed spec: job 0: LoAS runs 8 timesteps, its workload t = 4"
+        );
+        assert_eq!(queue.state(good).unwrap(), CampaignState::Done);
         let _ = std::fs::remove_dir_all(queue.root());
     }
 }

@@ -31,8 +31,7 @@
 
 use crate::error::ServeError;
 use crate::json::{escape, Json};
-use loas_core::kernel::MAX_TIMESTEPS;
-use loas_core::{ConfigValue, LoasConfig};
+use loas_core::ConfigValue;
 use loas_engine::{AcceleratorSpec, Campaign, JobSpec, WorkloadSpec};
 use loas_workloads::networks;
 use loas_workloads::{LayerShape, SparsityProfile};
@@ -50,7 +49,8 @@ pub fn campaign_to_json(campaign: &Campaign) -> String {
     let _ = writeln!(out, "  \"name\": \"{}\",", escape(&campaign.name));
     let _ = writeln!(out, "  \"jobs\": [");
     for (index, job) in campaign.jobs().iter().enumerate() {
-        let _ = write!(out, "    {}", job_to_json(job));
+        out.push_str("    ");
+        job_to_json(&mut out, job);
         let _ = writeln!(out, "{}", if index + 1 < campaign.len() { "," } else { "" });
     }
     let _ = writeln!(out, "  ]");
@@ -58,10 +58,9 @@ pub fn campaign_to_json(campaign: &Campaign) -> String {
     out
 }
 
-fn job_to_json(job: &JobSpec) -> String {
+fn job_to_json(out: &mut String, job: &JobSpec) {
     let workload = &job.workload;
     let profile = &workload.profile;
-    let mut out = String::with_capacity(256);
     let _ = write!(out, "{{\"label\": \"{}\", ", escape(&job.label));
     match &job.network {
         Some(network) => {
@@ -91,33 +90,23 @@ fn job_to_json(job: &JobSpec) -> String {
         workload.seed,
         workload.fine_tuned
     );
+    // The accelerator in its v2 catalog form: stable model name and the
+    // full typed configuration (self-describing, so specs survive future
+    // default changes bit-exactly).
+    let accelerator = &job.accelerator;
     let _ = write!(
         out,
-        "\"accelerator\": {}}}",
-        accelerator_to_json(&job.accelerator)
+        "\"accelerator\": {{\"name\": \"{}\", \"config\": {{",
+        escape(accelerator.model())
     );
-    out
-}
-
-/// Serializes an accelerator as its v2 catalog form: stable model name +
-/// the full typed configuration (self-describing, so specs survive future
-/// default changes bit-exactly).
-fn accelerator_to_json(spec: &AcceleratorSpec) -> String {
-    let mut out = String::with_capacity(128);
-    let _ = write!(
-        out,
-        "{{\"name\": \"{}\", \"config\": {{",
-        escape(spec.model())
-    );
-    for (index, (field, value)) in spec.config().fields().into_iter().enumerate() {
+    for (index, (field, value)) in accelerator.config().fields().into_iter().enumerate() {
         let _ = write!(
             out,
             "{}\"{field}\": {value}",
             if index > 0 { ", " } else { "" }
         );
     }
-    out.push_str("}}");
-    out
+    out.push_str("}}}");
 }
 
 fn spec_err(message: impl Into<String>) -> ServeError {
@@ -154,12 +143,15 @@ enum SpecVersion {
 }
 
 /// Parses a campaign spec JSON document back into an engine [`Campaign`],
-/// accepting both schema versions (see the module docs).
+/// accepting both schema versions (see the module docs). It refuses a
+/// campaign with no jobs and any job that cannot run ([`JobSpec::check`]:
+/// the workload's fractions and `t`, and the model's rule for the shape).
+/// Enqueue, batch enqueue and the runner all read specs through it.
 ///
 /// # Errors
 ///
-/// Returns [`ServeError::Spec`] describing the first syntax or schema
-/// problem, including unsupported `version` values.
+/// Returns [`ServeError::Spec`] describing the first syntax, schema or
+/// runnability problem, including unsupported `version` values.
 pub fn campaign_from_json(text: &str) -> Result<Campaign, ServeError> {
     let doc = Json::parse(text).map_err(spec_err)?;
     let version = match doc.get("version") {
@@ -182,31 +174,13 @@ pub fn campaign_from_json(text: &str) -> Result<Campaign, ServeError> {
         .ok_or_else(|| spec_err("`jobs` must be an array"))?;
     let mut campaign = Campaign::new(name);
     for (index, job) in jobs.iter().enumerate() {
-        campaign.push(job_from_json(job, index, version)?);
+        let job = job_from_json(job, index, version)?;
+        job.check()
+            .map_err(|message| spec_err(format!("job {index}: {message}")))?;
+        campaign.push(job);
     }
-    Ok(campaign)
-}
-
-/// [`campaign_from_json`] for enqueueing: also rejects, as
-/// [`ServeError::Spec`], a workload with more timesteps than a packed
-/// spike word holds, and a LoAS job whose `timesteps` differ from its
-/// workload's `t` (the runner would panic on either mid-campaign).
-pub(crate) fn runnable_campaign_from_json(text: &str) -> Result<Campaign, ServeError> {
-    let campaign = campaign_from_json(text)?;
-    for (index, job) in campaign.jobs().iter().enumerate() {
-        let t = job.workload.shape.t;
-        if t > MAX_TIMESTEPS {
-            return Err(spec_err(format!(
-                "workload in job {index} has t = {t}, above the packed-word limit of {MAX_TIMESTEPS}"
-            )));
-        }
-        let loas = job.accelerator.typed_config::<LoasConfig>();
-        if let Some(config) = loas.filter(|config| config.timesteps != t) {
-            let runs = config.timesteps;
-            return Err(spec_err(format!(
-                "LoAS in job {index} runs {runs} timesteps, its workload t = {t}"
-            )));
-        }
+    if campaign.is_empty() {
+        return Err(spec_err("campaign has no jobs"));
     }
     Ok(campaign)
 }
@@ -259,26 +233,15 @@ fn workload_from_json(workload: &Json, at: Arguments) -> Result<WorkloadSpec, Se
         required_usize(shape, "k", at)?,
     );
     let profile = required(workload, "profile", at)?;
-    // Fractions in [0, 1], copied bit-exactly (not percentages): the memo
-    // key hashes these bits, so a spec round trip must not perturb them.
+    // Fractions (not percentages), copied bit-exactly: the memo key hashes
+    // these bits, so a spec round trip must not perturb them. Their range
+    // is checked with the rest of the job.
     let profile = SparsityProfile {
         spike_origin: required_f64(profile, "spike_origin", at)?,
         silent: required_f64(profile, "silent", at)?,
         silent_ft: required_f64(profile, "silent_ft", at)?,
         weight: required_f64(profile, "weight", at)?,
     };
-    for (field, value) in [
-        ("spike_origin", profile.spike_origin),
-        ("silent", profile.silent),
-        ("silent_ft", profile.silent_ft),
-        ("weight", profile.weight),
-    ] {
-        if !(0.0..=1.0).contains(&value) {
-            return Err(spec_err(format!(
-                "profile `{field}` in {at} must be a fraction in [0, 1], got {value}"
-            )));
-        }
-    }
     let seed = required(workload, "seed", at)?
         .as_u64()
         .ok_or_else(|| spec_err(format!("`seed` in {at} must be an integer")))?;
@@ -327,51 +290,7 @@ fn accelerator_from_json_v1(spec: &Json, at: Arguments) -> Result<AcceleratorSpe
             "accelerator in {at} must be a tag string or a {{\"loas\": {{...}}}} object"
         ))
     })?;
-    let mut config = LoasConfig::table3();
-    let set_usize = |field: &mut usize, key: &str| -> Result<(), ServeError> {
-        if let Some(value) = overrides.get(key) {
-            *field = value
-                .as_usize()
-                .ok_or_else(|| spec_err(format!("loas `{key}` must be an integer")))?;
-        }
-        Ok(())
-    };
-    set_usize(&mut config.tppes, "tppes")?;
-    set_usize(&mut config.timesteps, "timesteps")?;
-    set_usize(&mut config.weight_bits, "weight_bits")?;
-    set_usize(&mut config.bitmask_bits, "bitmask_bits")?;
-    set_usize(&mut config.laggy_adders, "laggy_adders")?;
-    set_usize(&mut config.fifo_depth, "fifo_depth")?;
-    set_usize(&mut config.weight_buffer_bytes, "weight_buffer_bytes")?;
-    set_usize(&mut config.cache_bytes, "cache_bytes")?;
-    set_usize(&mut config.cache_banks, "cache_banks")?;
-    set_usize(&mut config.cache_ways, "cache_ways")?;
-    set_usize(&mut config.cache_line_bytes, "cache_line_bytes")?;
-    set_usize(&mut config.hbm_channels, "hbm_channels")?;
-    set_usize(&mut config.crossbar_bus_bytes, "crossbar_bus_bytes")?;
-    if let Some(value) = overrides.get("hbm_gbps") {
-        config.hbm_gbps = value
-            .as_f64()
-            .ok_or_else(|| spec_err("loas `hbm_gbps` must be a number"))?;
-    }
-    let set_bool = |field: &mut bool, key: &str| -> Result<(), ServeError> {
-        if let Some(value) = overrides.get(key) {
-            *field = value
-                .as_bool()
-                .ok_or_else(|| spec_err(format!("loas `{key}` must be a boolean")))?;
-        }
-        Ok(())
-    };
-    set_bool(
-        &mut config.discard_low_activity_outputs,
-        "discard_low_activity_outputs",
-    )?;
-    set_bool(&mut config.temporal_parallel, "temporal_parallel")?;
-    set_bool(&mut config.two_fast_prefix, "two_fast_prefix")?;
-    config
-        .check()
-        .map_err(|message| spec_err(format!("invalid loas config in {at}: {message}")))?;
-    Ok(AcceleratorSpec::loas_with(config))
+    configured(AcceleratorSpec::loas(), overrides, SpecVersion::V1, at)
 }
 
 /// The v2 accelerator form: a bare catalog name, or
@@ -389,11 +308,24 @@ fn accelerator_from_json_v2(spec: &Json, at: Arguments) -> Result<AcceleratorSpe
     let name = required(spec, "name", at)?
         .as_str()
         .ok_or_else(|| spec_err(format!("accelerator `name` in {at} must be a string")))?;
-    let mut accelerator = named_accelerator(name, at)?;
-    let Some(config) = spec.get("config") else {
-        return Ok(accelerator);
-    };
-    let overrides = config
+    let accelerator = named_accelerator(name, at)?;
+    match spec.get("config") {
+        None => Ok(accelerator),
+        Some(config) => configured(accelerator, config, SpecVersion::V2, at),
+    }
+}
+
+/// Applies the config-override object `overrides` to `accelerator` and
+/// validates the result. v2 refuses a key that is not a field of the
+/// registered config; v1 ignores it, as it always has.
+fn configured(
+    mut accelerator: AcceleratorSpec,
+    overrides: &Json,
+    version: SpecVersion,
+    at: Arguments,
+) -> Result<AcceleratorSpec, ServeError> {
+    let name = accelerator.config().model();
+    let overrides = overrides
         .as_obj()
         .ok_or_else(|| spec_err(format!("accelerator `config` in {at} must be an object")))?;
     // Coerce each override by the declared kind of the registered config
@@ -402,6 +334,9 @@ fn accelerator_from_json_v2(spec: &Json, at: Arguments) -> Result<AcceleratorSpe
     let declared = accelerator.config().fields();
     for (field, value) in overrides {
         let Some((_, kind)) = declared.iter().find(|(name, _)| name == field) else {
+            if version == SpecVersion::V1 {
+                continue;
+            }
             return Err(spec_err(format!(
                 "model `{name}` has no config field `{field}` (in {at}; fields: {})",
                 declared
@@ -434,10 +369,12 @@ fn accelerator_from_json_v2(spec: &Json, at: Arguments) -> Result<AcceleratorSpe
     // Individually-plausible fields can combine into a configuration the
     // simulator would hang or panic on (a radix-1 merger, a zero-way
     // cache): reject those at the schema boundary, before enqueueing.
-    accelerator
-        .config()
-        .validate()
-        .map_err(|message| spec_err(format!("invalid `{name}` config in {at}: {message}")))?;
+    accelerator.config().validate().map_err(|message| {
+        spec_err(match version {
+            SpecVersion::V1 => format!("invalid {name} config in {at}: {message}"),
+            SpecVersion::V2 => format!("invalid `{name}` config in {at}: {message}"),
+        })
+    })?;
     Ok(accelerator)
 }
 
@@ -508,6 +445,7 @@ pub fn gamma_cache_campaign(quick: bool, seed: u64) -> Campaign {
 mod tests {
     use super::*;
     use loas_baselines::GammaConfig;
+    use loas_core::LoasConfig;
     use loas_engine::DEFAULT_SEED;
 
     #[test]
@@ -533,7 +471,7 @@ mod tests {
     #[test]
     fn v1_loas_config_overrides_apply_over_table3() {
         let text = r#"{"name": "t", "jobs": [{
-            "workload": {"name": "w", "shape": {"t": 4, "m": 4, "n": 8, "k": 64},
+            "workload": {"name": "w", "shape": {"t": 8, "m": 4, "n": 8, "k": 64},
                          "profile": {"spike_origin": 0.823, "silent": 0.741,
                                      "silent_ft": 0.796, "weight": 0.982},
                          "seed": 7},
@@ -553,6 +491,39 @@ mod tests {
             format!("w @ {}", campaign.jobs()[0].accelerator.display_name())
         );
         assert!(!campaign.jobs()[0].workload.fine_tuned);
+    }
+
+    #[test]
+    fn v1_overrides_share_the_catalog_path_and_ignore_unknown_keys() {
+        let spec = |overrides: &str| {
+            format!(
+                r#"{{"name": "t", "jobs": [{{
+                    "workload": {{"name": "w", "shape": {{"t": 4, "m": 4, "n": 8, "k": 64}},
+                                 "profile": {{"spike_origin": 0.823, "silent": 0.741,
+                                             "silent_ft": 0.796, "weight": 0.982}},
+                                 "seed": 7}},
+                    "accelerator": {{"loas": {overrides}}}}}]}}"#
+            )
+        };
+        let campaign = campaign_from_json(&spec(r#"{"hbm_gbps": 64, "note": "x"}"#)).unwrap();
+        let config: &LoasConfig = campaign.jobs()[0].accelerator.typed_config().unwrap();
+        assert_eq!(config.hbm_gbps, 64.0);
+        for (overrides, needle) in [
+            (
+                r#"{"tppes": true}"#,
+                "`loas.tppes` in job 0 must be a non-negative integer",
+            ),
+            (
+                r#"{"timesteps": 8}"#,
+                "job 0: LoAS runs 8 timesteps, its workload t = 4",
+            ),
+            ("[]", "must be an object"),
+        ] {
+            let error = campaign_from_json(&spec(overrides))
+                .unwrap_err()
+                .to_string();
+            assert!(error.contains(needle), "`{error}` lacks `{needle}`");
+        }
     }
 
     #[test]

@@ -407,6 +407,39 @@ fn unsimulatable_memory_configs_are_rejected_at_enqueue() {
 }
 
 #[test]
+fn caches_beyond_the_line_cap_are_rejected_at_enqueue() {
+    // 274877906880 bytes is 2^32 - 2^14 lines of 64 bytes, which fit the
+    // old u32::MAX line bound. The runner would then size tags, LRU stamps
+    // and an index for it, well over 100 GB, and an allocation failure
+    // aborts the process (no unwind for `catch_unwind` to catch), leaving
+    // the campaign queued. Enqueue only parses, so it builds no cache.
+    let spec = |model: &str, bytes: usize| {
+        format!(
+            r#"{{"version": 2, "name": "huge-cache", "jobs": [{{
+                "workload": {{"name": "w", "shape": {{"t": 4, "m": 4, "n": 8, "k": 64}},
+                             "profile": {{"spike_origin": 0.823, "silent": 0.741,
+                                         "silent_ft": 0.796, "weight": 0.982}},
+                             "seed": 7}},
+                "accelerator": {{"name": "{model}", "config": {{"cache_bytes": {bytes}}}}}}}]}}"#
+        )
+    };
+    let root = temp_root("huge-cache");
+    let queue = Queue::init(&root).unwrap();
+    let cap = loas_sim::MAX_CACHE_LINES * 64;
+    for model in ["loas", "gamma", "sparten"] {
+        for bytes in [274_877_906_880, cap + 64] {
+            let error = queue.enqueue(&spec(model, bytes)).unwrap_err();
+            assert!(matches!(error, ServeError::Spec(_)), "{model}: {error}");
+            assert!(error.to_string().contains("lines"), "{model}: {error}");
+        }
+    }
+    assert!(queue.submissions().unwrap().is_empty());
+    // The cap itself is accepted.
+    queue.enqueue(&spec("gamma", cap)).unwrap();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
 fn a_cold_drain_leaves_one_memo_file() {
     let root = temp_root("one-memo-file");
     let queue = Queue::init(&root).unwrap();

@@ -1,5 +1,5 @@
-//! Property test of the v2 spec schema: any campaign assembled from
-//! random workloads and random catalog configurations must survive
+//! Property test of the v2 spec schema: any runnable campaign assembled
+//! from random workloads and random catalog configurations must survive
 //! `campaign_to_json` → `campaign_from_json` with identical content
 //! hashes (memo keys), identical accelerators, and a fixed-point
 //! serialization.
@@ -14,7 +14,7 @@ use proptest::prelude::*;
 /// One random accelerator spec: a catalog model with (for even draws)
 /// non-default configuration overrides picked from each model's sweepable
 /// knobs.
-fn accelerator(model: u64, knob: u64, tweak: bool) -> AcceleratorSpec {
+fn accelerator(model: u64, knob: u64, tweak: bool, t: usize) -> AcceleratorSpec {
     let pow2 = |lo: u32, span: u64| 1usize << (lo as u64 + knob % span) as u32;
     match model % 6 {
         0 => {
@@ -65,11 +65,16 @@ fn accelerator(model: u64, knob: u64, tweak: bool) -> AcceleratorSpec {
             AcceleratorSpec::from_config(config)
         }
         _ => {
-            let mut config = LoasConfig::table3();
+            // LoAS runs only workloads of its own window: a spec pairing
+            // it with another `t` is refused.
+            let mut config = LoasConfig {
+                timesteps: t,
+                ..LoasConfig::table3()
+            };
             if tweak {
                 config = LoasConfig::builder()
                     .tppes(pow2(2, 4))
-                    .timesteps(1 + (knob % 16) as usize)
+                    .timesteps(t)
                     .hbm_gbps(2.0f64.powi((knob % 9) as i32 + 3))
                     .discard_low_activity_outputs(knob.is_multiple_of(2))
                     .build();
@@ -84,7 +89,7 @@ proptest! {
 
     #[test]
     fn v2_specs_round_trip_with_identical_content_hashes(
-        shape in (1usize..=8, 1usize..=32, 1usize..=32, 1usize..=512),
+        shape in (1usize..=16, 1usize..=32, 1usize..=32, 1usize..=512),
         fractions in (0.3f64..0.95, 0.2f64..0.8, 0.0f64..0.15, 0.5f64..0.999),
         seed in any::<u64>(),
         choice in (any::<u64>(), any::<u64>(), any::<bool>()),
@@ -100,7 +105,7 @@ proptest! {
         };
         let workload =
             WorkloadSpec::new("prop-w", LayerShape::new(t, m, n, k), profile).with_seed(seed);
-        let accelerator = accelerator(model, knob, tweak);
+        let accelerator = accelerator(model, knob, tweak, t);
         let mut campaign = Campaign::new("prop-campaign");
         campaign.push_layer(workload, accelerator);
 

@@ -51,5 +51,6 @@ pub use energy::{EnergyBreakdown, EnergyModel, EnergyParams};
 pub use fifo::Fifo;
 pub use memory::{
     check_cache_geometry, Access, DoubleBuffer, HbmModel, LineSpan, ScratchBuffer, SramCache,
+    MAX_CACHE_LINES,
 };
 pub use stats::{CacheStats, OpCounts, SimStats, TrafficClass, TrafficLedger};

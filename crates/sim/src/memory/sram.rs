@@ -130,10 +130,16 @@ impl BuildHasher for LineIdHash {
     }
 }
 
+/// The most lines [`SramCache::new`] builds: 2^20, 128 times the largest
+/// cache the repository configures (512 KB of 64-byte lines). Its tags,
+/// LRU stamps and index grow with the line count; a failed allocation
+/// aborts the process.
+pub const MAX_CACHE_LINES: usize = 1 << 20;
+
 /// Checks the geometry [`SramCache::new`] accepts: non-zero line size,
-/// ways and banks, at least one set, and at most `u32::MAX` lines (slot
-/// ids are `u32`). Configs call it so untrusted spec overrides fail as
-/// errors instead of panicking a simulation.
+/// ways and banks, at least one set, and at most [`MAX_CACHE_LINES`]
+/// lines. Configs call it so untrusted spec overrides fail as errors
+/// instead of panicking or aborting a simulation.
 ///
 /// # Errors
 ///
@@ -151,8 +157,8 @@ pub fn check_cache_geometry(
         Some(set_bytes) if capacity_bytes >= set_bytes => {}
         _ => return Err("cache capacity below one set".to_owned()),
     }
-    if capacity_bytes / line_bytes > u32::MAX as usize {
-        return Err(format!("cache holds more than {} lines", u32::MAX));
+    if capacity_bytes / line_bytes > MAX_CACHE_LINES {
+        return Err(format!("cache holds more than {MAX_CACHE_LINES} lines"));
     }
     Ok(())
 }
@@ -449,6 +455,7 @@ mod tests {
     fn geometry_check_mirrors_the_constructor() {
         assert!(check_cache_geometry(256 * 1024, 64, 16, 16).is_ok());
         assert!(check_cache_geometry(64 * 16, 64, 16, 1).is_ok());
+        assert!(check_cache_geometry(MAX_CACHE_LINES * 64, 64, 16, 16).is_ok());
         let bad = [
             (1024, 0, 2, 1),
             (1024, 64, 0, 1),
@@ -456,6 +463,7 @@ mod tests {
             (64, 64, 2, 1),
             (usize::MAX, usize::MAX, 2, 1),
             (1 << 40, 64, 16, 16),
+            ((MAX_CACHE_LINES + 1) * 64, 64, 16, 16),
         ];
         for (capacity, line, ways, banks) in bad {
             assert!(

@@ -38,11 +38,11 @@ impl fmt::Display for WorkloadError {
             WorkloadError::TooManyTimesteps { timesteps, max } => {
                 write!(
                     f,
-                    "{timesteps} timesteps exceed the packed-word limit of {max}"
+                    "workload t = {timesteps} is above the packed-word limit of {max}"
                 )
             }
             WorkloadError::FractionOutOfRange { name, value } => {
-                write!(f, "parameter `{name}` = {value} outside [0, 1]")
+                write!(f, "`{name}` must be a fraction in [0, 1], got {value}")
             }
         }
     }

@@ -64,15 +64,6 @@ impl SparsityProfile {
         })
     }
 
-    /// Checks every fraction is in `[0, 1]` (a profile built field by field
-    /// has not been through [`SparsityProfile::from_percentages`]).
-    fn check(&self) -> Result<(), WorkloadError> {
-        check_fields(
-            [self.spike_origin, self.silent, self.silent_ft, self.weight],
-            1.0,
-        )
-    }
-
     /// Overall spike density `1 − origin`.
     pub fn spike_density(&self) -> f64 {
         1.0 - self.spike_origin
@@ -102,17 +93,20 @@ pub struct FiringModel {
 }
 
 impl FiringModel {
-    /// Solves the model for a profile at `t` timesteps.
+    /// Checks what [`FiringModel::solve`] requires before it solves, and
+    /// allocates nothing when it passes: every profile fraction in `[0, 1]`
+    /// (a profile built field by field has not been through
+    /// [`SparsityProfile::from_percentages`]) and `t` from 1 up to what a
+    /// packed spike word holds.
     ///
     /// # Errors
     ///
-    /// Returns [`WorkloadError::FractionOutOfRange`] for a profile
-    /// fraction outside `[0, 1]`, [`WorkloadError::TooManyTimesteps`] when
-    /// `t` exceeds what a packed spike word holds, and
-    /// [`WorkloadError::InfeasibleProfile`] when no Bernoulli parameter can
-    /// reach the requested density.
-    pub fn solve(profile: &SparsityProfile, t: usize) -> Result<Self, WorkloadError> {
-        profile.check()?;
+    /// [`WorkloadError::FractionOutOfRange`],
+    /// [`WorkloadError::TooManyTimesteps`], or
+    /// [`WorkloadError::InfeasibleProfile`] for `t = 0`.
+    pub fn check(profile: &SparsityProfile, t: usize) -> Result<(), WorkloadError> {
+        let p = profile;
+        check_fields([p.spike_origin, p.silent, p.silent_ft, p.weight], 1.0)?;
         if t > MAX_TIMESTEPS {
             return Err(WorkloadError::TooManyTimesteps {
                 timesteps: t,
@@ -124,6 +118,18 @@ impl FiringModel {
                 reason: "zero timesteps".to_owned(),
             });
         }
+        Ok(())
+    }
+
+    /// Solves the model for a profile at `t` timesteps.
+    ///
+    /// # Errors
+    ///
+    /// Every error of [`FiringModel::check`], and
+    /// [`WorkloadError::InfeasibleProfile`] when no Bernoulli parameter can
+    /// reach the requested density.
+    pub fn solve(profile: &SparsityProfile, t: usize) -> Result<Self, WorkloadError> {
+        Self::check(profile, t)?;
         let s = profile.silent;
         let l = profile.silent_ft - profile.silent;
         let a = 1.0 - profile.silent_ft;
