@@ -14,7 +14,8 @@
 # baseline-config sweep (Gamma FiberCache), smokes for the queue admin
 # commands (batch enqueue, requeue, fsck, models) and of enqueue refusing
 # unrunnable specs (a LoAS timestep mismatch, a workload t above 16,
-# unbuildable memory systems), a runner failing a stored spec cut short
+# memory systems it cannot build: zero HBM channels, HBM below 1 GB/s, a
+# cache of more than 2^20 lines), a runner failing a stored spec cut short
 # and draining on, a bench-trajectory gate over the two
 # committed history records (BENCH_PR5.json against BENCH_PR3.json: fails
 # on a >20% regression in kernel pairs/s or end-to-end wall time, and
@@ -43,21 +44,21 @@ echo "== loas-serve smoke test (2 shard processes vs 1 process, then warm replay
 SERVE=target/release/loas-serve
 SMOKE=$(mktemp -d)
 trap 'rm -rf "$SMOKE"' EXIT
-export LOAS_WORKERS=2  # pin engine parallelism for the smoke run
 
 "$SERVE" spec --headline --quick > "$SMOKE/headline.json"
 
-# Two separate runner processes, one shard each, sharing a queue directory.
+# Two separate runner processes, one shard each, sharing a queue directory;
+# every run of this smoke pins two engine workers.
 "$SERVE" init "$SMOKE/sharded"
 "$SERVE" enqueue "$SMOKE/sharded" "$SMOKE/headline.json"
-"$SERVE" run "$SMOKE/sharded" --shard 0/2
-"$SERVE" run "$SMOKE/sharded" --shard 1/2
+"$SERVE" run "$SMOKE/sharded" --shard 0/2 --workers 2
+"$SERVE" run "$SMOKE/sharded" --shard 1/2 --workers 2
 "$SERVE" merge "$SMOKE/sharded" 1 --shards 2
 
 # The single-process reference.
 "$SERVE" init "$SMOKE/single"
 "$SERVE" enqueue "$SMOKE/single" "$SMOKE/headline.json"
-"$SERVE" run "$SMOKE/single"
+"$SERVE" run "$SMOKE/single" --workers 2
 
 echo "-- merged 2-shard report vs 1-process report"
 cmp "$SMOKE/sharded/reports/00001/report.jsonl" "$SMOKE/single/reports/00001/report.jsonl"
@@ -65,7 +66,7 @@ cmp "$SMOKE/sharded/reports/00001/report.jsonl" "$SMOKE/single/reports/00001/rep
 # Resubmitting against the warm memo store must simulate nothing and
 # reproduce the identical report.
 "$SERVE" enqueue "$SMOKE/single" "$SMOKE/headline.json"
-"$SERVE" run "$SMOKE/single" | tee "$SMOKE/warm.out"
+"$SERVE" run "$SMOKE/single" --workers 2 | tee "$SMOKE/warm.out"
 grep -q "28 memo hits, 0 simulated" "$SMOKE/warm.out"
 echo "-- warm replay vs original report"
 cmp "$SMOKE/single/reports/00001/report.jsonl" "$SMOKE/single/reports/00002/report.jsonl"
@@ -149,8 +150,9 @@ if "$SERVE" enqueue "$SMOKE/single" "$SMOKE/long.json" 2> "$SMOKE/long.err"; the
   echo "enqueue accepted a t = 17 workload"; exit 1
 fi
 grep "bad campaign spec" "$SMOKE/long.err" | grep -q "t = 17"
-# So are memory systems the simulators cannot build: zero HBM channels,
-# and a cache of more than 2^32 lines (LoAS and Gamma-SNN). The same v2
+# So are memory systems the simulators cannot build or that would saturate
+# the report: zero HBM channels, HBM below 1 GB/s, and a cache of more
+# than MAX_CACHE_LINES = 2^20 lines (LoAS and Gamma-SNN). The same v2
 # template with a buildable Gamma cache is accepted.
 "$SERVE" init "$SMOKE/memq"
 memory_spec() {
@@ -160,6 +162,7 @@ memory_spec() {
 memory_spec '{"name": "gamma", "config": {"cache_bytes": 65536}}'
 "$SERVE" enqueue "$SMOKE/memq" "$SMOKE/memory.json"
 for bad in '{"name": "loas", "config": {"timesteps": 2, "hbm_channels": 0}}=channel' \
+           '{"name": "loas", "config": {"timesteps": 2, "hbm_gbps": 1e-9}}=1 GB/s' \
            '{"name": "loas", "config": {"timesteps": 2, "cache_bytes": 1099511627776}}=lines' \
            '{"name": "gamma", "config": {"cache_bytes": 1099511627776}}=lines'; do
   memory_spec "${bad%=*}"

@@ -3,10 +3,10 @@
 //! 43.9% activation sparsity and 98.2% weight sparsity in a single pass
 //! (no timesteps).
 
-use crate::common::Machine;
+use crate::common::BASELINE_ROOFLINE;
 use loas_core::kernel::{PairSweepKernel, RowBlocks, SweepMode};
-use loas_core::{weight_views, LayerReport};
-use loas_sim::TrafficClass;
+use loas_core::{weight_views, LayerReport, Machine};
+use loas_sim::{SramCache, TrafficClass};
 use loas_sparse::{Bitmask, WeightFiber, POINTER_BITS};
 use loas_workloads::AnnWorkload;
 
@@ -101,33 +101,32 @@ pub fn run_sparten_ann(prepared: &AnnPrepared) -> LayerReport {
     machine.stats.ops.fast_prefix_cycles += 2 * ((shape.m * shape.n) as u64 * chunks + matches);
     machine.cache.read_untagged(TrafficClass::Input, matches);
     machine.cache.read_untagged(TrafficClass::Weight, matches);
-    machine.finish(&prepared.name, "SparTen-ANN", compute)
+    machine.finish(&BASELINE_ROOFLINE, &prepared.name, "SparTen-ANN", compute)
 }
 
-/// SparTen-ANN's machine with the off-chip streams charged: compressed
-/// activations (bitmask + 8-bit values), compressed weights, dense 8-bit
-/// outputs.
+/// SparTen-ANN's machine: [`ann_offchip`] with `B` as column fibers, a
+/// K-bit mask + pointer each.
 fn sparten_ann_offchip(prepared: &AnnPrepared) -> Machine {
     let shape = prepared.shape;
-    let mut machine = Machine::standard();
-    machine.hbm.read_bits(
+    ann_offchip(prepared, shape.n * (shape.k + POINTER_BITS))
+}
+
+/// A dual-sparse ANN reference's machine with the off-chip streams
+/// charged: compressed activations (bitmask + 8-bit values), 8-bit
+/// weights behind `b_format_bits` of bitmask fibers, dense 8-bit outputs.
+fn ann_offchip(prepared: &AnnPrepared, b_format_bits: usize) -> Machine {
+    let shape = prepared.shape;
+    let mut machine = Machine::new(SramCache::loas_default());
+    let dram = &mut machine.dram;
+    dram.record_bits(
         TrafficClass::Format,
         (shape.m * (shape.k + POINTER_BITS)) as u64,
     );
-    machine
-        .hbm
-        .read_bits(TrafficClass::Input, (prepared.a_nnz * 8) as u64);
+    dram.record_bits(TrafficClass::Input, (prepared.a_nnz * 8) as u64);
     let b_nnz: usize = prepared.b_fibers.iter().map(WeightFiber::nnz).sum();
-    machine
-        .hbm
-        .read_bits(TrafficClass::Weight, (b_nnz * 8) as u64);
-    machine.hbm.read_bits(
-        TrafficClass::Format,
-        (shape.n * (shape.k + POINTER_BITS)) as u64,
-    );
-    machine
-        .hbm
-        .write(TrafficClass::Output, (shape.m * shape.n) as u64);
+    dram.record_bits(TrafficClass::Weight, (b_nnz * 8) as u64);
+    dram.record_bits(TrafficClass::Format, b_format_bits as u64);
+    dram.record(TrafficClass::Output, (shape.m * shape.n) as u64);
     machine
 }
 
@@ -137,28 +136,9 @@ pub fn run_gamma_ann(prepared: &AnnPrepared) -> LayerReport {
     let shape = prepared.shape;
     let pes = crate::common::BASELINE_PES;
     let coord_bits = loas_sparse::coordinate_bits(shape.n);
-    let mut machine = Machine::standard();
-
-    machine.hbm.read_bits(
-        TrafficClass::Format,
-        (shape.m * (shape.k + POINTER_BITS)) as u64,
-    );
-    machine
-        .hbm
-        .read_bits(TrafficClass::Input, (prepared.a_nnz * 8) as u64);
-    let b_nnz: usize = prepared.b_fibers.iter().map(WeightFiber::nnz).sum();
-    machine
-        .hbm
-        .read_bits(TrafficClass::Weight, (b_nnz * 8) as u64);
     // B rows in the shared bitmask-fiber format (consistent with the SNN
     // designs): N-bit row mask + pointer per row.
-    machine.hbm.read_bits(
-        TrafficClass::Format,
-        (shape.k * (shape.n + POINTER_BITS)) as u64,
-    );
-    machine
-        .hbm
-        .write(TrafficClass::Output, (shape.m * shape.n) as u64);
+    let mut machine = ann_offchip(prepared, shape.k * (shape.n + POINTER_BITS));
 
     let mut compute = 0u64;
     let psum_row_bytes = (shape.n * 2) as u64;
@@ -185,7 +165,7 @@ pub fn run_gamma_ann(prepared: &AnnPrepared) -> LayerReport {
         }
         compute += worst;
     }
-    machine.finish(&prepared.name, "Gamma-ANN", compute)
+    machine.finish(&BASELINE_ROOFLINE, &prepared.name, "Gamma-ANN", compute)
 }
 
 #[cfg(test)]
@@ -275,7 +255,7 @@ mod tests {
                 .write(TrafficClass::Output, (rows.len() * shape.n) as u64);
             tile_start = rows.end;
         }
-        machine.finish(&prepared.name, "SparTen-ANN", compute)
+        machine.finish(&BASELINE_ROOFLINE, &prepared.name, "SparTen-ANN", compute)
     }
 
     #[test]

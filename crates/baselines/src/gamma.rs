@@ -13,9 +13,10 @@
 //!
 //! # Cache accounting (simulator performance)
 //!
-//! The model first builds the footprint of its FiberCache walk: the lines
-//! of every `B` row that `A` fires at all, plus the psum rows of the PEs
-//! in use. The footprint picks the walk:
+//! The model first builds the [`Footprint`] of its FiberCache walk, the
+//! no-eviction decision's input LoAS's replay builds too: the lines of
+//! every `B` row that `A` fires at all, plus the psum rows of the PEs in
+//! use. The footprint picks the walk:
 //!
 //! * **It fits** ([`SramCache::fits_without_eviction`]: no set receives
 //!   more than `ways` of its lines). Nothing is ever evicted, so each
@@ -31,13 +32,14 @@
 //! * **It does not fit.** Every fetch goes through the tag model along
 //!   per-`B`-row [`LineSpan`]s.
 //!
-//! This module's tests keep the per-`(m, t, k)` address walk, line by
-//! line through the tags, as the oracle both walks must match byte for
-//! byte.
+//! Either walk charges a [`Machine`] that closes on the roofline every
+//! model shares ([`loas_core::Roofline`]). This module's tests keep the
+//! per-`(m, t, k)` address walk, line by line through the tags, as the
+//! oracle both walks must match byte for byte.
 
-use crate::common::{config_builder, Machine, BASELINE_CACHE_BYTES, BASELINE_PES};
-use loas_core::{Accelerator, LayerReport, PreparedLayer};
-use loas_sim::{LineSpan, SramCache, TrafficClass};
+use crate::common::{config_builder, BASELINE_CACHE_BYTES, BASELINE_PES, BASELINE_ROOFLINE};
+use loas_core::{Accelerator, LayerReport, Machine, PreparedLayer};
+use loas_sim::{Footprint, LineSpan, SramCache, TrafficClass};
 
 /// Typed configuration of the Gamma-SNN model. Registered in the
 /// accelerator catalog as `"gamma"`; the FiberCache geometry fields are
@@ -180,32 +182,31 @@ impl GammaSnn {
     fn offchip(&self, layer: &PreparedLayer) -> Machine {
         let p = self.params;
         let shape = layer.shape;
-        let mut machine = Machine::with_cache(
+        let mut machine = Machine::new(SramCache::new(
             p.cache_bytes,
             p.cache_line_bytes,
             p.cache_ways,
             p.cache_banks,
-        );
-        machine.hbm.read_bits(
+        ));
+        let dram = &mut machine.dram;
+        dram.record_bits(
             TrafficClass::Input,
             (shape.m * shape.t * (shape.k + loas_sparse::POINTER_BITS)) as u64,
         );
         // B rows arrive as bitmask fibers (the shared weight format of this
         // substrate): N-bit row mask + pointer per row, read once into the
         // FiberCache.
-        machine.hbm.read_bits(
+        dram.record_bits(
             TrafficClass::Format,
             (shape.k * (shape.n + loas_sparse::POINTER_BITS)) as u64,
         );
         // Gamma has no output-side spike compressor (that is a LoAS
         // contribution): output spike trains leave dense.
-        machine
-            .hbm
-            .write_bits(TrafficClass::Output, (shape.m * shape.n * shape.t) as u64);
+        dram.record_bits(TrafficClass::Output, (shape.m * shape.n * shape.t) as u64);
         machine
     }
 
-    /// The report assembly: op counts, then the machine's rooflines.
+    /// The report assembly: op counts, then the shared roofline.
     fn finish(
         &self,
         layer: &PreparedLayer,
@@ -217,7 +218,7 @@ impl GammaSnn {
         machine.stats.ops.accumulates = products;
         machine.stats.ops.merges = products;
         machine.stats.ops.lif_updates = (shape.m * shape.n * shape.t) as u64;
-        machine.finish(&layer.name, &self.name(), compute)
+        machine.finish(&BASELINE_ROOFLINE, &layer.name, &self.name(), compute)
     }
 
     /// Walks the rows of `A` in PE-tile order, one `(m, t)` merge at a
@@ -263,14 +264,9 @@ impl GammaSnn {
     }
 }
 
-/// FiberCache misses of the two line classes Gamma-SNN touches.
-struct Misses {
-    weight: u64,
-    psum: u64,
-}
-
-/// The misses of the kernel walk when its footprint cannot evict (every
-/// distinct line then misses exactly once), or `None` when it can. The
+/// The `(weight, psum)` FiberCache misses of the kernel walk when its
+/// footprint cannot evict (every distinct line then misses exactly once),
+/// or `None` when it can. The
 /// footprint is the lines of every `B` row that `A` fires at all and of
 /// the psum rows of the PEs in use.
 fn unevicted_misses(
@@ -278,39 +274,29 @@ fn unevicted_misses(
     layer: &PreparedLayer,
     b_row_span: &[LineSpan],
     psum_span: &[LineSpan],
-) -> Option<Misses> {
+) -> Option<(u64, u64)> {
     let shape = layer.shape;
     let pes_used = if shape.t == 0 {
         0
     } else {
         psum_span.len().min(shape.m)
     };
-    let end = |span: &LineSpan| span.first_line + span.n_lines;
     // The rows are laid out in ascending address order, `B` before the
-    // psum rows, so a span can only overlap or abut the last merged one.
-    let mut footprint: Vec<LineSpan> = Vec::new();
-    let add = |footprint: &mut Vec<LineSpan>, span: LineSpan| match footprint.last_mut() {
-        _ if span.is_empty() => {}
-        Some(last) if span.first_line <= end(last) => {
-            last.n_lines = end(&span).max(end(last)) - last.first_line;
-        }
-        _ => footprint.push(span),
-    };
+    // psum rows.
+    let mut footprint = Footprint::default();
     for (&span, &spikes) in b_row_span.iter().zip(&layer.col_spikes) {
         if spikes > 0 {
-            add(&mut footprint, span);
+            footprint.push(span);
         }
     }
-    let b_end = footprint.last().map_or(0, end);
-    let b_lines: u64 = footprint.iter().map(|span| span.n_lines).sum();
+    let (b_end, b_lines) = (footprint.bounds().end, footprint.lines());
     for &span in &psum_span[..pes_used] {
-        add(&mut footprint, span);
+        footprint.push(span);
     }
-    let lines = footprint.iter().flat_map(|span| span.first_line..end(span));
-    if !cache.fits_without_eviction(lines) {
+    if !cache.fits_without_eviction(&footprint) {
         return None;
     }
-    let lines: u64 = footprint.iter().map(|span| span.n_lines).sum();
+    let lines = footprint.lines();
     // The last `B` line can be psum row 0's first line. Psum row 0 is
     // first accessed right after the fetches of `A[0, ·, 0]`, so the line
     // misses as a weight only if one of those rows touches it.
@@ -321,12 +307,9 @@ fn unevicted_misses(
         && !layer.workload.spikes.planes()[0]
             .row(0)
             .iter_ones()
-            .any(|k| end(&b_row_span[k]) > boundary.first_line);
+            .any(|k| b_row_span[k].end() > boundary.first_line);
     let weight = b_lines - u64::from(psum_first);
-    Some(Misses {
-        weight,
-        psum: lines - weight,
-    })
+    Some((weight, lines - weight))
 }
 
 impl Accelerator for GammaSnn {
@@ -367,7 +350,7 @@ impl Accelerator for GammaSnn {
         // When the footprint cannot evict, the counts follow from it and
         // only compute is walked; otherwise every B-row fetch and psum
         // pass goes through the tags, in the order of the oracle.
-        let (compute, products) = if let Some(misses) =
+        let (compute, products) = if let Some((weight_misses, psum_misses)) =
             unevicted_misses(&machine.cache, layer, &b_row_span, &psum_span)
         {
             let walked = self.walk_rows(layer, &mut machine, |_, _| {}, |_, _| {});
@@ -379,25 +362,22 @@ impl Accelerator for GammaSnn {
                     .map(|m| psum_span[m % p.pes].n_lines)
                     .sum::<u64>();
             let cache = &mut machine.cache;
-            cache.record_unevicted(Some(TrafficClass::Weight), weight_touches, misses.weight);
-            cache.record_unevicted(Some(TrafficClass::Psum), psum_touches, misses.psum);
+            cache.record_unevicted(Some(TrafficClass::Weight), weight_touches, weight_misses);
+            cache.record_unevicted(Some(TrafficClass::Psum), psum_touches, psum_misses);
             cache.write(
                 TrafficClass::Psum,
                 (shape.m * shape.t) as u64 * psum_row_bytes,
             );
-            machine.hbm.read(TrafficClass::Weight, misses.weight * line);
+            machine
+                .dram
+                .record(TrafficClass::Weight, weight_misses * line);
             walked
         } else {
             self.walk_rows(
                 layer,
                 &mut machine,
                 |machine, k| {
-                    let missed = machine
-                        .cache
-                        .access_span(b_row_span[k], TrafficClass::Weight);
-                    if missed > 0 {
-                        machine.hbm.read(TrafficClass::Weight, missed * line);
-                    }
+                    machine.fetch(b_row_span[k], TrafficClass::Weight);
                 },
                 |machine, pe| {
                     machine.cache.access_span(psum_span[pe], TrafficClass::Psum);
@@ -514,7 +494,7 @@ mod tests {
                             bytes.max(1),
                             TrafficClass::Weight,
                         );
-                        machine.hbm.read(TrafficClass::Weight, missed * line);
+                        machine.dram.record(TrafficClass::Weight, missed * line);
                         row_products += (layer.b_row_nnz[k] as u64).max(1);
                         fibers += 1;
                     }

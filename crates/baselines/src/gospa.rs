@@ -18,9 +18,9 @@
 //! from the per-column spike counts. This module's tests keep the
 //! per-spike loop as the oracle.
 
-use crate::common::{config_builder, Machine};
-use loas_core::{Accelerator, LayerReport, PreparedLayer};
-use loas_sim::TrafficClass;
+use crate::common::{config_builder, BASELINE_ROOFLINE};
+use loas_core::{Accelerator, LayerReport, Machine, PreparedLayer};
+use loas_sim::{SramCache, TrafficClass};
 
 /// Typed configuration of the GoSPA-SNN model. Registered in the
 /// accelerator catalog as `"gospa"`.
@@ -110,29 +110,24 @@ impl GospaSnn {
     fn offchip(&self, layer: &PreparedLayer) -> (Machine, u64) {
         let p = self.params;
         let shape = layer.shape;
-        let mut machine = Machine::standard();
+        let mut machine = Machine::new(SramCache::loas_default());
+        let dram = &mut machine.dram;
         let (_, a_format_bits) = layer.a_csr_bits();
-        machine.hbm.read_bits(TrafficClass::Format, a_format_bits);
+        dram.record_bits(TrafficClass::Format, a_format_bits);
         let b_nnz = layer.b_nnz();
         let coord_bits = loas_sparse::coordinate_bits(shape.n);
-        machine
-            .hbm
-            .read_bits(TrafficClass::Weight, (b_nnz * p.weight_bits) as u64);
-        machine
-            .hbm
-            .read_bits(TrafficClass::Format, (b_nnz * coord_bits) as u64);
+        dram.record_bits(TrafficClass::Weight, (b_nnz * p.weight_bits) as u64);
+        dram.record_bits(TrafficClass::Format, (b_nnz * coord_bits) as u64);
         let live_psum = (shape.m * shape.n * shape.t * p.psum_bytes) as u64;
         let spill = self.psum_spill_bytes(live_psum);
-        machine.hbm.read(TrafficClass::Psum, spill / 2);
-        machine.hbm.write(TrafficClass::Psum, spill - spill / 2);
-        machine
-            .hbm
-            .write_bits(TrafficClass::Output, (shape.m * shape.n * shape.t) as u64);
+        dram.record(TrafficClass::Psum, spill / 2);
+        dram.record(TrafficClass::Psum, spill - spill / 2);
+        dram.record_bits(TrafficClass::Output, (shape.m * shape.n * shape.t) as u64);
         (machine, spill)
     }
 
     /// The report assembly: op counts, the spill's write-port cycles, then
-    /// the machine's rooflines.
+    /// the shared roofline.
     fn finish(
         &self,
         layer: &PreparedLayer,
@@ -145,7 +140,12 @@ impl GospaSnn {
         machine.stats.ops.accumulates = products;
         machine.stats.ops.lif_updates = (shape.m * shape.n * shape.t) as u64;
         // Spill transfers also occupy the compute pipeline's write port.
-        machine.finish(&layer.name, &self.name(), compute + spill / 16)
+        machine.finish(
+            &BASELINE_ROOFLINE,
+            &layer.name,
+            &self.name(),
+            compute + spill / 16,
+        )
     }
 }
 

@@ -9,10 +9,10 @@
 //! workloads; at `T = 4` (one timestep per column) its utilization is low
 //! (Section VII), modeled as [`PtbConfig::utilization`].
 
-use crate::common::{config_builder, Machine};
+use crate::common::{config_builder, BASELINE_ROOFLINE};
 use crate::systolic::SystolicArray;
-use loas_core::{Accelerator, LayerReport, PreparedLayer};
-use loas_sim::TrafficClass;
+use loas_core::{Accelerator, LayerReport, Machine, PreparedLayer};
+use loas_sim::{SramCache, TrafficClass};
 
 /// Typed configuration of the PTB model. Registered in the accelerator
 /// catalog as `"ptb"`; the array geometry is flattened to plain fields so
@@ -24,7 +24,8 @@ pub struct PtbConfig {
     /// Systolic-array columns — time windows (paper comparison: 4).
     pub array_cols: usize,
     /// Effective utilization at small timestep counts (PTB is designed for
-    /// `T > 100` DVS streams; at `T = 4` windows underfill the array).
+    /// `T > 100` DVS streams; at `T = 4` windows underfill the array), in
+    /// `[0.01, 1]`: far lower utilizations saturate the cycle count.
     pub utilization: f64,
     /// Weight precision in bits.
     pub weight_bits: usize,
@@ -52,9 +53,9 @@ impl PtbConfig {
         if self.array_rows == 0 || self.array_cols == 0 {
             return Err("empty systolic array".to_owned());
         }
-        let in_range = self.utilization > 0.0 && self.utilization <= 1.0;
+        let in_range = self.utilization >= 0.01 && self.utilization <= 1.0;
         if !in_range {
-            return Err("utilization must be in (0, 1]".to_owned());
+            return Err("utilization must be in [0.01, 1]".to_owned());
         }
         loas_core::check_precision(self.weight_bits, None)
     }
@@ -101,19 +102,16 @@ impl Accelerator for Ptb {
         let p = self.params;
         let array = p.array();
         let shape = layer.shape;
-        let mut machine = Machine::standard();
+        let mut machine = Machine::new(SramCache::loas_default());
+        let dram = &mut machine.dram;
 
         // ---- Off-chip: everything dense.
-        machine
-            .hbm
-            .read_bits(TrafficClass::Input, layer.a_dense_bits());
-        machine.hbm.read(
+        dram.record_bits(TrafficClass::Input, layer.a_dense_bits());
+        dram.record(
             TrafficClass::Weight,
             (shape.k * shape.n * p.weight_bits / 8) as u64,
         );
-        machine
-            .hbm
-            .write_bits(TrafficClass::Output, (shape.m * shape.n * shape.t) as u64);
+        dram.record_bits(TrafficClass::Output, (shape.m * shape.n * shape.t) as u64);
 
         // ---- On-chip: each output-stationary pass streams a K-deep weight
         // tile for `rows` outputs and the spike rows for `cols` timesteps.
@@ -137,7 +135,7 @@ impl Accelerator for Ptb {
         let compute = (ideal.get() as f64 / p.utilization).ceil() as u64;
         machine.stats.ops.accumulates = (shape.m * shape.n * shape.k * shape.t) as u64;
         machine.stats.ops.lif_updates = (shape.m * shape.n * shape.t) as u64;
-        machine.finish(&layer.name, &self.name(), compute)
+        machine.finish(&BASELINE_ROOFLINE, &layer.name, &self.name(), compute)
     }
 }
 

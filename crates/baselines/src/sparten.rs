@@ -29,9 +29,9 @@
 //! the `bm-B` rounds, and this module's tests check them against each
 //! other on byte-aligned weights.
 
-use crate::common::{config_builder, Machine, BASELINE_CACHE_BYTES, BASELINE_PES};
-use loas_core::{Accelerator, LayerReport, PreparedLayer};
-use loas_sim::TrafficClass;
+use crate::common::{config_builder, BASELINE_CACHE_BYTES, BASELINE_PES, BASELINE_ROOFLINE};
+use loas_core::{Accelerator, LayerReport, Machine, PreparedLayer};
+use loas_sim::{SramCache, TrafficClass};
 use loas_sparse::POINTER_BITS;
 
 /// Typed configuration of the SparTen-SNN model (the paper's Section V
@@ -149,12 +149,12 @@ impl SparTenSnn {
     fn simulate(&self, layer: &PreparedLayer, aggregated: bool) -> LayerReport {
         let p = self.params;
         let shape = layer.shape;
-        let mut machine = Machine::with_cache(
+        let mut machine = Machine::new(SramCache::new(
             p.cache_bytes,
             p.cache_line_bytes,
             p.cache_ways,
             p.cache_banks,
-        );
+        ));
         let chunks = (shape.k.div_ceil(p.chunk_bits)).max(1) as u64;
 
         // ---- Off-chip: A travels dense (no compression possible on raw
@@ -165,11 +165,9 @@ impl SparTenSnn {
         // rounds"). Matched weight values stream once (compulsory); outputs
         // are dense spike trains.
         let (b_payload, _) = layer.b_compressed_bits(p.weight_bits);
-        machine.hbm.read_bits(TrafficClass::Weight, b_payload);
-        machine
-            .hbm
-            .write_bits(TrafficClass::Output, (shape.m * shape.n * shape.t) as u64);
-        let line = machine.cache.line_bytes() as u64;
+        let dram = &mut machine.dram;
+        dram.record_bits(TrafficClass::Weight, b_payload);
+        dram.record_bits(TrafficClass::Output, (shape.m * shape.n * shape.t) as u64);
 
         // Address map for cache tags: A planes then B fibers.
         let a_plane_bytes = (shape.m * shape.k).div_ceil(8) as u64;
@@ -194,12 +192,8 @@ impl SparTenSnn {
             // column loop sweeps: one SRAM pass per (row, t) per layer.
             for m in rows.clone() {
                 for t in 0..shape.t {
-                    let missed = machine.cache.access_range(
-                        a_plane_bytes * t as u64 + (m as u64) * row_bytes,
-                        row_bytes,
-                        TrafficClass::Input,
-                    );
-                    machine.hbm.read(TrafficClass::Input, missed * line);
+                    let addr = a_plane_bytes * t as u64 + (m as u64) * row_bytes;
+                    machine.fetch(machine.cache.span_of(addr, row_bytes), TrafficClass::Input);
                 }
             }
             // bm-B is re-broadcast once per timestep round (the join unit
@@ -207,10 +201,10 @@ impl SparTenSnn {
             // refetch from DRAM.
             for &addr in &b_addr {
                 for _ in 0..shape.t {
-                    let missed = machine
-                        .cache
-                        .access_range(addr, b_bm_bytes, TrafficClass::Format);
-                    machine.hbm.read(TrafficClass::Format, missed * line);
+                    machine.fetch(
+                        machine.cache.span_of(addr, b_bm_bytes),
+                        TrafficClass::Format,
+                    );
                 }
             }
             // SparTen assigns (row-chunk, column-chunk) pairs to PEs
@@ -268,7 +262,7 @@ impl SparTenSnn {
             }
             tile_start = tile_end;
         }
-        machine.finish(&layer.name, &self.name(), compute)
+        machine.finish(&BASELINE_ROOFLINE, &layer.name, &self.name(), compute)
     }
 }
 

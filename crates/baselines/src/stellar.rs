@@ -8,10 +8,10 @@
 //! window), but it has **no weight sparsity support**: every surviving
 //! input still meets a dense weight column (Table I).
 
-use crate::common::{config_builder, Machine};
+use crate::common::{config_builder, BASELINE_ROOFLINE};
 use crate::systolic::SystolicArray;
-use loas_core::{Accelerator, LayerReport, PreparedLayer};
-use loas_sim::TrafficClass;
+use loas_core::{Accelerator, LayerReport, Machine, PreparedLayer};
+use loas_sim::{SramCache, TrafficClass};
 
 /// Typed configuration of the Stellar model. Registered in the
 /// accelerator catalog as `"stellar"`.
@@ -90,21 +90,20 @@ impl Accelerator for Stellar {
         let p = self.params;
         let array = p.array();
         let shape = layer.shape;
-        let mut machine = Machine::standard();
+        let mut machine = Machine::new(SramCache::loas_default());
+        let dram = &mut machine.dram;
 
         // ---- Off-chip: weights dense; spikes packed across the window
         // (Stellar's FS coding keeps per-neuron temporal words), outputs
         // packed.
         let (a_payload, a_format) = layer.a_compressed_bits();
-        machine.hbm.read_bits(TrafficClass::Input, a_payload);
-        machine.hbm.read_bits(TrafficClass::Format, a_format);
-        machine.hbm.read(
+        dram.record_bits(TrafficClass::Input, a_payload);
+        dram.record_bits(TrafficClass::Format, a_format);
+        dram.record(
             TrafficClass::Weight,
             (shape.k * shape.n * p.weight_bits / 8) as u64,
         );
-        machine
-            .hbm
-            .write_bits(TrafficClass::Output, (shape.m * shape.n * shape.t) as u64);
+        dram.record_bits(TrafficClass::Output, (shape.m * shape.n * shape.t) as u64);
 
         // ---- Compute: spike skipping shortens the reduction depth to the
         // non-silent neuron count of each row; weights stay dense, so every
@@ -138,7 +137,7 @@ impl Accelerator for Stellar {
             (shape.m * shape.n * shape.t / 8) as u64,
         );
         machine.stats.ops.lif_updates = (shape.m * shape.n * shape.t) as u64;
-        machine.finish(&layer.name, &self.name(), compute)
+        machine.finish(&BASELINE_ROOFLINE, &layer.name, &self.name(), compute)
     }
 }
 

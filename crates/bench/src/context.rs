@@ -251,21 +251,6 @@ impl Context {
     }
 }
 
-/// Runs a layer sequence on a design (fresh model, no caching) — the
-/// direct path kept for one-off comparisons; campaign execution goes
-/// through [`Context::run_campaign`].
-pub fn run_design(design: Design, network: &str, layers: &[PreparedLayer]) -> NetworkReport {
-    use loas_core::Accelerator;
-    let mut model = design.accelerator_spec().build();
-    let layers: Vec<PreparedLayer> = if design.uses_ft_workload() {
-        layers.iter().map(PreparedLayer::fine_tuned).collect()
-    } else {
-        layers.to_vec()
-    };
-    let reports = layers.iter().map(|l| model.run_layer(l)).collect();
-    NetworkReport::new(network, design.name(), reports)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -344,19 +329,5 @@ mod tests {
             second.total_energy().total_pj()
         );
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn engine_and_direct_paths_agree() {
-        let mut ctx = Context::quick();
-        let spec = networks::alexnet();
-        let via_engine = ctx.network_report(&spec, Design::Gamma);
-        let prepared: Vec<PreparedLayer> = ctx
-            .prepared_network(&spec)
-            .iter()
-            .map(|arc| (**arc).clone())
-            .collect();
-        let direct = run_design(Design::Gamma, &spec.name, &prepared);
-        assert_eq!(via_engine.total_cycles(), direct.total_cycles());
     }
 }

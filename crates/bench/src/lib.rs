@@ -22,5 +22,5 @@ pub mod context;
 pub mod experiments;
 pub mod report;
 
-pub use context::{run_design, Context, Design};
+pub use context::{Context, Design};
 pub use report::Table;

@@ -20,7 +20,8 @@
 //! **sequential traffic phase** applies the tile height, taking each
 //! tile's broadcast barrier from the per-pair drains, and replays the
 //! memory system along the layer's precomputed [`TrafficSpans`]. It first
-//! builds the replay's footprint:
+//! builds the replay's [`Footprint`], the shared no-eviction decision's
+//! input (Gamma-SNN builds one too):
 //!
 //! * **It fits** ([`SramCache::fits_without_eviction`]). Each distinct
 //!   line misses on its first touch and hits after, so hits, misses and
@@ -34,12 +35,13 @@
 //! pre-kernel scalar sweep and the per-access address-arithmetic walk as
 //! the oracle, and assert byte-identical reports at every worker count.
 //!
-//! Only the final roofline reads the off-chip bandwidth. Both phases are
-//! memoized on the [`PreparedLayer`]: the sweep under its kernel geometry
-//! and cycle model, the replay under the whole config but the bandwidth
-//! fields. A design sweep over one layer thus simulates each distinct
-//! phase once. Verification runs always simulate in full and never touch
-//! the memo.
+//! The replay charges a [`Machine`], and only the final [`Roofline`],
+//! the one every model's report closes on, reads the off-chip bandwidth.
+//! Both phases are memoized on the [`PreparedLayer`]: the sweep under its
+//! kernel geometry and cycle model, the replay under the whole config but
+//! the bandwidth fields. A design sweep over one layer thus simulates each
+//! distinct phase once. Verification runs always simulate in full and
+//! never touch the memo.
 //!
 //! # Traffic accounting (what the paper's Figs. 13-14 count)
 //!
@@ -64,13 +66,11 @@ use crate::config::LoasConfig;
 use crate::inner_join::JoinScratch;
 use crate::kernel::{fired_grand_total, LayerSweep, PairSweepKernel, SweepMode};
 use crate::layer_memo::MemoKey;
+use crate::machine::{Machine, Roofline};
 use crate::metrics::{Accelerator, LayerReport};
 use crate::prepared::{PreparedLayer, TrafficSpans};
 use crate::tppe::Tppe;
-use loas_sim::{
-    ClockDomain, Crossbar, Cycle, EnergyModel, HbmModel, LineSpan, SimStats, SramCache,
-    TrafficClass, TrafficLedger,
-};
+use loas_sim::{Crossbar, Cycle, Footprint, LineSpan, SimStats, SramCache, TrafficClass};
 use loas_snn::SpikeTensor;
 use loas_sparse::{PackedSpikes, POINTER_BITS};
 use std::ops::Range;
@@ -94,7 +94,6 @@ use std::ops::Range;
 #[derive(Debug, Clone)]
 pub struct Loas {
     config: LoasConfig,
-    energy: EnergyModel,
     verify_outputs: bool,
     intra_workers: usize,
 }
@@ -104,7 +103,6 @@ impl Loas {
     pub fn new(config: LoasConfig) -> Self {
         Loas {
             config,
-            energy: EnergyModel::default(),
             verify_outputs: false,
             intra_workers: 1,
         }
@@ -210,11 +208,11 @@ impl Loas {
         spans: &TrafficSpans,
         verified_output: Option<&mut SpikeTensor>,
     ) -> Replay {
-        let (mut cache, mut dram) = self.offchip(layer, spans.out_row_bytes);
-        let counted = verified_output.is_none()
-            && self.count_unevicted(layer, sweep, spans, &mut cache, &mut dram);
+        let mut machine = self.offchip(layer, spans.out_row_bytes);
+        let counted =
+            verified_output.is_none() && self.count_unevicted(layer, sweep, spans, &mut machine);
         if !counted {
-            self.walk_cache(layer, sweep, spans, &mut cache, &mut dram, verified_output);
+            self.walk_cache(layer, sweep, spans, &mut machine, verified_output);
         }
         // Per-row per-timestep firing counts enter the report only through
         // global sums: corrections = T * matches - fired. The temporal-
@@ -224,23 +222,23 @@ impl Loas {
             SweepMode::TemporalParallel => fired_grand_total(&layer.col_spikes, &layer.b_row_nnz),
             SweepMode::SequentialT => sweep.totals.fired,
         };
-        self.fold(layer, sweep, fired_total, cache, dram)
+        self.fold(layer, sweep, fired_total, machine)
     }
 
-    /// The replay's preamble: the global cache and the off-chip ledger
-    /// with the compulsory streams charged — the packed `A` payload and
-    /// the weights in, `out_row_bytes` per output row out. Bitmasks are
-    /// charged miss-driven through the cache tags, so capacity behaviour
-    /// (not an assumption) decides refetches.
-    fn offchip(&self, layer: &PreparedLayer, out_row_bytes: u64) -> (SramCache, TrafficLedger) {
+    /// The replay's preamble: the machine with the compulsory streams
+    /// charged — the packed `A` payload and the weights in,
+    /// `out_row_bytes` per output row out. Bitmasks are charged
+    /// miss-driven through the cache tags, so capacity behaviour (not an
+    /// assumption) decides refetches.
+    fn offchip(&self, layer: &PreparedLayer, out_row_bytes: u64) -> Machine {
         let shape = layer.shape;
-        let mut dram = TrafficLedger::new();
-        let mut cache = SramCache::new(
+        let mut machine = Machine::new(SramCache::new(
             self.config.cache_bytes,
             self.config.cache_line_bytes,
             self.config.cache_ways,
             self.config.cache_banks,
-        );
+        ));
+        let dram = &mut machine.dram;
         let (a_payload_bits, _) = layer.a_compressed_bits();
         dram.record_bits(TrafficClass::Input, a_payload_bits);
         let (b_payload_bits, _) = layer.b_compressed_bits(self.config.weight_bits);
@@ -252,26 +250,26 @@ impl Loas {
         // row plus packed payload at the ~90% output sparsity the paper
         // reports (Section II-B) — so that verification mode never
         // perturbs the performance model.
-        cache.write(TrafficClass::Output, shape.m as u64 * out_row_bytes);
-        dram.record(TrafficClass::Output, shape.m as u64 * out_row_bytes);
-        (cache, dram)
+        let out_bytes = shape.m as u64 * out_row_bytes;
+        machine.cache.write(TrafficClass::Output, out_bytes);
+        machine.dram.record(TrafficClass::Output, out_bytes);
+        machine
     }
 
     /// Closes the replay: the tile schedule, and the sweep's op-count
-    /// aggregates folded into the stats with the ledgers. Every term is a
-    /// commutative sum over pairs, so layer-level aggregation reproduces
-    /// the per-pair accumulation of a scalar loop exactly.
+    /// aggregates folded into the machine's stats with its ledgers. Every
+    /// term is a commutative sum over pairs, so layer-level aggregation
+    /// reproduces the per-pair accumulation of a scalar loop exactly.
     fn fold(
         &self,
         layer: &PreparedLayer,
         sweep: &LayerSweep,
         fired_total: u64,
-        mut cache: SramCache,
-        dram: TrafficLedger,
+        mut machine: Machine,
     ) -> Replay {
         let shape = layer.shape;
         let compute = self.schedule(layer, sweep);
-        let mut stats = SimStats::new();
+        let stats = &mut machine.stats;
         let pairs = (shape.m * shape.n) as u64;
         let chunks_per_pair = self.sweep_kernel().chunks_for(shape.k.div_ceil(64));
         let totals = sweep.totals;
@@ -295,45 +293,33 @@ impl Loas {
             stats.ops.fast_prefix_cycles += shape.t as u64 * pairs * chunks_per_pair + fired_total;
         }
         stats.ops.lif_updates += pairs * shape.t as u64;
-
-        stats.dram = dram;
-        let (sram_traffic, cache_stats) = cache.take_results();
-        stats.sram = sram_traffic;
-        stats.cache = cache_stats;
-        Replay { compute, stats }
+        Replay {
+            compute,
+            stats: machine.into_stats(),
+        }
     }
 
-    /// The report assembly: the roofline of compute overlapped with
-    /// off-chip streaming and with aggregate banked-SRAM bandwidth
-    /// (banks x 16-byte ports), then the energy roll-up.
+    /// The report assembly: the shared [`Roofline`] at this config's
+    /// off-chip bandwidth and aggregate banked-SRAM ports (banks x bus
+    /// bytes).
     fn report(
         &self,
         layer: &PreparedLayer,
         replay: Replay,
         output: Option<SpikeTensor>,
     ) -> LayerReport {
-        let Replay { compute, mut stats } = replay;
-        let hbm = HbmModel::new(
-            self.config.hbm_gbps,
-            self.config.hbm_channels,
-            ClockDomain::default(),
-        );
-        let dram_cycles = hbm.transfer_cycles(stats.dram.total()).get();
-        let sram_bw = (self.config.cache_banks * self.config.crossbar_bus_bytes) as u64;
-        let sram_cycles = stats.sram.total().div_ceil(sram_bw.max(1));
-        let total = compute.max(dram_cycles).max(sram_cycles);
-        stats.cycles = Cycle(total);
-        if total > compute {
-            stats.stall_cycles += Cycle(total - compute);
-        }
-        let energy = self.energy.energy_of(&stats);
-        LayerReport {
-            workload: layer.name.clone(),
-            accelerator: self.name(),
-            stats,
-            energy,
+        let roofline = Roofline {
+            hbm_gbps: self.config.hbm_gbps,
+            hbm_channels: self.config.hbm_channels,
+            sram_bytes_per_cycle: (self.config.cache_banks * self.config.crossbar_bus_bytes) as u64,
+        };
+        roofline.report(
+            &layer.name,
+            &self.name(),
+            replay.compute,
+            replay.stats,
             output,
-        }
+        )
     }
 
     /// The tile schedule's compute cycles. Per row tile: the `bm-A`
@@ -384,12 +370,10 @@ impl Loas {
         layer: &PreparedLayer,
         sweep: &LayerSweep,
         spans: &TrafficSpans,
-        cache: &mut SramCache,
-        dram: &mut TrafficLedger,
+        machine: &mut Machine,
         mut verified_output: Option<&mut SpikeTensor>,
     ) {
         let shape = layer.shape;
-        let line = self.config.cache_line_bytes as u64;
         let tppe = Tppe::new(&self.config);
         let compressor = Compressor::new(&self.config);
         // Scratch state reused across every verified pair and output row
@@ -398,14 +382,13 @@ impl Loas {
         let mut row_words_buf: Vec<PackedSpikes> = Vec::new();
         for rows in self.tiles(shape.m) {
             for &span in &spans.a_bm_span[rows.clone()] {
-                let missed = cache.access_span(span, TrafficClass::Format);
-                dram.record(TrafficClass::Format, missed * line);
+                machine.fetch(span, TrafficClass::Format);
             }
             for (n, fiber_b) in layer.b_fibers.iter().enumerate() {
                 // One cache read of bm-B + weights serves all TPPEs; the
                 // bitmask's misses are the Format refetch HBM is charged.
-                let missed_bm = cache.access_span(spans.b_bm_span[n], TrafficClass::Format);
-                dram.record(TrafficClass::Format, missed_bm * line);
+                machine.fetch(spans.b_bm_span[n], TrafficClass::Format);
+                let cache = &mut machine.cache;
                 cache.access_span(spans.b_payload_span[n], TrafficClass::Weight);
                 for (m, &matches) in rows.clone().zip(sweep.column_matches(rows.clone(), n)) {
                     // Exact bytes ledgered, lines tagged (resident payload
@@ -451,7 +434,7 @@ impl Loas {
     }
 
     /// Ledgers [`Loas::walk_cache`]'s touches and `Format` refetches from
-    /// the footprint, without a tag walk, when no line of it can be
+    /// the [`Footprint`], without a tag walk, when no line of it can be
     /// evicted ([`SramCache::fits_without_eviction`]); returns `false`,
     /// touching nothing, when one can. Without eviction a touch misses
     /// exactly when it is the line's first, so marking lines in the walk's
@@ -464,27 +447,23 @@ impl Loas {
         layer: &PreparedLayer,
         sweep: &LayerSweep,
         spans: &TrafficSpans,
-        cache: &mut SramCache,
-        dram: &mut TrafficLedger,
+        machine: &mut Machine,
     ) -> bool {
         let shape = layer.shape;
         if shape.m == 0 {
             return true; // no tile touches the cache
         }
         let footprint = replay_footprint(layer, sweep, spans);
-        let end = |span: &LineSpan| span.first_line + span.n_lines;
-        if !cache
-            .fits_without_eviction(footprint.iter().flat_map(|span| span.first_line..end(span)))
-        {
+        if !machine.cache.fits_without_eviction(&footprint) {
             return false;
         }
 
-        let base = footprint[0].first_line;
-        let mut touched =
-            vec![0u64; (footprint.last().map_or(base, end) - base).div_ceil(64) as usize];
+        let bounds = footprint.bounds();
+        let base = bounds.start;
+        let mut touched = vec![0u64; (bounds.end - base).div_ceil(64) as usize];
         let mut first_touches = |span: LineSpan| -> u64 {
             let mut first = 0;
-            for line in span.first_line - base..end(&span) - base {
+            for line in span.first_line - base..span.end() - base {
                 let (word, bit) = ((line / 64) as usize, 1u64 << (line % 64));
                 first += u64::from(touched[word] & bit == 0);
                 touched[word] |= bit;
@@ -536,12 +515,13 @@ impl Loas {
         let lines_of = |spans: &[LineSpan]| spans.iter().map(|span| span.n_lines).sum::<u64>();
         format.0 += tiles * lines_of(&spans.b_bm_span);
         weight.0 = tiles * lines_of(&spans.b_payload_span);
-        debug_assert_eq!(format.1 + weight.1 + payload.1, lines_of(&footprint));
+        debug_assert_eq!(format.1 + weight.1 + payload.1, footprint.lines());
+        let cache = &mut machine.cache;
         cache.record_unevicted(Some(TrafficClass::Format), format.0, format.1);
         cache.record_unevicted(Some(TrafficClass::Weight), weight.0, weight.1);
         cache.record_unevicted(None, payload.0, payload.1);
         cache.read_untagged(TrafficClass::Input, input_bytes);
-        dram.record(TrafficClass::Format, format.1 * line);
+        machine.dram.record(TrafficClass::Format, format.1 * line);
         true
     }
 }
@@ -551,15 +531,10 @@ fn payload_bytes(matches: u32, timesteps: usize) -> u64 {
     (u64::from(matches) * timesteps as u64).div_ceil(8)
 }
 
-/// Every line [`Loas::walk_cache`] touches, as disjoint spans in address
-/// order: per row `bm-A` and the longest payload prefix any fiber-B
-/// fetches, then per column `bm-B` and weights. Neighbouring objects can
-/// share a line, and only with the span merged last.
-fn replay_footprint(
-    layer: &PreparedLayer,
-    sweep: &LayerSweep,
-    spans: &TrafficSpans,
-) -> Vec<LineSpan> {
+/// Every line [`Loas::walk_cache`] touches, in address order: per row
+/// `bm-A` and the longest payload prefix any fiber-B fetches, then per
+/// column `bm-B` and weights. Neighbouring objects can share a line.
+fn replay_footprint(layer: &PreparedLayer, sweep: &LayerSweep, spans: &TrafficSpans) -> Footprint {
     let shape = layer.shape;
     let mut longest = vec![0u32; shape.m];
     for n in 0..shape.n {
@@ -567,22 +542,14 @@ fn replay_footprint(
             *longest = (*longest).max(matches);
         }
     }
-    let end = |span: &LineSpan| span.first_line + span.n_lines;
-    let mut footprint: Vec<LineSpan> = Vec::new();
-    let mut add = |span: LineSpan| match footprint.last_mut() {
-        _ if span.is_empty() => {}
-        Some(last) if span.first_line <= end(last) => {
-            last.n_lines = end(&span).max(end(last)) - last.first_line;
-        }
-        _ => footprint.push(span),
-    };
+    let mut footprint = Footprint::default();
     for (m, &longest) in longest.iter().enumerate() {
-        add(spans.a_bm_span[m]);
-        add(spans.a_payload_span(m, payload_bytes(longest, shape.t)));
+        footprint.push(spans.a_bm_span[m]);
+        footprint.push(spans.a_payload_span(m, payload_bytes(longest, shape.t)));
     }
     for (&bm, &payload) in spans.b_bm_span.iter().zip(&spans.b_payload_span) {
-        add(bm);
-        add(payload);
+        footprint.push(bm);
+        footprint.push(payload);
     }
     footprint
 }
@@ -656,6 +623,7 @@ impl Accelerator for Loas {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use loas_sim::TrafficLedger;
     use loas_sparse::Bitmask;
     use loas_workloads::{LayerShape, SparsityProfile, WorkloadGenerator};
     use proptest::prelude::*;
@@ -777,9 +745,9 @@ mod tests {
         let sweep = reference_sweep(&loas, layer);
         let out_row_bytes =
             ((shape.n + POINTER_BITS) as u64 + (shape.n as u64 / 10) * shape.t as u64).div_ceil(8);
-        let (mut cache, mut dram) = loas.offchip(layer, out_row_bytes);
-        address_walk(&loas, layer, &sweep, &mut cache, &mut dram);
-        let replay = loas.fold(layer, &sweep, sweep.totals.fired, cache, dram);
+        let mut machine = loas.offchip(layer, out_row_bytes);
+        address_walk(&loas, layer, &sweep, &mut machine.cache, &mut machine.dram);
+        let replay = loas.fold(layer, &sweep, sweep.totals.fired, machine);
         loas.report(layer, replay, None).to_portable()
     }
 
@@ -908,14 +876,8 @@ mod tests {
     fn fits(loas: &Loas, layer: &PreparedLayer) -> bool {
         let config = &loas.config;
         let spans = TrafficSpans::build(layer, config.weight_bits, config.cache_line_bytes);
-        let (mut cache, mut dram) = loas.offchip(layer, spans.out_row_bytes);
-        loas.count_unevicted(
-            layer,
-            &loas.sweep_layer(layer),
-            &spans,
-            &mut cache,
-            &mut dram,
-        )
+        let mut machine = loas.offchip(layer, spans.out_row_bytes);
+        loas.count_unevicted(layer, &loas.sweep_layer(layer), &spans, &mut machine)
     }
 
     /// Every LoAS variant must produce byte-identical portable reports to
@@ -1041,15 +1003,16 @@ mod tests {
                 touch(spans.b_payload_span[n]);
             }
             let footprint = replay_footprint(&layer, &sweep, &spans);
-            for pair in footprint.windows(2) {
+            for pair in footprint.spans().windows(2) {
                 assert!(
                     pair[0].first_line + pair[0].n_lines < pair[1].first_line,
                     "{pair:?}"
                 );
             }
             let lines: std::collections::BTreeSet<u64> = footprint
+                .spans()
                 .iter()
-                .flat_map(|span| span.first_line..span.first_line + span.n_lines)
+                .flat_map(|span| span.first_line..span.end())
                 .collect();
             assert_eq!(lines, walked);
         }

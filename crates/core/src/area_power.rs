@@ -16,11 +16,11 @@ pub mod tppe_t4 {
     /// Fast prefix-sum circuit: area in mm².
     pub const FAST_PREFIX_AREA: f64 = 0.04;
     /// Fast prefix-sum circuit: power in mW.
-    pub const FAST_PREFIX_POWER: f64 = 1.46;
+    pub const FAST_PREFIX_POWER: f64 = loas_sim::FAST_PREFIX_POWER_MW;
     /// Laggy prefix-sum circuit: area in mm².
     pub const LAGGY_PREFIX_AREA: f64 = 5e-3;
     /// Laggy prefix-sum circuit: power in mW.
-    pub const LAGGY_PREFIX_POWER: f64 = 0.32;
+    pub const LAGGY_PREFIX_POWER: f64 = loas_sim::LAGGY_PREFIX_POWER_MW;
     /// Everything else (FIFOs, buffers, control): area in mm².
     pub const OTHERS_AREA: f64 = 0.01;
     /// Everything else: power in mW.

@@ -59,7 +59,8 @@ pub struct LoasConfig {
     pub cache_ways: usize,
     /// Global cache line size in bytes.
     pub cache_line_bytes: usize,
-    /// Off-chip bandwidth in GB/s.
+    /// Off-chip bandwidth in GB/s, at least 1 (the lowest bandwidth sweep
+    /// point is 16): far lower bandwidths saturate the cycle count.
     pub hbm_gbps: f64,
     /// Off-chip channels.
     pub hbm_channels: usize,
@@ -134,8 +135,8 @@ impl LoasConfig {
         if self.bitmask_bits == 0 {
             return Err("degenerate bitmask width".to_owned());
         }
-        if self.hbm_gbps.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
-            return Err("off-chip bandwidth must be positive".to_owned());
+        if self.hbm_gbps.is_nan() || self.hbm_gbps < 1.0 {
+            return Err("off-chip bandwidth must be at least 1 GB/s".to_owned());
         }
         if self.hbm_channels == 0 {
             return Err("need at least one off-chip channel".to_owned());

@@ -27,6 +27,9 @@
 //!   model;
 //! * [`PreparedLayer`] / [`Accelerator`] / [`LayerReport`] — the shared
 //!   workload and reporting interface all baseline models implement too;
+//! * [`Machine`] / [`Roofline`] — the memory system every model runs on:
+//!   one off-chip ledger and global cache, and one roofline and energy
+//!   roll-up that closes every model's report;
 //! * [`catalog`] — the open accelerator catalog: models register a stable
 //!   name, a typed [`ModelConfig`], a content-hash contribution, and a
 //!   boxed-[`Accelerator`] factory, and every downstream layer (campaign
@@ -59,6 +62,7 @@ mod hash;
 mod inner_join;
 pub mod kernel;
 mod layer_memo;
+mod machine;
 mod metrics;
 mod plif;
 mod portable;
@@ -74,6 +78,7 @@ pub use config::{check_precision, LoasConfig, LoasConfigBuilder};
 pub use hash::ContentHasher;
 pub use inner_join::{reference_sums, InnerJoinUnit, JoinOutcome, JoinScratch};
 pub use layer_memo::{MemoCounts, MemoStats};
+pub use machine::{Machine, Roofline};
 pub use metrics::{Accelerator, LayerReport, NetworkReport};
 pub use plif::{ParallelLif, PlifOutcome};
 pub use portable::{PortableError, PORTABLE_FORMAT};

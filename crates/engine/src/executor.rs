@@ -77,26 +77,13 @@ impl Default for Engine {
     }
 }
 
-/// The number of worker threads [`Engine::default`] uses: the
-/// `LOAS_WORKERS` environment variable when set to a positive integer
-/// (letting daemons and CI pin parallelism without plumbing flags),
-/// otherwise one per available hardware thread.
+/// The number of worker threads [`Engine::default`] uses: one per
+/// available hardware thread. The binaries' `--workers` option sets it
+/// otherwise.
 pub fn default_workers() -> usize {
-    if let Some(pinned) = pinned_workers(std::env::var("LOAS_WORKERS").ok().as_deref()) {
-        return pinned;
-    }
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1)
-}
-
-/// Interprets a `LOAS_WORKERS` value: positive integers pin the worker
-/// count, anything else (absent, unparsable, zero) falls through to the
-/// hardware default.
-fn pinned_workers(value: Option<&str>) -> Option<usize> {
-    value
-        .and_then(|value| value.parse::<usize>().ok())
-        .filter(|&workers| workers >= 1)
 }
 
 /// The message of a caught panic, on one line.
@@ -542,20 +529,6 @@ mod tests {
                 assert!(error.to_string().contains("bad"));
             }
         }
-    }
-
-    #[test]
-    fn loas_workers_override_parsing() {
-        // The env read itself is a one-liner; the interpretation rules are
-        // what need pinning (and testing them via set_var would race the
-        // parallel test harness).
-        assert_eq!(pinned_workers(Some("3")), Some(3));
-        assert_eq!(pinned_workers(Some("1")), Some(1));
-        assert_eq!(pinned_workers(Some("0")), None, "zero is rejected");
-        assert_eq!(pinned_workers(Some("not-a-number")), None);
-        assert_eq!(pinned_workers(Some("")), None);
-        assert_eq!(pinned_workers(None), None);
-        assert!(default_workers() >= 1);
     }
 
     #[test]

@@ -240,10 +240,6 @@ fn memo_store_replays_warm_campaigns_without_simulating() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-// The `LOAS_WORKERS` override rules are unit-tested against the pure
-// parser in `executor.rs` (`loas_workers_override_parsing`); mutating the
-// process environment here would race the parallel test harness.
-
 #[test]
 fn tiny_cache_capacity_still_completes_and_matches() {
     // Regression: a cache cap below the campaign's unique-workload count

@@ -1,7 +1,8 @@
 //! Campaign fuzz: specs on tiny shapes whose catalog fields and workload
 //! parameters sit at, just inside and just beyond their bounds. Whatever
 //! `enqueue` accepts must end `done` or `failed <reason>` after a drain;
-//! nothing may stay `queued`, and no input may panic the test process.
+//! nothing may stay `queued`, no input may panic the test process, and no
+//! `done` report may hold a saturated cycle count.
 
 use loas_core::ConfigValue;
 use loas_engine::AcceleratorSpec;
@@ -90,11 +91,19 @@ fn edges(config: &[(&'static str, ConfigValue)], name: &str, default: ConfigValu
     );
     let (yes, no) = (Some(true), Some(false));
     let tiny = f64::MIN_POSITIVE;
+    let below = |value: f64| f64::from_bits(value.to_bits() - 1);
     match (name, default) {
         (_, ConfigValue::Bool(value)) => vec![(ConfigValue::Bool(!value), yes)],
-        ("utilization", _) => {
-            float(&[(0.0, no), (tiny, yes), (1.0, yes), (1.0 + f64::EPSILON, no)])
-        }
+        // Floors below which the cycle count would saturate `u64`.
+        ("hbm_gbps", _) => float(&[(0.0, no), (tiny, no), (below(1.0), no), (1.0, yes)]),
+        ("utilization", _) => float(&[
+            (0.0, no),
+            (tiny, no),
+            (below(0.01), no),
+            (0.01, yes),
+            (1.0, yes),
+            (1.0 + f64::EPSILON, no),
+        ]),
         (_, ConfigValue::Float(_)) => float(&[(0.0, no), (-1.0, no), (tiny, yes), (1.0, yes)]),
         ("weight_bits", _) => uint(&[(0, no), (1, yes), (2, yes), (31, yes), (32, yes), (33, no)]),
         ("psum_bytes", _) => uint(&[(0, no), (1, yes), (2, yes), (7, yes), (8, yes), (9, no)]),
@@ -156,7 +165,8 @@ fn workload_edges() -> Vec<Workload> {
 
 /// Enqueues every spec into a fresh queue, drains it once, and returns
 /// how each spec ended. Panics if enqueue fails other than as a spec
-/// error, or if an accepted campaign is still `queued` after the drain.
+/// error, if an accepted campaign is still `queued` after the drain, or if
+/// a `done` report holds a cycle count of `u64::MAX`.
 fn serve(tag: &str, specs: &[&str]) -> Vec<Outcome> {
     let root =
         std::env::temp_dir().join(format!("loas-campaign-fuzz-{tag}-{}", std::process::id()));
@@ -181,7 +191,13 @@ fn serve(tag: &str, specs: &[&str]) -> Vec<Outcome> {
         .map(|(submitted, spec)| match submitted {
             Err(message) => Outcome::Refused(message),
             Ok(id) => match queue.state(id).unwrap() {
-                CampaignState::Done => Outcome::Done,
+                CampaignState::Done => {
+                    let report = queue.report_dir(id).join("report.jsonl");
+                    let report = std::fs::read_to_string(report).unwrap();
+                    let saturated = format!("\"cycles\":{}", u64::MAX);
+                    assert!(!report.contains(&saturated), "{report}\n{spec}");
+                    Outcome::Done
+                }
                 CampaignState::Failed(reason) if !reason.is_empty() => Outcome::Failed(reason),
                 other => panic!("campaign {id} ended `{other}`\n{spec}"),
             },

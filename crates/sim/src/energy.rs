@@ -11,6 +11,12 @@
 use crate::clock::ClockDomain;
 use crate::stats::SimStats;
 
+/// Table IV: the fast prefix-sum circuit's power in mW, one TPPE at 800 MHz.
+pub const FAST_PREFIX_POWER_MW: f64 = 1.46;
+
+/// Table IV: the laggy prefix-sum circuit's power in mW, one TPPE at 800 MHz.
+pub const LAGGY_PREFIX_POWER_MW: f64 = 0.32;
+
 /// Per-event energy constants, in picojoules.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyParams {
@@ -44,8 +50,8 @@ impl EnergyParams {
             sram_pj_per_byte: 3.0,
             accumulate_pj: 0.1,
             mac_pj: 0.8,
-            fast_prefix_pj_per_cycle: clock.mw_to_pj_per_cycle(1.46),
-            laggy_prefix_pj_per_cycle: clock.mw_to_pj_per_cycle(0.32),
+            fast_prefix_pj_per_cycle: clock.mw_to_pj_per_cycle(FAST_PREFIX_POWER_MW),
+            laggy_prefix_pj_per_cycle: clock.mw_to_pj_per_cycle(LAGGY_PREFIX_POWER_MW),
             lif_pj: 0.3,
             merge_pj: 1.2,
             // ~40 mW of leakage + clock for a 188.9 mW design at 800 MHz.
@@ -98,23 +104,14 @@ impl EnergyBreakdown {
     }
 }
 
-/// Computes energy from simulation statistics.
+/// Computes energy from simulation statistics with the
+/// [`EnergyParams::loas_default`] constants.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EnergyModel {
     params: EnergyParams,
 }
 
 impl EnergyModel {
-    /// Creates a model with the given constants.
-    pub fn new(params: EnergyParams) -> Self {
-        EnergyModel { params }
-    }
-
-    /// The constants in use.
-    pub fn params(&self) -> EnergyParams {
-        self.params
-    }
-
     /// Rolls up the energy of one simulation record.
     pub fn energy_of(&self, stats: &SimStats) -> EnergyBreakdown {
         let p = self.params;
@@ -149,15 +146,28 @@ mod tests {
     }
 
     #[test]
+    fn prefix_energies_are_the_table4_powers() {
+        let p = EnergyParams::loas_default();
+        let clock = ClockDomain::default();
+        assert_eq!(
+            p.fast_prefix_pj_per_cycle,
+            clock.mw_to_pj_per_cycle(FAST_PREFIX_POWER_MW)
+        );
+        assert_eq!(
+            p.laggy_prefix_pj_per_cycle,
+            clock.mw_to_pj_per_cycle(LAGGY_PREFIX_POWER_MW)
+        );
+    }
+
+    #[test]
     fn energy_rollup() {
         let mut stats = SimStats::new();
         stats.dram.record(TrafficClass::Weight, 1000);
         stats.sram.record(TrafficClass::Input, 1000);
         stats.ops.accumulates = 10;
         stats.ops.fast_prefix_cycles = 4;
-        let model = EnergyModel::default();
-        let e = model.energy_of(&stats);
-        let p = model.params();
+        let e = EnergyModel::default().energy_of(&stats);
+        let p = EnergyParams::loas_default();
         assert!((e.dram_pj - 1000.0 * p.dram_pj_per_byte).abs() < 1e-9);
         assert!((e.sram_pj - 1000.0 * p.sram_pj_per_byte).abs() < 1e-9);
         assert!((e.compute_pj - 1.0).abs() < 1e-9);

@@ -8,10 +8,11 @@
 //! * [`Cycle`] / [`ClockDomain`] — cycle bookkeeping at the 800 MHz design
 //!   point;
 //! * [`Fifo`] — the depth-bounded FIFOs inside a TPPE;
-//! * [`HbmModel`] — off-chip bandwidth roofline + traffic ledger (128 GB/s,
-//!   16 channels);
+//! * [`HbmModel`] — off-chip bandwidth for the roofline (128 GB/s, 16
+//!   channels);
 //! * [`SramCache`] — the banked set-associative FiberCache (256 KB, 16-way)
-//!   with LRU tags for the Fig. 14 miss-rate comparison;
+//!   with LRU tags for the Fig. 14 miss-rate comparison, and the
+//!   [`Footprint`] that decides when a replay cannot evict;
 //! * [`ScratchBuffer`] / [`DoubleBuffer`] — capacity checks and load/compute
 //!   overlap;
 //! * [`Crossbar`] — the swizzle-switch distribution network;
@@ -26,10 +27,9 @@
 //! ```
 //! use loas_sim::{EnergyModel, HbmModel, SimStats, TrafficClass};
 //!
-//! let mut hbm = HbmModel::loas_default();
-//! hbm.read(TrafficClass::Weight, 4096);
 //! let mut stats = SimStats::new();
-//! stats.dram = hbm.take_ledger();
+//! stats.dram.record(TrafficClass::Weight, 4096);
+//! assert_eq!(HbmModel::loas_default().transfer_cycles(4096).get(), 26);
 //! let energy = EnergyModel::default().energy_of(&stats);
 //! assert!(energy.dram_pj > 0.0);
 //! ```
@@ -47,10 +47,12 @@ mod stats;
 pub use area::{AffineScaling, Component, ComponentTable};
 pub use clock::{ClockDomain, Cycle};
 pub use crossbar::Crossbar;
-pub use energy::{EnergyBreakdown, EnergyModel, EnergyParams};
+pub use energy::{
+    EnergyBreakdown, EnergyModel, EnergyParams, FAST_PREFIX_POWER_MW, LAGGY_PREFIX_POWER_MW,
+};
 pub use fifo::Fifo;
 pub use memory::{
-    check_cache_geometry, Access, DoubleBuffer, HbmModel, LineSpan, ScratchBuffer, SramCache,
-    MAX_CACHE_LINES,
+    check_cache_geometry, Access, DoubleBuffer, Footprint, HbmModel, LineSpan, ScratchBuffer,
+    SramCache, MAX_CACHE_LINES,
 };
 pub use stats::{CacheStats, OpCounts, SimStats, TrafficClass, TrafficLedger};

@@ -1,23 +1,20 @@
 //! Off-chip HBM model.
 //!
-//! Table III: "128 GB/s over 16 64-bit HBM channels". The model is a
-//! bandwidth roofline plus a per-class traffic ledger: accelerator models
-//! record what crosses the chip boundary, and the execution-time model takes
-//! `max(compute, dram_cycles)` per phase.
+//! Table III: "128 GB/s over 16 64-bit HBM channels". The model is the
+//! bandwidth half of a roofline: accelerator models ledger what crosses
+//! the chip boundary in a [`crate::TrafficLedger`], and the execution-time
+//! model takes `max(compute, dram_cycles)`.
 
 use crate::clock::{ClockDomain, Cycle};
-use crate::stats::{TrafficClass, TrafficLedger};
 
-/// An HBM-style off-chip memory: aggregate bandwidth + traffic ledger.
+/// An HBM-style off-chip memory's aggregate bandwidth.
 ///
 /// # Examples
 ///
 /// ```
-/// use loas_sim::{HbmModel, TrafficClass};
+/// use loas_sim::HbmModel;
 ///
-/// let mut hbm = HbmModel::loas_default();
-/// hbm.read(TrafficClass::Weight, 1600);
-/// assert_eq!(hbm.ledger().total(), 1600);
+/// let hbm = HbmModel::loas_default();
 /// assert_eq!(hbm.transfer_cycles(1600).get(), 10); // 160 B/cycle
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -25,7 +22,6 @@ pub struct HbmModel {
     bandwidth_gbps: f64,
     channels: usize,
     clock: ClockDomain,
-    ledger: TrafficLedger,
 }
 
 impl HbmModel {
@@ -47,7 +43,6 @@ impl HbmModel {
             bandwidth_gbps,
             channels,
             clock,
-            ledger: TrafficLedger::new(),
         }
     }
 
@@ -70,36 +65,6 @@ impl HbmModel {
     pub fn transfer_cycles(&self, bytes: u64) -> Cycle {
         Cycle((bytes as f64 / self.bytes_per_cycle()).ceil() as u64)
     }
-
-    /// Records a read of `bytes` of the given class.
-    pub fn read(&mut self, class: TrafficClass, bytes: u64) {
-        self.ledger.record(class, bytes);
-    }
-
-    /// Records a read measured in bits (rounded up to bytes).
-    pub fn read_bits(&mut self, class: TrafficClass, bits: u64) {
-        self.ledger.record_bits(class, bits);
-    }
-
-    /// Records a write of `bytes` of the given class.
-    pub fn write(&mut self, class: TrafficClass, bytes: u64) {
-        self.ledger.record(class, bytes);
-    }
-
-    /// Records a write measured in bits (rounded up to bytes).
-    pub fn write_bits(&mut self, class: TrafficClass, bits: u64) {
-        self.ledger.record_bits(class, bits);
-    }
-
-    /// The accumulated traffic ledger.
-    pub fn ledger(&self) -> &TrafficLedger {
-        &self.ledger
-    }
-
-    /// Extracts the ledger, resetting the model.
-    pub fn take_ledger(&mut self) -> TrafficLedger {
-        std::mem::take(&mut self.ledger)
-    }
 }
 
 #[cfg(test)]
@@ -120,20 +85,6 @@ mod tests {
         assert_eq!(hbm.transfer_cycles(0).get(), 0);
         assert_eq!(hbm.transfer_cycles(1).get(), 1);
         assert_eq!(hbm.transfer_cycles(161).get(), 2);
-    }
-
-    #[test]
-    fn ledger_tracks_reads_and_writes() {
-        let mut hbm = HbmModel::loas_default();
-        hbm.read(TrafficClass::Input, 100);
-        hbm.write(TrafficClass::Output, 50);
-        hbm.read_bits(TrafficClass::Format, 12);
-        assert_eq!(hbm.ledger().get(TrafficClass::Input), 100);
-        assert_eq!(hbm.ledger().get(TrafficClass::Output), 50);
-        assert_eq!(hbm.ledger().get(TrafficClass::Format), 2);
-        let taken = hbm.take_ledger();
-        assert_eq!(taken.total(), 152);
-        assert_eq!(hbm.ledger().total(), 0);
     }
 
     #[test]

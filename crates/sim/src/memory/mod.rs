@@ -6,4 +6,4 @@ mod sram;
 
 pub use buffer::{DoubleBuffer, ScratchBuffer};
 pub use dram::HbmModel;
-pub use sram::{check_cache_geometry, Access, LineSpan, SramCache, MAX_CACHE_LINES};
+pub use sram::{check_cache_geometry, Access, Footprint, LineSpan, SramCache, MAX_CACHE_LINES};

@@ -22,7 +22,7 @@
 //!    [`SramCache::probe_span`]: one ledger record and one tight loop
 //!    instead of a function call per 64-byte line.
 //!
-//! A replay whose whole footprint fits the cache skips the tags
+//! A replay whose whole [`Footprint`] fits the cache skips the tags
 //! altogether: when [`SramCache::fits_without_eviction`] holds, every
 //! distinct line misses exactly once in any access order, and
 //! [`SramCache::record_unevicted`] ledgers the replay from its touch and
@@ -92,6 +92,52 @@ impl LineSpan {
     /// Whether the span covers no lines.
     pub fn is_empty(&self) -> bool {
         self.n_lines == 0
+    }
+
+    /// The line id one past the span's last line.
+    pub fn end(&self) -> u64 {
+        self.first_line + self.n_lines
+    }
+}
+
+/// The distinct lines a replay touches, as disjoint [`LineSpan`]s in
+/// ascending address order: the input of
+/// [`SramCache::fits_without_eviction`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Footprint {
+    spans: Vec<LineSpan>,
+}
+
+impl Footprint {
+    /// Adds the lines of `span`, which starts no earlier than the last
+    /// span pushed: a span that overlaps or abuts the last one extends it.
+    pub fn push(&mut self, span: LineSpan) {
+        match self.spans.last_mut() {
+            _ if span.is_empty() => {}
+            Some(last) if span.first_line <= last.end() => {
+                debug_assert!(span.first_line >= last.first_line, "spans out of order");
+                last.n_lines = span.end().max(last.end()) - last.first_line;
+            }
+            _ => self.spans.push(span),
+        }
+    }
+
+    /// The disjoint spans, in ascending address order.
+    pub fn spans(&self) -> &[LineSpan] {
+        &self.spans
+    }
+
+    /// The number of distinct lines.
+    pub fn lines(&self) -> u64 {
+        self.spans.iter().map(|span| span.n_lines).sum()
+    }
+
+    /// The first line to one past the last (`0..0` when empty).
+    pub fn bounds(&self) -> std::ops::Range<u64> {
+        match (self.spans.first(), self.spans.last()) {
+            (Some(first), Some(last)) => first.first_line..last.end(),
+            _ => 0..0,
+        }
     }
 }
 
@@ -324,18 +370,13 @@ impl SramCache {
         }
         self.traffic
             .record(class, span.n_lines * self.line_bytes as u64);
-        self.touch_span(span)
+        self.probe_span(span)
     }
 
     /// Tag-touches every line of a span without ledgering traffic (the
-    /// span form of [`SramCache::probe_range`]).
+    /// span form of [`SramCache::probe_range`]); returns the misses.
     #[inline]
     pub fn probe_span(&mut self, span: LineSpan) -> u64 {
-        self.touch_span(span)
-    }
-
-    #[inline]
-    fn touch_span(&mut self, span: LineSpan) -> u64 {
         let mut missed = 0;
         for i in 0..span.n_lines {
             if self.touch_line(span.first_line + i) == Access::Miss {
@@ -345,21 +386,22 @@ impl SramCache {
         missed
     }
 
-    /// Whether touching `distinct_lines` (each line at most once in the
-    /// iterator), in any order and any number of times, can never evict:
-    /// the cache holds no line yet and no set receives more than `ways` of
-    /// them. Stops at the first set that overflows, so it reads at most
-    /// `sets·ways + 1` lines.
-    pub fn fits_without_eviction(&self, distinct_lines: impl IntoIterator<Item = u64>) -> bool {
+    /// Whether touching the lines of `footprint`, in any order and any
+    /// number of times, can never evict: the cache holds no line yet and
+    /// no set receives more than `ways` of them. Stops at the first set
+    /// that overflows, so it reads at most `sets·ways + 1` lines.
+    pub fn fits_without_eviction(&self, footprint: &Footprint) -> bool {
         if !self.index.is_empty() {
             return false;
         }
         let mut filled = vec![0usize; self.sets];
-        for line in distinct_lines {
-            let set = &mut filled[(line % self.sets as u64) as usize];
-            *set += 1;
-            if *set > self.ways {
-                return false;
+        for span in footprint.spans() {
+            for line in span.first_line..span.end() {
+                let set = &mut filled[(line % self.sets as u64) as usize];
+                *set += 1;
+                if *set > self.ways {
+                    return false;
+                }
             }
         }
         true
@@ -586,7 +628,14 @@ mod tests {
                     per_set[set_of(line)] <= ways
                 })
                 .collect();
-            prop_assert!(new_cache().fits_without_eviction(footprint.iter().copied()));
+            let spans_of = |lines: &[u64]| {
+                let mut spans = Footprint::default();
+                for &first_line in lines {
+                    spans.push(LineSpan { first_line, n_lines: 1 });
+                }
+                spans
+            };
+            prop_assert!(new_cache().fits_without_eviction(&spans_of(&footprint)));
 
             // Every line once plus random re-touches, in a random order.
             let mut touches = footprint.clone();
@@ -614,15 +663,34 @@ mod tests {
             prop_assert_eq!(probed.stats(), closed_probes.stats());
             prop_assert_eq!(probed.traffic(), closed_probes.traffic());
             // A cache that already holds lines never claims a fit.
-            prop_assert!(!walked.fits_without_eviction([]));
+            prop_assert!(!walked.fits_without_eviction(&Footprint::default()));
 
             // One line more than `ways` in any one set overflows it.
             let set = crowded_set % sets as u64;
             let mut crowded = footprint.clone();
             let room = ways - per_set[set as usize].min(ways);
             crowded.extend((0..=room as u64).map(|j| set + sets as u64 * (64 + j)));
-            prop_assert!(!new_cache().fits_without_eviction(crowded));
+            prop_assert!(!new_cache().fits_without_eviction(&spans_of(&crowded)));
         }
+    }
+
+    #[test]
+    fn footprint_merges_overlapping_and_abutting_spans() {
+        let span = |first_line, n_lines| LineSpan {
+            first_line,
+            n_lines,
+        };
+        let mut footprint = Footprint::default();
+        assert_eq!(footprint.bounds(), 0..0);
+        footprint.push(span(0, 2));
+        footprint.push(span(1, 3)); // overlaps
+        footprint.push(span(4, 1)); // abuts
+        footprint.push(span(5, 0)); // empty
+        footprint.push(span(9, 1));
+        footprint.push(span(9, 1)); // repeats
+        assert_eq!(footprint.spans(), &[span(0, 5), span(9, 1)]);
+        assert_eq!(footprint.lines(), 6);
+        assert_eq!(footprint.bounds(), 0..10);
     }
 
     #[test]
