@@ -16,7 +16,9 @@
 # unrunnable specs (a LoAS timestep mismatch, a workload t above 16,
 # memory systems it cannot build: zero HBM channels, HBM below 1 GB/s, a
 # cache of more than 2^20 lines), a runner failing a stored spec cut short
-# and draining on, a bench-trajectory gate over the two
+# and draining on, a run of every example (each must exit 0, and
+# dataflow_explorer must mark exactly one variant as meeting all
+# goals), a bench-trajectory gate over the two
 # committed history records (BENCH_PR5.json against BENCH_PR3.json: fails
 # on a >20% regression in kernel pairs/s or end-to-end wall time, and
 # requires the PR 5 record's >=1.3x end-to-end gain), and short perfbench
@@ -200,6 +202,16 @@ for model in loas sparten gospa gamma ptb stellar; do
 done
 grep -q "cache_ways" "$SMOKE/models.out"
 grep -q "default 262144" "$SMOKE/models.out"
+
+echo "== examples (each must run to exit 0)"
+# clippy --all-targets only compiles the examples; run them so a runtime
+# break in one fails here. The design-space walk must find FTP, and only
+# FTP, meeting all three Section III goals.
+for example in quickstart dual_sparse_layer accelerator_comparison full_network campaign; do
+  cargo run --release --quiet --example "$example" > /dev/null
+done
+cargo run --release --quiet --example dataflow_explorer > "$SMOKE/dataflow.out"
+test "$(grep -c 'FTP (all goals met)' "$SMOKE/dataflow.out")" = 1
 
 echo "== bench trajectory gate (committed BENCH_PR5.json vs BENCH_PR3.json)"
 # Both records are full-fidelity, 1-thread, cold-store measurements from

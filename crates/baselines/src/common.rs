@@ -58,12 +58,11 @@ macro_rules! config_builder {
 
 pub(crate) use config_builder;
 
-/// The baselines' roofline: the shared HBM over 16 channels, and the
+/// The baselines' roofline: the shared HBM bandwidth, and the
 /// 16-bank, 16-byte-port SRAM of the LoAS configuration whatever the cache
 /// geometry.
 pub(crate) const BASELINE_ROOFLINE: Roofline = Roofline {
     hbm_gbps: BASELINE_HBM_GBPS,
-    hbm_channels: 16,
     sram_bytes_per_cycle: 16 * 16,
 };
 

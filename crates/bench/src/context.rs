@@ -53,11 +53,6 @@ impl Design {
         }
     }
 
-    /// Whether this design consumes the fine-tuned (masked) workload.
-    pub fn uses_ft_workload(self) -> bool {
-        matches!(self, Design::LoasFt)
-    }
-
     /// The engine-level accelerator spec this design runs as.
     pub fn accelerator_spec(self) -> AcceleratorSpec {
         match self {
@@ -285,8 +280,6 @@ mod tests {
     #[test]
     fn design_names() {
         assert_eq!(Design::SparTen.name(), "SparTen-SNN");
-        assert!(Design::LoasFt.uses_ft_workload());
-        assert!(!Design::Loas.uses_ft_workload());
     }
 
     #[test]

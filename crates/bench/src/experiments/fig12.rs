@@ -60,35 +60,35 @@ pub fn run(ctx: &mut Context) -> Vec<Table> {
     vec![speedup, energy]
 }
 
-/// Summary ratios used by integration tests: LoAS(FT) speedup over each
-/// baseline, averaged over the three networks.
-pub fn mean_speedups(ctx: &mut Context) -> (f64, f64, f64) {
-    let specs = [networks::alexnet(), networks::vgg16(), networks::resnet19()];
-    ctx.prefetch_network_reports(
-        &specs,
-        &[
-            Design::LoasFt,
-            Design::SparTen,
-            Design::Gospa,
-            Design::Gamma,
-        ],
-    );
-    let mut vs = [0.0f64; 3];
-    for spec in &specs {
-        let ft = ctx.network_report(spec, Design::LoasFt);
-        for (i, design) in [Design::SparTen, Design::Gospa, Design::Gamma]
-            .into_iter()
-            .enumerate()
-        {
-            vs[i] += ft.speedup_over(&ctx.network_report(spec, design));
-        }
-    }
-    (vs[0] / 3.0, vs[1] / 3.0, vs[2] / 3.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// LoAS(FT) speedup over each baseline, averaged over the three
+    /// networks.
+    fn mean_speedups(ctx: &mut Context) -> (f64, f64, f64) {
+        let specs = [networks::alexnet(), networks::vgg16(), networks::resnet19()];
+        ctx.prefetch_network_reports(
+            &specs,
+            &[
+                Design::LoasFt,
+                Design::SparTen,
+                Design::Gospa,
+                Design::Gamma,
+            ],
+        );
+        let mut vs = [0.0f64; 3];
+        for spec in &specs {
+            let ft = ctx.network_report(spec, Design::LoasFt);
+            for (i, design) in [Design::SparTen, Design::Gospa, Design::Gamma]
+                .into_iter()
+                .enumerate()
+            {
+                vs[i] += ft.speedup_over(&ctx.network_report(spec, design));
+            }
+        }
+        (vs[0] / 3.0, vs[1] / 3.0, vs[2] / 3.0)
+    }
 
     #[test]
     fn tables_render_consistently() {

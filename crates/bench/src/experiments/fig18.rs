@@ -89,25 +89,25 @@ pub fn run(ctx: &mut Context) -> Vec<Table> {
     vec![t]
 }
 
-/// Energy-efficiency gains of the SNN over the two ANN designs, for tests.
-pub fn energy_gains(ctx: &mut Context) -> (f64, f64) {
-    let tables = run(ctx);
-    let parse = |row: usize| -> f64 {
-        tables[0].rows[row].1[0]
-            .split('x')
-            .next()
-            .unwrap()
-            .parse()
-            .unwrap()
-    };
-    // Row 0 is LoAS itself (1.0); rows 1-2 hold LoAS_energy / ann_energy,
-    // i.e. values < 1 mean the ANN spent more.
-    (1.0 / parse(1), 1.0 / parse(2))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Energy-efficiency gains of the SNN over the two ANN designs.
+    fn energy_gains(ctx: &mut Context) -> (f64, f64) {
+        let tables = run(ctx);
+        let parse = |row: usize| -> f64 {
+            tables[0].rows[row].1[0]
+                .split('x')
+                .next()
+                .unwrap()
+                .parse()
+                .unwrap()
+        };
+        // Row 0 is LoAS itself (1.0); rows 1-2 hold LoAS_energy / ann_energy,
+        // i.e. values < 1 mean the ANN spent more.
+        (1.0 / parse(1), 1.0 / parse(2))
+    }
 
     #[test]
     fn snn_beats_both_ann_designs() {

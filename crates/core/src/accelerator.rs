@@ -151,8 +151,9 @@ impl Loas {
         }
     }
 
-    /// The memo key of this config's replay: every field but the two only
-    /// the roofline reads, which take their Table III values.
+    /// The memo key of this config's replay: every field but the two no
+    /// replay reads (the bandwidth, read only by the roofline, and the
+    /// channel count, read by nothing), which take their Table III values.
     fn replay_key(&self) -> MemoKey {
         let table3 = LoasConfig::table3();
         MemoKey::Replay(LoasConfig {
@@ -310,7 +311,6 @@ impl Loas {
     ) -> LayerReport {
         let roofline = Roofline {
             hbm_gbps: self.config.hbm_gbps,
-            hbm_channels: self.config.hbm_channels,
             sram_bytes_per_cycle: (self.config.cache_banks * self.config.crossbar_bus_bytes) as u64,
         };
         roofline.report(
@@ -1040,6 +1040,24 @@ mod tests {
         assert_eq!(stats.replays.hits, 6, "{stats:?}");
         assert_eq!(stats.spans.misses, 1, "{stats:?}");
         assert_eq!(stats.evictions, 0);
+    }
+
+    /// The HBM channel count changes no report: the roofline reads only
+    /// the aggregate bandwidth. The reference oracle bypasses the replay
+    /// memo, so each channel count also simulates in full.
+    #[test]
+    fn hbm_channel_count_changes_no_report() {
+        let layer = small_layer();
+        let table3 = Loas::default().run_layer(&layer).to_portable();
+        for hbm_channels in [1, 4, 16] {
+            let config = LoasConfig {
+                hbm_channels,
+                ..LoasConfig::table3()
+            };
+            let served = Loas::new(config.clone()).run_layer(&layer).to_portable();
+            assert_eq!(served, table3, "{hbm_channels} channels");
+            assert_eq!(reference_report(&config, &layer), table3);
+        }
     }
 
     #[test]

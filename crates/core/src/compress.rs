@@ -50,16 +50,6 @@ impl CompressionReport {
             self.spikes as f64 / self.payload_bits as f64
         }
     }
-
-    /// Size advantage over per-timestep CSR (`csr_bits / total_bits`).
-    pub fn gain_over_csr(&self) -> f64 {
-        self.csr_bits as f64 / self.total_bits().max(1) as f64
-    }
-
-    /// Size advantage over dense spike trains (`dense / total`).
-    pub fn gain_over_dense(&self) -> f64 {
-        self.dense_bits as f64 / self.total_bits().max(1) as f64
-    }
 }
 
 /// Compresses a spike tensor into row fibers and reports the cost.
@@ -152,9 +142,10 @@ mod tests {
         }
         let (_, report) = compress_tensor(&a);
         assert!(
-            report.gain_over_csr() > 1.5,
-            "packed should beat CSR: gain {}",
-            report.gain_over_csr()
+            2 * report.csr_bits > 3 * report.total_bits(),
+            "packed should beat CSR by 1.5x: {} vs {} bits",
+            report.total_bits(),
+            report.csr_bits
         );
     }
 
@@ -183,7 +174,7 @@ mod tests {
         assert!((report.efficiency() - 1.0).abs() < 1e-12, "all-ones words");
         // Dense spike trains would be the same payload without masks; the
         // format adds the bitmask overhead.
-        assert!(report.gain_over_dense() < 2.0);
+        assert!(report.dense_bits < 2 * report.total_bits());
     }
 
     #[test]
@@ -198,6 +189,8 @@ mod tests {
             denser.set(0, k, 1, true);
         }
         let (_, denser_report) = compress_tensor(&denser);
-        assert!(sparse_report.gain_over_dense() > denser_report.gain_over_dense());
+        // Same shape, so the same dense size over a smaller packed one.
+        assert_eq!(sparse_report.dense_bits, denser_report.dense_bits);
+        assert!(sparse_report.total_bits() < denser_report.total_bits());
     }
 }

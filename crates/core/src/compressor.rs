@@ -45,11 +45,6 @@ impl Compressor {
         }
     }
 
-    /// Whether low-activity outputs are discarded.
-    pub fn discards_low_activity(&self) -> bool {
-        self.discard_low_activity
-    }
-
     /// Compresses the output words of one row of `C` (one word per output
     /// neuron, in column order).
     pub fn compress_row(&self, words: &[PackedSpikes]) -> CompressedRow {

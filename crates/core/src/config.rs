@@ -62,7 +62,9 @@ pub struct LoasConfig {
     /// Off-chip bandwidth in GB/s, at least 1 (the lowest bandwidth sweep
     /// point is 16): far lower bandwidths saturate the cycle count.
     pub hbm_gbps: f64,
-    /// Off-chip channels.
+    /// Off-chip channels, at least 1. Accepted, checked and hashed into
+    /// the content key, but it changes no report: the roofline models
+    /// only the aggregate bandwidth `hbm_gbps`, whatever the channel count.
     pub hbm_channels: usize,
     /// Crossbar per-beat bus width in bytes.
     pub crossbar_bus_bytes: usize,
@@ -173,11 +175,6 @@ impl LoasConfig {
     /// `bitmask_bits / laggy_adders` cycles (8 with Table III values).
     pub fn laggy_latency_cycles(&self) -> u64 {
         (self.bitmask_bits as u64).div_ceil(self.laggy_adders as u64)
-    }
-
-    /// Bytes of one packed spike payload word (`T` bits rounded up).
-    pub fn packed_word_bits(&self) -> usize {
-        self.timesteps
     }
 
     /// Absorbs every configuration field into a stable content hash, so
@@ -310,6 +307,23 @@ mod tests {
         assert!((c.hbm_gbps - 128.0).abs() < 1e-12);
         assert_eq!(c.hbm_channels, 16);
         assert_eq!(c.laggy_latency_cycles(), 8);
+    }
+
+    #[test]
+    fn laggy_latency_rounds_up() {
+        // The one laggy prefix-sum latency: a partial adder sweep costs a
+        // whole cycle.
+        let latency = |bitmask_bits, laggy_adders| {
+            LoasConfig {
+                bitmask_bits,
+                laggy_adders,
+                ..LoasConfig::table3()
+            }
+            .laggy_latency_cycles()
+        };
+        assert_eq!(latency(128, 16), 8);
+        assert_eq!(latency(100, 16), 7);
+        assert_eq!(latency(1, 16), 1);
     }
 
     #[test]

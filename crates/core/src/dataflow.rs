@@ -1,15 +1,18 @@
-//! The FTP dataflow (Algorithm 1) and the Section III design-space analysis.
+//! The Section III design-space analysis behind the FTP dataflow.
 //!
 //! Adding the SNN timestep loop to the three canonical spMspM dataflows
 //! yields a design space of loop orders; Section III evaluates each
 //! placement of the `t` loop against three goals: (1) no extra data refetch
 //! across timesteps, (2) no extra partial sums on the temporal dimension,
 //! and (3) no serialized timestep latency. [`analyze`] encodes those
-//! observations analytically; [`ftp_execute`] is the functional executor of
-//! Algorithm 1 (bit-exact with the golden layer).
-
-use loas_snn::{LayerOutput, LifParams, SnnError, SnnLayer, SpikeTensor};
-use loas_sparse::DenseMatrix;
+//! observations analytically.
+//!
+//! No accelerator model reads this module: Algorithm 1 itself runs in
+//! [`crate::Loas`], whose verified datapath is checked bit-exact against
+//! the golden layer. Its reader is `examples/dataflow_explorer.rs`, which
+//! prints the whole design space and marks FTP as the one variant meeting
+//! all three goals. It stays as the executable form of the paper's
+//! argument for building LoAS around FTP.
 
 /// The base spMspM loop order (Fig. 3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -188,23 +191,6 @@ pub fn analyze(variant: DataflowVariant, t_count: usize) -> DataflowCosts {
     }
 }
 
-/// Functional executor of Algorithm 1 (FTP): `m → n → k` with the `t`
-/// dimension spatially unrolled, followed by a one-shot P-LIF per output
-/// neuron. Bit-exact with [`SnnLayer::forward`].
-///
-/// # Errors
-///
-/// Propagates shape mismatches.
-pub fn ftp_execute(
-    spikes: &SpikeTensor,
-    weights: &DenseMatrix<i8>,
-    lif: LifParams,
-) -> Result<LayerOutput, SnnError> {
-    // Algorithm 1 shares its loop structure with the golden inner-product
-    // layer; the golden path is the reference implementation.
-    SnnLayer::new(weights.clone(), lif)?.forward(spikes)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -282,22 +268,5 @@ mod tests {
     fn design_space_size() {
         // 3 orders x 4 sequential placements + 3 parallel variants.
         assert_eq!(DataflowVariant::design_space().len(), 15);
-    }
-
-    #[test]
-    fn ftp_execute_matches_golden() {
-        let weights = DenseMatrix::from_vec(3, 2, vec![2i8, 0, -3, 4, 0, 5]).unwrap();
-        let mut spikes = SpikeTensor::zeros(2, 3, 4);
-        spikes.set(0, 0, 0, true);
-        spikes.set(0, 2, 1, true);
-        spikes.set(1, 1, 3, true);
-        let lif = LifParams::new(1, 1);
-        let ftp = ftp_execute(&spikes, &weights, lif).unwrap();
-        let golden = SnnLayer::new(weights, lif)
-            .unwrap()
-            .forward(&spikes)
-            .unwrap();
-        assert_eq!(ftp.spikes, golden.spikes);
-        assert_eq!(ftp.membranes, golden.membranes);
     }
 }

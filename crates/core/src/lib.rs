@@ -5,10 +5,10 @@
 //! Temporal-Parallel Dataflow for Dual-Sparse Spiking Neural Networks"*
 //! (MICRO 2024):
 //!
-//! * [`dataflow`] — the FTP dataflow (Algorithm 1): the timestep loop placed
-//!   innermost in inner-product spMspM and spatially unrolled, plus the
-//!   Section III design-space analysis showing FTP is the unique placement
-//!   meeting all three SNN-friendliness goals;
+//! * [`dataflow`] — the Section III design-space analysis showing that FTP
+//!   (the timestep loop placed innermost in inner-product spMspM and
+//!   spatially unrolled, Algorithm 1) is the unique placement meeting all
+//!   three SNN-friendliness goals;
 //! * [`compress`] — FTP-friendly spike compression (Fig. 8): `T`-bit packed
 //!   spike words behind a non-silent-neuron bitmask;
 //! * [`InnerJoinUnit`] — the FTP-friendly inner-join (Figs. 9-10): one fast

@@ -74,8 +74,6 @@ impl Machine {
 pub struct Roofline {
     /// Off-chip bandwidth in GB/s.
     pub hbm_gbps: f64,
-    /// HBM channels.
-    pub hbm_channels: usize,
     /// SRAM bytes per cycle over every bank's port.
     pub sram_bytes_per_cycle: u64,
 }
@@ -87,7 +85,7 @@ impl Roofline {
     ///
     /// # Panics
     ///
-    /// Panics when the bandwidth or the channel count is zero.
+    /// Panics when the bandwidth is not positive.
     pub fn report(
         &self,
         workload: &str,
@@ -96,7 +94,7 @@ impl Roofline {
         mut stats: SimStats,
         output: Option<SpikeTensor>,
     ) -> LayerReport {
-        let hbm = HbmModel::new(self.hbm_gbps, self.hbm_channels, ClockDomain::default());
+        let hbm = HbmModel::new(self.hbm_gbps, ClockDomain::default());
         let dram_cycles = hbm.transfer_cycles(stats.dram.total()).get();
         let sram_cycles = stats
             .sram

@@ -75,12 +75,6 @@ impl ParallelLif {
         }
         PlifOutcome { spikes, membrane }
     }
-
-    /// Latency of one P-LIF pass: the chain is combinational across lanes
-    /// and pipelined one pass deep — a single cycle per output neuron.
-    pub fn cycles_per_neuron(&self) -> u64 {
-        1
-    }
 }
 
 #[cfg(test)]
@@ -104,7 +98,6 @@ mod tests {
         let plif = ParallelLif::new(LifParams::new(0, 0), 8);
         let out = plif.fire(&[1; 8]);
         assert!(out.spikes.is_all_ones());
-        assert_eq!(plif.cycles_per_neuron(), 1);
     }
 
     #[test]

@@ -33,7 +33,6 @@ pub struct TppeOutcome {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Tppe {
     join_unit: InnerJoinUnit,
-    weight_buffer_bytes: usize,
     weight_bits: usize,
     crossbar_bus_bytes: usize,
     timesteps: usize,
@@ -44,7 +43,6 @@ impl Tppe {
     pub fn new(config: &LoasConfig) -> Self {
         Tppe {
             join_unit: InnerJoinUnit::new(config),
-            weight_buffer_bytes: config.weight_buffer_bytes,
             weight_bits: config.weight_bits,
             crossbar_bus_bytes: config.crossbar_bus_bytes,
             timesteps: config.timesteps,
@@ -63,11 +61,6 @@ impl Tppe {
     pub fn b_load_cycles(&self, nnz: usize) -> u64 {
         let bytes = (nnz * self.weight_bits).div_ceil(8) as u64;
         bytes.div_ceil(self.crossbar_bus_bytes as u64)
-    }
-
-    /// Whether a fiber-B payload fits the weight buffer in one round.
-    pub fn b_fits_buffer(&self, nnz: usize) -> bool {
-        (nnz * self.weight_bits).div_ceil(8) <= self.weight_buffer_bytes
     }
 
     /// Processes one output neuron: inner-join `fiber_a` (row of `A`) with
@@ -152,8 +145,6 @@ mod tests {
         assert_eq!(t.b_load_cycles(0), 0);
         assert_eq!(t.b_load_cycles(16), 1); // 16 bytes over a 16-byte bus
         assert_eq!(t.b_load_cycles(17), 2);
-        assert!(t.b_fits_buffer(128));
-        assert!(!t.b_fits_buffer(129));
     }
 
     #[test]

@@ -119,12 +119,6 @@ impl Engine {
         self.workers
     }
 
-    /// Reconfigures the worker count (clamped to at least 1). The cache is
-    /// unaffected.
-    pub fn set_workers(&mut self, workers: usize) {
-        self.workers = workers.max(1);
-    }
-
     /// Lifetime cache counters.
     pub fn cache_stats(&self) -> PreparedCacheStats {
         self.cache.stats()

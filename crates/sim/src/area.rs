@@ -21,15 +21,6 @@ impl Component {
             power_mw,
         }
     }
-
-    /// Scales both area and power by an instance count.
-    pub fn replicated(&self, count: usize) -> Component {
-        Component {
-            name: format!("{} x{}", self.name, count),
-            area_mm2: self.area_mm2 * count as f64,
-            power_mw: self.power_mw * count as f64,
-        }
-    }
 }
 
 /// A table of components with totals and percentage breakdowns.
@@ -182,13 +173,6 @@ mod tests {
         assert!((t.total_power_mw() - 1.78).abs() < 1e-12);
         assert!(t.area_share("Fast Prefix").unwrap() > 0.8);
         assert!(t.power_share("missing").is_none());
-    }
-
-    #[test]
-    fn replication_scales() {
-        let c = Component::new("TPPE", 0.06, 2.82).replicated(16);
-        assert!((c.area_mm2 - 0.96).abs() < 1e-12);
-        assert!((c.power_mw - 45.12).abs() < 1e-9);
     }
 
     #[test]

@@ -65,7 +65,7 @@ impl fmt::Display for Cycle {
     }
 }
 
-/// A clock domain, converting cycle counts to wall-clock time and power to
+/// A clock domain, converting bandwidth to bytes per cycle and power to
 /// per-cycle energy.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClockDomain {
@@ -84,16 +84,6 @@ impl ClockDomain {
     pub fn new(freq_ghz: f64) -> Self {
         assert!(freq_ghz > 0.0, "clock frequency must be positive");
         ClockDomain { freq_ghz }
-    }
-
-    /// Frequency in GHz.
-    pub fn freq_ghz(&self) -> f64 {
-        self.freq_ghz
-    }
-
-    /// Wall-clock duration of `cycles`, in nanoseconds.
-    pub fn cycles_to_ns(&self, cycles: Cycle) -> f64 {
-        cycles.get() as f64 / self.freq_ghz
     }
 
     /// Converts a sustained bandwidth in GB/s into bytes per cycle.
@@ -131,7 +121,6 @@ mod tests {
     #[test]
     fn clock_conversions() {
         let clk = ClockDomain::default();
-        assert!((clk.cycles_to_ns(Cycle(800)) - 1000.0).abs() < 1e-9);
         // 128 GB/s at 800 MHz = 160 B/cycle (Table III HBM).
         assert!((clk.bytes_per_cycle(128.0) - 160.0).abs() < 1e-9);
         // 1.46 mW at 800 MHz = 1.825 pJ/cycle (fast prefix-sum, Table IV).

@@ -2,19 +2,15 @@
 //!
 //! The paper evaluates LoAS and its baselines with a cycle-level simulator
 //! that "tiles the loop and maps it to hardware" (Section V). This crate
-//! provides the shared modeling primitives all accelerator models in the
-//! workspace are built from:
+//! provides the modeling primitives the accelerator models in the
+//! workspace share:
 //!
 //! * [`Cycle`] / [`ClockDomain`] — cycle bookkeeping at the 800 MHz design
 //!   point;
-//! * [`Fifo`] — the depth-bounded FIFOs inside a TPPE;
-//! * [`HbmModel`] — off-chip bandwidth for the roofline (128 GB/s, 16
-//!   channels);
+//! * [`HbmModel`] — off-chip bandwidth for the roofline (128 GB/s);
 //! * [`SramCache`] — the banked set-associative FiberCache (256 KB, 16-way)
 //!   with LRU tags for the Fig. 14 miss-rate comparison, and the
 //!   [`Footprint`] that decides when a replay cannot evict;
-//! * [`ScratchBuffer`] / [`DoubleBuffer`] — capacity checks and load/compute
-//!   overlap;
 //! * [`Crossbar`] — the swizzle-switch distribution network;
 //! * [`EnergyModel`] — per-event energy rollup seeded from Table IV powers;
 //! * [`Component`] / [`ComponentTable`] / [`AffineScaling`] — area/power
@@ -40,7 +36,6 @@ mod area;
 mod clock;
 mod crossbar;
 mod energy;
-mod fifo;
 mod memory;
 mod stats;
 
@@ -50,9 +45,7 @@ pub use crossbar::Crossbar;
 pub use energy::{
     EnergyBreakdown, EnergyModel, EnergyParams, FAST_PREFIX_POWER_MW, LAGGY_PREFIX_POWER_MW,
 };
-pub use fifo::Fifo;
 pub use memory::{
-    check_cache_geometry, Access, DoubleBuffer, Footprint, HbmModel, LineSpan, ScratchBuffer,
-    SramCache, MAX_CACHE_LINES,
+    check_cache_geometry, Access, Footprint, HbmModel, LineSpan, SramCache, MAX_CACHE_LINES,
 };
 pub use stats::{CacheStats, OpCounts, SimStats, TrafficClass, TrafficLedger};

@@ -4,6 +4,10 @@
 //! bandwidth half of a roofline: accelerator models ledger what crosses
 //! the chip boundary in a [`crate::TrafficLedger`], and the execution-time
 //! model takes `max(compute, dram_cycles)`.
+//!
+//! Only the aggregate bandwidth is modelled. The channel count splits it
+//! but does not change it, and no per-channel interleaving or conflict is
+//! simulated, so a configuration's channel count changes no report.
 
 use crate::clock::{ClockDomain, Cycle};
 
@@ -20,28 +24,25 @@ use crate::clock::{ClockDomain, Cycle};
 #[derive(Debug, Clone, PartialEq)]
 pub struct HbmModel {
     bandwidth_gbps: f64,
-    channels: usize,
     clock: ClockDomain,
 }
 
 impl HbmModel {
-    /// The paper's configuration: 128 GB/s over 16 channels at the 800 MHz
-    /// accelerator clock.
+    /// The paper's configuration: 128 GB/s at the 800 MHz accelerator
+    /// clock.
     pub fn loas_default() -> Self {
-        HbmModel::new(128.0, 16, ClockDomain::default())
+        HbmModel::new(128.0, ClockDomain::default())
     }
 
     /// Creates an HBM model with `bandwidth_gbps` aggregate bandwidth.
     ///
     /// # Panics
     ///
-    /// Panics when bandwidth or channel count is zero.
-    pub fn new(bandwidth_gbps: f64, channels: usize, clock: ClockDomain) -> Self {
+    /// Panics when the bandwidth is not positive.
+    pub fn new(bandwidth_gbps: f64, clock: ClockDomain) -> Self {
         assert!(bandwidth_gbps > 0.0, "bandwidth must be positive");
-        assert!(channels > 0, "need at least one channel");
         HbmModel {
             bandwidth_gbps,
-            channels,
             clock,
         }
     }
@@ -49,11 +50,6 @@ impl HbmModel {
     /// Aggregate bandwidth in GB/s.
     pub fn bandwidth_gbps(&self) -> f64 {
         self.bandwidth_gbps
-    }
-
-    /// Number of channels.
-    pub fn channels(&self) -> usize {
-        self.channels
     }
 
     /// Sustained bytes per accelerator cycle.
@@ -74,7 +70,6 @@ mod tests {
     #[test]
     fn default_matches_table3() {
         let hbm = HbmModel::loas_default();
-        assert_eq!(hbm.channels(), 16);
         assert!((hbm.bandwidth_gbps() - 128.0).abs() < 1e-12);
         assert!((hbm.bytes_per_cycle() - 160.0).abs() < 1e-9);
     }
@@ -90,6 +85,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "positive")]
     fn zero_bandwidth_rejected() {
-        HbmModel::new(0.0, 16, ClockDomain::default());
+        HbmModel::new(0.0, ClockDomain::default());
     }
 }

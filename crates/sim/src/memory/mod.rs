@@ -1,9 +1,7 @@
-//! Memory hierarchy models: off-chip HBM, on-chip cache, scratchpads.
+//! Memory hierarchy models: off-chip HBM and the on-chip cache.
 
-mod buffer;
 mod dram;
 mod sram;
 
-pub use buffer::{DoubleBuffer, ScratchBuffer};
 pub use dram::HbmModel;
 pub use sram::{check_cache_geometry, Access, Footprint, LineSpan, SramCache, MAX_CACHE_LINES};

@@ -93,11 +93,6 @@ impl SnnLayer {
         WeightFiber::from_weights(&self.weights.column(n))
     }
 
-    /// All weight fibers in column order.
-    pub fn weight_fibers(&self) -> Vec<WeightFiber> {
-        (0..self.n()).map(|n| self.weight_fiber(n)).collect()
-    }
-
     /// Golden forward pass: spMspM (Eq. 1) then LIF scan (Eqs. 2-3).
     ///
     /// # Errors
@@ -190,7 +185,6 @@ mod tests {
         let f0 = l.weight_fiber(0);
         assert_eq!(f0.nnz(), 2); // column 0 = [2, -3, 0]
         assert_eq!(f0.value_at(1), Some(&-3));
-        assert_eq!(l.weight_fibers().len(), 2);
         assert!((l.weight_sparsity() - 2.0 / 6.0).abs() < 1e-12);
     }
 

@@ -2,8 +2,8 @@
 //!
 //! Golden functional models of everything the accelerators compute:
 //!
-//! * [`LifParams`] / [`LifNeuron`] — Leaky-Integrate-and-Fire dynamics with
-//!   hard reset and power-of-two leak (Eqs. 1-3 of the paper);
+//! * [`LifParams`] — Leaky-Integrate-and-Fire dynamics with hard reset and
+//!   power-of-two leak (Eqs. 1-3 of the paper);
 //! * [`SpikeTensor`] — the `M×K×T` binary spike tensor with both the
 //!   per-timestep and the packed per-neuron views, plus Table II sparsity
 //!   statistics;
@@ -46,7 +46,7 @@ mod tensor;
 pub use encoding::DirectEncoder;
 pub use error::SnnError;
 pub use layer::{LayerOutput, SnnLayer};
-pub use lif::{LifNeuron, LifParams, ResetScheme};
+pub use lif::LifParams;
 pub use network::SnnNetwork;
 pub use preprocess::FineTuneAccuracyModel;
 pub use stats::SparsityStats;

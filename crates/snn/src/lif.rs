@@ -9,26 +9,14 @@
 //! U[m,n,t]  = τ · X[m,n,t] · (1 − C[m,n,t])           (hard reset, step 3)
 //! ```
 //!
-//! We follow the paper's hard-reset convention and implement the leak
-//! `τ ∈ (0, 1)` as a power-of-two arithmetic right shift
+//! The reset is always hard: a spike zeroes the membrane potential. That
+//! is the paper's choice (its footnote 2: other reset schemes exist, and
+//! "sticking with one of them will not lose generality in the hardware
+//! design"), and the only one the P-LIF unit of Fig. 7 implements, so the
+//! golden layer and LoAS's verified datapath share it. The leak
+//! `τ ∈ (0, 1)` is a power-of-two arithmetic right shift
 //! (`τ = 2^-leak_shift`), which is both what fixed-point accelerators (and
-//! the P-LIF unit of Fig. 7, whose datapath contains shifters) implement and
-//! bit-exactly reproducible.
-
-use loas_sparse::PackedSpikes;
-
-/// The membrane reset scheme after a spike (paper footnote 2: the paper
-/// uses hard reset; other schemes exist and "sticking with one of them will
-/// not lose generality in the hardware design").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ResetScheme {
-    /// The membrane potential is zeroed after a spike (the paper's choice).
-    #[default]
-    Hard,
-    /// The threshold is subtracted from the potential after a spike,
-    /// preserving the residual above-threshold charge.
-    Soft,
-}
+//! the P-LIF's shifters) implement and bit-exactly reproducible.
 
 /// Parameters of a LIF neuron.
 ///
@@ -48,27 +36,14 @@ pub struct LifParams {
     /// Leak expressed as a right shift: `τ = 2^-leak_shift`. A shift of 0
     /// means no leak (integrate-and-fire).
     pub leak_shift: u32,
-    /// Post-spike reset behaviour.
-    pub reset: ResetScheme,
 }
 
 impl LifParams {
-    /// Creates hard-reset LIF parameters with the given threshold and leak
-    /// shift (the paper's configuration).
+    /// Creates LIF parameters with the given threshold and leak shift.
     pub fn new(v_threshold: i32, leak_shift: u32) -> Self {
         LifParams {
             v_threshold,
             leak_shift,
-            reset: ResetScheme::Hard,
-        }
-    }
-
-    /// Creates soft-reset LIF parameters (threshold subtraction).
-    pub fn with_soft_reset(v_threshold: i32, leak_shift: u32) -> Self {
-        LifParams {
-            v_threshold,
-            leak_shift,
-            reset: ResetScheme::Soft,
         }
     }
 
@@ -78,11 +53,7 @@ impl LifParams {
     pub fn step(&self, input: i32, u_prev: i32) -> (bool, i32) {
         let x = input.saturating_add(u_prev);
         if x > self.v_threshold {
-            let residual = match self.reset {
-                ResetScheme::Hard => 0,
-                ResetScheme::Soft => (x - self.v_threshold) >> self.leak_shift,
-            };
-            (true, residual)
+            (true, 0)
         } else {
             (false, x >> self.leak_shift)
         }
@@ -101,20 +72,6 @@ impl LifParams {
         }
         (spikes, u)
     }
-
-    /// Like [`LifParams::run`] but packs the output spike train into a
-    /// [`PackedSpikes`] word — the form the LoAS compressor stores.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs.len()` exceeds [`loas_sparse::MAX_TIMESTEPS`].
-    pub fn run_packed(&self, inputs: &[i32]) -> (PackedSpikes, i32) {
-        let (spikes, u) = self.run(inputs);
-        (
-            PackedSpikes::from_slice(&spikes).expect("timestep window within packed range"),
-            u,
-        )
-    }
 }
 
 impl Default for LifParams {
@@ -122,47 +79,6 @@ impl Default for LifParams {
     /// accumulator units and `τ = 1/2` (the common direct-coded SNN choice).
     fn default() -> Self {
         LifParams::new(1, 1)
-    }
-}
-
-/// A stateful LIF neuron for streaming use (carries its membrane potential
-/// across calls).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct LifNeuron {
-    params: LifParams,
-    membrane: i32,
-}
-
-impl LifNeuron {
-    /// Creates a neuron at rest (zero membrane potential).
-    pub fn new(params: LifParams) -> Self {
-        LifNeuron {
-            params,
-            membrane: 0,
-        }
-    }
-
-    /// The neuron's parameters.
-    pub fn params(&self) -> LifParams {
-        self.params
-    }
-
-    /// Current membrane potential `U`.
-    pub fn membrane(&self) -> i32 {
-        self.membrane
-    }
-
-    /// Advances one timestep with accumulated input `input`; returns whether
-    /// the neuron fired.
-    pub fn tick(&mut self, input: i32) -> bool {
-        let (spike, u) = self.params.step(input, self.membrane);
-        self.membrane = u;
-        spike
-    }
-
-    /// Resets the membrane potential to zero (between inference windows).
-    pub fn reset(&mut self) {
-        self.membrane = 0;
     }
 }
 
@@ -208,16 +124,6 @@ mod tests {
     }
 
     #[test]
-    fn run_packed_matches_run() {
-        let lif = LifParams::new(2, 1);
-        let inputs = [5, 0, 1, 4];
-        let (spikes, u_seq) = lif.run(&inputs);
-        let (packed, u_packed) = lif.run_packed(&inputs);
-        assert_eq!(packed.to_vec(), spikes);
-        assert_eq!(u_seq, u_packed);
-    }
-
-    #[test]
     fn negative_inputs_leak_toward_negative() {
         let lif = LifParams::new(3, 1);
         let (spike, u) = lif.step(-5, 0);
@@ -228,54 +134,9 @@ mod tests {
     }
 
     #[test]
-    fn stateful_neuron_matches_stateless_run() {
-        let params = LifParams::new(4, 1);
-        let inputs = [1, 6, 2, 8, 0];
-        let mut neuron = LifNeuron::new(params);
-        let streaming: Vec<bool> = inputs.iter().map(|&o| neuron.tick(o)).collect();
-        let (batch, u) = params.run(&inputs);
-        assert_eq!(streaming, batch);
-        assert_eq!(neuron.membrane(), u);
-        neuron.reset();
-        assert_eq!(neuron.membrane(), 0);
-    }
-
-    #[test]
     fn saturating_add_prevents_overflow_panic() {
         let lif = LifParams::new(0, 0);
         let (spike, _) = lif.step(i32::MAX, 5);
         assert!(spike);
-    }
-
-    #[test]
-    fn soft_reset_keeps_residual_charge() {
-        let hard = LifParams::new(4, 0);
-        let soft = LifParams::with_soft_reset(4, 0);
-        let (s_hard, u_hard) = hard.step(10, 0);
-        let (s_soft, u_soft) = soft.step(10, 0);
-        assert!(s_hard && s_soft);
-        assert_eq!(u_hard, 0);
-        assert_eq!(u_soft, 6, "soft reset subtracts the threshold");
-    }
-
-    #[test]
-    fn soft_reset_fires_more_on_strong_input() {
-        // A steady super-threshold drive keeps a soft-reset neuron firing
-        // every step, while the hard reset drops the surplus.
-        let inputs = [9i32; 6];
-        let (hard, _) = LifParams::new(4, 0).run(&inputs);
-        let (soft, _) = LifParams::with_soft_reset(4, 0).run(&inputs);
-        let hard_count = hard.iter().filter(|&&s| s).count();
-        let soft_count = soft.iter().filter(|&&s| s).count();
-        assert!(soft_count >= hard_count);
-        assert_eq!(soft_count, 6);
-    }
-
-    #[test]
-    fn soft_reset_leaks_residual() {
-        let soft = LifParams::with_soft_reset(4, 1);
-        let (fired, u) = soft.step(10, 0);
-        assert!(fired);
-        assert_eq!(u, 3, "(10 - 4) >> 1");
     }
 }

@@ -39,41 +39,6 @@ impl SpikeTensor {
         }
     }
 
-    /// Builds a tensor from per-timestep planes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SnnError::ShapeMismatch`] when planes disagree in shape.
-    pub fn from_planes(planes: Vec<BitMatrix>) -> Result<Self, SnnError> {
-        let timesteps = planes.len();
-        let (m, k) = planes
-            .first()
-            .map(|p| (p.rows(), p.cols()))
-            .unwrap_or((0, 0));
-        for p in &planes {
-            if p.rows() != m {
-                return Err(SnnError::ShapeMismatch {
-                    expected: m,
-                    actual: p.rows(),
-                    dimension: "M",
-                });
-            }
-            if p.cols() != k {
-                return Err(SnnError::ShapeMismatch {
-                    expected: k,
-                    actual: p.cols(),
-                    dimension: "K",
-                });
-            }
-        }
-        Ok(SpikeTensor {
-            m,
-            k,
-            timesteps,
-            planes,
-        })
-    }
-
     /// Builds a tensor from packed per-neuron words, row-major (`rows[m][k]`).
     ///
     /// # Errors
@@ -223,12 +188,6 @@ impl SpikeTensor {
             .collect()
     }
 
-    /// The bitmask over non-silent neurons of row `m` (the `bm-A` a TPPE
-    /// holds): the OR of its `T` plane rows.
-    pub fn row_nonsilent_mask(&self, m: usize) -> Bitmask {
-        self.fires_above_mask(m, 0)
-    }
-
     /// The bitmask over neurons of row `m` firing more than `max_fires`
     /// times: a bit-sliced saturating counter over the plane words, where
     /// `above[j]` holds the neurons seen firing more than `j` times so far.
@@ -298,12 +257,10 @@ impl SpikeTensor {
 
     /// Number of silent neurons (packed word all zero).
     pub fn silent_count(&self) -> usize {
-        self.m * self.k - self.count_fires_above(0)
-    }
-
-    fn count_fires_above(&self, max_fires: usize) -> usize {
-        let masks = (0..self.m).map(|m| self.fires_above_mask(m, max_fires));
-        masks.map(|mask| mask.popcount()).sum()
+        let nonsilent: usize = (0..self.m)
+            .map(|m| self.fires_above_mask(m, 0).popcount())
+            .sum();
+        self.m * self.k - nonsilent
     }
 
     /// The paper's `AvSpA-packed`: fraction of silent neurons among all
@@ -325,16 +282,6 @@ impl SpikeTensor {
             return 0.0;
         }
         self.spike_count() as f64 / nonsilent as f64
-    }
-
-    /// Fraction of neurons firing at most once (the candidates removed by
-    /// fine-tuned preprocessing).
-    pub fn at_most_once_fraction(&self) -> f64 {
-        let total = self.m * self.k;
-        if total == 0 {
-            return 0.0;
-        }
-        (total - self.count_fires_above(1)) as f64 / total as f64
     }
 }
 
@@ -397,7 +344,6 @@ mod tests {
             let a = random_tensor(shape, seed, density);
             prop_assert_eq!(a.to_row_fibers(), row_fibers_per_bit(&a));
             for m in 0..a.m() {
-                prop_assert_eq!(a.row_nonsilent_mask(m), fires_above_per_bit(&a, m, 0));
                 prop_assert_eq!(
                     a.fires_above_mask(m, max_fires),
                     fires_above_per_bit(&a, m, max_fires)
@@ -469,8 +415,6 @@ mod tests {
         assert!((a.packed_sparsity() - 0.5).abs() < 1e-12);
         // 7 spikes over 3 non-silent neurons.
         assert!((a.mean_fires_per_nonsilent() - 7.0 / 3.0).abs() < 1e-12);
-        // at-most-once: 3 silent + (0,2) -> 4 of 6.
-        assert!((a.at_most_once_fraction() - 4.0 / 6.0).abs() < 1e-12);
     }
 
     #[test]
@@ -480,8 +424,7 @@ mod tests {
         assert_eq!(fiber.nnz(), 2);
         assert_eq!(fiber.bitmask().iter_ones().collect::<Vec<_>>(), vec![0, 2]);
         assert_eq!(fiber.values()[0], a.packed_word(0, 0));
-        let mask = a.row_nonsilent_mask(0);
-        assert_eq!(mask, *fiber.bitmask());
+        assert_eq!(a.fires_above_mask(0, 0), *fiber.bitmask());
     }
 
     #[test]
@@ -499,16 +442,6 @@ mod tests {
             .collect();
         let rebuilt = SpikeTensor::from_packed_rows(&rows, 4).unwrap();
         assert_eq!(rebuilt, a);
-    }
-
-    #[test]
-    fn from_planes_validates_shapes() {
-        let planes = vec![BitMatrix::zeros(2, 3), BitMatrix::zeros(2, 4)];
-        assert!(SpikeTensor::from_planes(planes).is_err());
-        let ok = SpikeTensor::from_planes(vec![BitMatrix::zeros(2, 3); 4]).unwrap();
-        assert_eq!(ok.timesteps(), 4);
-        assert_eq!(ok.m(), 2);
-        assert_eq!(ok.k(), 3);
     }
 
     #[test]

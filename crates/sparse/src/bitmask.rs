@@ -266,22 +266,9 @@ impl Bitmask {
         }
     }
 
-    /// Iterator over all bits as booleans.
-    pub fn iter_bits(&self) -> impl Iterator<Item = bool> + '_ {
-        (0..self.len).map(move |i| self.get(i))
-    }
-
     /// Underlying words (little-endian bit order within each word).
     pub fn words(&self) -> &[u64] {
         &self.words
-    }
-
-    /// Number of `chunk_bits`-wide chunks needed to stream this mask through
-    /// a circuit with a `chunk_bits`-bit datapath (e.g. the 128-bit bitmask
-    /// buffers of a TPPE).
-    pub fn chunk_count(&self, chunk_bits: usize) -> usize {
-        assert!(chunk_bits > 0, "chunk width must be positive");
-        self.len.div_ceil(chunk_bits)
     }
 
     /// Per-chunk AND-popcounts of two masks streamed `chunk_words` words at
@@ -524,13 +511,6 @@ mod tests {
     }
 
     #[test]
-    fn chunk_count_rounds_up() {
-        let bm = Bitmask::zeros(300);
-        assert_eq!(bm.chunk_count(128), 3);
-        assert_eq!(bm.chunk_count(300), 1);
-    }
-
-    #[test]
     fn density_and_sparsity_sum_to_one() {
         let bm = Bitmask::from_indices(10, &[0, 1, 2]).unwrap();
         assert!((bm.density() - 0.3).abs() < 1e-12);
@@ -577,14 +557,5 @@ mod tests {
     fn chunked_and_counts_rejects_zero_width() {
         let a = Bitmask::zeros(8);
         let _ = a.chunked_and_counts(&a, 0);
-    }
-
-    #[test]
-    fn iter_bits_matches_get() {
-        let bm = Bitmask::from_indices(67, &[0, 66]).unwrap();
-        let bits: Vec<bool> = bm.iter_bits().collect();
-        assert_eq!(bits.len(), 67);
-        assert!(bits[0] && bits[66]);
-        assert!(!bits[1]);
     }
 }

@@ -176,24 +176,6 @@ impl SpikeFiber {
     pub fn from_packed_row(row: &[PackedSpikes]) -> Self {
         Fiber::from_dense(row, |w| w.is_silent())
     }
-
-    /// Compression efficiency as defined in Section IV-A: raw spike bits
-    /// that needed storing (`T` per *non-silent* neuron... the paper counts
-    /// the true spikes recorded) divided by the bits spent on payload. The
-    /// paper's example compresses 5 raw spike bits into 4 payload bits for an
-    /// efficiency of 125%.
-    pub fn compression_efficiency(&self) -> f64 {
-        let payload_bits: usize = self.values().iter().map(|w| w.storage_bits()).sum();
-        if payload_bits == 0 {
-            return 0.0;
-        }
-        let raw_spikes: usize = self.values().iter().map(|w| w.fire_count()).sum();
-        // The paper's Fig. 8 example: a_{0,0}=1010 and a_{0,3}=0111 hold
-        // 2 + 3 = 5 spikes stored in one 4-bit word each... it reports
-        // "4 bits to compress 5 bits": payload bits of one word vs the raw
-        // spike count. We generalise: raw spike bits / payload bits.
-        raw_spikes as f64 / payload_bits as f64
-    }
 }
 
 impl WeightFiber {
@@ -255,22 +237,6 @@ mod tests {
         let fiber = SpikeFiber::from_packed_row(&row);
         assert_eq!(fiber.nnz(), 2);
         assert_eq!(fiber.bitmask().iter_ones().collect::<Vec<_>>(), vec![0, 3]);
-        // 5 raw spikes stored in 8 payload bits... the paper's 125% counts a
-        // single word: check per-fiber metric is (2+3)/(4+4) = 0.625 here and
-        // that the per-word example below reproduces 125%.
-        assert!((fiber.compression_efficiency() - 5.0 / 8.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn paper_compression_efficiency_single_word() {
-        // One non-silent neuron with 5 spikes at T=5... the exact paper
-        // statement: "we end up using 4 bits to compress 5 bits" refers to
-        // 5 raw spike bits across the two stored words (2 spikes in a0,0 and
-        // 3 in a0,3) against the 4-bit word for a0,0; with one stored word of
-        // 4 bits holding 5 raw spikes the efficiency exceeds 1.
-        let row = vec![PackedSpikes::from_bits(0b11111, 5).unwrap()];
-        let fiber = SpikeFiber::from_packed_row(&row);
-        assert!((fiber.compression_efficiency() - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -13,8 +13,6 @@
 //! * [`CsrMatrix`] — the coordinate-list format with explicit coordinate
 //!   bit-widths (the costly per-timestep spike format GoSPA-style
 //!   baselines pay for);
-//! * [`prefix_sum`] — functional + latency models of the fast and laggy
-//!   prefix-sum circuits;
 //! * [`spmspm`] — golden spMspM references in IP/OP/Gustavson loop orders,
 //!   the correctness oracle for every accelerator model in the workspace.
 //!
@@ -45,7 +43,6 @@ mod error;
 mod fiber;
 mod matrix;
 mod packed;
-pub mod prefix_sum;
 pub mod spmspm;
 
 pub use bitmask::{chunked_and_counts, Bitmask, ChunkedAndCounts, Ones};
@@ -54,4 +51,3 @@ pub use error::SparseError;
 pub use fiber::{Fiber, SpikeFiber, WeightFiber, POINTER_BITS};
 pub use matrix::{BitMatrix, DenseMatrix};
 pub use packed::{PackedSpikes, MAX_TIMESTEPS};
-pub use prefix_sum::{FastPrefixSum, InvertedPrefixSum, LaggyPrefixSum, PrefixSumCircuit};

@@ -70,50 +70,6 @@ impl PackedSpikes {
         })
     }
 
-    /// Packs a slice of per-timestep spikes (index = timestep).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SparseError::TimestepOverflow`] when the slice is longer
-    /// than [`MAX_TIMESTEPS`].
-    pub fn from_slice(spikes: &[bool]) -> Result<Self, SparseError> {
-        let mut bits: u16 = 0;
-        if spikes.len() > MAX_TIMESTEPS {
-            return Err(SparseError::TimestepOverflow {
-                timesteps: spikes.len(),
-                max: MAX_TIMESTEPS,
-            });
-        }
-        for (t, &s) in spikes.iter().enumerate() {
-            if s {
-                bits |= 1 << t;
-            }
-        }
-        Self::from_bits(bits, spikes.len())
-    }
-
-    /// A word that fires at every timestep — what the pseudo-accumulator of
-    /// the FTP-friendly inner-join optimistically presumes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SparseError::TimestepOverflow`] when `timesteps` exceeds
-    /// [`MAX_TIMESTEPS`].
-    pub fn all_ones(timesteps: usize) -> Result<Self, SparseError> {
-        if timesteps > MAX_TIMESTEPS {
-            return Err(SparseError::TimestepOverflow {
-                timesteps,
-                max: MAX_TIMESTEPS,
-            });
-        }
-        let bits = if timesteps == MAX_TIMESTEPS {
-            u16::MAX
-        } else {
-            (1u16 << timesteps) - 1
-        };
-        Self::from_bits(bits, timesteps)
-    }
-
     /// Raw packed bits (bit `t` = spike at timestep `t`).
     pub fn bits(&self) -> u16 {
         self.bits
@@ -215,9 +171,8 @@ mod tests {
 
     #[test]
     fn pack_unpack_roundtrip() {
-        let spikes = [true, false, true, false];
-        let word = PackedSpikes::from_slice(&spikes).unwrap();
-        assert_eq!(word.to_vec(), spikes);
+        let word = PackedSpikes::from_bits(0b0101, 4).unwrap();
+        assert_eq!(word.to_vec(), [true, false, true, false]);
         assert_eq!(word.fire_count(), 2);
     }
 
@@ -242,7 +197,7 @@ mod tests {
 
     #[test]
     fn all_ones_detection() {
-        let word = PackedSpikes::all_ones(4).unwrap();
+        let word = PackedSpikes::from_bits(0b1111, 4).unwrap();
         assert!(word.is_all_ones());
         assert_eq!(word.bits(), 0b1111);
         let partial = PackedSpikes::from_bits(0b0111, 4).unwrap();
@@ -255,7 +210,7 @@ mod tests {
             PackedSpikes::from_bits(0, 17),
             Err(SparseError::TimestepOverflow { .. })
         ));
-        assert!(PackedSpikes::all_ones(16).unwrap().is_all_ones());
+        assert!(PackedSpikes::from_bits(u16::MAX, 16).unwrap().is_all_ones());
     }
 
     #[test]

@@ -190,43 +190,6 @@ pub fn gustavson(
     Ok(out)
 }
 
-/// ANN GEMM reference for the Fig. 18 comparison: `O = A · B` with 8-bit
-/// unsigned activations and 8-bit signed weights.
-///
-/// # Errors
-///
-/// Returns [`SparseError::DimensionMismatch`] when `A.cols != B.rows`.
-pub fn ann_matmul(
-    activations: &DenseMatrix<u8>,
-    weights: &DenseMatrix<i8>,
-) -> Result<DenseMatrix<i32>, SparseError> {
-    if activations.cols() != weights.rows() {
-        return Err(SparseError::DimensionMismatch {
-            dimension: "K",
-            left: activations.cols(),
-            right: weights.rows(),
-        });
-    }
-    let (m, k, n) = (activations.rows(), activations.cols(), weights.cols());
-    let mut out = DenseMatrix::zeros(m, n);
-    for mi in 0..m {
-        for ki in 0..k {
-            let a = *activations.get(mi, ki) as i32;
-            if a == 0 {
-                continue;
-            }
-            for ni in 0..n {
-                let w = *weights.get(ki, ni) as i32;
-                if w != 0 {
-                    let cur = *out.get(mi, ni);
-                    out.set(mi, ni, cur + a * w);
-                }
-            }
-        }
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -283,17 +246,5 @@ mod tests {
         let weights = DenseMatrix::from_vec(3, 2, vec![0i8; 6]).unwrap();
         let o = dense_reference(&[], &weights).unwrap();
         assert!(o.is_empty());
-    }
-
-    #[test]
-    fn ann_matmul_reference() {
-        let a = DenseMatrix::from_vec(2, 2, vec![1u8, 0, 2, 3]).unwrap();
-        let b = DenseMatrix::from_vec(2, 2, vec![1i8, -1, 4, 0]).unwrap();
-        let o = ann_matmul(&a, &b).unwrap();
-        assert_eq!(*o.get(0, 0), 1);
-        assert_eq!(*o.get(0, 1), -1);
-        assert_eq!(*o.get(1, 0), 2 + 12);
-        assert_eq!(*o.get(1, 1), -2);
-        assert!(ann_matmul(&a, &DenseMatrix::<i8>::zeros(3, 2)).is_err());
     }
 }

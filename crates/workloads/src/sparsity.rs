@@ -213,19 +213,6 @@ impl FiringModel {
         self.bernoulli_p
     }
 
-    /// Expected spike density implied by the model (sanity check: equals the
-    /// profile's `1 − origin` when solvable).
-    pub fn expected_density(&self) -> f64 {
-        let a = 1.0 - self.silent_p - self.once_p;
-        let mean_active: f64 = self
-            .active_count_pmf
-            .iter()
-            .enumerate()
-            .map(|(i, &p)| (i as f64 + 2.0) * p)
-            .sum();
-        (self.once_p + a * mean_active) / self.timesteps as f64
-    }
-
     /// The spike-count sampler of this model, on 53-bit unit draws.
     pub(crate) fn count_sampler(&self) -> CountSampler {
         let mut active = [0; MAX_TIMESTEPS - 1];
@@ -483,6 +470,19 @@ mod tests {
         ]
     }
 
+    /// Spike density implied by a solved model: equals the profile's
+    /// `1 − origin` when solvable.
+    fn expected_density(model: &FiringModel) -> f64 {
+        let a = 1.0 - model.silent_p - model.once_p;
+        let mean_active: f64 = model
+            .active_count_pmf
+            .iter()
+            .enumerate()
+            .map(|(i, &p)| (i as f64 + 2.0) * p)
+            .sum();
+        (model.once_p + a * mean_active) / model.timesteps as f64
+    }
+
     #[test]
     fn all_table2_profiles_are_solvable_at_t4() {
         for (name, profile) in table2_profiles() {
@@ -490,9 +490,9 @@ mod tests {
                 panic!("profile {name} should be solvable: {e}");
             });
             assert!(
-                (model.expected_density() - profile.spike_density()).abs() < 1e-6,
+                (expected_density(&model) - profile.spike_density()).abs() < 1e-6,
                 "{name}: model density {} vs target {}",
-                model.expected_density(),
+                expected_density(&model),
                 profile.spike_density()
             );
         }

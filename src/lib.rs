@@ -3,11 +3,11 @@
 //!
 //! This facade crate re-exports the whole workspace:
 //!
-//! * [`sparse`] — bitmasks, packed spike words, fibers, CSR, prefix-sum
-//!   circuit models, golden spMspM;
+//! * [`sparse`] — bitmasks, packed spike words, fibers, CSR, golden
+//!   spMspM;
 //! * [`snn`] — LIF dynamics, spike tensors, layers/networks (golden
 //!   functional models), direct encoding, the fine-tuned preprocessing;
-//! * [`sim`] — the cycle-level modeling substrate (HBM, FiberCache, FIFOs,
+//! * [`sim`] — the cycle-level modeling substrate (HBM, FiberCache,
 //!   crossbars, energy/area);
 //! * [`workloads`] — Table II sparsity calibration and the
 //!   AlexNet/VGG16/ResNet19/SpikeTransformer workload generators;

@@ -1,7 +1,6 @@
 //! Cross-crate functional equivalence: every datapath in the workspace must
 //! produce bit-identical results to the golden SNN model.
 
-use loas::core::dataflow;
 use loas::sparse::spmspm;
 use loas::workloads::networks::profiles;
 use loas::{
@@ -32,16 +31,6 @@ fn all_spmspm_orders_agree_on_generated_workloads() {
             dense
         );
     }
-}
-
-#[test]
-fn ftp_executor_matches_golden_layer() {
-    let w = workload(7, LayerShape::new(4, 8, 16, 64), &profiles::resnet19());
-    let golden = w.golden_layer().forward(&w.spikes).unwrap();
-    let ftp = dataflow::ftp_execute(&w.spikes, &w.weights, w.lif).unwrap();
-    assert_eq!(ftp.spikes, golden.spikes);
-    assert_eq!(ftp.psums, golden.psums);
-    assert_eq!(ftp.membranes, golden.membranes);
 }
 
 #[test]
