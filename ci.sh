@@ -23,7 +23,10 @@
 # on a >20% regression in kernel pairs/s or end-to-end wall time, and
 # requires the PR 5 record's >=1.3x end-to-end gain), and short perfbench
 # cold-grid, warm-replay and config-sweep runs of the build under test
-# that must report "correct": true.
+# that must report "correct": true. Every cargo call that resolves
+# dependencies runs with --locked, so a change that would rewrite
+# Cargo.lock or perfbench/Cargo.lock fails here instead of editing the
+# lock in place.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -31,16 +34,16 @@ echo "== cargo fmt --check"
 cargo fmt --all --check
 
 echo "== cargo clippy (whole workspace, all targets, deny warnings)"
-cargo clippy --workspace --all-targets -- -D warnings
+cargo clippy --locked --workspace --all-targets -- -D warnings
 
 echo "== cargo doc (whole workspace, deny warnings)"
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
+RUSTDOCFLAGS="-D warnings" cargo doc --locked --no-deps --workspace
 
-echo "== cargo build --release"
-cargo build --release
+echo "== cargo build --release --locked"
+cargo build --release --locked
 
-echo "== cargo test -q"
-cargo test -q
+echo "== cargo test -q --locked"
+cargo test -q --locked
 
 echo "== loas-serve smoke test (2 shard processes vs 1 process, then warm replay)"
 SERVE=target/release/loas-serve
@@ -208,9 +211,9 @@ echo "== examples (each must run to exit 0)"
 # break in one fails here. The design-space walk must find FTP, and only
 # FTP, meeting all three Section III goals.
 for example in quickstart dual_sparse_layer accelerator_comparison full_network campaign; do
-  cargo run --release --quiet --example "$example" > /dev/null
+  cargo run --release --locked --quiet --example "$example" > /dev/null
 done
-cargo run --release --quiet --example dataflow_explorer > "$SMOKE/dataflow.out"
+cargo run --release --locked --quiet --example dataflow_explorer > "$SMOKE/dataflow.out"
 test "$(grep -c 'FTP (all goals met)' "$SMOKE/dataflow.out")" = 1
 
 echo "== bench trajectory gate (committed BENCH_PR5.json vs BENCH_PR3.json)"
@@ -235,21 +238,21 @@ echo "== benchmark smoke (perfbench cold-grid, pinned full-size digests)"
 # A short cold-grid run of the repository benchmark: it checks every
 # served report against its layer walk and the walk against the digests
 # pinned in perfbench/pins.txt, and reports "correct": false otherwise.
-cargo run --release --quiet --manifest-path perfbench/Cargo.toml -- \
+cargo run --release --locked --quiet --manifest-path perfbench/Cargo.toml -- \
   --workload cold-grid --seed 1 --seconds 3 --trace 0 | tail -1 | tee "$SMOKE/perfbench.out"
 grep -q '"correct": true' "$SMOKE/perfbench.out"
 
 echo "== benchmark smoke (perfbench warm-replay, memo hits through the spec parser)"
 # The fig13 grid resubmitted to a warm memo store: every job is a memo
 # hit, so the run is spec parsing and serving, checked the same way.
-cargo run --release --quiet --manifest-path perfbench/Cargo.toml -- \
+cargo run --release --locked --quiet --manifest-path perfbench/Cargo.toml -- \
   --workload warm-replay --seed 1 --seconds 3 --trace 0 | tail -1 | tee "$SMOKE/perfbench-warm.out"
 grep -q '"correct": true' "$SMOKE/perfbench-warm.out"
 
 echo "== benchmark smoke (perfbench config-sweep, memoized LoAS phases)"
 # The repository's design sweeps on shared prepared layers: most LoAS jobs
 # reuse a memoized pair sweep or traffic replay, checked the same way.
-cargo run --release --quiet --manifest-path perfbench/Cargo.toml -- \
+cargo run --release --locked --quiet --manifest-path perfbench/Cargo.toml -- \
   --workload config-sweep --seed 1 --seconds 3 --trace 0 | tail -1 | tee "$SMOKE/perfbench-sweep.out"
 grep -q '"correct": true' "$SMOKE/perfbench-sweep.out"
 

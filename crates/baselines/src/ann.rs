@@ -4,11 +4,12 @@
 //! (no timesteps).
 
 use crate::common::BASELINE_ROOFLINE;
-use loas_core::kernel::{PairSweepKernel, RowBlocks, SweepMode};
-use loas_core::{weight_views, LayerReport, Machine};
+use loas_core::kernel::{mask_words, PairSweepKernel, SweepMode};
+use loas_core::{row_nnz, LayerReport, Machine};
 use loas_sim::{SramCache, TrafficClass};
-use loas_sparse::{Bitmask, WeightFiber, POINTER_BITS};
+use loas_sparse::{Fiber, WeightFiber, POINTER_BITS};
 use loas_workloads::AnnWorkload;
+use std::sync::Arc;
 
 /// Precomputed compressed views of an ANN workload.
 #[derive(Debug, Clone)]
@@ -17,37 +18,27 @@ pub struct AnnPrepared {
     pub name: String,
     /// `M`, `K`, `N` (with `t = 1`).
     pub shape: loas_workloads::LayerShape,
-    /// Non-zero bitmask of each activation row.
-    pub a_row_masks: Vec<Bitmask>,
+    /// Compressed activation rows: the workload's `activations`, shared.
+    pub a_fibers: Arc<[Fiber<u8>]>,
     /// Non-zero activation count.
     pub a_nnz: usize,
-    /// Compressed weight columns.
-    pub b_fibers: Vec<WeightFiber>,
+    /// Compressed weight columns: the workload's `weights`, shared.
+    pub b_fibers: Arc<[WeightFiber]>,
     /// Per-row non-zero weight counts (for Gustavson).
     pub b_row_nnz: Vec<usize>,
-    /// Structure-of-arrays layout of the activation row masks, consumed by
-    /// the pair-intersection kernel.
-    pub row_blocks: RowBlocks,
 }
 
 impl AnnPrepared {
     /// Prepares all compressed views of an ANN workload.
     pub fn new(workload: &AnnWorkload) -> Self {
         let shape = workload.shape;
-        let a_row_masks: Vec<Bitmask> = (0..shape.m)
-            .map(|m| Bitmask::from_bools(workload.activations.row(m).iter().map(|&v| v != 0)))
-            .collect();
-        let a_nnz = a_row_masks.iter().map(Bitmask::popcount).sum();
-        let (b_fibers, b_row_nnz) = weight_views(&workload.weights);
-        let row_blocks = RowBlocks::from_masks(&a_row_masks);
         AnnPrepared {
             name: workload.name.clone(),
             shape,
-            a_row_masks,
-            a_nnz,
-            b_fibers,
-            b_row_nnz,
-            row_blocks,
+            a_fibers: Arc::clone(&workload.activations),
+            a_nnz: workload.activations.iter().map(Fiber::nnz).sum(),
+            b_fibers: Arc::clone(&workload.weights),
+            b_row_nnz: row_nnz(&workload.weights, shape.k),
         }
     }
 }
@@ -64,14 +55,10 @@ pub fn run_sparten_ann(prepared: &AnnPrepared) -> LayerReport {
     // Pure phase: one kernel pass over the layer. The per-pair sums (MACs,
     // prefix-sum activity, matched value fetches) are linear, so the
     // layer totals fold exactly; only the per-tile peak is not.
-    let b_words: Vec<&[u64]> = prepared
-        .b_fibers
-        .iter()
-        .map(|fiber| fiber.bitmask().words())
-        .collect();
     let sweep = PairSweepKernel::new(128, None).sweep_layer(
-        &prepared.row_blocks,
-        &b_words,
+        &mask_words(&prepared.a_fibers),
+        &[],
+        &mask_words(&prepared.b_fibers),
         SweepMode::TemporalParallel,
         1,
     );
@@ -148,7 +135,7 @@ pub fn run_gamma_ann(prepared: &AnnPrepared) -> LayerReport {
         let mut worst = 0u64;
         for m in rows {
             let mut row_cycles = 0u64;
-            for k in prepared.a_row_masks[m].iter_ones() {
+            for k in prepared.a_fibers[m].bitmask().iter_ones() {
                 let nnz_b = prepared.b_row_nnz[k] as u64;
                 row_cycles += nnz_b.max(1);
                 machine.stats.ops.macs += nnz_b;
@@ -188,7 +175,7 @@ mod tests {
     #[test]
     fn prepared_counts_consistent() {
         let p = prepared();
-        assert_eq!(p.a_row_masks.len(), 32);
+        assert_eq!(p.a_fibers.len(), 32);
         let row_total: usize = p.b_row_nnz.iter().sum();
         let col_total: usize = p.b_fibers.iter().map(WeightFiber::nnz).sum();
         assert_eq!(row_total, col_total);
@@ -233,13 +220,14 @@ mod tests {
                     .cache
                     .read_untagged(TrafficClass::Format, shape.k.div_ceil(8) as u64);
             }
-            for fiber_b in &prepared.b_fibers {
+            for fiber_b in prepared.b_fibers.iter() {
                 machine
                     .cache
                     .read_untagged(TrafficClass::Format, shape.k.div_ceil(8) as u64);
                 let mut worst = 0u64;
                 for m in rows.clone() {
-                    let matches = prepared.a_row_masks[m]
+                    let matches = prepared.a_fibers[m]
+                        .bitmask()
                         .and_count(fiber_b.bitmask())
                         .expect("equal K") as u64;
                     worst = worst.max(chunks + matches + 1);

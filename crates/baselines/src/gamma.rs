@@ -410,9 +410,9 @@ pub(crate) fn catalog_entry() -> loas_core::ModelEntry {
 mod tests {
     use super::*;
     use loas_core::Loas;
+    use loas_sparse::WeightFiber;
     use loas_workloads::{LayerShape, SparsityProfile, WorkloadGenerator};
     use proptest::prelude::*;
-    use std::sync::Arc;
 
     fn layer() -> PreparedLayer {
         let profile = SparsityProfile::from_percentages(70.0, 60.0, 66.0, 96.0).unwrap();
@@ -594,10 +594,8 @@ mod tests {
         let mut workload = WorkloadGenerator::default()
             .generate("boundary", LayerShape::new(4, 2, 4, 2), &profile)
             .unwrap();
+        workload.weights = vec![WeightFiber::from_weights(&[1, 1]); 4].into();
         for k in 0..2 {
-            for n in 0..4 {
-                Arc::make_mut(&mut workload.weights).set(k, n, 1);
-            }
             for m in 0..2 {
                 for t in 0..4 {
                     workload.spikes.set(m, k, t, false);

@@ -60,7 +60,10 @@ pub fn run(ctx: &mut Context) -> Vec<Table> {
         });
         t.push_row(name, row);
     }
-    t.push_note("paper: ~4x more psum traffic at T=4 than T=1 on average");
+    use super::reference::fig05::*;
+    t.push_note(format!(
+        "paper: ~{PSUM_TRAFFIC_T4_OVER_T1:.0}x more psum traffic at T=4 than T=1 on average"
+    ));
     vec![t]
 }
 

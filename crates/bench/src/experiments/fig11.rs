@@ -24,7 +24,9 @@ pub fn run(_ctx: &mut Context) -> Vec<Table> {
             points.iter().map(|(_, acc)| format!("{acc:.2}")).collect(),
         );
     }
-    t.push_note("synthetic recovery model (no trained checkpoints offline): masking costs 1.5-2 points, fine-tuning recovers within ~5 epochs, as the paper reports");
+    use super::reference::fig11::*;
+    let (drop_low, drop_high) = MASK_ACCURACY_DROP;
+    t.push_note(format!("synthetic recovery model (no trained checkpoints offline): masking costs {drop_low}-{drop_high} points, fine-tuning recovers within ~{RECOVERY_EPOCHS} epochs, as the paper reports"));
     vec![t]
 }
 

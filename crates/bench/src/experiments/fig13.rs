@@ -52,7 +52,11 @@ pub fn run(ctx: &mut Context) -> Vec<Table> {
         onchip.push_row(spec.name.clone(), on_cells);
         ratios.push_row(spec.name.clone(), ratio_cells);
     }
-    ratios.push_note("paper (SRAM/DRAM vs LoAS): SparTen 3.93/3.70, 3.57/2.22, 4.07/2.24; GoSPA 2.87/4.49, 2.19/2.78, 2.98/3.03; Gamma mean SRAM 13.4x, DRAM 2.16/1.76/1.91");
+    use super::reference::fig13::*;
+    let pairs = |pairs: [(f64, f64); 3]| pairs.map(|(s, d)| format!("{s:.2}/{d:.2}")).join(", ");
+    let (sparten, gospa) = (pairs(SPARTEN_OVER_LOAS), pairs(GOSPA_OVER_LOAS));
+    let [gamma_a, gamma_v, gamma_r] = GAMMA_DRAM_OVER_LOAS;
+    ratios.push_note(format!("paper (SRAM/DRAM vs LoAS): SparTen {sparten}; GoSPA {gospa}; Gamma mean SRAM {GAMMA_MEAN_SRAM_OVER_LOAS:.1}x, DRAM {gamma_a:.2}/{gamma_v:.2}/{gamma_r:.2}"));
     vec![offchip, onchip, ratios]
 }
 

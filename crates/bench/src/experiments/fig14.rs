@@ -16,6 +16,7 @@ const DESIGNS: [Design; 4] = [Design::SparTen, Design::Gospa, Design::Gamma, Des
 
 /// Regenerates Fig. 14 on A-L4 / V-L8 / R-L19.
 pub fn run(ctx: &mut Context) -> Vec<Table> {
+    use super::reference::fig14::*;
     let layer_specs: Vec<_> = networks::selected_layers()
         .iter()
         .take(3)
@@ -87,10 +88,10 @@ pub fn run(ctx: &mut Context) -> Vec<Table> {
                 cells[1] = num(rate / loas_miss.max(1e-9));
             }
         }
-        t.push_note("paper: SparTen-SNN largest input traffic (dense spikes); GoSPA-SNN largest psum and format traffic; LoAS format ~2.1x SparTen's (extra non-silent bitmasks)");
+        t.push_note(format!("paper: SparTen-SNN largest input traffic (dense spikes); GoSPA-SNN largest psum and format traffic; LoAS format ~{LOAS_FORMAT_OVER_SPARTEN:.1}x SparTen's (extra non-silent bitmasks)"));
         tables.push(t);
     }
-    miss.push_note("paper: SparTen-SNN 16x the LoAS miss rate (1.47%); GoSPA lowest (output-stationary). Absolute rates depend on access-granularity conventions: here every cache line an access spans counts");
+    miss.push_note(format!("paper: SparTen-SNN {SPARTEN_MISS_RATE_RATIO:.0}x the LoAS miss rate ({LOAS_MISS_RATE_PCT:.2}%); GoSPA lowest (output-stationary). Absolute rates depend on access-granularity conventions: here every cache line an access spans counts"));
     tables.push(miss);
     tables
 }

@@ -44,7 +44,10 @@ pub fn run(ctx: &mut Context) -> Vec<Table> {
             ],
         );
     }
-    a.push_note("paper shares: area 12.5/22.2/36.3 %, power 8.4/15.5/26.8 %; growth T=16 vs T=4: 1.37x area, 1.25x power");
+    use super::reference::fig16::*;
+    let [area_4, area_8, area_16] = AREA_SHARES_PCT;
+    let [power_4, power_8, power_16] = POWER_SHARES_PCT;
+    a.push_note(format!("paper shares: area {area_4}/{area_8}/{area_16} %, power {power_4}/{power_8}/{power_16} %; growth T=16 vs T=4: {AREA_GROWTH_16_OVER_4:.2}x area, {POWER_GROWTH_16_OVER_4:.2}x power"));
 
     let temporal =
         TemporalScalingModel::fit(&profiles::vgg16(), 4, TemporalScalingModel::DEFAULT_ALPHA)

@@ -110,8 +110,9 @@ pub fn run(ctx: &mut Context) -> Vec<Table> {
             vec![format!("{cycles:.0}"), num(high_cycles / cycles)],
         );
     }
-    sparsity_panel
-        .push_note("paper: scaling B sparsity from 98.2% to 25% cuts performance by ~88%");
+    use super::reference::fig17::*;
+    let (high, low) = (sparsity_points[0].1, sparsity_points[2].1);
+    sparsity_panel.push_note(format!("paper: scaling B sparsity from {high}% to {low}% cuts performance by ~{LOW_SPARSITY_PERF_DROP_PCT}%"));
 
     // ---- Panel 2 table.
     let mut t_panel = Table::new(
@@ -124,7 +125,9 @@ pub fn run(ctx: &mut Context) -> Vec<Table> {
         .map(|record| record.report.stats.cycles.get())
         .sum::<u64>() as f64;
     t_panel.push_row("T=8", vec![format!("{t8:.0}"), ratio(t4 / t8)]);
-    t_panel.push_note("paper: doubling timesteps loses only ~14% performance (FTP scales)");
+    t_panel.push_note(format!(
+        "paper: doubling timesteps loses only ~{DOUBLE_T_PERF_LOSS_PCT}% performance (FTP scales)"
+    ));
 
     // ---- Panel 3 table.
     let mut size_panel = Table::new(

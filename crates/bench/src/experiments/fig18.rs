@@ -85,7 +85,8 @@ pub fn run(ctx: &mut Context) -> Vec<Table> {
             ],
         );
     }
-    t.push_note("paper: LoAS ~2.5x / ~1.2x more energy-efficient than SparTen-ANN / Gamma-ANN; ~60% less traffic than SparTen-ANN; Gamma-ANN trades 3.5x SRAM for lower DRAM; ~60% of energy is data movement for both");
+    use super::reference::fig18::*;
+    t.push_note(format!("paper: LoAS ~{ENERGY_VS_SPARTEN_ANN:.1}x / ~{ENERGY_VS_GAMMA_ANN:.1}x more energy-efficient than SparTen-ANN / Gamma-ANN; ~{TRAFFIC_REDUCTION_VS_SPARTEN_PCT}% less traffic than SparTen-ANN; Gamma-ANN trades {GAMMA_ANN_SRAM_OVER_LOAS:.1}x SRAM for lower DRAM; ~{DATA_MOVEMENT_PCT}% of energy is data movement for both"));
     vec![t]
 }
 

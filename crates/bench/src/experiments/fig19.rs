@@ -35,7 +35,9 @@ pub fn run(ctx: &mut Context) -> Vec<Table> {
             ],
         );
     }
-    t.push_note("paper: 46.9x speedup / ~6x energy / 3x DRAM / 12.5x SRAM vs PTB; 7.1x speedup / ~2.5x energy / 2.7x DRAM / 6.6x SRAM vs Stellar; Stellar beats PTB everywhere");
+    use super::reference::fig19::*;
+    let ((ptb_dram, ptb_sram), (stellar_dram, stellar_sram)) = (TRAFFIC_VS_PTB, TRAFFIC_VS_STELLAR);
+    t.push_note(format!("paper: {SPEEDUP_VS_PTB:.1}x speedup / ~{ENERGY_VS_PTB}x energy / {ptb_dram}x DRAM / {ptb_sram:.1}x SRAM vs PTB; {SPEEDUP_VS_STELLAR:.1}x speedup / ~{ENERGY_VS_STELLAR:.1}x energy / {stellar_dram:.1}x DRAM / {stellar_sram:.1}x SRAM vs Stellar; Stellar beats PTB everywhere"));
     vec![t]
 }
 

@@ -1,6 +1,21 @@
 //! The paper's published values, kept next to the measured results so every
 //! table the harness prints can show `paper vs measured` side by side from
-//! one source of truth.
+//! one source of truth: each `paper:` note formats its numbers from these
+//! constants, and a constant no note or test reads does not belong here.
+
+/// Fig. 5 — partial-sum traffic of sequential timesteps.
+pub mod fig05 {
+    /// Mean psum-traffic growth at T = 4 over T = 1.
+    pub const PSUM_TRAFFIC_T4_OVER_T1: f64 = 4.0;
+}
+
+/// Fig. 11 — accuracy of the fine-tuned preprocessing.
+pub mod fig11 {
+    /// Accuracy points lost to masking (low, high).
+    pub const MASK_ACCURACY_DROP: (f64, f64) = (1.5, 2.0);
+    /// Fine-tuning epochs to recover the accuracy.
+    pub const RECOVERY_EPOCHS: usize = 5;
+}
 
 /// Fig. 12 — network-level speedup of LoAS(FT) over the three spMspM
 /// baselines, as stated in Section VI-A: averages 6.79x / 5.99x / 3.25x
@@ -17,8 +32,6 @@ pub mod fig12 {
     pub const VGG16_VS_SPARTEN: f64 = 4.08;
     /// Speedup vs SparTen-SNN on ResNet19 (the maximum).
     pub const RESNET19_VS_SPARTEN: f64 = 8.51;
-    /// Average extra speedup from fine-tuned preprocessing.
-    pub const FT_EXTRA_SPEEDUP: f64 = 1.20;
     /// Energy-efficiency gains (AlexNet, VGG16, ResNet19) over
     /// (SparTen-SNN, GoSPA-SNN, Gamma-SNN).
     pub const ENERGY_GAINS: [[f64; 3]; 3] =
@@ -41,8 +54,10 @@ pub mod fig13 {
 /// Fig. 14 — SRAM miss-rate ratio (SparTen-SNN vs LoAS on the ResNet19
 /// layer) and format-traffic ratio (LoAS vs SparTen-SNN).
 pub mod fig14 {
-    /// SparTen-SNN's normalized miss rate vs LoAS (16x, at 1.47%).
+    /// SparTen-SNN's normalized miss rate vs LoAS.
     pub const SPARTEN_MISS_RATE_RATIO: f64 = 16.0;
+    /// LoAS's miss rate, the base of that ratio (%).
+    pub const LOAS_MISS_RATE_PCT: f64 = 1.47;
     /// LoAS's compressed-format off-chip traffic vs SparTen-SNN.
     pub const LOAS_FORMAT_OVER_SPARTEN: f64 = 2.1;
 }
@@ -53,18 +68,22 @@ pub mod table4 {
     pub const TOTAL_AREA_MM2: f64 = 2.08;
     /// Total power.
     pub const TOTAL_POWER_MW: f64 = 188.9;
-    /// Global-cache share of system power.
-    pub const CACHE_POWER_SHARE: f64 = 0.659;
-    /// Fast prefix-sum share of TPPE power.
-    pub const FAST_PREFIX_POWER_SHARE: f64 = 0.518;
+    /// Global-cache share of system power (%).
+    pub const CACHE_POWER_PCT: f64 = 65.9;
+    /// TPPE share of system power (%).
+    pub const TPPE_POWER_PCT: f64 = 23.9;
+    /// Fast prefix-sum share of TPPE power (%).
+    pub const FAST_PREFIX_POWER_PCT: f64 = 51.8;
+    /// Laggy prefix-sum share of TPPE power (%).
+    pub const LAGGY_PREFIX_POWER_PCT: f64 = 11.4;
 }
 
 /// Fig. 16(a) — TPPE scaling with timesteps.
 pub mod fig16 {
-    /// T-dependent area shares at T = 4, 8, 16.
-    pub const AREA_SHARES: [f64; 3] = [0.125, 0.222, 0.363];
-    /// T-dependent power shares at T = 4, 8, 16.
-    pub const POWER_SHARES: [f64; 3] = [0.084, 0.155, 0.268];
+    /// T-dependent area shares at T = 4, 8, 16 (%).
+    pub const AREA_SHARES_PCT: [f64; 3] = [12.5, 22.2, 36.3];
+    /// T-dependent power shares at T = 4, 8, 16 (%).
+    pub const POWER_SHARES_PCT: [f64; 3] = [8.4, 15.5, 26.8];
     /// Area growth T=16 over T=4.
     pub const AREA_GROWTH_16_OVER_4: f64 = 1.37;
     /// Power growth T=16 over T=4.
@@ -73,10 +92,10 @@ pub mod fig16 {
 
 /// Fig. 17 — scalability statements.
 pub mod fig17 {
-    /// Performance drop scaling B sparsity from 98.2% to 25%.
-    pub const LOW_SPARSITY_PERF_DROP: f64 = 0.88;
-    /// Performance loss doubling timesteps (4 -> 8).
-    pub const DOUBLE_T_PERF_LOSS: f64 = 0.14;
+    /// Performance drop scaling B sparsity from 98.2% to 25% (%).
+    pub const LOW_SPARSITY_PERF_DROP_PCT: f64 = 88.0;
+    /// Performance loss doubling timesteps, 4 -> 8 (%).
+    pub const DOUBLE_T_PERF_LOSS_PCT: f64 = 14.0;
 }
 
 /// Fig. 18 — dual-sparse SNN (LoAS) vs dual-sparse ANN.
@@ -85,12 +104,12 @@ pub mod fig18 {
     pub const ENERGY_VS_SPARTEN_ANN: f64 = 2.5;
     /// Energy-efficiency gain over Gamma-ANN.
     pub const ENERGY_VS_GAMMA_ANN: f64 = 1.2;
-    /// SNN memory-traffic reduction vs SparTen-ANN.
-    pub const TRAFFIC_REDUCTION_VS_SPARTEN: f64 = 0.60;
+    /// SNN memory-traffic reduction vs SparTen-ANN (%).
+    pub const TRAFFIC_REDUCTION_VS_SPARTEN_PCT: f64 = 60.0;
     /// Gamma-ANN SRAM amplification vs LoAS.
     pub const GAMMA_ANN_SRAM_OVER_LOAS: f64 = 3.5;
-    /// Data-movement share of energy for both networks.
-    pub const DATA_MOVEMENT_SHARE: f64 = 0.60;
+    /// Data-movement share of energy for both networks (%).
+    pub const DATA_MOVEMENT_PCT: f64 = 60.0;
 }
 
 /// Fig. 19 — dual-sparse LoAS vs dense SNN accelerators on VGG16.

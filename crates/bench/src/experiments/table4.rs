@@ -25,10 +25,9 @@ pub fn run(_ctx: &mut Context) -> Vec<Table> {
             format!("{:.1}", system.total_power_mw()),
         ],
     );
+    use super::reference::table4::*;
     sys.push_note(format!(
-        "paper totals: {:.2} mm2, {:.1} mW",
-        super::reference::table4::TOTAL_AREA_MM2,
-        super::reference::table4::TOTAL_POWER_MW
+        "paper totals: {TOTAL_AREA_MM2:.2} mm2, {TOTAL_POWER_MW:.1} mW"
     ));
 
     let tppe = model.tppe_table();
@@ -70,7 +69,7 @@ pub fn run(_ctx: &mut Context) -> Vec<Table> {
         "Laggy prefix-sum (TPPE)",
         vec![pct(tppe.power_share("Laggy Prefix").unwrap() * 100.0)],
     );
-    fig15.push_note("paper: cache 65.9%, TPPEs 23.9%; fast prefix 51.8%, laggy 11.4%");
+    fig15.push_note(format!("paper: cache {CACHE_POWER_PCT}%, TPPEs {TPPE_POWER_PCT}%; fast prefix {FAST_PREFIX_POWER_PCT}%, laggy {LAGGY_PREFIX_POWER_PCT}%"));
     vec![sys, pe, fig15]
 }
 

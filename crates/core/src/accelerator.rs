@@ -13,15 +13,15 @@
 //!
 //! `run_layer` runs in two phases. The **pure compute phase** hands the
 //! whole pair-intersection sweep to the [`crate::kernel`] module: a
-//! [`PairSweepKernel`] streams every row pair through the workload's
-//! precomputed [`RowBlocks`] structure-of-arrays layout (with fiber-B
-//! words hoisted), optionally fanned out across row blocks on scoped
-//! worker threads. The sweep does not depend on the TPPE count: the
-//! **sequential traffic phase** applies the tile height, taking each
-//! tile's broadcast barrier from the per-pair drains, and replays the
-//! memory system along the layer's precomputed [`TrafficSpans`]. It first
-//! builds the replay's [`Footprint`], the shared no-eviction decision's
-//! input (Gamma-SNN builds one too):
+//! [`PairSweepKernel`] streams every fiber-B's mask words over each row's
+//! `bm-A`, read from the row's fiber (the sequential-timestep ablation
+//! also reads the spike tensor's plane rows), optionally fanned out
+//! across row blocks on scoped worker threads. The sweep does not depend
+//! on the TPPE count: the **sequential traffic phase** applies the tile
+//! height, taking each tile's broadcast barrier from the per-pair drains,
+//! and replays the memory system along the layer's precomputed
+//! [`TrafficSpans`]. It first builds the replay's [`Footprint`], the
+//! shared no-eviction decision's input (Gamma-SNN builds one too):
 //!
 //! * **It fits** ([`SramCache::fits_without_eviction`]). Each distinct
 //!   line misses on its first touch and hits after, so hits, misses and
@@ -59,12 +59,11 @@
 //!
 //! [`Input`]: loas_sim::TrafficClass::Input
 //! [`Format`]: loas_sim::TrafficClass::Format
-//! [`RowBlocks`]: crate::kernel::RowBlocks
 
 use crate::compressor::Compressor;
 use crate::config::LoasConfig;
 use crate::inner_join::JoinScratch;
-use crate::kernel::{fired_grand_total, LayerSweep, PairSweepKernel, SweepMode};
+use crate::kernel::{fired_grand_total, mask_words, LayerSweep, PairSweepKernel, SweepMode};
 use crate::layer_memo::MemoKey;
 use crate::machine::{Machine, Roofline};
 use crate::metrics::{Accelerator, LayerReport};
@@ -175,14 +174,10 @@ impl Loas {
     /// Phase 1 (pure compute): the pair-intersection sweep, with no
     /// memory-system state touched. It does not depend on the TPPE count.
     fn sweep_layer(&self, layer: &PreparedLayer) -> LayerSweep {
-        let b_words: Vec<&[u64]> = layer
-            .b_fibers
-            .iter()
-            .map(|fiber| fiber.bitmask().words())
-            .collect();
         self.sweep_kernel().sweep_layer(
-            &layer.row_blocks,
-            &b_words,
+            &mask_words(&layer.a_fibers),
+            layer.workload.spikes.planes(),
+            &mask_words(&layer.b_fibers),
             self.sweep_mode(),
             self.intra_workers,
         )

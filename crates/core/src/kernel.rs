@@ -6,13 +6,13 @@
 //! path, with the sequential tag-accurate cache model. This module splits
 //! that work out as a **pure compute phase**:
 //!
-//! * [`RowBlocks`] — a structure-of-arrays layout of the `A`-side data:
-//!   per row, the non-silent bitmask words followed by the `T` per-timestep
-//!   plane-row words, contiguous, so one pair sweep is a single linear pass
-//!   with no bounds-checked `get(i).copied().unwrap_or(0)` lookups;
 //! * [`PairSweepKernel`] — streams every fiber-B (words hoisted once) over
 //!   fixed blocks of rows and produces per-pair match counts plus the
-//!   per-chunk stall/laggy bookkeeping of the inner-join cycle model;
+//!   per-chunk stall/laggy bookkeeping of the inner-join cycle model. It
+//!   reads `A` where it is already held: each row's non-silent bitmask
+//!   words from its fiber (the `bm-A` a TPPE holds), and, for the
+//!   sequential-timestep ablation only, the per-timestep plane rows of the
+//!   spike tensor;
 //! * [`LayerSweep`] — the layer's result: per-pair matches and drain
 //!   cycles plus the op-count totals the traffic phase folds into
 //!   [`SimStats`]. Nothing in it depends on the TPPE count: the replay
@@ -32,122 +32,18 @@
 //! `Σ_{m,n,t} |A_t[m] ∧ B[n]| = Σ_k rowNNZ_B(k) · colSpikes_A(k)`, which
 //! [`fired_grand_total`] computes in `O(K)` from precomputed column spike
 //! counts. The sequential-timestep ablation, which needs per-timestep
-//! counts per pair for its cycle model, sweeps the plane rows of the
-//! [`RowBlocks`] layout linearly instead.
+//! counts per pair for its cycle model, sweeps the tensor's plane rows
+//! as well.
 //!
 //! [`Loas::run_layer`]: crate::Loas
 //! [`SimStats`]: loas_sim::SimStats
 
-use loas_snn::SpikeTensor;
-use loas_sparse::Bitmask;
+use loas_sparse::{BitMatrix, Fiber};
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Largest timestep count a packed spike word can carry (`u16` lanes).
 pub use loas_sparse::MAX_TIMESTEPS;
-
-/// Structure-of-arrays `A`-side data: per row, `row_words` bitmask words
-/// followed by `planes × row_words` per-timestep plane-row words, all
-/// contiguous in one allocation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RowBlocks {
-    rows: usize,
-    row_words: usize,
-    planes: usize,
-    words: Vec<u64>,
-}
-
-impl RowBlocks {
-    /// Builds the layout from a spike tensor's plane words: each row's mask
-    /// is the OR of its `T` plane rows (its non-silent neurons), followed by
-    /// copies of them. Panics when `T` exceeds [`MAX_TIMESTEPS`].
-    pub fn from_tensor(spikes: &SpikeTensor) -> Self {
-        let timesteps = spikes.timesteps();
-        assert!(
-            timesteps <= MAX_TIMESTEPS,
-            "timesteps {timesteps} exceed the packed-word limit {MAX_TIMESTEPS}"
-        );
-        let row_words = spikes.k().div_ceil(64);
-        let stride = row_words * (timesteps + 1);
-        let mut words = vec![0u64; spikes.m() * stride];
-        for m in 0..spikes.m() {
-            let (mask, planes) = words[m * stride..(m + 1) * stride].split_at_mut(row_words);
-            for (t, plane) in spikes.planes().iter().enumerate() {
-                let row = plane.row(m).words();
-                planes[t * row_words..(t + 1) * row_words].copy_from_slice(row);
-                for (w, &bits) in mask.iter_mut().zip(row) {
-                    *w |= bits;
-                }
-            }
-        }
-        RowBlocks {
-            rows: spikes.m(),
-            row_words,
-            planes: timesteps,
-            words,
-        }
-    }
-
-    /// Builds a plane-less layout (mask words only) from plain row
-    /// bitmasks — the `A` side of single-pass ANN models.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the masks have unequal lengths.
-    pub fn from_masks(masks: &[Bitmask]) -> Self {
-        let k = masks.first().map(Bitmask::len).unwrap_or(0);
-        let row_words = k.div_ceil(64);
-        let mut words = vec![0u64; masks.len() * row_words];
-        for (m, mask) in masks.iter().enumerate() {
-            assert_eq!(mask.len(), k, "row masks must share the K dimension");
-            words[m * row_words..m * row_words + mask.words().len()].copy_from_slice(mask.words());
-        }
-        RowBlocks {
-            rows: masks.len(),
-            row_words,
-            planes: 0,
-            words,
-        }
-    }
-
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Words per row of one plane (or of the mask).
-    pub fn row_words(&self) -> usize {
-        self.row_words
-    }
-
-    /// Number of per-timestep planes (0 for mask-only layouts).
-    pub fn planes(&self) -> usize {
-        self.planes
-    }
-
-    fn stride(&self) -> usize {
-        self.row_words * (self.planes + 1)
-    }
-
-    /// Mask words of row `m`.
-    pub fn mask(&self, m: usize) -> &[u64] {
-        let base = m * self.stride();
-        &self.words[base..base + self.row_words]
-    }
-
-    /// Plane-row words of row `m` at timestep `t`.
-    pub fn plane(&self, m: usize, t: usize) -> &[u64] {
-        assert!(t < self.planes, "plane {t} out of range {}", self.planes);
-        let base = m * self.stride() + (t + 1) * self.row_words;
-        &self.words[base..base + self.row_words]
-    }
-
-    /// The full contiguous block of row `m`: mask words then plane rows.
-    pub fn block(&self, m: usize) -> &[u64] {
-        let stride = self.stride();
-        &self.words[m * stride..(m + 1) * stride]
-    }
-}
 
 /// Per-pair counts from one intersection sweep, in the terms of the
 /// inner-join cycle model ([`crate::InnerJoinUnit`] semantics).
@@ -258,15 +154,17 @@ const ROW_BLOCK: usize = 32;
 /// # Examples
 ///
 /// ```
-/// use loas_core::kernel::{PairSweepKernel, RowBlocks};
+/// use loas_core::kernel::PairSweepKernel;
 /// use loas_snn::SpikeTensor;
-/// use loas_sparse::PackedSpikes;
+/// use loas_sparse::{Bitmask, PackedSpikes};
 ///
 /// let row = vec![PackedSpikes::from_bits(0b0101, 4).unwrap(); 8];
-/// let blocks = RowBlocks::from_tensor(&SpikeTensor::from_packed_rows(&[row], 4).unwrap());
+/// let a = SpikeTensor::from_packed_rows(&[row], 4).unwrap();
+/// let mask = Bitmask::ones(8); // every neuron of the row fires
+/// let planes: Vec<&[u64]> = a.planes().iter().map(|p| p.row(0).words()).collect();
 /// let kernel = PairSweepKernel::new(128, Some(8));
-/// let b = loas_sparse::Bitmask::from_indices(8, &[1, 5]).unwrap();
-/// let counts = kernel.pair_counts(&blocks, 0, b.words());
+/// let b = Bitmask::from_indices(8, &[1, 5]).unwrap();
+/// let counts = kernel.pair_counts(mask.words(), planes, b.words());
 /// assert_eq!(counts.matches, 2);
 /// assert_eq!(counts.fired, 4); // two matches firing at two timesteps each
 /// ```
@@ -343,41 +241,29 @@ impl PairSweepKernel {
     }
 
     /// Full sweep of one pair: mask counts plus the per-timestep plane
-    /// counts, in one linear pass over the row's contiguous block.
-    pub fn pair_counts(&self, blocks: &RowBlocks, m: usize, b: &[u64]) -> PairCounts {
-        #[cfg(target_arch = "x86_64")]
-        if self.popcnt {
-            // SAFETY: `popcnt` was set by the runtime feature check.
-            return unsafe { self.pair_counts_popcnt(blocks, m, b) };
-        }
-        self.pair_counts_inline(blocks, m, b)
-    }
-
-    /// [`PairSweepKernel::pair_counts`] compiled with hardware popcount.
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support `popcnt`.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "popcnt")]
-    unsafe fn pair_counts_popcnt(&self, blocks: &RowBlocks, m: usize, b: &[u64]) -> PairCounts {
-        self.pair_counts_inline(blocks, m, b)
-    }
-
+    /// counts. `mask` holds the row's non-silent bitmask words, `planes`
+    /// yields its `T` per-timestep plane-row words and `b` holds the
+    /// fiber-B words, all of the layer's `K`. `#[inline(always)]` so the
+    /// sweep's hardware-popcount wrapper compiles it again.
     #[inline(always)]
-    fn pair_counts_inline(&self, blocks: &RowBlocks, m: usize, b: &[u64]) -> PairCounts {
-        debug_assert_eq!(blocks.row_words(), b.len(), "fiber-B word count");
-        let (matches, stalls, laggy_chunks) = self.mask_counts(blocks.mask(m), b);
+    pub fn pair_counts<'a>(
+        &self,
+        mask: &[u64],
+        planes: impl IntoIterator<Item = &'a [u64]>,
+        b: &[u64],
+    ) -> PairCounts {
+        debug_assert_eq!(mask.len(), b.len(), "fiber-B word count");
+        let (matches, stalls, laggy_chunks) = self.mask_counts(mask, b);
         let mut counts = PairCounts {
             matches,
-            chunks: self.chunks_for(blocks.row_words().max(b.len())),
+            chunks: self.chunks_for(mask.len().max(b.len())),
             stalls,
             laggy_chunks,
             fired: 0,
             t_counts: [0; MAX_TIMESTEPS],
         };
-        for t in 0..blocks.planes() {
-            let fired_t = and_count_words(blocks.plane(m, t), b);
+        for (t, plane) in planes.into_iter().enumerate() {
+            let fired_t = and_count_words(plane, b);
             counts.t_counts[t] = fired_t as u32;
             counts.fired += fired_t;
         }
@@ -389,19 +275,17 @@ impl PairSweepKernel {
     /// once for the whole block.
     fn sweep_block(
         &self,
-        blocks: &RowBlocks,
+        layer: SweepInputs<'_>,
         rows: Range<usize>,
-        b_words: &[&[u64]],
-        mode: SweepMode,
         out: &mut LayerSweep,
         offset: usize,
     ) {
         #[cfg(target_arch = "x86_64")]
         if self.popcnt {
             // SAFETY: `popcnt` was set by the runtime feature check.
-            return unsafe { self.sweep_block_popcnt(blocks, rows, b_words, mode, out, offset) };
+            return unsafe { self.sweep_block_popcnt(layer, rows, out, offset) };
         }
-        self.sweep_block_inline(blocks, rows, b_words, mode, out, offset)
+        self.sweep_block_inline(layer, rows, out, offset)
     }
 
     /// [`PairSweepKernel::sweep_block`] compiled with hardware popcount.
@@ -413,37 +297,35 @@ impl PairSweepKernel {
     #[target_feature(enable = "popcnt")]
     unsafe fn sweep_block_popcnt(
         &self,
-        blocks: &RowBlocks,
+        layer: SweepInputs<'_>,
         rows: Range<usize>,
-        b_words: &[&[u64]],
-        mode: SweepMode,
         out: &mut LayerSweep,
         offset: usize,
     ) {
-        self.sweep_block_inline(blocks, rows, b_words, mode, out, offset)
+        self.sweep_block_inline(layer, rows, out, offset)
     }
 
     #[inline(always)]
     fn sweep_block_inline(
         &self,
-        blocks: &RowBlocks,
+        layer: SweepInputs<'_>,
         rows: Range<usize>,
-        b_words: &[&[u64]],
-        mode: SweepMode,
         out: &mut LayerSweep,
         offset: usize,
     ) {
-        let chunks = self.chunks_for(blocks.row_words());
         let mut totals = SweepTotals::default();
-        for (n, b) in b_words.iter().enumerate() {
-            debug_assert_eq!(blocks.row_words(), b.len(), "fiber-B word count");
+        for (n, b) in layer.b_words.iter().enumerate() {
+            debug_assert!(b.len() < 1 << 22, "drain cycles overflow u32");
+            let chunks = self.chunks_for(b.len());
             let at = n * out.rows + offset;
             let matches = &mut out.matches[at..at + rows.len()];
             let drain = &mut out.drain[at..at + rows.len()];
             for ((m, matches), drain) in rows.clone().zip(matches).zip(drain) {
-                match mode {
+                let mask = layer.a_masks[m];
+                debug_assert_eq!(mask.len(), b.len(), "fiber-B word count");
+                match layer.mode {
                     SweepMode::TemporalParallel => {
-                        let (pair_matches, stalls, laggy) = self.mask_counts(blocks.mask(m), b);
+                        let (pair_matches, stalls, laggy) = self.mask_counts(mask, b);
                         *matches = pair_matches as u32;
                         *drain = (chunks.max(pair_matches + stalls) + 1) as u32;
                         totals.matches += pair_matches;
@@ -451,9 +333,10 @@ impl PairSweepKernel {
                         totals.laggy_chunks += laggy;
                     }
                     SweepMode::SequentialT => {
-                        let counts = self.pair_counts_inline(blocks, m, b);
+                        let planes = layer.planes.iter().map(|plane| plane.row(m).words());
+                        let counts = self.pair_counts(mask, planes, b);
                         *matches = counts.matches as u32;
-                        *drain = counts.t_counts[..blocks.planes()]
+                        *drain = counts.t_counts[..layer.planes.len()]
                             .iter()
                             .map(|&fired_t| chunks.max(u64::from(fired_t)) + 1)
                             .sum::<u64>() as u32;
@@ -469,28 +352,37 @@ impl PairSweepKernel {
     }
 
     /// Sweeps a whole layer: the pure compute phase, with no memory-system
-    /// state touched. Rows go in fixed blocks of 32 (`ROW_BLOCK`), fanned out
-    /// over `workers` scoped threads (`1` runs inline). Each pair's counts
-    /// land in their own slot and the totals are integer sums, so the
-    /// result is identical for any worker count.
+    /// state touched. `a_masks` holds each row's non-silent bitmask words
+    /// and `b_words` each fiber-B's, all of the layer's `K`; `planes` are
+    /// the per-timestep planes of `A`, read only by
+    /// [`SweepMode::SequentialT`]. Rows go in fixed blocks of 32
+    /// (`ROW_BLOCK`), fanned out over `workers` scoped threads (`1` runs
+    /// inline). Each pair's counts land in their own slot and the totals
+    /// are integer sums, so the result is identical for any worker count.
     pub fn sweep_layer(
         &self,
-        blocks: &RowBlocks,
+        a_masks: &[&[u64]],
+        planes: &[BitMatrix],
         b_words: &[&[u64]],
         mode: SweepMode,
         workers: usize,
     ) -> LayerSweep {
-        debug_assert!(blocks.row_words() < 1 << 22, "drain cycles overflow u32");
-        let rows = blocks.rows();
+        let layer = SweepInputs {
+            a_masks,
+            planes,
+            b_words,
+            mode,
+        };
+        let rows = a_masks.len();
         let mut sweep = LayerSweep::zeroed(rows, b_words.len());
-        let row_blocks: Vec<Range<usize>> = (0..rows)
+        let blocks: Vec<Range<usize>> = (0..rows)
             .step_by(ROW_BLOCK)
             .map(|start| start..(start + ROW_BLOCK).min(rows))
             .collect();
-        if workers.min(row_blocks.len()) <= 1 {
-            for block in row_blocks {
+        if workers.min(blocks.len()) <= 1 {
+            for block in blocks {
                 let offset = block.start;
-                self.sweep_block(blocks, block, b_words, mode, &mut sweep, offset);
+                self.sweep_block(layer, block, &mut sweep, offset);
             }
             return sweep;
         }
@@ -498,14 +390,13 @@ impl PairSweepKernel {
         // are copied into place afterwards.
         let next = AtomicUsize::new(0);
         let swept: Vec<(usize, LayerSweep)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers.min(row_blocks.len()))
+            let handles: Vec<_> = (0..workers.min(blocks.len()))
                 .map(|_| {
                     scope.spawn(|| {
                         let mut done = Vec::new();
-                        while let Some(block) = row_blocks.get(next.fetch_add(1, Ordering::Relaxed))
-                        {
+                        while let Some(block) = blocks.get(next.fetch_add(1, Ordering::Relaxed)) {
                             let mut local = LayerSweep::zeroed(block.len(), b_words.len());
-                            self.sweep_block(blocks, block.clone(), b_words, mode, &mut local, 0);
+                            self.sweep_block(layer, block.clone(), &mut local, 0);
                             done.push((block.start, local));
                         }
                         done
@@ -528,6 +419,22 @@ impl PairSweepKernel {
         }
         sweep
     }
+}
+
+/// One layer's sweep inputs, shared by every row block (see
+/// [`PairSweepKernel::sweep_layer`]).
+#[derive(Clone, Copy)]
+struct SweepInputs<'a> {
+    a_masks: &'a [&'a [u64]],
+    planes: &'a [BitMatrix],
+    b_words: &'a [&'a [u64]],
+    mode: SweepMode,
+}
+
+/// Each fiber's bitmask words, the form in which
+/// [`PairSweepKernel::sweep_layer`] reads both operands.
+pub fn mask_words<V>(fibers: &[Fiber<V>]) -> Vec<&[u64]> {
+    fibers.iter().map(|fiber| fiber.bitmask().words()).collect()
 }
 
 /// Whether the host CPU exposes a hardware popcount (detected once per
@@ -564,128 +471,39 @@ pub fn fired_grand_total(col_spikes: &[u32], b_row_nnz: &[usize]) -> u64 {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
-    use loas_sparse::{PackedSpikes, SpikeFiber};
-    use proptest::prelude::*;
+    use loas_snn::SpikeTensor;
+    use loas_sparse::{Bitmask, PackedSpikes, SpikeFiber};
 
-    fn fiber(words: &[(usize, u16)], k: usize, t: usize) -> SpikeFiber {
-        let mut row = vec![PackedSpikes::silent(t).unwrap(); k];
-        for &(pos, bits) in words {
-            row[pos] = PackedSpikes::from_bits(bits, t).unwrap();
-        }
-        SpikeFiber::from_packed_row(&row)
-    }
-
-    /// The layout built from `K`-wide row fibers: each fiber's bitmask
-    /// becomes the mask words and its packed words are scattered bit by
-    /// bit into `timesteps` plane rows (the reference for
-    /// [`RowBlocks::from_tensor`]).
-    pub(crate) fn row_blocks_from_fibers(
-        fibers: &[SpikeFiber],
-        k: usize,
-        timesteps: usize,
-    ) -> RowBlocks {
-        let row_words = k.div_ceil(64);
-        let stride = row_words * (timesteps + 1);
-        let mut words = vec![0u64; fibers.len() * stride];
-        for (m, fiber) in fibers.iter().enumerate() {
-            assert_eq!(fiber.len(), k, "row fibers must share the K dimension");
-            let base = m * stride;
-            words[base..base + row_words].copy_from_slice(fiber.bitmask().words());
-            for (k_pos, packed) in fiber.iter() {
-                let (word, bit) = (k_pos / 64, k_pos % 64);
-                for t in packed.firing_timesteps() {
-                    words[base + (t + 1) * row_words + word] |= 1u64 << bit;
+    /// A `K`-wide `T = 4` spike tensor whose rows fire the given
+    /// `(position, bits)` words, with its row fibers.
+    fn a_side(rows: &[Vec<(usize, u16)>], k: usize) -> (SpikeTensor, Vec<SpikeFiber>) {
+        let rows: Vec<Vec<PackedSpikes>> = rows
+            .iter()
+            .map(|words| {
+                let mut row = vec![PackedSpikes::silent(4).unwrap(); k];
+                for &(pos, bits) in words {
+                    row[pos] = PackedSpikes::from_bits(bits, 4).unwrap();
                 }
-            }
-        }
-        RowBlocks {
-            rows: fibers.len(),
-            row_words,
-            planes: timesteps,
-            words,
-        }
+                row
+            })
+            .collect();
+        let tensor = SpikeTensor::from_packed_rows(&rows, 4).unwrap();
+        let fibers = tensor.to_row_fibers();
+        (tensor, fibers)
     }
 
-    /// A pseudo-random `m x k x t` spike tensor with about `density_pct`%
-    /// of its bits set.
-    pub(crate) fn random_tensor(
-        (m, k, t): (usize, usize, usize),
-        seed: u64,
-        density_pct: u64,
-    ) -> SpikeTensor {
-        let mut state = seed;
-        // Bits past `K` are set too; `from_row_words` drops them.
-        SpikeTensor::from_row_words(m, k, t, |_, words| {
-            for word in words.iter_mut() {
-                for bit in 0..64 {
-                    // splitmix64
-                    state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-                    let mut z = state;
-                    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-                    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-                    if (z ^ (z >> 31)) % 100 < density_pct {
-                        *word |= 1 << bit;
-                    }
-                }
-            }
-        })
-    }
-
-    fn blocks(fibers: &[SpikeFiber]) -> RowBlocks {
-        let k = fibers.first().map_or(0, SpikeFiber::len);
-        row_blocks_from_fibers(fibers, k, 4)
-    }
-
-    proptest! {
-        #[test]
-        fn tensor_blocks_match_fiber_reference(
-            shape in (0usize..6, 0usize..200, 1usize..=16),
-            seed in any::<u64>(),
-            density in 0u64..100,
-        ) {
-            let a = random_tensor(shape, seed, density);
-            let (_, k, t) = shape;
-            let per_bit: Vec<SpikeFiber> = (0..a.m())
-                .map(|m| {
-                    let row: Vec<PackedSpikes> = (0..k).map(|ki| a.packed_word(m, ki)).collect();
-                    SpikeFiber::from_packed_row(&row)
-                })
-                .collect();
-            prop_assert_eq!(RowBlocks::from_tensor(&a), row_blocks_from_fibers(&per_bit, k, t));
-        }
-    }
-
-    #[test]
-    fn row_blocks_mirror_fiber_and_planes() {
-        let fibers = vec![
-            fiber(&[(0, 0b0110), (130, 0b1111)], 200, 4),
-            fiber(&[(64, 0b0001)], 200, 4),
-        ];
-        let blocks = blocks(&fibers);
-        assert_eq!(blocks.rows(), 2);
-        assert_eq!(blocks.row_words(), 4);
-        assert_eq!(blocks.planes(), 4);
-        for (m, f) in fibers.iter().enumerate() {
-            assert_eq!(blocks.mask(m), f.bitmask().words());
-        }
-        // Plane bits: row 0 fires at k=0 for t in {1,2} and k=130 for all t.
-        assert_eq!(blocks.plane(0, 0)[0], 0);
-        assert_eq!(blocks.plane(0, 1)[0], 1);
-        assert_eq!(blocks.plane(0, 1)[2], 1 << 2);
-        assert_eq!(blocks.plane(1, 0)[1], 1);
-        assert_eq!(blocks.plane(1, 1)[1], 0);
-        assert_eq!(blocks.block(0).len(), 4 * 5);
+    fn plane_rows(tensor: &SpikeTensor, m: usize) -> Vec<&[u64]> {
+        tensor.planes().iter().map(|p| p.row(m).words()).collect()
     }
 
     #[test]
     fn pair_counts_match_bitmask_ops() {
-        let f = fiber(&[(0, 0b0110), (5, 0b1111), (130, 0b0001)], 200, 4);
-        let blocks = blocks(std::slice::from_ref(&f));
+        let (a, fibers) = a_side(&[vec![(0, 0b0110), (5, 0b1111), (130, 0b0001)]], 200);
         let b = Bitmask::from_indices(200, &[0, 5, 131]).unwrap();
         let kernel = PairSweepKernel::new(128, Some(8));
-        let counts = kernel.pair_counts(&blocks, 0, b.words());
+        let counts = kernel.pair_counts(mask_words(&fibers)[0], plane_rows(&a, 0), b.words());
         assert_eq!(counts.matches, 2);
         assert_eq!(counts.chunks, 2);
         assert_eq!(counts.stalls, 0);
@@ -697,9 +515,8 @@ pub(crate) mod tests {
 
     #[test]
     fn empty_masks_still_scan_one_chunk() {
-        let blocks = RowBlocks::from_masks(&[Bitmask::zeros(0)]);
         let kernel = PairSweepKernel::new(128, Some(8));
-        let counts = kernel.pair_counts(&blocks, 0, &[]);
+        let counts = kernel.pair_counts(&[], [], &[]);
         assert_eq!(counts.matches, 0);
         assert_eq!(counts.chunks, 1);
     }
@@ -707,11 +524,12 @@ pub(crate) mod tests {
     #[test]
     fn unbounded_fifo_never_stalls() {
         let positions: Vec<(usize, u16)> = (0..30).map(|i| (i, 1u16)).collect();
-        let f = fiber(&positions, 64, 4);
-        let blocks = blocks(std::slice::from_ref(&f));
+        let (a, fibers) = a_side(&[positions], 64);
+        let (mask, planes) = (mask_words(&fibers)[0], plane_rows(&a, 0));
         let b = Bitmask::ones(64);
-        let bounded = PairSweepKernel::new(128, Some(8)).pair_counts(&blocks, 0, b.words());
-        let unbounded = PairSweepKernel::new(128, None).pair_counts(&blocks, 0, b.words());
+        let bounded =
+            PairSweepKernel::new(128, Some(8)).pair_counts(mask, planes.clone(), b.words());
+        let unbounded = PairSweepKernel::new(128, None).pair_counts(mask, planes, b.words());
         assert_eq!(bounded.stalls, 22);
         assert_eq!(unbounded.stalls, 0);
         assert_eq!(bounded.matches, unbounded.matches);
@@ -722,10 +540,11 @@ pub(crate) mod tests {
     #[test]
     fn sweep_layer_is_worker_count_invariant() {
         // More rows than two blocks, so the workers split the layer.
-        let fibers: Vec<SpikeFiber> = (0..77)
-            .map(|m| fiber(&[(m * 7 % 90, 0b1010), (m * 13 % 90, 0b0111)], 90, 4))
+        let rows: Vec<Vec<(usize, u16)>> = (0..77)
+            .map(|m| vec![(m * 7 % 90, 0b1010), (m * 13 % 90, 0b0111)])
             .collect();
-        let blocks = blocks(&fibers);
+        let (a, fibers) = a_side(&rows, 90);
+        let a_masks = mask_words(&fibers);
         let mut b_masks: Vec<Bitmask> = (0..5)
             .map(|n| Bitmask::from_indices(90, &[n * 11 % 90, n * 17 % 90, 3]).unwrap())
             .collect();
@@ -733,11 +552,11 @@ pub(crate) mod tests {
         let b_words: Vec<&[u64]> = b_masks.iter().map(|b| b.words()).collect();
         let kernel = PairSweepKernel::new(128, Some(1));
         for mode in [SweepMode::TemporalParallel, SweepMode::SequentialT] {
-            let reference = kernel.sweep_layer(&blocks, &b_words, mode, 1);
+            let reference = kernel.sweep_layer(&a_masks, a.planes(), &b_words, mode, 1);
             let mut totals = SweepTotals::default();
             for (n, b) in b_words.iter().enumerate() {
-                for m in 0..fibers.len() {
-                    let counts = kernel.pair_counts(&blocks, m, b);
+                for (m, mask) in a_masks.iter().enumerate() {
+                    let counts = kernel.pair_counts(mask, plane_rows(&a, m), b);
                     let drain = match mode {
                         SweepMode::TemporalParallel => {
                             counts.chunks.max(counts.matches + counts.stalls) + 1
@@ -771,7 +590,7 @@ pub(crate) mod tests {
             assert_eq!(reference.totals, totals, "{mode:?}");
             assert!(totals.stalls > 0, "the FIFO of one backpressures");
             for workers in [2, 3, 8] {
-                let swept = kernel.sweep_layer(&blocks, &b_words, mode, workers);
+                let swept = kernel.sweep_layer(&a_masks, a.planes(), &b_words, mode, workers);
                 assert_eq!(swept, reference, "{mode:?} at {workers} workers");
             }
         }
@@ -779,17 +598,23 @@ pub(crate) mod tests {
 
     #[test]
     fn fired_grand_total_matches_per_pair_sweep() {
-        let fibers: Vec<SpikeFiber> = (0..6)
-            .map(|m| fiber(&[(m * 5 % 70, 0b1100), ((m * 9 + 2) % 70, 0b0011)], 70, 4))
+        let rows: Vec<Vec<(usize, u16)>> = (0..6)
+            .map(|m| vec![(m * 5 % 70, 0b1100), ((m * 9 + 2) % 70, 0b0011)])
             .collect();
-        let blocks = blocks(&fibers);
+        let (a, fibers) = a_side(&rows, 70);
         let b_masks: Vec<Bitmask> = (0..4)
             .map(|n| Bitmask::from_indices(70, &[n * 3, n * 7 + 1, 12]).unwrap())
             .collect();
         let b_words: Vec<&[u64]> = b_masks.iter().map(|b| b.words()).collect();
         let kernel = PairSweepKernel::new(128, Some(8));
         let per_pair = kernel
-            .sweep_layer(&blocks, &b_words, SweepMode::SequentialT, 1)
+            .sweep_layer(
+                &mask_words(&fibers),
+                a.planes(),
+                &b_words,
+                SweepMode::SequentialT,
+                1,
+            )
             .totals
             .fired;
         let mut col_spikes = vec![0u32; 70];

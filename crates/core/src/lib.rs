@@ -82,6 +82,5 @@ pub use machine::{Machine, Roofline};
 pub use metrics::{Accelerator, LayerReport, NetworkReport};
 pub use plif::{ParallelLif, PlifOutcome};
 pub use portable::{PortableError, PORTABLE_FORMAT};
-pub use prepared::weight_views;
-pub use prepared::{PreparedLayer, TrafficSpans};
+pub use prepared::{row_nnz, PreparedLayer, TrafficSpans};
 pub use tppe::{Tppe, TppeOutcome};

@@ -3,13 +3,14 @@
 //! Building fibers and bitmasks is workload preparation, not accelerator
 //! work; every model (LoAS and baselines) consumes the same
 //! [`PreparedLayer`] so that cross-accelerator comparisons see identical
-//! inputs.
+//! inputs. Each operand is held once: `A` as the workload's spike planes
+//! plus its row fibers, `B` as the workload's column fibers, which the
+//! prepared layer shares rather than copies.
 
-use crate::kernel::RowBlocks;
 use crate::layer_memo::{LayerMemo, MemoKey, MemoStats};
 use loas_sim::LineSpan;
 use loas_snn::LifParams;
-use loas_sparse::{Bitmask, DenseMatrix, Fiber, SpikeFiber, WeightFiber, POINTER_BITS};
+use loas_sparse::{Bitmask, SpikeFiber, WeightFiber, POINTER_BITS};
 use loas_workloads::{LayerShape, LayerWorkload};
 use std::sync::Arc;
 
@@ -113,27 +114,25 @@ impl TrafficSpans {
 }
 
 /// A layer workload with every compressed view precomputed (built from
-/// 64-bit words; the `B` side is shared with [`PreparedLayer::fine_tuned`]).
+/// 64-bit words; the `B` side is the workload's own fibers, shared with
+/// [`PreparedLayer::fine_tuned`]).
 #[derive(Debug, Clone)]
 pub struct PreparedLayer {
     /// Workload name.
     pub name: String,
     /// The `(T, M, N, K)` shape.
     pub shape: LayerShape,
-    /// The original workload (spike planes + dense weights + LIF).
+    /// The original workload (spike planes + weight fibers + LIF).
     pub workload: LayerWorkload,
     /// Per-row compressed spike fibers (LoAS format: non-silent bitmask +
     /// packed words).
     pub a_fibers: Vec<SpikeFiber>,
-    /// Per-column compressed weight fibers.
+    /// Per-column compressed weight fibers: the workload's `weights`,
+    /// shared.
     pub b_fibers: Arc<[WeightFiber]>,
     /// Per-row non-zero weight counts of `B` viewed row-wise (for OP/Gust
     /// models: `B`'s row `k`).
     pub b_row_nnz: Arc<[usize]>,
-    /// Structure-of-arrays sweep layout of the `A` side: per row, the
-    /// non-silent bitmask words followed by the `T` plane-row words,
-    /// contiguous (consumed by [`crate::kernel::PairSweepKernel`]).
-    pub row_blocks: RowBlocks,
     /// Per-column total spike counts (`Σ_{m,t} A[m, k, t]`), the `A` half
     /// of the `O(K)` fired-count aggregate
     /// ([`crate::kernel::fired_grand_total`]).
@@ -149,8 +148,9 @@ impl PreparedLayer {
     pub fn new(workload: impl Into<LayerWorkload>) -> Self {
         let workload = workload.into();
         let a_fibers = workload.spikes.to_row_fibers();
-        let (b_fibers, b_row_nnz) = weight_views(&workload.weights);
-        PreparedLayer::from_views(workload, a_fibers, b_fibers.into(), b_row_nnz.into())
+        let b_fibers = Arc::clone(&workload.weights);
+        let b_row_nnz = row_nnz(&b_fibers, workload.shape.k).into();
+        PreparedLayer::from_views(workload, a_fibers, b_fibers, b_row_nnz)
     }
 
     /// The fine-tuned variant ([`LayerWorkload::with_preprocessing`]). FT
@@ -178,7 +178,6 @@ impl PreparedLayer {
         b_row_nnz: Arc<[usize]>,
     ) -> Self {
         let shape = workload.shape;
-        let row_blocks = RowBlocks::from_tensor(&workload.spikes);
         let mut col_spikes = vec![0u32; shape.k];
         for (k, word) in a_fibers.iter().flat_map(SpikeFiber::iter) {
             col_spikes[k] += word.fire_count() as u32;
@@ -190,7 +189,6 @@ impl PreparedLayer {
             a_fibers,
             b_fibers,
             b_row_nnz,
-            row_blocks,
             col_spikes,
             memo: LayerMemo::default(),
         }
@@ -276,76 +274,24 @@ impl PreparedLayer {
     }
 }
 
-/// The `B` column fibers and per-row non-zero counts of a `K x N` weight
-/// matrix, from one row-major pass over it.
-pub fn weight_views(weights: &DenseMatrix<i8>) -> (Vec<WeightFiber>, Vec<usize>) {
-    let (k, n) = (weights.rows(), weights.cols());
-    let col_words = k.div_ceil(64);
-    let mut masks = vec![0u64; n * col_words];
-    // Row-major `(column, weight)` of every non-zero, so each column's
-    // values can be gathered into a vector of its exact size.
-    let mut hits: Vec<(usize, i8)> = Vec::new();
-    let mut row_nnz = vec![0; k];
-    for (ki, nnz) in row_nnz.iter_mut().enumerate() {
-        let row = weights.row(ki);
-        let before = hits.len();
-        let mut visit = |ni: usize| {
-            masks[ni * col_words + ki / 64] |= 1 << (ki % 64);
-            hits.push((ni, row[ni]));
-        };
-        // Pruned weights dominate: gather the non-zero flags of 64 weights
-        // into one mask without branching, then visit only its set bits.
-        let mut runs = row.chunks_exact(64);
-        for (run, chunk) in (&mut runs).enumerate() {
-            let mut nonzero = 0;
-            for (j, word) in chunk.chunks_exact(8).enumerate() {
-                let word: [i8; 8] = word.try_into().expect("8-weight word");
-                nonzero |= nonzero_bytes(u64::from_le_bytes(word.map(|w| w as u8))) << (8 * j);
-            }
-            while nonzero != 0 {
-                visit(run * 64 + nonzero.trailing_zeros() as usize);
-                nonzero &= nonzero - 1;
-            }
-        }
-        let tail = n - runs.remainder().len();
-        (tail..n).filter(|&ni| row[ni] != 0).for_each(visit);
-        *nnz = hits.len() - before;
+/// Per-row non-zero counts of a `K`-row `B` (its row `k` for the OP and
+/// Gustavson models), in one pass over the non-zeros of its column fibers.
+pub fn row_nnz(b_fibers: &[WeightFiber], k: usize) -> Vec<usize> {
+    let mut counts = vec![0; k];
+    for row in b_fibers
+        .iter()
+        .flat_map(|fiber| fiber.bitmask().iter_ones())
+    {
+        counts[row] += 1;
     }
-    let mut values: Vec<Vec<i8>> = (0..n)
-        .map(|ni| {
-            let mask = &masks[ni * col_words..(ni + 1) * col_words];
-            Vec::with_capacity(mask.iter().map(|w| w.count_ones() as usize).sum())
-        })
-        .collect();
-    for &(ni, w) in &hits {
-        values[ni].push(w);
-    }
-    let fibers = values
-        .into_iter()
-        .enumerate()
-        .map(|(ni, column)| {
-            let mask = masks[ni * col_words..(ni + 1) * col_words].to_vec();
-            Fiber::from_parts(Bitmask::from_words(k, mask), column)
-                .expect("one value per non-zero weight")
-        })
-        .collect();
-    (fibers, row_nnz)
-}
-
-/// One bit per byte of `bytes`, set for a non-zero byte: the high bit of
-/// each byte after `(b & 0x7f) + 0x7f | b`, gathered into the low 8 bits by
-/// a multiply.
-fn nonzero_bytes(bytes: u64) -> u64 {
-    const LOW7: u64 = 0x7f7f_7f7f_7f7f_7f7f;
-    let high = (((bytes & LOW7) + LOW7) | bytes) & !LOW7;
-    (high >> 7).wrapping_mul(0x0102_0408_1020_4080) >> 56
+    counts
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::tests::{random_tensor, row_blocks_from_fibers};
-    use loas_sparse::{CsrMatrix, PackedSpikes};
+    use loas_snn::SpikeTensor;
+    use loas_sparse::{CsrMatrix, DenseMatrix, PackedSpikes};
     use loas_workloads::{SparsityProfile, WorkloadGenerator};
     use proptest::prelude::*;
 
@@ -362,27 +308,43 @@ mod tests {
         (0, format)
     }
 
-    /// The `B` views gathered column by column plus a dense row scan (the
-    /// reference for the one-pass [`weight_views`]).
-    fn weight_views_per_column(weights: &DenseMatrix<i8>) -> (Vec<WeightFiber>, Vec<usize>) {
-        let fibers = (0..weights.cols())
-            .map(|n| WeightFiber::from_weights(&weights.column(n)))
-            .collect();
-        let row_nnz = (0..weights.rows())
+    /// The non-zero count of each row of a dense `B`.
+    fn dense_row_nnz(weights: &DenseMatrix<i8>) -> Vec<usize> {
+        (0..weights.rows())
             .map(|k| weights.row(k).iter().filter(|&&w| w != 0).count())
-            .collect();
-        (fibers, row_nnz)
+            .collect()
+    }
+
+    /// A pseudo-random `m x k x t` spike tensor with about `density_pct`%
+    /// of its bits set.
+    fn random_tensor((m, k, t): (usize, usize, usize), seed: u64, density_pct: u64) -> SpikeTensor {
+        let mut state = seed;
+        // Bits past `K` are set too; `from_row_words` drops them.
+        SpikeTensor::from_row_words(m, k, t, |_, words| {
+            for word in words.iter_mut() {
+                for bit in 0..64 {
+                    // splitmix64
+                    state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                    let mut z = state;
+                    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                    if (z ^ (z >> 31)) % 100 < density_pct {
+                        *word |= 1 << bit;
+                    }
+                }
+            }
+        })
     }
 
     /// A pseudo-random workload: spikes at about `density`% of the
     /// `M·K·T` positions, non-zero weights at about `weight_density`% of
-    /// the `K·N` positions.
+    /// the `K·N` positions. Also returns the weights dense.
     fn random_workload(
         (t, m, n, k): (usize, usize, usize, usize),
         seed: u64,
         density: u64,
         weight_density: u64,
-    ) -> LayerWorkload {
+    ) -> (LayerWorkload, DenseMatrix<i8>) {
         let mut state = seed;
         let weights = (0..k * n)
             .map(|_| {
@@ -397,13 +359,17 @@ mod tests {
                 }
             })
             .collect();
-        LayerWorkload {
+        let dense = DenseMatrix::from_vec(k, n, weights).unwrap();
+        let workload = LayerWorkload {
             name: "random".to_owned(),
             shape: LayerShape::new(t, m, n, k),
             spikes: random_tensor((m, k, t), seed, density),
-            weights: Arc::new(DenseMatrix::from_vec(k, n, weights).unwrap()),
+            weights: (0..n)
+                .map(|c| WeightFiber::from_weights(&dense.column(c)))
+                .collect(),
             lif: LifParams::new(16, 1),
-        }
+        };
+        (workload, dense)
     }
 
     fn assert_same_views(a: &PreparedLayer, b: &PreparedLayer) {
@@ -412,7 +378,6 @@ mod tests {
         assert_eq!(a.a_fibers, b.a_fibers);
         assert_eq!(a.b_fibers, b.b_fibers);
         assert_eq!(a.b_row_nnz, b.b_row_nnz);
-        assert_eq!(a.row_blocks, b.row_blocks);
         assert_eq!(a.col_spikes, b.col_spikes);
         assert_eq!(a.traffic_spans(8, 64), b.traffic_spans(8, 64));
     }
@@ -425,11 +390,9 @@ mod tests {
             density in 0u64..100,
             weight_density in 0u64..100,
         ) {
-            let w = random_workload(shape, seed, density, weight_density);
+            let (w, dense) = random_workload(shape, seed, density, weight_density);
             let p = PreparedLayer::new(&w);
-            let (b_fibers, b_row_nnz) = weight_views_per_column(&w.weights);
-            prop_assert_eq!(&p.b_fibers[..], &b_fibers[..]);
-            prop_assert_eq!(&p.b_row_nnz[..], &b_row_nnz[..]);
+            prop_assert_eq!(&p.b_row_nnz[..], &dense_row_nnz(&dense)[..]);
             let per_bit: Vec<SpikeFiber> = (0..w.shape.m)
                 .map(|m| {
                     let row: Vec<PackedSpikes> =
@@ -438,10 +401,6 @@ mod tests {
                 })
                 .collect();
             prop_assert_eq!(&p.a_fibers, &per_bit);
-            prop_assert_eq!(
-                &p.row_blocks,
-                &row_blocks_from_fibers(&per_bit, w.shape.k, w.shape.t)
-            );
             let mut col_spikes = vec![0u32; w.shape.k];
             for (k, word) in per_bit.iter().flat_map(SpikeFiber::iter) {
                 col_spikes[k] += word.fire_count() as u32;
@@ -451,15 +410,26 @@ mod tests {
         }
 
         #[test]
-        fn weight_views_match_the_per_column_reference(
-            n in 0usize..200,
-            k in 0usize..80,
+        fn generated_weight_fibers_are_the_dense_columns(
+            shape in (0usize..4, 0usize..40, 0usize..200),
+            weight_case in 0usize..4,
             seed in any::<u64>(),
-            weight_density in 0u64..100,
         ) {
-            // Rows of 64 weights or more take the 64-weight block scan.
-            let w = random_workload((1, 0, n, k), seed, 0, weight_density);
-            prop_assert_eq!(weight_views(&w.weights), weight_views_per_column(&w.weights));
+            // `K` runs across 64-bit word boundaries, `N` may be 0 and the
+            // weight sparsity may be 0 or 1.
+            let (m, n, k) = shape;
+            let weight_pct = [0.0, 50.0, 98.2, 100.0][weight_case];
+            let profile = SparsityProfile::from_percentages(82.3, 74.1, 79.6, weight_pct).unwrap();
+            let w = WorkloadGenerator::new(seed)
+                .generate("fibers", LayerShape::new(4, m, n, k), &profile)
+                .unwrap();
+            let dense = DenseMatrix::from_columns(k, &w.weights);
+            prop_assert_eq!(w.weights.len(), n);
+            for (c, fiber) in w.weights.iter().enumerate() {
+                prop_assert_eq!(fiber, &WeightFiber::from_weights(&dense.column(c)));
+            }
+            let p = PreparedLayer::new(&w);
+            prop_assert_eq!(&p.b_row_nnz[..], &dense_row_nnz(&dense)[..]);
         }
 
         #[test]
@@ -468,7 +438,7 @@ mod tests {
             seed in any::<u64>(),
             density in 0u64..100,
         ) {
-            let w = random_workload(shape, seed, density, 30);
+            let (w, _) = random_workload(shape, seed, density, 30);
             let base = PreparedLayer::new(&w);
             let ft = base.fine_tuned();
             assert_same_views(&ft, &PreparedLayer::new(w.with_preprocessing()));
@@ -484,6 +454,22 @@ mod tests {
             .generate("prep-test", LayerShape::new(4, 8, 6, 64), &profile)
             .unwrap();
         PreparedLayer::new(&w)
+    }
+
+    #[test]
+    fn every_prepared_layer_shares_the_workload_weights() {
+        let generator = WorkloadGenerator::default();
+        let profile = SparsityProfile::from_percentages(75.0, 60.0, 70.0, 90.0).unwrap();
+        let w = generator
+            .generate("shared-b", LayerShape::new(4, 8, 6, 64), &profile)
+            .unwrap();
+        for layer in [
+            PreparedLayer::new(&w),
+            PreparedLayer::new(w.with_preprocessing()),
+            PreparedLayer::new(&w).fine_tuned(),
+        ] {
+            assert!(Arc::ptr_eq(&layer.b_fibers, &w.weights), "{}", layer.name);
+        }
     }
 
     #[test]
@@ -524,19 +510,18 @@ mod tests {
     }
 
     #[test]
-    fn row_blocks_and_col_spikes_mirror_the_tensor() {
+    fn row_masks_and_col_spikes_mirror_the_tensor() {
+        // The sweep reads each row's `bm-A` from its fiber: the OR of the
+        // row's plane rows.
         let p = prepared();
-        assert_eq!(p.row_blocks.rows(), p.shape.m);
-        assert_eq!(p.row_blocks.planes(), p.shape.t);
         for m in 0..p.shape.m {
-            assert_eq!(p.row_blocks.mask(m), p.a_mask(m).words());
-            for t in 0..p.shape.t {
-                assert_eq!(
-                    p.row_blocks.plane(m, t),
-                    p.workload.spikes.plane(t).row(m).words(),
-                    "plane ({m}, {t})"
-                );
+            let mut mask = vec![0u64; p.shape.k.div_ceil(64)];
+            for plane in p.workload.spikes.planes() {
+                for (word, &bits) in mask.iter_mut().zip(plane.row(m).words()) {
+                    *word |= bits;
+                }
             }
+            assert_eq!(p.a_mask(m).words(), &mask[..], "row {m}");
         }
         let total: u32 = p.col_spikes.iter().sum();
         assert_eq!(total as usize, p.spike_count());

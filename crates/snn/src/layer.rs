@@ -4,7 +4,7 @@ use crate::error::SnnError;
 use crate::lif::LifParams;
 use crate::tensor::SpikeTensor;
 use loas_sparse::spmspm::{self, PsumPlanes};
-use loas_sparse::{DenseMatrix, WeightFiber};
+use loas_sparse::DenseMatrix;
 
 /// One SNN layer with weight matrix `B ∈ Z^{K×N}` and LIF firing.
 ///
@@ -76,21 +76,6 @@ impl SnnLayer {
     /// Output dimension `N`.
     pub fn n(&self) -> usize {
         self.weights.cols()
-    }
-
-    /// Weight sparsity (`AvSpB`).
-    pub fn weight_sparsity(&self) -> f64 {
-        self.weights.sparsity()
-    }
-
-    /// Column `n` of `B` compressed into a weight fiber (the `fiber-B`
-    /// broadcast to TPPEs).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `n` is out of range.
-    pub fn weight_fiber(&self, n: usize) -> WeightFiber {
-        WeightFiber::from_weights(&self.weights.column(n))
     }
 
     /// Golden forward pass: spMspM (Eq. 1) then LIF scan (Eqs. 2-3).
@@ -177,15 +162,6 @@ mod tests {
             l.forward(&input),
             Err(SnnError::ShapeMismatch { dimension: "K", .. })
         ));
-    }
-
-    #[test]
-    fn weight_fibers_compress_columns() {
-        let l = layer();
-        let f0 = l.weight_fiber(0);
-        assert_eq!(f0.nnz(), 2); // column 0 = [2, -3, 0]
-        assert_eq!(f0.value_at(1), Some(&-3));
-        assert!((l.weight_sparsity() - 2.0 / 6.0).abs() < 1e-12);
     }
 
     #[test]

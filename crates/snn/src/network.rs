@@ -79,12 +79,6 @@ impl SnnNetwork {
         }
         Ok(outputs)
     }
-
-    /// Per-layer output spike sparsity after a forward pass — useful to see
-    /// the high output sparsity (~90%) the paper leverages.
-    pub fn output_sparsities(&self, outputs: &[LayerOutput]) -> Vec<f64> {
-        outputs.iter().map(|o| o.spikes.origin_sparsity()).collect()
-    }
 }
 
 #[cfg(test)]
@@ -137,15 +131,5 @@ mod tests {
             SnnNetwork::new(vec![]),
             Err(SnnError::EmptyNetwork)
         ));
-    }
-
-    #[test]
-    fn output_sparsities_reported() {
-        let net = two_layer();
-        let input = SpikeTensor::zeros(1, 2, 2);
-        let outputs = net.forward(&input).unwrap();
-        let sp = net.output_sparsities(&outputs);
-        assert_eq!(sp.len(), 2);
-        assert!((sp[0] - 1.0).abs() < 1e-12, "no input -> no output spikes");
     }
 }

@@ -2,7 +2,7 @@
 
 use crate::preprocess;
 use crate::tensor::SpikeTensor;
-use loas_sparse::DenseMatrix;
+use loas_sparse::{zero_fraction, WeightFiber};
 
 /// The sparsity statistics of one dual-sparse workload, matching Table II's
 /// columns.
@@ -22,14 +22,15 @@ pub struct SparsityStats {
 }
 
 impl SparsityStats {
-    /// Measures all statistics from a workload's tensors.
-    pub fn measure(spikes: &SpikeTensor, weights: &DenseMatrix<i8>) -> Self {
+    /// Measures all statistics from a workload's spike tensor and the
+    /// column fibers of its weights.
+    pub fn measure(spikes: &SpikeTensor, weights: &[WeightFiber]) -> Self {
         let ft = preprocess::mask_low_activity(spikes, 1);
         SparsityStats {
             spike_origin_pct: spikes.origin_sparsity() * 100.0,
             silent_pct: spikes.packed_sparsity() * 100.0,
             silent_ft_pct: ft.packed_sparsity() * 100.0,
-            weight_pct: weights.sparsity() * 100.0,
+            weight_pct: zero_fraction(weights) * 100.0,
             mean_fires_per_nonsilent: spikes.mean_fires_per_nonsilent(),
         }
     }
@@ -54,7 +55,10 @@ mod tests {
         a.set(0, 0, 0, true);
         a.set(0, 0, 1, true); // neuron (0,0) fires twice -> survives FT
         a.set(1, 1, 2, true); // neuron (1,1) fires once -> masked by FT
-        let w = DenseMatrix::from_vec(2, 2, vec![1i8, 0, 0, 0]).unwrap();
+        let w = [
+            WeightFiber::from_weights(&[1, 0]),
+            WeightFiber::from_weights(&[0, 0]),
+        ];
         let s = SparsityStats::measure(&a, &w);
         assert!((s.spike_origin_pct - (1.0 - 3.0 / 16.0) * 100.0).abs() < 1e-9);
         assert!((s.silent_pct - 50.0).abs() < 1e-9);
@@ -69,7 +73,7 @@ mod tests {
         for i in 0..4 {
             a.set(i, i, 0, true);
         }
-        let w = DenseMatrix::zeros(4, 4);
+        let w = vec![WeightFiber::from_weights(&[0; 4]); 4];
         let s = SparsityStats::measure(&a, &w);
         assert!(s.silent_ft_pct >= s.silent_pct);
     }

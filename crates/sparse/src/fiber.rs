@@ -185,6 +185,17 @@ impl WeightFiber {
     }
 }
 
+/// Fraction of zero positions across `fibers` (the paper's `AvSpB` for the
+/// column fibers of `B`); 0 when they hold no positions.
+pub fn zero_fraction<V>(fibers: &[Fiber<V>]) -> f64 {
+    let positions: usize = fibers.iter().map(Fiber::len).sum();
+    if positions == 0 {
+        return 0.0;
+    }
+    let nnz: usize = fibers.iter().map(Fiber::nnz).sum();
+    (positions - nnz) as f64 / positions as f64
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -251,5 +262,16 @@ mod tests {
         let fiber = WeightFiber::from_weights(&[0, 5, 0, 6]);
         let pairs: Vec<(usize, i8)> = fiber.iter().map(|(k, &v)| (k, v)).collect();
         assert_eq!(pairs, vec![(1, 5), (3, 6)]);
+    }
+
+    #[test]
+    fn zero_fraction_counts_every_position() {
+        let columns = [
+            WeightFiber::from_weights(&[0, 5, 0]),
+            WeightFiber::from_weights(&[1, 0, 0]),
+        ];
+        assert!((zero_fraction(&columns) - 4.0 / 6.0).abs() < 1e-12);
+        assert_eq!(zero_fraction::<i8>(&[]), 0.0);
+        assert_eq!(zero_fraction(&[WeightFiber::from_weights(&[])]), 0.0);
     }
 }

@@ -48,6 +48,6 @@ pub mod spmspm;
 pub use bitmask::{chunked_and_counts, Bitmask, ChunkedAndCounts, Ones};
 pub use csr::{coordinate_bits, CsrMatrix};
 pub use error::SparseError;
-pub use fiber::{Fiber, SpikeFiber, WeightFiber, POINTER_BITS};
+pub use fiber::{zero_fraction, Fiber, SpikeFiber, WeightFiber, POINTER_BITS};
 pub use matrix::{BitMatrix, DenseMatrix};
 pub use packed::{PackedSpikes, MAX_TIMESTEPS};

@@ -3,6 +3,7 @@
 
 use crate::bitmask::Bitmask;
 use crate::error::SparseError;
+use crate::fiber::Fiber;
 
 /// A dense row-major matrix.
 ///
@@ -31,6 +32,18 @@ impl<T: Clone + Default> DenseMatrix<T> {
             cols,
             data: vec![T::default(); rows * cols],
         }
+    }
+
+    /// The `rows x columns.len()` matrix whose columns are `columns`
+    /// decompressed (the dense view of `B` the golden references read).
+    pub fn from_columns(rows: usize, columns: &[Fiber<T>]) -> Self {
+        let mut matrix = DenseMatrix::zeros(rows, columns.len());
+        for (c, column) in columns.iter().enumerate() {
+            for (r, value) in column.iter() {
+                matrix.set(r, c, value.clone());
+            }
+        }
+        matrix
     }
 }
 
@@ -108,33 +121,6 @@ impl<T> DenseMatrix<T> {
     {
         assert!(c < self.cols, "column {c} out of range {}", self.cols);
         (0..self.rows).map(|r| self.get(r, c).clone()).collect()
-    }
-
-    /// Number of elements for which `is_zero` is false.
-    pub fn nnz(&self, is_zero: impl Fn(&T) -> bool) -> usize {
-        self.data.iter().filter(|v| !is_zero(v)).count()
-    }
-}
-
-impl DenseMatrix<i8> {
-    /// Fraction of zero entries (the paper's `AvSpB` for weight matrices).
-    pub fn sparsity(&self) -> f64 {
-        if self.data.is_empty() {
-            return 0.0;
-        }
-        let zeros = self.data.iter().filter(|&&v| v == 0).count();
-        zeros as f64 / self.data.len() as f64
-    }
-}
-
-impl DenseMatrix<u8> {
-    /// Fraction of zero entries (activation sparsity for ANN workloads).
-    pub fn value_sparsity(&self) -> f64 {
-        if self.data.is_empty() {
-            return 0.0;
-        }
-        let zeros = self.data.iter().filter(|&&v| v == 0).count();
-        zeros as f64 / self.data.len() as f64
     }
 }
 
@@ -265,16 +251,21 @@ mod tests {
         assert_eq!(*m.get(2, 1), 7);
         assert_eq!(m.row(2), &[0, 7]);
         assert_eq!(m.column(1), vec![0, 0, 7]);
-        assert_eq!(m.nnz(|&v| v == 0), 1);
     }
 
     #[test]
     fn dense_matrix_from_vec_validates() {
         assert!(DenseMatrix::from_vec(2, 2, vec![1i8, 2, 3]).is_err());
-        let m = DenseMatrix::from_vec(2, 2, vec![1i8, 0, 0, 4]).unwrap();
-        assert!((m.sparsity() - 0.5).abs() < 1e-12);
-        let a = DenseMatrix::from_vec(2, 2, vec![0u8, 9, 0, 0]).unwrap();
-        assert!((a.value_sparsity() - 0.75).abs() < 1e-12);
+    }
+
+    #[test]
+    fn from_columns_inverts_column_compression() {
+        let m = DenseMatrix::from_vec(3, 2, vec![1i8, 0, 0, -4, 7, 0]).unwrap();
+        let columns: Vec<_> = (0..2)
+            .map(|c| crate::WeightFiber::from_weights(&m.column(c)))
+            .collect();
+        assert_eq!(DenseMatrix::from_columns(3, &columns), m);
+        assert_eq!(DenseMatrix::<i8>::from_columns(5, &[]).rows(), 5);
     }
 
     #[test]

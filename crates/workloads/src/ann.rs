@@ -8,9 +8,10 @@ use crate::draw;
 use crate::error::WorkloadError;
 use crate::generator::WorkloadGenerator;
 use crate::shape::LayerShape;
-use loas_sparse::DenseMatrix;
+use loas_sparse::{zero_fraction, Fiber, WeightFiber};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 /// One dual-sparse ANN layer workload.
 #[derive(Debug, Clone, PartialEq)]
@@ -19,21 +20,21 @@ pub struct AnnWorkload {
     pub name: String,
     /// Shape with `t = 1`.
     pub shape: LayerShape,
-    /// 8-bit unsigned activations, `M × K`.
-    pub activations: DenseMatrix<u8>,
-    /// 8-bit signed weights, `K × N`.
-    pub weights: DenseMatrix<i8>,
+    /// 8-bit unsigned activations, `M × K`, as their `M` row fibers.
+    pub activations: Arc<[Fiber<u8>]>,
+    /// 8-bit signed weights, `K × N`, as their `N` column fibers.
+    pub weights: Arc<[WeightFiber]>,
 }
 
 impl AnnWorkload {
     /// Realised activation sparsity.
     pub fn activation_sparsity(&self) -> f64 {
-        self.activations.value_sparsity()
+        zero_fraction(&self.activations)
     }
 
     /// Realised weight sparsity.
     pub fn weight_sparsity(&self) -> f64 {
-        self.weights.sparsity()
+        zero_fraction(&self.weights)
     }
 }
 
@@ -62,20 +63,21 @@ pub fn generate_ann(
         }
     }
     let mut rng = StdRng::seed_from_u64(generator.seed() ^ name.len() as u64 ^ 0xA99);
-    let activations = draw::pruned(&mut rng, shape.m * shape.k, activation_sparsity, |rng| {
-        rng.gen_range(1..=255u8)
-    });
-    let weights = draw::pruned(
-        &mut rng,
-        shape.k * shape.n,
-        weight_sparsity,
-        draw::signed_weight,
-    );
+    // Row by row, the draws of one row-major pass over the `M × K` values.
+    let activations = (0..shape.m)
+        .map(|_| {
+            let row = draw::pruned(&mut rng, shape.k, activation_sparsity, |rng| {
+                rng.gen_range(1..=255u8)
+            });
+            Fiber::from_dense(&row, |&v| v == 0)
+        })
+        .collect();
+    let weights = draw::pruned_columns(&mut rng, shape.k, shape.n, weight_sparsity);
     Ok(AnnWorkload {
         name: name.to_owned(),
         shape: LayerShape { t: 1, ..shape },
-        activations: DenseMatrix::from_vec(shape.m, shape.k, activations).expect("M x K values"),
-        weights: DenseMatrix::from_vec(shape.k, shape.n, weights).expect("K x N weights"),
+        activations,
+        weights: weights.into(),
     })
 }
 

@@ -6,6 +6,7 @@
 //! [`below`]`(p)`: the same draws decide the same outcomes, bit for bit,
 //! without converting any draw to a float.
 
+use loas_sparse::{Bitmask, Fiber, WeightFiber};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore};
 
@@ -45,8 +46,50 @@ pub(crate) fn pruned<T: Copy + Default>(
     values
 }
 
+/// A `k x n` weight matrix drawn as [`pruned`] draws it, row-major with a
+/// [`signed_weight`] for each survivor, straight into its `n` column
+/// fibers: no dense matrix is written.
+pub(crate) fn pruned_columns(
+    rng: &mut StdRng,
+    k: usize,
+    n: usize,
+    sparsity: f64,
+) -> Vec<WeightFiber> {
+    let kept_from = below(sparsity);
+    let words = k.div_ceil(64);
+    let mut masks = vec![0u64; n * words];
+    // Row-major `(column, weight)` of every survivor, so each column's
+    // values can then be gathered into a vector of its exact size.
+    let mut kept = Vec::new();
+    for row in 0..k {
+        for column in 0..n {
+            if unit(rng) >= kept_from {
+                masks[column * words + row / 64] |= 1 << (row % 64);
+                kept.push((column, signed_weight(rng)));
+            }
+        }
+    }
+    let mask = |column: usize| &masks[column * words..(column + 1) * words];
+    let mut values: Vec<Vec<i8>> = (0..n)
+        .map(|column| {
+            Vec::with_capacity(mask(column).iter().map(|w| w.count_ones() as usize).sum())
+        })
+        .collect();
+    for (column, weight) in kept {
+        values[column].push(weight);
+    }
+    values
+        .into_iter()
+        .enumerate()
+        .map(|(column, values)| {
+            Fiber::from_parts(Bitmask::from_words(k, mask(column).to_vec()), values)
+                .expect("one value per kept weight")
+        })
+        .collect()
+}
+
 /// A non-zero 8-bit weight: a magnitude in `1..=127`, then its sign.
-pub(crate) fn signed_weight(rng: &mut StdRng) -> i8 {
+fn signed_weight(rng: &mut StdRng) -> i8 {
     let magnitude = rng.gen_range(1..=127i8);
     if rng.gen::<bool>() {
         magnitude
@@ -136,6 +179,27 @@ mod tests {
                 })
                 .collect();
             assert_eq!(fast, slow, "sparsity {sparsity}");
+        }
+    }
+
+    #[test]
+    fn pruned_columns_are_the_columns_of_the_dense_draw() {
+        for (k, n) in [(0, 3), (3, 0), (1, 1), (64, 5), (130, 7)] {
+            for sparsity in [0.0, 0.3, 0.982, 1.0] {
+                let mut rng = StdRng::seed_from_u64(9);
+                let columns = pruned_columns(&mut rng, k, n, sparsity);
+                let after_columns = rng.next_u64();
+                let mut rng = StdRng::seed_from_u64(9);
+                let dense = pruned(&mut rng, k * n, sparsity, signed_weight);
+                let expected: Vec<WeightFiber> = (0..n)
+                    .map(|c| {
+                        let column: Vec<i8> = (0..k).map(|r| dense[r * n + c]).collect();
+                        WeightFiber::from_weights(&column)
+                    })
+                    .collect();
+                assert_eq!(columns, expected, "{k} x {n} at sparsity {sparsity}");
+                assert_eq!(after_columns, rng.next_u64(), "same number of draws");
+            }
         }
     }
 }

@@ -5,13 +5,15 @@
 //! therefore synthesises spike tensors and weight matrices whose sparsity
 //! structure matches the Table II statistics exactly in expectation (see
 //! [`crate::SparsityProfile`]), with fully seeded, reproducible randomness.
+//! Weights are drawn straight into the compressed form every model reads,
+//! `B`'s column fibers; only golden references densify them.
 
 use crate::draw;
 use crate::error::WorkloadError;
 use crate::shape::LayerShape;
 use crate::sparsity::{CountSampler, SparsityProfile};
 use loas_snn::{preprocess, LifParams, SnnLayer, SparsityStats, SpikeTensor};
-use loas_sparse::{DenseMatrix, MAX_TIMESTEPS};
+use loas_sparse::{DenseMatrix, WeightFiber, MAX_TIMESTEPS};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -30,9 +32,9 @@ pub struct LayerWorkload {
     pub shape: LayerShape,
     /// Input spike tensor `A ∈ {0,1}^{M×K×T}`.
     pub spikes: SpikeTensor,
-    /// Weight matrix `B ∈ Z^{K×N}` (8-bit, Table III), shared with the
-    /// fine-tuned variant.
-    pub weights: Arc<DenseMatrix<i8>>,
+    /// Weight matrix `B ∈ Z^{K×N}` (8-bit, Table III) as its `N` column
+    /// fibers, shared with the fine-tuned variant and every prepared view.
+    pub weights: Arc<[WeightFiber]>,
     /// LIF parameters for the output stage.
     pub lif: LifParams,
 }
@@ -60,10 +62,13 @@ impl LayerWorkload {
     ///
     /// # Panics
     ///
-    /// Panics if the weight matrix is empty (generated workloads never are).
+    /// Panics if the weight matrix is empty.
     pub fn golden_layer(&self) -> SnnLayer {
-        SnnLayer::new(DenseMatrix::clone(&self.weights), self.lif)
-            .expect("generated weights are non-empty")
+        SnnLayer::new(
+            DenseMatrix::from_columns(self.shape.k, &self.weights),
+            self.lif,
+        )
+        .expect("generated weights are non-empty")
     }
 }
 
@@ -85,7 +90,8 @@ impl From<&LayerWorkload> for LayerWorkload {
 /// let profile = SparsityProfile::from_percentages(82.3, 74.1, 79.6, 98.2)?;
 /// let w = generator.generate("demo", LayerShape::new(4, 8, 16, 128), &profile)?;
 /// assert_eq!(w.spikes.timesteps(), 4);
-/// assert_eq!(w.weights.rows(), 128);
+/// assert_eq!(w.weights.len(), 16); // N column fibers of K = 128 weights
+/// assert_eq!(w.weights[0].len(), 128);
 /// # Ok::<(), loas_workloads::WorkloadError>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -123,19 +129,12 @@ impl WorkloadGenerator {
         let spikes = SpikeTensor::from_row_words(shape.m, shape.k, shape.t, |_, words| {
             spike_row(&mut rng, &sampler, &mut timestep_pool, shape.k, words)
         });
-        let weights = draw::pruned(
-            &mut rng,
-            shape.k * shape.n,
-            profile.weight,
-            draw::signed_weight,
-        );
+        let weights = draw::pruned_columns(&mut rng, shape.k, shape.n, profile.weight);
         Ok(LayerWorkload {
             name: name.to_owned(),
             shape,
             spikes,
-            weights: Arc::new(
-                DenseMatrix::from_vec(shape.k, shape.n, weights).expect("K x N weights"),
-            ),
+            weights: weights.into(),
             lif: Self::default_lif(shape, profile),
         })
     }
@@ -279,7 +278,8 @@ mod tests {
         let shape = LayerShape::new(4, 2, 16, 128);
         let w = generator.generate("w", shape, &vgg_profile()).unwrap();
         // Every kept weight must be non-zero (zero means pruned).
-        let nnz = w.weights.nnz(|&v| v == 0);
+        let nnz: usize = w.weights.iter().map(WeightFiber::nnz).sum();
         assert!(nnz > 0, "some weights survive at 98.2% sparsity");
+        assert!(w.weights.iter().flat_map(|f| f.values()).all(|&v| v != 0));
     }
 }

@@ -5,7 +5,10 @@
 //! bytes, so a change to draw order or sampling rules must fail here, in
 //! the crate that owns it. The cases cover `T = 1` and `T = 16`, `K` off a
 //! 64-bit word boundary, an empty `N`, and weight sparsities 0 and 1.
+//! The digests read the weights densified, row by row, as they were
+//! pinned.
 
+use loas_sparse::{DenseMatrix, WeightFiber};
 use loas_workloads::{
     generate_ann, AnnWorkload, LayerShape, LayerWorkload, SparsityProfile, WorkloadGenerator,
 };
@@ -34,6 +37,15 @@ impl Digest {
             self.u64(dim as u64);
         }
     }
+
+    /// The `k x N` weights of `columns`, row-major, one byte each.
+    fn weights(&mut self, k: usize, columns: &[WeightFiber]) {
+        let dense = DenseMatrix::from_columns(k, columns);
+        for row in 0..k {
+            let bytes: Vec<u8> = dense.row(row).iter().map(|&v| v as u8).collect();
+            self.bytes(&bytes);
+        }
+    }
 }
 
 fn layer_digest(w: &LayerWorkload) -> u64 {
@@ -47,15 +59,7 @@ fn layer_digest(w: &LayerWorkload) -> u64 {
             plane.row(m).words().iter().for_each(|&word| d.u64(word));
         }
     }
-    for k in 0..w.weights.rows() {
-        d.bytes(
-            &w.weights
-                .row(k)
-                .iter()
-                .map(|&v| v as u8)
-                .collect::<Vec<_>>(),
-        );
-    }
+    d.weights(w.shape.k, &w.weights);
     d.0
 }
 
@@ -63,18 +67,10 @@ fn ann_digest(w: &AnnWorkload) -> u64 {
     let mut d = Digest::new();
     d.bytes(w.name.as_bytes());
     d.shape(w.shape);
-    for m in 0..w.activations.rows() {
-        d.bytes(w.activations.row(m));
+    for row in w.activations.iter() {
+        d.bytes(&row.to_dense(0));
     }
-    for k in 0..w.weights.rows() {
-        d.bytes(
-            &w.weights
-                .row(k)
-                .iter()
-                .map(|&v| v as u8)
-                .collect::<Vec<_>>(),
-        );
-    }
+    d.weights(w.shape.k, &w.weights);
     d.0
 }
 

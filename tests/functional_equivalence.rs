@@ -17,17 +17,19 @@ fn workload(seed: u64, shape: LayerShape, profile: &SparsityProfile) -> loas::La
 fn all_spmspm_orders_agree_on_generated_workloads() {
     for seed in [1u64, 2, 3] {
         let w = workload(seed, LayerShape::new(4, 12, 10, 96), &profiles::vgg16());
-        let dense = spmspm::dense_reference(w.spikes.planes(), &w.weights).unwrap();
+        let golden = w.golden_layer();
+        let weights = golden.weights();
+        let dense = spmspm::dense_reference(w.spikes.planes(), weights).unwrap();
         assert_eq!(
-            spmspm::inner_product(w.spikes.planes(), &w.weights).unwrap(),
+            spmspm::inner_product(w.spikes.planes(), weights).unwrap(),
             dense
         );
         assert_eq!(
-            spmspm::outer_product(w.spikes.planes(), &w.weights).unwrap(),
+            spmspm::outer_product(w.spikes.planes(), weights).unwrap(),
             dense
         );
         assert_eq!(
-            spmspm::gustavson(w.spikes.planes(), &w.weights).unwrap(),
+            spmspm::gustavson(w.spikes.planes(), weights).unwrap(),
             dense
         );
     }

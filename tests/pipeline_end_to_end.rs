@@ -88,9 +88,10 @@ fn output_sparsity_stays_high_through_the_network() {
     // sparser than ANN activations (~90%).
     let (workloads, network) = three_layer_network(7);
     let outputs = network.forward(&workloads[0].spikes).unwrap();
-    for (i, sparsity) in network.output_sparsities(&outputs).iter().enumerate() {
+    for (i, output) in outputs.iter().enumerate() {
+        let sparsity = output.spikes.origin_sparsity();
         assert!(
-            *sparsity > 0.5,
+            sparsity > 0.5,
             "layer {i} output sparsity too low: {sparsity}"
         );
     }

@@ -1,7 +1,7 @@
 //! Property-based tests (proptest) on the core data structures and the
 //! invariants the paper's hardware relies on.
 
-use loas::core::kernel::{PairSweepKernel, RowBlocks};
+use loas::core::kernel::PairSweepKernel;
 use loas::core::{reference_sums, AccumulatorBank, InnerJoinUnit, ParallelLif};
 use loas::sparse::{Bitmask, PackedSpikes, SpikeFiber, WeightFiber};
 use loas::{LifParams, LoasConfig, SpikeTensor};
@@ -163,9 +163,10 @@ proptest! {
         let unit = InnerJoinUnit::new(&config);
         let outcome = unit.join(&fiber_a, &fiber_b);
 
-        let blocks = RowBlocks::from_tensor(&SpikeTensor::from_packed_rows(std::slice::from_ref(&row), 4).unwrap());
+        let a = SpikeTensor::from_packed_rows(std::slice::from_ref(&row), 4).unwrap();
+        let planes: Vec<&[u64]> = a.planes().iter().map(|plane| plane.row(0).words()).collect();
         let kernel = PairSweepKernel::new(config.bitmask_bits, Some(config.fifo_depth));
-        let counts = kernel.pair_counts(&blocks, 0, fiber_b.bitmask().words());
+        let counts = kernel.pair_counts(fiber_a.bitmask().words(), planes, fiber_b.bitmask().words());
 
         prop_assert_eq!(counts.matches, outcome.matches);
         prop_assert_eq!(counts.stalls, outcome.stall_cycles);
