@@ -577,6 +577,49 @@ mod tests {
     }
 
     #[test]
+    fn non_default_config_memo_keys_are_pinned() {
+        // The golden-v1 keys cover default configs only. These pin the
+        // config half of the key layout: LoAS hashes every field, a
+        // baseline hashes `cfg/2` and its fields when they differ from its
+        // default (Gamma at 256 KiB is the default and adds nothing).
+        use loas_baselines::{GammaConfig, GospaConfig, PtbConfig, SparTenConfig, StellarConfig};
+        let mut specs = vec![
+            AcceleratorSpec::loas_with(LoasConfig::builder().tppes(32).build()),
+            AcceleratorSpec::loas_with(LoasConfig::builder().hbm_gbps(16.0).build()),
+            AcceleratorSpec::loas_ft(),
+        ];
+        specs.extend(GammaConfig::CACHE_SWEEP_POINTS.map(|bytes| {
+            AcceleratorSpec::from_config(GammaConfig::builder().cache_bytes(bytes).build())
+        }));
+        specs.extend([
+            AcceleratorSpec::from_config(SparTenConfig::builder().pes(8).build()),
+            AcceleratorSpec::from_config(GospaConfig::builder().lanes(8).build()),
+            AcceleratorSpec::from_config(PtbConfig::builder().utilization(0.5).build()),
+            AcceleratorSpec::from_config(StellarConfig::builder().array_cols(8).build()),
+        ]);
+        let keys: Vec<String> = specs
+            .into_iter()
+            .map(|spec| job("w", spec).memo_key().to_string())
+            .collect();
+        assert_eq!(
+            keys,
+            [
+                "a2a3a02248f3f154", // LoAS, 32 TPPEs
+                "bcd52d8dc38f21f4", // LoAS, 16 GB/s
+                "fd9b68011e835aab", // LoAS-FT
+                "8957da4fe3bb9b43", // Gamma, 64 KiB
+                "0c46bb031d0a3cf2", // Gamma, 128 KiB
+                "b1043f37edb348a0", // Gamma, 256 KiB (default)
+                "43c83b9f7cad3e80", // Gamma, 512 KiB
+                "da5286573270a79b", // SparTen, 8 PEs
+                "53bfe16e8057ec60", // GoSPA, 8 lanes
+                "f9f3a227ddecce64", // PTB, 50% utilization
+                "9207e10fd7ed5b47", // Stellar, 8 columns
+            ]
+        );
+    }
+
+    #[test]
     fn memo_keys_identify_job_content_not_presentation() {
         let a = job("w", AcceleratorSpec::loas());
         let mut relabeled = job("w", AcceleratorSpec::loas());
