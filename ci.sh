@@ -12,10 +12,11 @@
 # spec whose campaign name and job label need escapes served end to end, a
 # v1-vs-v2 spec A/B against the committed pre-redesign report, a served
 # baseline-config sweep (Gamma FiberCache), smokes for the queue admin
-# commands (batch enqueue, requeue, fsck, models) and of enqueue refusing
-# unrunnable specs (a LoAS timestep mismatch, a workload t above 16,
-# memory systems it cannot build: zero HBM channels, HBM below 1 GB/s, a
-# cache of more than 2^20 lines), a runner failing a stored spec cut short
+# commands (batch enqueue, requeue, fsck, and models, which must list
+# exactly loas sparten gospa gamma ptb stellar, in that order) and of
+# enqueue refusing unrunnable specs (a LoAS timestep mismatch, a workload
+# t above 16, memory systems it cannot build: zero HBM channels, HBM below
+# 1 GB/s, a cache of more than 2^20 lines), a runner failing a stored spec cut short
 # and draining on, a run of every example (each must exit 0, and
 # dataflow_explorer must mark exactly one variant as meeting all
 # goals), a bench-trajectory gate over the two
@@ -100,10 +101,10 @@ SPEC
 "$SERVE" status "$SMOKE/escq" | grep -F 'esc "q" back\slash café 😀' | grep -q "done"
 grep -qF '"label":"label \"q\" b\\s café 😀"' "$SMOKE/escq/reports/00001/report.jsonl"
 
-echo "== golden v1 spec A/B (pre-redesign schema through the catalog)"
-# The committed pre-redesign v1 spec must drive the catalog-dispatched
-# models to the committed pre-redesign report, byte for byte — and the v2
-# spec of the same campaign ("$SMOKE/single" ran the emitted --headline
+echo "== golden v1 spec A/B (pre-redesign schema through AcceleratorSpec)"
+# The committed pre-redesign v1 spec must drive the six models, each a
+# variant of AcceleratorSpec, to the committed pre-redesign report, byte
+# for byte — and the v2 spec of the same campaign ("$SMOKE/single" ran the emitted --headline
 # spec, which is v2) must agree with both.
 "$SERVE" init "$SMOKE/golden"
 "$SERVE" enqueue "$SMOKE/golden" crates/serve/tests/golden/headline-v1.spec.json
@@ -198,11 +199,11 @@ printf '{"name": "x", "jobs": [' > "$SMOKE/cutq/specs/00001.json"
 grep "00001" "$SMOKE/cutq.status" | grep -q "failed spec: unexpected end of input"
 grep "00002" "$SMOKE/cutq.status" | grep -q "done"
 
-echo "== accelerator catalog listing (loas-serve models)"
+echo "== model listing (loas-serve models)"
 "$SERVE" models > "$SMOKE/models.out"
-for model in loas sparten gospa gamma ptb stellar; do
-  grep -q "^$model\$" "$SMOKE/models.out"
-done
+# The unindented lines are the model names: exactly the six paper models,
+# in listing order.
+test "$(grep -v '^ ' "$SMOKE/models.out" | grep -v '^$' | tr '\n' ' ')" = "loas sparten gospa gamma ptb stellar "
 grep -q "cache_ways" "$SMOKE/models.out"
 grep -q "default 262144" "$SMOKE/models.out"
 

@@ -41,9 +41,9 @@ use crate::common::{config_builder, BASELINE_CACHE_BYTES, BASELINE_PES, BASELINE
 use loas_core::{Accelerator, LayerReport, Machine, PreparedLayer};
 use loas_sim::{Footprint, LineSpan, SramCache, TrafficClass};
 
-/// Typed configuration of the Gamma-SNN model. Registered in the
-/// accelerator catalog as `"gamma"`; the FiberCache geometry fields are
-/// the knobs the Gamma cache-size campaign sweep turns.
+/// Typed configuration of the Gamma-SNN model (spec name `"gamma"`); the
+/// FiberCache geometry fields are the knobs the Gamma cache-size campaign
+/// sweep turns.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GammaConfig {
     /// Row-processing PEs (paper: 16).
@@ -387,23 +387,6 @@ impl Accelerator for GammaSnn {
         };
         self.finish(layer, machine, compute, products)
     }
-}
-
-/// The accelerator-catalog entry for this model.
-pub(crate) fn catalog_entry() -> loas_core::ModelEntry {
-    loas_core::ModelEntry::new(
-        "gamma",
-        "Gamma-SNN: Gustavson spMspM baseline with FiberCache + merger",
-        3,
-        || Box::new(GammaConfig::default()),
-        |config| {
-            let config = config
-                .as_any()
-                .downcast_ref::<GammaConfig>()
-                .expect("gamma entry built with a GammaConfig");
-            Box::new(GammaSnn::new(*config))
-        },
-    )
 }
 
 #[cfg(test)]

@@ -22,8 +22,7 @@ use crate::common::{config_builder, BASELINE_ROOFLINE};
 use loas_core::{Accelerator, LayerReport, Machine, PreparedLayer};
 use loas_sim::{SramCache, TrafficClass};
 
-/// Typed configuration of the GoSPA-SNN model. Registered in the
-/// accelerator catalog as `"gospa"`.
+/// Typed configuration of the GoSPA-SNN model (spec name `"gospa"`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GospaConfig {
     /// Accumulation lanes fed by one streamed activation per cycle.
@@ -202,23 +201,6 @@ impl Accelerator for GospaSnn {
         }
         self.finish(layer, machine, compute, products, spill)
     }
-}
-
-/// The accelerator-catalog entry for this model.
-pub(crate) fn catalog_entry() -> loas_core::ModelEntry {
-    loas_core::ModelEntry::new(
-        "gospa",
-        "GoSPA-SNN: outer-product (OP) spMspM baseline with psum spill traffic",
-        2,
-        || Box::new(GospaConfig::default()),
-        |config| {
-            let config = config
-                .as_any()
-                .downcast_ref::<GospaConfig>()
-                .expect("gospa entry built with a GospaConfig");
-            Box::new(GospaSnn::new(*config))
-        },
-    )
 }
 
 #[cfg(test)]

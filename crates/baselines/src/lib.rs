@@ -16,7 +16,9 @@
 //!
 //! All models implement [`loas_core::Accelerator`] over the same
 //! [`loas_core::PreparedLayer`] inputs as LoAS, so comparisons are
-//! apples-to-apples.
+//! apples-to-apples. Each config implements [`loas_core::ModelConfig`];
+//! each model is one variant of `loas_engine::AcceleratorSpec`, which
+//! names, builds and hashes it.
 //!
 //! # Examples
 //!
@@ -54,24 +56,3 @@ pub use ptb::{Ptb, PtbConfig, PtbConfigBuilder};
 pub use sparten::{SparTenConfig, SparTenConfigBuilder, SparTenSnn};
 pub use stellar::{Stellar, StellarConfig, StellarConfigBuilder};
 pub use systolic::SystolicArray;
-
-/// Registers the five baseline models into the process-global accelerator
-/// catalog (idempotent — callers may race freely). The engine's spec layer
-/// invokes this before every catalog lookup, so linking `loas-engine` is
-/// enough to make `"sparten"`, `"gospa"`, `"gamma"`, `"ptb"`, and
-/// `"stellar"` resolvable; adding a baseline means registering it here and
-/// nowhere else.
-pub fn register_catalog() {
-    static ONCE: std::sync::Once = std::sync::Once::new();
-    ONCE.call_once(|| {
-        for entry in [
-            sparten::catalog_entry(),
-            gospa::catalog_entry(),
-            gamma::catalog_entry(),
-            ptb::catalog_entry(),
-            stellar::catalog_entry(),
-        ] {
-            loas_core::catalog::register(entry).expect("baseline catalog names are unique");
-        }
-    });
-}

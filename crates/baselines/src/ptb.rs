@@ -14,9 +14,8 @@ use crate::systolic::SystolicArray;
 use loas_core::{Accelerator, LayerReport, Machine, PreparedLayer};
 use loas_sim::{SramCache, TrafficClass};
 
-/// Typed configuration of the PTB model. Registered in the accelerator
-/// catalog as `"ptb"`; the array geometry is flattened to plain fields so
-/// campaign specs can sweep it.
+/// Typed configuration of the PTB model (spec name `"ptb"`); the array
+/// geometry is flattened to plain fields so campaign specs can sweep it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PtbConfig {
     /// Systolic-array rows — LIF neurons (paper comparison: 16).
@@ -137,23 +136,6 @@ impl Accelerator for Ptb {
         machine.stats.ops.lif_updates = (shape.m * shape.n * shape.t) as u64;
         machine.finish(&BASELINE_ROOFLINE, &layer.name, &self.name(), compute)
     }
-}
-
-/// The accelerator-catalog entry for this model.
-pub(crate) fn catalog_entry() -> loas_core::ModelEntry {
-    loas_core::ModelEntry::new(
-        "ptb",
-        "PTB: dense, partially temporal-parallel systolic baseline",
-        5,
-        || Box::new(PtbConfig::default()),
-        |config| {
-            let config = config
-                .as_any()
-                .downcast_ref::<PtbConfig>()
-                .expect("ptb entry built with a PtbConfig");
-            Box::new(Ptb::new(*config))
-        },
-    )
 }
 
 #[cfg(test)]

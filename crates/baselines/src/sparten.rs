@@ -35,8 +35,8 @@ use loas_sim::{SramCache, TrafficClass};
 use loas_sparse::POINTER_BITS;
 
 /// Typed configuration of the SparTen-SNN model (the paper's Section V
-/// parameters by default). Registered in the accelerator catalog as
-/// `"sparten"`, so every field is sweepable through campaign specs.
+/// parameters by default; spec name `"sparten"`). Every field is sweepable
+/// through campaign specs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SparTenConfig {
     /// Processing elements (paper: 16).
@@ -274,23 +274,6 @@ impl Accelerator for SparTenSnn {
     fn run_layer(&mut self, layer: &PreparedLayer) -> LayerReport {
         self.simulate(layer, self.kernel_path())
     }
-}
-
-/// The accelerator-catalog entry for this model.
-pub(crate) fn catalog_entry() -> loas_core::ModelEntry {
-    loas_core::ModelEntry::new(
-        "sparten",
-        "SparTen-SNN: inner-product (IP) spMspM baseline with bitmask inner-join",
-        1,
-        || Box::new(SparTenConfig::default()),
-        |config| {
-            let config = config
-                .as_any()
-                .downcast_ref::<SparTenConfig>()
-                .expect("sparten entry built with a SparTenConfig");
-            Box::new(SparTenSnn::new(*config))
-        },
-    )
 }
 
 #[cfg(test)]

@@ -13,8 +13,7 @@ use crate::systolic::SystolicArray;
 use loas_core::{Accelerator, LayerReport, Machine, PreparedLayer};
 use loas_sim::{SramCache, TrafficClass};
 
-/// Typed configuration of the Stellar model. Registered in the
-/// accelerator catalog as `"stellar"`.
+/// Typed configuration of the Stellar model (spec name `"stellar"`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StellarConfig {
     /// Systolic-array rows (configured to 16 PEs as in the paper
@@ -139,23 +138,6 @@ impl Accelerator for Stellar {
         machine.stats.ops.lif_updates = (shape.m * shape.n * shape.t) as u64;
         machine.finish(&BASELINE_ROOFLINE, &layer.name, &self.name(), compute)
     }
-}
-
-/// The accelerator-catalog entry for this model.
-pub(crate) fn catalog_entry() -> loas_core::ModelEntry {
-    loas_core::ModelEntry::new(
-        "stellar",
-        "Stellar: dense fully temporal-parallel FS-neuron baseline",
-        6,
-        || Box::new(StellarConfig::default()),
-        |config| {
-            let config = config
-                .as_any()
-                .downcast_ref::<StellarConfig>()
-                .expect("stellar entry built with a StellarConfig");
-            Box::new(Stellar::new(*config))
-        },
-    )
 }
 
 #[cfg(test)]

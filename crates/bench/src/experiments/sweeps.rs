@@ -1,6 +1,6 @@
 //! Architectural scaling sweeps beyond the paper's figures: TPPE count,
-//! off-chip bandwidth, timestep count, and — through the open accelerator
-//! catalog — a **baseline**-config sweep (Gamma-SNN's FiberCache
+//! off-chip bandwidth, timestep count, and — through a typed baseline
+//! config — a **baseline**-config sweep (Gamma-SNN's FiberCache
 //! capacity, the ablation knob the Gamma paper itself sweeps). These
 //! probe the design points the paper's discussion section gestures at
 //! (scaling LoAS up, and how far the FTP advantage carries as `T` grows
@@ -76,7 +76,7 @@ pub fn run(ctx: &mut Context) -> Vec<Table> {
         );
         t_jobs.push((t, job));
     }
-    // Baseline-config sweep via the catalog: Gamma-SNN's FiberCache
+    // Baseline-config sweep: Gamma-SNN's FiberCache
     // capacity, a typed non-LoAS config riding in the same campaign.
     let gamma_jobs: Vec<usize> = GAMMA_CACHE_POINTS
         .iter()

@@ -207,8 +207,8 @@ impl Default for LoasConfig {
     }
 }
 
-// Catalog introspection: field order mirrors `write_content` exactly (the
-// "loas" entry hashes these values raw, reproducing the legacy layout).
+// Field introspection: order mirrors `write_content` exactly (LoAS's
+// memo key hashes these values raw, its legacy layout).
 crate::impl_model_config!(LoasConfig, "loas", {
     tppes: usize,
     timesteps: usize,

@@ -30,10 +30,10 @@
 //! * [`Machine`] / [`Roofline`] — the memory system every model runs on:
 //!   one off-chip ledger and global cache, and one roofline and energy
 //!   roll-up that closes every model's report;
-//! * [`catalog`] — the open accelerator catalog: models register a stable
-//!   name, a typed [`ModelConfig`], a content-hash contribution, and a
-//!   boxed-[`Accelerator`] factory, and every downstream layer (campaign
-//!   specs, memo keys, the serve JSON schema) dispatches through it.
+//! * [`catalog`] — typed model configurations: every model's config is a
+//!   [`ModelConfig`] whose fields the serve JSON schema lists, overrides
+//!   and validates by name. The models themselves are a closed set, one
+//!   variant each of `loas_engine::AcceleratorSpec`.
 //!
 //! # Examples
 //!
@@ -72,7 +72,7 @@ mod tppe;
 pub use accelerator::Loas;
 pub use accumulator::{Accumulator, AccumulatorBank};
 pub use area_power::AreaPowerModel;
-pub use catalog::{Catalog, CatalogError, ConfigValue, ModelConfig, ModelEntry};
+pub use catalog::{CatalogError, ConfigValue, ModelConfig};
 pub use compressor::{CompressedRow, Compressor};
 pub use config::{check_precision, LoasConfig, LoasConfigBuilder};
 pub use hash::ContentHasher;

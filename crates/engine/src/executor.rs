@@ -252,25 +252,7 @@ impl Engine {
     /// Returns the first workload-generation failure; no jobs run in that
     /// case.
     pub fn run(&self, campaign: &Campaign) -> Result<CampaignOutcome, EngineError> {
-        self.run_streaming(campaign, |_| {})
-    }
-
-    /// Runs a campaign, invoking `sink` with each completed [`JobRecord`]
-    /// **in job-submission order** as soon as that prefix of the campaign
-    /// has finished. This is the streaming serialization hook: writing
-    /// `record.to_json()` lines from the sink yields an incrementally
-    /// flushed yet fully deterministic report stream.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first workload-generation failure; no jobs run in that
-    /// case.
-    pub fn run_streaming(
-        &self,
-        campaign: &Campaign,
-        sink: impl FnMut(&JobRecord),
-    ) -> Result<CampaignOutcome, EngineError> {
-        self.run_where(campaign, None, None, sink)
+        self.run_where(campaign, None, None, |_| {})
     }
 
     /// The fully general campaign entry point: runs an optional **subset**
@@ -285,6 +267,9 @@ impl Engine {
     ///   workload or simulating, and every freshly simulated result is
     ///   written back. [`CampaignOutcome::memo_hits`] /
     ///   [`CampaignOutcome::simulated`] report the split.
+    /// * `sink` — called with each completed [`JobRecord`] **in job order**
+    ///   as soon as that prefix of the selection has finished: writing
+    ///   `record.to_json()` lines from it streams a deterministic report.
     ///
     /// # Errors
     ///
@@ -500,7 +485,7 @@ mod tests {
         }
         let mut seen = Vec::new();
         let outcome = engine
-            .run_streaming(&campaign, |record| seen.push(record.job))
+            .run_where(&campaign, None, None, |record| seen.push(record.job))
             .unwrap();
         assert_eq!(seen, (0..campaign.len()).collect::<Vec<_>>());
         assert_eq!(outcome.records.len(), campaign.len());

@@ -14,9 +14,9 @@
 //!    compressed exactly once per engine, however many jobs or campaigns
 //!    reference it;
 //! 3. **Streaming reports** — a sink observes each [`JobRecord`] as soon as
-//!    its prefix of the campaign completes, and [`CampaignOutcome`]
-//!    aggregates per-layer results into [`NetworkReport`]s plus a human
-//!    summary with measured wall-clock timing.
+//!    its prefix of the campaign completes, and [`CampaignOutcome`] holds
+//!    the per-layer records plus a human summary with measured wall-clock
+//!    timing.
 //!
 //! On top of those, [`Engine::run_where`] generalizes execution for the
 //! `loas-serve` front end: an optional **job-id selection** runs one shard
@@ -26,8 +26,6 @@
 //! resubmitted campaigns replay cached reports instead of simulating. The
 //! on-disk [`MemoStore`] is the durable implementation shared by
 //! `loas-serve` and `repro` (`--store`).
-//!
-//! [`NetworkReport`]: loas_core::NetworkReport
 //!
 //! # Examples
 //!

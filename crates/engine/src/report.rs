@@ -6,7 +6,7 @@
 //! campaign run with one worker and with N workers produces byte-identical
 //! report streams. Timing lives in the [`CampaignOutcome`] summary instead.
 
-use loas_core::{LayerReport, NetworkReport};
+use loas_core::LayerReport;
 use loas_sim::TrafficClass;
 use std::fmt::Write as _;
 
@@ -164,37 +164,6 @@ impl CampaignOutcome {
         out
     }
 
-    /// Aggregates records into [`NetworkReport`]s, grouped by
-    /// `(network, accelerator)` in first-appearance order with layers in
-    /// network position order. Standalone-layer jobs are skipped.
-    pub fn network_reports(&self) -> Vec<NetworkReport> {
-        let mut order: Vec<(String, String)> = Vec::new();
-        let mut grouped: std::collections::HashMap<(String, String), Vec<&JobRecord>> =
-            std::collections::HashMap::new();
-        for record in &self.records {
-            let Some(network) = &record.network else {
-                continue;
-            };
-            let group = (network.clone(), record.report.accelerator.clone());
-            if !grouped.contains_key(&group) {
-                order.push(group.clone());
-            }
-            grouped.entry(group).or_default().push(record);
-        }
-        order
-            .into_iter()
-            .map(|group| {
-                let mut members = grouped.remove(&group).expect("group recorded");
-                members.sort_by_key(|record| record.layer_index);
-                NetworkReport::new(
-                    &group.0,
-                    &group.1,
-                    members.into_iter().map(|r| r.report.clone()).collect(),
-                )
-            })
-            .collect()
-    }
-
     /// Total simulation seconds summed over jobs (CPU-side work; exceeds
     /// `wall_seconds` when workers overlap).
     pub fn total_sim_seconds(&self) -> f64 {
@@ -308,22 +277,6 @@ mod tests {
         // Timing never leaks into the deterministic stream.
         assert!(!jsonl.contains("sim_seconds"));
         assert!(!jsonl.contains("0.25"));
-    }
-
-    #[test]
-    fn network_grouping_orders_layers_by_index() {
-        // Records arrive "out of order" relative to layer position.
-        let out = outcome(vec![
-            record(0, Some("net"), 1, 20),
-            record(1, Some("net"), 0, 10),
-            record(2, None, 0, 99),
-        ]);
-        let reports = out.network_reports();
-        assert_eq!(reports.len(), 1);
-        assert_eq!(reports[0].network, "net");
-        assert_eq!(reports[0].layers.len(), 2);
-        assert_eq!(reports[0].layers[0].stats.cycles, Cycle(10));
-        assert_eq!(reports[0].total_cycles(), Cycle(30));
     }
 
     #[test]

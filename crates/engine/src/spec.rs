@@ -5,18 +5,22 @@
 //! one [`AcceleratorSpec`] (a buildable accelerator model). Jobs carry an
 //! explicit seed through their workload spec, so a campaign is a complete,
 //! reproducible description of an experiment sweep.
+//!
+//! The models are a closed set: each of the paper's six designs is a
+//! variant of [`AcceleratorSpec`] holding its typed config, and this is
+//! the one place that names, builds and hashes all six. A new model is a
+//! new variant with a fresh legacy discriminant (never reuse 1–6).
 
-use loas_core::{catalog, Accelerator, CatalogError, LoasConfig, ModelConfig, PreparedLayer};
+use loas_baselines::{
+    GammaConfig, GammaSnn, GospaConfig, GospaSnn, Ptb, PtbConfig, SparTenConfig, SparTenSnn,
+    Stellar, StellarConfig,
+};
+use loas_core::{
+    Accelerator, CatalogError, ContentHasher, Loas, LoasConfig, ModelConfig, PreparedLayer,
+};
 use loas_workloads::networks::{LayerSpec, NetworkSpec};
 use loas_workloads::{FiringModel, LayerShape, SparsityProfile, WorkloadError, WorkloadGenerator};
 use std::ops::Range;
-
-/// Makes sure every workspace model is registered in the process-global
-/// accelerator catalog before a lookup. `loas-core` seeds the catalog with
-/// LoAS; the baselines register through their crate's idempotent hook.
-fn ensure_catalog() {
-    loas_baselines::register_catalog();
-}
 
 pub use loas_workloads::DEFAULT_SEED;
 
@@ -41,7 +45,7 @@ impl WorkloadKey {
     /// workload half of a [`MemoKey`]).
     ///
     /// [`MemoKey`]: crate::MemoKey
-    pub fn write_content(&self, hasher: &mut loas_core::ContentHasher) {
+    pub fn write_content(&self, hasher: &mut ContentHasher) {
         hasher.write_str(&self.name);
         hasher.write_usize(self.shape.t);
         hasher.write_usize(self.shape.m);
@@ -171,116 +175,165 @@ impl WorkloadSpec {
     }
 }
 
-/// A buildable accelerator model: a stable catalog name paired with a
-/// typed configuration, resolved through the process-global
-/// [`loas_core::catalog`]. Each job owns a spec and builds a fresh model,
-/// so heterogeneous fleets sit in one queue and results never depend on
-/// worker count or execution order. Because dispatch is a registry lookup,
-/// adding a model never touches this crate: register a
-/// [`loas_core::ModelEntry`] and the name becomes buildable, memoizable,
-/// and expressible in serve specs.
+/// A buildable accelerator model: one of the six paper models with its
+/// typed configuration. Each job owns a spec and builds a fresh model, so
+/// heterogeneous fleets sit in one queue and results never depend on
+/// worker count or execution order. This is the one type that sees every
+/// model's config: naming, building, hashing and workload checks are each
+/// one `match`.
 #[derive(Debug, Clone)]
-pub struct AcceleratorSpec {
-    model: String,
-    config: Box<dyn ModelConfig>,
+pub enum AcceleratorSpec {
+    /// LoAS (Table III by default).
+    Loas(LoasConfig),
+    /// SparTen-SNN.
+    SparTen(SparTenConfig),
+    /// GoSPA-SNN.
+    Gospa(GospaConfig),
+    /// Gamma-SNN.
+    Gamma(GammaConfig),
+    /// PTB.
+    Ptb(PtbConfig),
+    /// Stellar.
+    Stellar(StellarConfig),
 }
+
+/// One model's stable name (the spec-JSON `accelerator.name`), its
+/// `loas-serve models` about-line and its paper configuration.
+type ModelRow = (&'static str, &'static str, fn() -> AcceleratorSpec);
+
+/// Every model, in listing order; [`AcceleratorSpec::index`] maps a
+/// variant to its row.
+const MODELS: [ModelRow; 6] = [
+    (
+        "loas",
+        "LoAS: fully temporal-parallel dual-sparse SNN accelerator (Table III)",
+        AcceleratorSpec::loas,
+    ),
+    (
+        "sparten",
+        "SparTen-SNN: inner-product (IP) spMspM baseline with bitmask inner-join",
+        AcceleratorSpec::sparten,
+    ),
+    (
+        "gospa",
+        "GoSPA-SNN: outer-product (OP) spMspM baseline with psum spill traffic",
+        AcceleratorSpec::gospa,
+    ),
+    (
+        "gamma",
+        "Gamma-SNN: Gustavson spMspM baseline with FiberCache + merger",
+        AcceleratorSpec::gamma,
+    ),
+    (
+        "ptb",
+        "PTB: dense, partially temporal-parallel systolic baseline",
+        AcceleratorSpec::ptb,
+    ),
+    (
+        "stellar",
+        "Stellar: dense fully temporal-parallel FS-neuron baseline",
+        AcceleratorSpec::stellar,
+    ),
+];
+
+macro_rules! spec_from_config {
+    ($($config:ty => $variant:ident),* $(,)?) => {
+        $(
+            impl From<$config> for AcceleratorSpec {
+                fn from(config: $config) -> Self {
+                    AcceleratorSpec::$variant(config)
+                }
+            }
+        )*
+    };
+}
+
+spec_from_config!(
+    LoasConfig => Loas,
+    SparTenConfig => SparTen,
+    GospaConfig => Gospa,
+    GammaConfig => Gamma,
+    PtbConfig => Ptb,
+    StellarConfig => Stellar,
+);
 
 impl PartialEq for AcceleratorSpec {
     /// Specs are equal when they name the same model with the same
     /// configuration field values (floats by bit pattern).
     fn eq(&self, other: &Self) -> bool {
-        self.model == other.model && *self.config == *other.config
+        self.model() == other.model() && self.config().fields() == other.config().fields()
     }
 }
 
 impl AcceleratorSpec {
-    /// A spec for the named catalog model at its default configuration.
+    /// A spec for the named model at its paper configuration.
     ///
     /// # Errors
     ///
-    /// [`CatalogError::UnknownModel`] when no model registered the name.
+    /// [`CatalogError::UnknownModel`] when no model has the name.
     pub fn by_name(name: &str) -> Result<Self, CatalogError> {
-        ensure_catalog();
-        catalog::with(|catalog| {
-            let entry = catalog
-                .get(name)
-                .ok_or_else(|| CatalogError::UnknownModel(name.to_owned()))?;
-            Ok(AcceleratorSpec {
-                model: entry.name().to_owned(),
-                config: entry.default_config(),
-            })
-        })
+        MODELS
+            .iter()
+            .find(|(model, _, _)| *model == name)
+            .map(|(_, _, paper)| paper())
+            .ok_or_else(|| CatalogError::UnknownModel(name.to_owned()))
     }
 
-    /// A spec from an explicit typed configuration (the model name comes
-    /// from [`ModelConfig::model`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics when no [`loas_core::ModelEntry`] is registered under the
-    /// config's model name — a config type without a catalog entry can
-    /// never be built, so the mistake surfaces here, at the construction
-    /// site, instead of inside a worker thread mid-campaign.
-    pub fn from_config(config: impl ModelConfig) -> Self {
-        ensure_catalog();
-        let model = config.model();
-        assert!(
-            catalog::with(|catalog| catalog.get(model).is_some()),
-            "model `{model}` has a ModelConfig but no registered catalog entry;              call loas_core::catalog::register before building specs"
-        );
-        AcceleratorSpec {
-            model: model.to_owned(),
-            config: Box::new(config),
-        }
+    /// A spec from an explicit typed configuration.
+    pub fn from_config(config: impl Into<AcceleratorSpec>) -> Self {
+        config.into()
     }
 
-    /// Every model name currently registered in the catalog, in
-    /// registration order.
-    pub fn known_models() -> Vec<&'static str> {
-        ensure_catalog();
-        catalog::with(|catalog| catalog.names())
+    /// Every model at its paper configuration, in listing order.
+    pub fn catalog() -> [AcceleratorSpec; 6] {
+        MODELS.map(|(_, _, paper)| paper())
+    }
+
+    /// Every model name, in listing order.
+    pub fn known_models() -> [&'static str; 6] {
+        MODELS.map(|(name, _, _)| name)
     }
 
     /// SparTen-SNN at the paper configuration.
     pub fn sparten() -> Self {
-        Self::by_name("sparten").expect("builtin model")
+        Self::SparTen(SparTenConfig::default())
     }
 
     /// GoSPA-SNN at the paper configuration.
     pub fn gospa() -> Self {
-        Self::by_name("gospa").expect("builtin model")
+        Self::Gospa(GospaConfig::default())
     }
 
     /// Gamma-SNN at the paper configuration.
     pub fn gamma() -> Self {
-        Self::by_name("gamma").expect("builtin model")
+        Self::Gamma(GammaConfig::default())
     }
 
     /// PTB at the paper configuration.
     pub fn ptb() -> Self {
-        Self::by_name("ptb").expect("builtin model")
+        Self::Ptb(PtbConfig::default())
     }
 
     /// Stellar at the paper configuration.
     pub fn stellar() -> Self {
-        Self::by_name("stellar").expect("builtin model")
+        Self::Stellar(StellarConfig::default())
     }
 
     /// LoAS at the paper's Table III configuration.
     pub fn loas() -> Self {
-        Self::from_config(LoasConfig::table3())
+        Self::Loas(LoasConfig::table3())
     }
 
     /// LoAS with an explicit configuration (covers the FT discard mode and
     /// every ablation/sweep override).
     pub fn loas_with(config: LoasConfig) -> Self {
-        Self::from_config(config)
+        Self::Loas(config)
     }
 
     /// LoAS in fine-tuned mode (low-activity outputs discarded); pair with
     /// [`WorkloadSpec::fine_tuned`] workloads.
     pub fn loas_ft() -> Self {
-        Self::from_config(
+        Self::Loas(
             LoasConfig::builder()
                 .discard_low_activity_outputs(true)
                 .build(),
@@ -301,69 +354,128 @@ impl AcceleratorSpec {
         ]
     }
 
-    /// The stable catalog name this spec dispatches to (also the spec-JSON
-    /// `accelerator.name`).
-    pub fn model(&self) -> &str {
-        &self.model
+    /// This model's row of [`MODELS`].
+    fn index(&self) -> usize {
+        match self {
+            Self::Loas(_) => 0,
+            Self::SparTen(_) => 1,
+            Self::Gospa(_) => 2,
+            Self::Gamma(_) => 3,
+            Self::Ptb(_) => 4,
+            Self::Stellar(_) => 5,
+        }
+    }
+
+    /// The stable model name (also the spec-JSON `accelerator.name`).
+    pub fn model(&self) -> &'static str {
+        MODELS[self.index()].0
+    }
+
+    /// The model's one-line description for CLI listings.
+    pub fn about(&self) -> &'static str {
+        MODELS[self.index()].1
     }
 
     /// The typed configuration.
     pub fn config(&self) -> &dyn ModelConfig {
-        self.config.as_ref()
+        match self {
+            Self::Loas(config) => config,
+            Self::SparTen(config) => config,
+            Self::Gospa(config) => config,
+            Self::Gamma(config) => config,
+            Self::Ptb(config) => config,
+            Self::Stellar(config) => config,
+        }
     }
 
     /// Mutable access to the typed configuration (spec parsing applies
     /// field overrides through this).
     pub fn config_mut(&mut self) -> &mut dyn ModelConfig {
-        self.config.as_mut()
-    }
-
-    /// The configuration downcast to its concrete type.
-    pub fn typed_config<C: ModelConfig>(&self) -> Option<&C> {
-        self.config.as_any().downcast_ref()
-    }
-
-    /// Runs `f` with this spec's catalog entry.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the model was never registered — impossible for specs
-    /// built through this type's constructors, which resolve the name at
-    /// construction time.
-    fn with_entry<R>(&self, f: impl FnOnce(&loas_core::ModelEntry) -> R) -> R {
-        ensure_catalog();
-        catalog::with(|catalog| {
-            let entry = catalog
-                .get(&self.model)
-                .unwrap_or_else(|| panic!("model `{}` not in the catalog", self.model));
-            f(entry)
-        })
+        match self {
+            Self::Loas(config) => config,
+            Self::SparTen(config) => config,
+            Self::Gospa(config) => config,
+            Self::Gamma(config) => config,
+            Self::Ptb(config) => config,
+            Self::Stellar(config) => config,
+        }
     }
 
     /// Whether this spec should consume the fine-tuned (masked) variant of
-    /// its workload.
+    /// its workload: LoAS discarding low-activity outputs.
     pub fn wants_fine_tuned_workload(&self) -> bool {
-        self.with_entry(|entry| entry.config_wants_fine_tuned(self.config.as_ref()))
+        matches!(self, Self::Loas(config) if config.discard_low_activity_outputs)
+    }
+
+    /// Whether this model can run a layer of `shape`, allocating nothing
+    /// when it can (LoAS runs exactly its configured timesteps; the
+    /// baselines run any shape).
+    ///
+    /// # Errors
+    ///
+    /// The model's reason when it cannot.
+    pub fn check_workload(&self, shape: &LayerShape) -> Result<(), String> {
+        match self {
+            Self::Loas(config) => config.check_workload(shape),
+            _ => Ok(()),
+        }
     }
 
     /// Builds a fresh boxed model. Models are cheap to construct; all
     /// expensive state lives in the prepared workload.
     pub fn build(&self) -> Box<dyn Accelerator + Send> {
-        self.with_entry(|entry| entry.build(self.config.as_ref()))
+        match self {
+            Self::Loas(config) => Box::new(Loas::new(config.clone())),
+            Self::SparTen(config) => Box::new(SparTenSnn::new(*config)),
+            Self::Gospa(config) => Box::new(GospaSnn::new(*config)),
+            Self::Gamma(config) => Box::new(GammaSnn::new(*config)),
+            Self::Ptb(config) => Box::new(Ptb::new(*config)),
+            Self::Stellar(config) => Box::new(Stellar::new(*config)),
+        }
     }
 
     /// The model-reported display name (used in job labels and reports;
-    /// distinct from the stable catalog [`model`](Self::model) name).
+    /// distinct from the stable [`model`](Self::model) name).
     pub fn display_name(&self) -> String {
         self.build().name()
     }
 
-    /// Absorbs the accelerator's identifying content into a stable hash
-    /// via its catalog entry: the model's legacy discriminant plus its
-    /// configuration contribution (see [`loas_core::ModelEntry::write_content`]
-    /// for the default-preserving layout).
-    pub fn write_content(&self, hasher: &mut loas_core::ContentHasher) {
-        self.with_entry(|entry| entry.write_content(self.config.as_ref(), hasher));
+    /// Absorbs the accelerator's identifying content into a stable hash.
+    /// The model's legacy discriminant (its position in the original
+    /// closed enum) leads. LoAS follows it with every config field, raw,
+    /// in field order. A baseline adds nothing at its default config,
+    /// so default-config keys predate configurable baselines byte for
+    /// byte; otherwise it adds `cfg/2` and each field's name and value.
+    pub fn write_content(&self, hasher: &mut ContentHasher) {
+        match self {
+            Self::Loas(config) => {
+                hasher.write_u64(4);
+                config.write_content(hasher);
+            }
+            Self::SparTen(config) => write_baseline(hasher, 1, config),
+            Self::Gospa(config) => write_baseline(hasher, 2, config),
+            Self::Gamma(config) => write_baseline(hasher, 3, config),
+            Self::Ptb(config) => write_baseline(hasher, 5, config),
+            Self::Stellar(config) => write_baseline(hasher, 6, config),
+        }
+    }
+}
+
+/// A baseline's memo-key contribution (see
+/// [`AcceleratorSpec::write_content`]).
+fn write_baseline<C: ModelConfig + Default>(
+    hasher: &mut ContentHasher,
+    discriminant: u64,
+    config: &C,
+) {
+    hasher.write_u64(discriminant);
+    let fields = config.fields();
+    if fields != C::default().fields() {
+        hasher.write_str("cfg/2");
+        for (name, value) in fields {
+            hasher.write_str(name);
+            value.write_content(hasher);
+        }
     }
 }
 
@@ -372,10 +484,8 @@ impl AcceleratorSpec {
 pub struct JobSpec {
     /// Human-readable job label (defaults to `workload @ accelerator`).
     pub label: String,
-    /// Network this job's layer belongs to, for [`NetworkReport`]
-    /// aggregation (`None` for standalone layers).
-    ///
-    /// [`NetworkReport`]: loas_core::NetworkReport
+    /// Network this job's layer belongs to, carried into its record
+    /// (`None` for standalone layers).
     pub network: Option<String>,
     /// Position of the layer inside its network (0 for standalone layers).
     pub layer_index: usize,
@@ -399,9 +509,9 @@ impl JobSpec {
     }
 
     /// Checks, allocating nothing when the job passes, that its workload
-    /// passes [`FiringModel::check`] and its model's catalog entry accepts
-    /// the shape ([`loas_core::ModelEntry::check_workload`]). Whether the
-    /// profile is reachable at `t` is decided when the workload generates.
+    /// passes [`FiringModel::check`] and its model accepts the shape
+    /// ([`AcceleratorSpec::check_workload`]). Whether the profile is
+    /// reachable at `t` is decided when the workload generates.
     ///
     /// # Errors
     ///
@@ -409,9 +519,7 @@ impl JobSpec {
     pub fn check(&self) -> Result<(), String> {
         let WorkloadSpec { shape, profile, .. } = &self.workload;
         FiringModel::check(profile, shape.t).map_err(|error| error.to_string())?;
-        let config = self.accelerator.config();
-        self.accelerator
-            .with_entry(|entry| entry.check_workload(config, shape))
+        self.accelerator.check_workload(shape)
     }
 
     /// The job's result-memoization key: a stable content hash of the
@@ -422,7 +530,7 @@ impl JobSpec {
     ///
     /// [`LayerReport`]: loas_core::LayerReport
     pub fn memo_key(&self) -> crate::MemoKey {
-        let mut hasher = loas_core::ContentHasher::new();
+        let mut hasher = ContentHasher::new();
         hasher.write_str(crate::memo::MEMO_KEY_FORMAT);
         self.workload.key().write_content(&mut hasher);
         self.accelerator.write_content(&mut hasher);
@@ -526,18 +634,6 @@ impl Campaign {
     pub fn is_empty(&self) -> bool {
         self.jobs.is_empty()
     }
-
-    /// The distinct workload specs of this campaign, in first-use order.
-    pub fn unique_workloads(&self) -> Vec<WorkloadSpec> {
-        let mut seen = std::collections::HashSet::new();
-        let mut unique = Vec::new();
-        for job in &self.jobs {
-            if seen.insert(job.workload.key()) {
-                unique.push(job.workload.clone());
-            }
-        }
-        unique
-    }
 }
 
 #[cfg(test)]
@@ -547,6 +643,15 @@ mod tests {
 
     fn profile() -> SparsityProfile {
         SparsityProfile::from_percentages(82.3, 74.1, 79.6, 98.2).unwrap()
+    }
+
+    fn unique_workloads(campaign: &Campaign) -> usize {
+        let keys: std::collections::HashSet<_> = campaign
+            .jobs()
+            .iter()
+            .map(|job| job.workload.key())
+            .collect();
+        keys.len()
     }
 
     #[test]
@@ -594,6 +699,63 @@ mod tests {
     }
 
     #[test]
+    fn write_content_keeps_the_legacy_layouts() {
+        let hash = |write: &dyn Fn(&mut ContentHasher)| {
+            let mut hasher = ContentHasher::new();
+            write(&mut hasher);
+            hasher.finish()
+        };
+        // LoAS: discriminant 4, then its raw config fields.
+        let config = LoasConfig::builder().tppes(32).build();
+        assert_eq!(
+            hash(&|h| AcceleratorSpec::loas_with(config.clone()).write_content(h)),
+            hash(&|h| {
+                h.write_u64(4);
+                config.write_content(h);
+            })
+        );
+        // A baseline at its default config adds nothing to its discriminant.
+        for (spec, discriminant) in [
+            (AcceleratorSpec::sparten(), 1),
+            (AcceleratorSpec::gospa(), 2),
+            (AcceleratorSpec::gamma(), 3),
+            (AcceleratorSpec::ptb(), 5),
+            (AcceleratorSpec::stellar(), 6),
+        ] {
+            assert_eq!(
+                hash(&|h| spec.write_content(h)),
+                hash(&|h| h.write_u64(discriminant)),
+                "{}",
+                spec.model()
+            );
+        }
+        let tweaked = AcceleratorSpec::from_config(GammaConfig::builder().pes(8).build());
+        assert_ne!(
+            hash(&|h| tweaked.write_content(h)),
+            hash(&|h| h.write_u64(3))
+        );
+    }
+
+    #[test]
+    fn catalog_lists_each_model_once_in_order() {
+        assert_eq!(
+            AcceleratorSpec::known_models(),
+            ["loas", "sparten", "gospa", "gamma", "ptb", "stellar"]
+        );
+        for (spec, name) in AcceleratorSpec::catalog()
+            .iter()
+            .zip(AcceleratorSpec::known_models())
+        {
+            assert_eq!(spec.model(), name);
+            assert_eq!(AcceleratorSpec::by_name(name).unwrap(), *spec);
+        }
+        assert_eq!(
+            AcceleratorSpec::by_name("warp-drive"),
+            Err(CatalogError::UnknownModel("warp-drive".to_owned()))
+        );
+    }
+
+    #[test]
     fn push_network_expands_layers_and_marks_ft() {
         let mut campaign = Campaign::new("t");
         let spec = networks::alexnet();
@@ -608,7 +770,7 @@ mod tests {
             .iter()
             .all(|j| j.workload.fine_tuned));
         // Unique workloads: plain + ft variants of each layer.
-        assert_eq!(campaign.unique_workloads().len(), 2 * spec.depth());
+        assert_eq!(unique_workloads(&campaign), 2 * spec.depth());
     }
 
     #[test]
@@ -622,6 +784,6 @@ mod tests {
         let range = campaign.push_product(&layers, &fleet);
         assert_eq!(range.len(), layers.len() * fleet.len());
         // One fine-tuned + one plain variant per layer.
-        assert_eq!(campaign.unique_workloads().len(), 2 * layers.len());
+        assert_eq!(unique_workloads(&campaign), 2 * layers.len());
     }
 }

@@ -2,7 +2,7 @@
 //! exactly-once workload preparation, and network-level aggregation
 //! equivalence with direct accelerator runs.
 
-use loas_core::Accelerator;
+use loas_core::{Accelerator, LoasConfig};
 use loas_engine::{AcceleratorSpec, Campaign, Engine, WorkloadSpec};
 use loas_workloads::networks;
 use loas_workloads::{LayerShape, SparsityProfile};
@@ -26,6 +26,17 @@ fn mixed_campaign() -> Campaign {
     ];
     campaign.push_product(&layers, &AcceleratorSpec::headline_fleet());
     campaign
+}
+
+/// The distinct workload specs of `campaign`, in first-use order.
+fn unique_workloads(campaign: &Campaign) -> Vec<WorkloadSpec> {
+    let mut seen = std::collections::HashSet::new();
+    campaign
+        .jobs()
+        .iter()
+        .filter(|job| seen.insert(job.workload.key()))
+        .map(|job| job.workload.clone())
+        .collect()
 }
 
 /// The acceptance gate of the two-phase kernel PR: the full headline
@@ -96,7 +107,7 @@ fn reports_are_byte_identical_across_worker_counts() {
 fn each_unique_workload_key_is_generated_exactly_once() {
     let campaign = mixed_campaign();
     // 3 plain + 3 fine-tuned variants (LoAS-FT asks for masked workloads).
-    let unique = campaign.unique_workloads().len();
+    let unique = unique_workloads(&campaign).len();
     assert_eq!(unique, 6);
 
     let engine = Engine::new(4);
@@ -128,11 +139,7 @@ fn network_aggregation_matches_direct_run() {
     campaign.push_network(&spec, AcceleratorSpec::loas(), loas_engine::DEFAULT_SEED);
     let outcome = Engine::new(4).run(&campaign).unwrap();
 
-    let reports = outcome.network_reports();
-    assert_eq!(reports.len(), 1);
-    let engine_report = &reports[0];
-    assert_eq!(engine_report.network, spec.name);
-    assert_eq!(engine_report.layers.len(), spec.depth());
+    assert_eq!(outcome.records.len(), spec.depth());
 
     // Direct reference: generate + prepare + run the same layers inline.
     let generator = loas_workloads::WorkloadGenerator::default();
@@ -143,11 +150,11 @@ fn network_aggregation_matches_direct_run() {
         .map(loas_core::PreparedLayer::new)
         .collect();
     let direct = loas_core::Loas::default().run_network(&spec.name, &layers);
-    assert_eq!(engine_report.total_cycles(), direct.total_cycles());
-    assert_eq!(
-        engine_report.total_energy().total_pj(),
-        direct.total_energy().total_pj()
-    );
+    for (index, (record, layer)) in outcome.records.iter().zip(&direct.layers).enumerate() {
+        assert_eq!(record.network.as_deref(), Some(spec.name.as_str()));
+        assert_eq!(record.layer_index, index);
+        assert_eq!(record.report.to_portable(), layer.to_portable());
+    }
 }
 
 #[test]
@@ -253,60 +260,21 @@ fn tiny_cache_capacity_still_completes_and_matches() {
     assert_eq!(outcome.jsonl(), reference);
     assert!(tiny.cache_stats().evictions > 0, "the cap actually engaged");
     // The standalone prepare path survives a tiny cache too.
-    let specs: Vec<loas_engine::WorkloadSpec> = campaign.unique_workloads();
+    let specs = unique_workloads(&campaign);
     let layers = tiny.prepare(&specs).unwrap();
     assert_eq!(layers.len(), specs.len());
-}
-
-/// A test-only catalog model whose every run panics.
-#[derive(Debug, Clone, Copy, Default)]
-struct PanickingConfig {
-    code: u64,
-}
-
-impl PanickingConfig {
-    fn check(&self) -> Result<(), String> {
-        Ok(())
-    }
-}
-
-loas_core::impl_model_config!(PanickingConfig, "panicking", { code: u64 });
-
-struct Panicking(u64);
-
-impl Accelerator for Panicking {
-    fn name(&self) -> String {
-        "Panicking".to_owned()
-    }
-
-    fn run_layer(&mut self, _layer: &loas_core::PreparedLayer) -> loas_core::LayerReport {
-        panic!("model bug {}", self.0)
-    }
-}
-
-fn panicking() -> AcceleratorSpec {
-    static REGISTER: std::sync::Once = std::sync::Once::new();
-    REGISTER.call_once(|| {
-        loas_core::catalog::register(loas_core::ModelEntry::new(
-            "panicking",
-            "test model whose runs panic",
-            1_000,
-            || Box::new(PanickingConfig::default()),
-            |config| {
-                let config = config.as_any().downcast_ref::<PanickingConfig>().unwrap();
-                Box::new(Panicking(config.code))
-            },
-        ))
-        .unwrap();
-    });
-    AcceleratorSpec::from_config(PanickingConfig { code: 7 })
 }
 
 #[test]
 fn a_panicking_job_fails_its_campaign_and_spares_the_next() {
     let mut broken = Campaign::new("broken");
     broken.push_layer(small_layer("panic-a", 1), AcceleratorSpec::loas());
-    broken.push_layer(small_layer("panic-a", 1), panicking());
+    // LoAS panics on a layer whose `t` is not its timestep count; the
+    // engine does not gate jobs (the spec parser does).
+    broken.push_layer(
+        small_layer("panic-a", 1),
+        AcceleratorSpec::loas_with(LoasConfig::builder().timesteps(8).build()),
+    );
     broken.push_layer(small_layer("panic-b", 2), AcceleratorSpec::sparten());
     let engine = Engine::new(2);
     let error = engine.run(&broken).unwrap_err();
@@ -314,7 +282,10 @@ fn a_panicking_job_fails_its_campaign_and_spares_the_next() {
         matches!(&error, loas_engine::EngineError::JobPanicked { job: 1, .. }),
         "{error:?}"
     );
-    assert_eq!(error.to_string(), "job 1: model bug 7");
+    assert_eq!(
+        error.to_string(),
+        "job 1: LoAS runs 8 timesteps, its workload t = 4"
+    );
 
     // The same engine, with its prepared-layer cache, runs the next
     // campaign to the bytes a fresh engine produces.

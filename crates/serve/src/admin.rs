@@ -3,7 +3,7 @@
 
 use crate::error::ServeError;
 use crate::queue::{CampaignState, Queue, Submission};
-use loas_engine::MemoStore;
+use loas_engine::{AcceleratorSpec, MemoStore};
 use std::path::{Path, PathBuf};
 
 /// Expands one `enqueue` source argument into the spec files it names:
@@ -248,30 +248,23 @@ pub fn fsck(queue: &Queue, prune: bool) -> Result<FsckReport, ServeError> {
     Ok(report)
 }
 
-/// Renders the accelerator catalog as the `loas-serve models` listing:
-/// every registered model with its about-line and configuration fields
-/// (name, value kind, paper default) — the design-space discovery surface
-/// for writing v2 spec `config` overrides.
+/// Renders the six models as the `loas-serve models` listing: each with
+/// its about-line and configuration fields (name, value kind, paper
+/// default) — the design-space discovery surface for writing v2 spec
+/// `config` overrides.
 pub fn catalog_listing() -> String {
-    loas_baselines::register_catalog();
-    loas_core::catalog::with(|catalog| {
-        let mut out = String::new();
-        for entry in catalog.entries() {
-            out.push_str(&format!("{}\n    {}\n", entry.name(), entry.about()));
-            let config = entry.default_config();
-            if config.fields().is_empty() {
-                out.push_str("    (no configuration fields)\n");
-            }
-            for (field, value) in config.fields() {
-                out.push_str(&format!(
-                    "    {field:<28} {:<8} default {value}\n",
-                    value.kind()
-                ));
-            }
-            out.push('\n');
+    let mut out = String::new();
+    for spec in AcceleratorSpec::catalog() {
+        out.push_str(&format!("{}\n    {}\n", spec.model(), spec.about()));
+        for (field, value) in spec.config().fields() {
+            out.push_str(&format!(
+                "    {field:<28} {:<8} default {value}\n",
+                value.kind()
+            ));
         }
-        out
-    })
+        out.push('\n');
+    }
+    out
 }
 
 #[cfg(test)]
@@ -456,7 +449,7 @@ mod tests {
     #[test]
     fn catalog_listing_names_every_model_and_its_fields() {
         let listing = catalog_listing();
-        // Every registered model appears with its about-line and every
+        // Every model appears with its about-line and every
         // configuration field with its kind and default — the sweepable
         // design space a spec author needs.
         for model in ["loas", "sparten", "gospa", "gamma", "ptb", "stellar"] {
@@ -465,19 +458,12 @@ mod tests {
                 "missing model `{model}` in:\n{listing}"
             );
         }
-        loas_core::catalog::with(|catalog| {
-            for entry in catalog.entries() {
-                assert!(
-                    listing.contains(entry.about()),
-                    "about for {}",
-                    entry.name()
-                );
-                for (field, value) in entry.default_config().fields() {
-                    assert!(listing.contains(field), "field {field}");
-                    let _ = value;
-                }
+        for spec in AcceleratorSpec::catalog() {
+            assert!(listing.contains(spec.about()), "about for {}", spec.model());
+            for (field, _) in spec.config().fields() {
+                assert!(listing.contains(field), "field {field}");
             }
-        });
+        }
         assert!(listing.contains("cache_ways"), "gamma geometry knob listed");
         assert!(listing.contains("integer"), "kinds printed");
         assert!(listing.contains("boolean"), "loas mode flags printed");

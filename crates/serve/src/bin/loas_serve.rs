@@ -39,9 +39,9 @@ const USAGE: &str = "usage: loas-serve <init|spec|enqueue|run|merge|requeue|fsck
   fsck <dir> [--prune]                         integrity-check the memo store and
                                                reports tree (prune corruption/orphans)
   status <dir>                                 list submissions and their states
-  models                                       print the accelerator catalog: every
-                                               registered model with its config fields,
-                                               kinds, and paper defaults";
+  models                                       print the six models, each with its
+                                               config fields, kinds, and paper
+                                               defaults";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();

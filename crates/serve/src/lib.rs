@@ -22,10 +22,10 @@
 //!   recombines shards by job id into a report byte-identical to a
 //!   single-process run.
 //! * **Versioned spec schema** ([`spec_io`]) — specs serialize under
-//!   `"version": 2`, where an accelerator is any model registered in the
-//!   [`loas_core::catalog`] (stable name + typed config overrides); the
-//!   pre-catalog v1 schema parses forever with byte-identical memo keys
-//!   (golden-asserted in `tests/golden_v1.rs`).
+//!   `"version": 2`, where an accelerator is one of the six models of
+//!   [`loas_engine::AcceleratorSpec`] (stable name + typed config
+//!   overrides); the original v1 schema parses forever with
+//!   byte-identical memo keys (golden-asserted in `tests/golden_v1.rs`).
 //! * **Queue administration** ([`enqueue_batch`], [`requeue`], [`fsck`]) —
 //!   batched submission from a directory or manifest of specs,
 //!   failed-campaign requeue (memo-backed, so only unfinished work

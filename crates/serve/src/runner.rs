@@ -405,6 +405,46 @@ mod tests {
     }
 
     #[test]
+    fn a_panicking_campaign_fails_and_leaves_no_report() {
+        // No spec the gate accepts panics a model, so the campaign is built
+        // in process: LoAS at 8 timesteps panics on a t = 4 layer.
+        use loas_core::LoasConfig;
+        use loas_engine::{AcceleratorSpec, EngineError, WorkloadSpec};
+        use loas_workloads::{LayerShape, SparsityProfile};
+        let queue = temp_queue("panicking");
+        let profile = SparsityProfile::from_percentages(82.3, 74.1, 79.6, 98.2).unwrap();
+        let layer = WorkloadSpec::new("serve-panic", LayerShape::new(4, 4, 8, 64), profile);
+        let mut broken = Campaign::new("broken");
+        broken.push_layer(layer.clone(), AcceleratorSpec::loas());
+        broken.push_layer(
+            layer,
+            AcceleratorSpec::loas_with(LoasConfig::builder().timesteps(8).build()),
+        );
+        let options = small_options();
+        let (engine, store) = build_context(&queue, &options).unwrap();
+        let id = 1;
+        let error = run_one(&queue, &engine, store.as_ref(), &options, id, &broken).unwrap_err();
+        let ServeError::Engine(source) = error else {
+            panic!("{error:?}");
+        };
+        assert!(
+            matches!(source, EngineError::JobPanicked { job: 1, .. }),
+            "{source:?}"
+        );
+        assert_eq!(
+            source.to_string(),
+            "job 1: LoAS runs 8 timesteps, its workload t = 4"
+        );
+        // No shard temporary and no report behind the failed run.
+        let leftovers: Vec<_> = std::fs::read_dir(queue.report_dir(id))
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name())
+            .collect();
+        assert!(leftovers.is_empty(), "{leftovers:?}");
+        let _ = std::fs::remove_dir_all(queue.root());
+    }
+
+    #[test]
     fn stored_specs_that_no_longer_parse_fail_without_blocking_the_queue() {
         let queue = temp_queue("stored-spec");
         let spec = r#"{"version": 2, "name": "small", "jobs": [{

@@ -13,19 +13,19 @@
 //!
 //! The document's top-level `"version"` field selects the schema:
 //!
-//! * **v1** (no `version` field — the pre-catalog format): accelerators
+//! * **v1** (no `version` field — the original format): accelerators
 //!   are closed-world tags (`"sparten"`, `"gospa"`, `"gamma"`, `"loas"`,
 //!   `"loas-ft"`, `"ptb"`, `"stellar"`) or a `{"loas": {..overrides..}}`
 //!   object. Still parsed forever: a committed golden v1 spec is asserted
 //!   in CI to produce byte-identical memo keys and reports.
 //! * **v2** (`"version": 2` — what [`campaign_to_json`] emits): an
-//!   accelerator is any **catalog** model by stable name, with an optional
-//!   typed config-override object —
+//!   accelerator is one of the six models by stable name
+//!   ([`AcceleratorSpec::known_models`]), with an optional typed
+//!   config-override object —
 //!   `{"name": "gamma", "config": {"cache_bytes": 131072}}` — validated
-//!   field by field against the model's registered [`ModelConfig`]. A
-//!   bare string (`"gamma"`, plus the `"loas-ft"` convenience alias)
-//!   means the default configuration. Models registered by downstream
-//!   crates are expressible with no change to this crate.
+//!   field by field against the model's [`ModelConfig`]. A bare string
+//!   (`"gamma"`, plus the `"loas-ft"` convenience alias) means the default
+//!   configuration.
 //!
 //! [`ModelConfig`]: loas_core::ModelConfig
 
@@ -90,7 +90,7 @@ fn job_to_json(out: &mut String, job: &JobSpec) {
         workload.seed,
         workload.fine_tuned
     );
-    // The accelerator in its v2 catalog form: stable model name and the
+    // The accelerator in its v2 form: stable model name and the
     // full typed configuration (self-describing, so specs survive future
     // default changes bit-exactly).
     let accelerator = &job.accelerator;
@@ -136,9 +136,9 @@ fn required_f64(value: &Json, key: &str, at: Arguments) -> Result<f64, ServeErro
 /// The schema versions [`campaign_from_json`] accepts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SpecVersion {
-    /// The pre-catalog closed-enum format (no `version` field).
+    /// The original closed-tag format (no `version` field).
     V1,
-    /// The catalog format (`"version": 2`).
+    /// The configurable-model format (`"version": 2`).
     V2,
 }
 
@@ -258,7 +258,7 @@ fn workload_from_json(workload: &Json, at: Arguments) -> Result<WorkloadSpec, Se
     Ok(spec)
 }
 
-/// Resolves a bare accelerator name (catalog lookup plus the `"loas-ft"`
+/// Resolves a bare accelerator name (a model name, or the `"loas-ft"`
 /// convenience alias shared by both schema versions).
 fn named_accelerator(tag: &str, at: Arguments) -> Result<AcceleratorSpec, ServeError> {
     if tag == "loas-ft" {
@@ -272,7 +272,7 @@ fn named_accelerator(tag: &str, at: Arguments) -> Result<AcceleratorSpec, ServeE
     })
 }
 
-/// The v1 (pre-catalog) accelerator form: a closed tag set or a
+/// The v1 accelerator form: a closed tag set or a
 /// `{"loas": {..overrides..}}` object over the Table III defaults.
 fn accelerator_from_json_v1(spec: &Json, at: Arguments) -> Result<AcceleratorSpec, ServeError> {
     if let Some(tag) = spec.as_str() {
@@ -293,9 +293,9 @@ fn accelerator_from_json_v1(spec: &Json, at: Arguments) -> Result<AcceleratorSpe
     configured(AcceleratorSpec::loas(), overrides, SpecVersion::V1, at)
 }
 
-/// The v2 accelerator form: a bare catalog name, or
+/// The v2 accelerator form: a bare model name, or
 /// `{"name": <model>, "config": {..field overrides..}}` validated against
-/// the model's registered typed configuration.
+/// the model's typed configuration.
 fn accelerator_from_json_v2(spec: &Json, at: Arguments) -> Result<AcceleratorSpec, ServeError> {
     if let Some(tag) = spec.as_str() {
         return named_accelerator(tag, at);
@@ -317,19 +317,18 @@ fn accelerator_from_json_v2(spec: &Json, at: Arguments) -> Result<AcceleratorSpe
 
 /// Applies the config-override object `overrides` to `accelerator` and
 /// validates the result. v2 refuses a key that is not a field of the
-/// registered config; v1 ignores it, as it always has.
+/// model's config; v1 ignores it, as it always has.
 fn configured(
     mut accelerator: AcceleratorSpec,
     overrides: &Json,
     version: SpecVersion,
     at: Arguments,
 ) -> Result<AcceleratorSpec, ServeError> {
-    let name = accelerator.config().model();
+    let name = accelerator.model();
     let overrides = overrides
         .as_obj()
         .ok_or_else(|| spec_err(format!("accelerator `config` in {at} must be an object")))?;
-    // Coerce each override by the declared kind of the registered config
-    // field, so integer tokens land in integer fields and float fields
+    // Coerce each override by the declared kind of the config field, so integer tokens land in integer fields and float fields
     // accept both `128` and `128.0` spellings.
     let declared = accelerator.config().fields();
     for (field, value) in overrides {
@@ -410,7 +409,7 @@ pub const GAMMA_CACHE_POINTS: [usize; 4] = loas_baselines::GammaConfig::CACHE_SW
 /// Builds a baseline-config sweep campaign: Gamma-SNN's FiberCache
 /// capacity over the V-L8 layer ([`GAMMA_CACHE_POINTS`]), the served
 /// counterpart of the bench harness's Gamma cache sweep — and a worked
-/// example of sweeping a non-LoAS catalog config through the queue.
+/// example of sweeping a non-LoAS model config through the queue.
 pub fn gamma_cache_campaign(quick: bool, seed: u64) -> Campaign {
     let mut campaign = Campaign::new(if quick {
         "gamma-cache-sweep (quick)"
@@ -477,10 +476,9 @@ mod tests {
                          "seed": 7},
             "accelerator": {"loas": {"timesteps": 8, "discard_low_activity_outputs": true}}}]}"#;
         let campaign = campaign_from_json(text).unwrap();
-        let config: &LoasConfig = campaign.jobs()[0]
-            .accelerator
-            .typed_config()
-            .expect("a LoAS accelerator");
+        let AcceleratorSpec::Loas(config) = &campaign.jobs()[0].accelerator else {
+            panic!("a LoAS accelerator");
+        };
         assert_eq!(config.timesteps, 8);
         assert!(config.discard_low_activity_outputs);
         assert_eq!(config.tppes, LoasConfig::table3().tppes);
@@ -506,7 +504,9 @@ mod tests {
             )
         };
         let campaign = campaign_from_json(&spec(r#"{"hbm_gbps": 64, "note": "x"}"#)).unwrap();
-        let config: &LoasConfig = campaign.jobs()[0].accelerator.typed_config().unwrap();
+        let AcceleratorSpec::Loas(config) = &campaign.jobs()[0].accelerator else {
+            panic!("a LoAS accelerator");
+        };
         assert_eq!(config.hbm_gbps, 64.0);
         for (overrides, needle) in [
             (
@@ -538,7 +538,7 @@ mod tests {
                     "accelerator": {accelerator}}}]}}"#
             )
         };
-        // Bare names resolve to catalog defaults.
+        // Bare names resolve to paper defaults.
         for name in AcceleratorSpec::known_models() {
             let campaign = campaign_from_json(&job(&format!("\"{name}\""))).unwrap();
             assert_eq!(campaign.jobs()[0].accelerator.model(), name);
@@ -547,12 +547,14 @@ mod tests {
                 AcceleratorSpec::by_name(name).unwrap()
             );
         }
-        // Typed overrides apply through the registered config.
+        // Typed overrides apply through the model's config.
         let campaign = campaign_from_json(&job(
             r#"{"name": "gamma", "config": {"cache_bytes": 131072, "merge_radix": 32}}"#,
         ))
         .unwrap();
-        let config: &GammaConfig = campaign.jobs()[0].accelerator.typed_config().unwrap();
+        let AcceleratorSpec::Gamma(config) = &campaign.jobs()[0].accelerator else {
+            panic!("a Gamma accelerator");
+        };
         assert_eq!(config.cache_bytes, 128 * 1024);
         assert_eq!(config.merge_radix, 32);
         assert_eq!(config.pes, GammaConfig::default().pes);
@@ -639,8 +641,9 @@ mod tests {
         let campaign = gamma_cache_campaign(true, DEFAULT_SEED);
         assert_eq!(campaign.len(), GAMMA_CACHE_POINTS.len());
         for (job, bytes) in campaign.jobs().iter().zip(GAMMA_CACHE_POINTS) {
-            assert_eq!(job.accelerator.model(), "gamma");
-            let config: &GammaConfig = job.accelerator.typed_config().unwrap();
+            let AcceleratorSpec::Gamma(config) = &job.accelerator else {
+                panic!("a Gamma accelerator");
+            };
             assert_eq!(config.cache_bytes, bytes);
         }
         // The sweep survives a serialization round trip with stable keys.

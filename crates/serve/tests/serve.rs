@@ -1,7 +1,6 @@
 //! Serving acceptance tests: shard/merge determinism across shard counts,
 //! warm-store replay fidelity, and queue lifecycle end to end.
 
-use loas_core::Accelerator;
 use loas_engine::{AcceleratorSpec, Campaign, Engine, MemoStore, WorkloadSpec};
 use loas_serve::spec_io::{campaign_to_json, headline_campaign};
 use loas_serve::{
@@ -455,80 +454,5 @@ fn a_cold_drain_leaves_one_memo_file() {
     let store = MemoStore::open(queue.memo_dir()).unwrap();
     assert_eq!(files, vec![store.log_path().to_path_buf()]);
     assert_eq!(store.len(), 28);
-    let _ = std::fs::remove_dir_all(&root);
-}
-
-/// A test-only catalog model whose every run panics.
-#[derive(Debug, Clone, Copy, Default)]
-struct PanickingConfig {
-    code: u64,
-}
-
-impl PanickingConfig {
-    fn check(&self) -> Result<(), String> {
-        Ok(())
-    }
-}
-
-loas_core::impl_model_config!(PanickingConfig, "panicking", { code: u64 });
-
-struct Panicking(u64);
-
-impl Accelerator for Panicking {
-    fn name(&self) -> String {
-        "Panicking".to_owned()
-    }
-
-    fn run_layer(&mut self, _layer: &loas_core::PreparedLayer) -> loas_core::LayerReport {
-        panic!("model bug {}", self.0)
-    }
-}
-
-fn panicking() -> AcceleratorSpec {
-    static REGISTER: std::sync::Once = std::sync::Once::new();
-    REGISTER.call_once(|| {
-        loas_core::catalog::register(loas_core::ModelEntry::new(
-            "panicking",
-            "test model whose runs panic",
-            1_000,
-            || Box::new(PanickingConfig::default()),
-            |config| {
-                let config = config.as_any().downcast_ref::<PanickingConfig>().unwrap();
-                Box::new(Panicking(config.code))
-            },
-        ))
-        .unwrap();
-    });
-    AcceleratorSpec::from_config(PanickingConfig { code: 7 })
-}
-
-#[test]
-fn a_panicking_job_fails_its_campaign_and_draining_continues() {
-    let root = temp_root("panicking");
-    let queue = Queue::init(&root).unwrap();
-    let mut broken = Campaign::new("broken");
-    let profile = SparsityProfile::from_percentages(82.3, 74.1, 79.6, 98.2).unwrap();
-    let layer = WorkloadSpec::new("serve-panic", LayerShape::new(4, 4, 8, 64), profile);
-    broken.push_layer(layer.clone(), AcceleratorSpec::loas());
-    broken.push_layer(layer, panicking());
-    let broken_id = queue.enqueue(&campaign_to_json(&broken)).unwrap().id;
-    let next_id = queue
-        .enqueue(&campaign_to_json(&mixed_fleet_campaign()))
-        .unwrap()
-        .id;
-
-    let summary = drain(&queue, &options(ShardSpec::default(), true), |_| {}).unwrap();
-    assert_eq!((summary.campaigns, summary.failed), (2, 1));
-    assert_eq!(
-        queue.state(broken_id).unwrap().to_string(),
-        "failed job 1: model bug 7"
-    );
-    assert_eq!(queue.state(next_id).unwrap(), CampaignState::Done);
-    // The failed campaign left no shard temporary and no report behind.
-    let leftovers: Vec<_> = std::fs::read_dir(queue.report_dir(broken_id))
-        .unwrap()
-        .map(|entry| entry.unwrap().file_name())
-        .collect();
-    assert!(leftovers.is_empty(), "{leftovers:?}");
     let _ = std::fs::remove_dir_all(&root);
 }

@@ -40,7 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Stream results as the in-order prefix completes; the stream is
     // byte-identical for any worker count.
     let engine = Engine::new(workers);
-    let outcome = engine.run_streaming(&campaign, |record| {
+    let outcome = engine.run_where(&campaign, None, None, |record| {
         println!(
             "  [{:>2}] {:<28} {:>12} cycles",
             record.job,

@@ -58,8 +58,8 @@ pub use loas_baselines::{
     Stellar, StellarConfig,
 };
 pub use loas_core::{
-    Accelerator, ConfigValue, LayerReport, Loas, LoasConfig, ModelConfig, ModelEntry,
-    NetworkReport, PreparedLayer,
+    Accelerator, ConfigValue, LayerReport, Loas, LoasConfig, ModelConfig, NetworkReport,
+    PreparedLayer,
 };
 pub use loas_engine::{AcceleratorSpec, Campaign, CampaignOutcome, Engine, WorkloadSpec};
 pub use loas_snn::{LifParams, SnnLayer, SnnNetwork, SpikeTensor};
