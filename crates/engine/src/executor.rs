@@ -465,7 +465,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::AcceleratorSpec;
+    use crate::AcceleratorSpec;
     use loas_workloads::{LayerShape, SparsityProfile};
 
     fn small(name: &str) -> WorkloadSpec {

@@ -53,13 +53,15 @@
 #![warn(missing_docs)]
 
 mod cache;
+mod catalog;
 mod executor;
 pub(crate) mod memo;
 mod report;
 mod spec;
 
 pub use cache::{PreparedCache, PreparedCacheStats, DEFAULT_CACHE_CAPACITY};
+pub use catalog::AcceleratorSpec;
 pub use executor::{default_workers, Engine, EngineError};
 pub use memo::{LogCheck, MemoKey, MemoStore, MemoStoreStats, ResultStore};
 pub use report::{json_escape, CampaignOutcome, JobRecord};
-pub use spec::{AcceleratorSpec, Campaign, JobSpec, WorkloadKey, WorkloadSpec, DEFAULT_SEED};
+pub use spec::{Campaign, JobSpec, WorkloadKey, WorkloadSpec, DEFAULT_SEED};

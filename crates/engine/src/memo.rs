@@ -529,7 +529,8 @@ fn scan(bytes: &[u8]) -> Scan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{AcceleratorSpec, JobSpec, WorkloadSpec};
+    use crate::spec::{JobSpec, WorkloadSpec};
+    use crate::AcceleratorSpec;
     use loas_core::LoasConfig;
     use loas_sim::{Cycle, EnergyBreakdown, SimStats};
     use loas_workloads::{LayerShape, SparsityProfile};
