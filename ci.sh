@@ -104,8 +104,8 @@ grep -qF '"label":"label \"q\" b\\s café 😀"' "$SMOKE/escq/reports/00001/repo
 echo "== golden v1 spec A/B (pre-redesign schema through AcceleratorSpec)"
 # The committed pre-redesign v1 spec must drive the six models, each a
 # variant of AcceleratorSpec, to the committed pre-redesign report, byte
-# for byte — and the v2 spec of the same campaign ("$SMOKE/single" ran the emitted --headline
-# spec, which is v2) must agree with both.
+# for byte — and the v2 spec of the same campaign ("$SMOKE/single" ran
+# the emitted --headline spec, which is v2) must agree with both.
 "$SERVE" init "$SMOKE/golden"
 "$SERVE" enqueue "$SMOKE/golden" crates/serve/tests/golden/headline-v1.spec.json
 "$SERVE" run "$SMOKE/golden"
@@ -203,7 +203,8 @@ echo "== model listing (loas-serve models)"
 "$SERVE" models > "$SMOKE/models.out"
 # The unindented lines are the model names: exactly the six paper models,
 # in listing order.
-test "$(grep -v '^ ' "$SMOKE/models.out" | grep -v '^$' | tr '\n' ' ')" = "loas sparten gospa gamma ptb stellar "
+MODEL_NAMES="$(grep -v '^ ' "$SMOKE/models.out" | grep -v '^$' | tr '\n' ' ')"
+test "$MODEL_NAMES" = "loas sparten gospa gamma ptb stellar "
 grep -q "cache_ways" "$SMOKE/models.out"
 grep -q "default 262144" "$SMOKE/models.out"
 

@@ -328,17 +328,31 @@ mod tests {
 
     #[test]
     fn builtin_loas_entry_preserves_the_legacy_hash_layout() {
-        // LoAS: discriminant 4, then its raw config fields, at every config.
+        // LoAS: discriminant 4, then every introspected config field, raw,
+        // in field order. Checked against `fields()` so the hand-written
+        // hash and the field list spec overrides use cannot drift apart.
+        let flipped = |flip: fn(&mut LoasConfig)| {
+            let mut config = LoasConfig::table3();
+            flip(&mut config);
+            config
+        };
         for config in [
             LoasConfig::table3(),
             LoasConfig::builder().tppes(32).build(),
+            LoasConfig::builder().hbm_gbps(16.0).build(),
+            flipped(|c| c.discard_low_activity_outputs = true),
+            flipped(|c| c.temporal_parallel = false),
+            flipped(|c| c.two_fast_prefix = true),
         ] {
             assert_eq!(
                 hash(&|h| AcceleratorSpec::loas_with(config.clone()).write_content(h)),
                 hash(&|h| {
                     h.write_u64(4);
-                    config.write_content(h);
-                })
+                    for (_, value) in config.fields() {
+                        value.write_content(h);
+                    }
+                }),
+                "{config:?}"
             );
         }
     }

@@ -3,9 +3,9 @@
 //! A [`Campaign`] is a flat list of [`JobSpec`]s, each pairing one
 //! [`WorkloadSpec`] (a content-keyed description of a generated layer) with
 //! one [`AcceleratorSpec`] (a buildable model from the accelerator
-//! catalog). Jobs carry an
-//! explicit seed through their workload spec, so a campaign is a complete,
-//! reproducible description of an experiment sweep.
+//! catalog). Jobs carry an explicit seed through their workload spec, so a
+//! campaign is a complete, reproducible description of an experiment
+//! sweep.
 
 use crate::AcceleratorSpec;
 use loas_core::{ContentHasher, PreparedLayer};

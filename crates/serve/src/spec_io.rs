@@ -328,8 +328,9 @@ fn configured(
     let overrides = overrides
         .as_obj()
         .ok_or_else(|| spec_err(format!("accelerator `config` in {at} must be an object")))?;
-    // Coerce each override by the declared kind of the config field, so integer tokens land in integer fields and float fields
-    // accept both `128` and `128.0` spellings.
+    // Coerce each override by the declared kind of the config field, so
+    // integer tokens land in integer fields and float fields accept both
+    // `128` and `128.0` spellings.
     let declared = accelerator.config().fields();
     for (field, value) in overrides {
         let Some((_, kind)) = declared.iter().find(|(name, _)| name == field) else {
