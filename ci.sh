@@ -13,7 +13,8 @@
 # v1-vs-v2 spec A/B against the committed pre-redesign report, a served
 # baseline-config sweep (Gamma FiberCache), smokes for the queue admin
 # commands (batch enqueue, requeue, fsck, and models, which must list
-# exactly loas sparten gospa gamma ptb stellar, in that order) and of
+# exactly loas sparten gospa gamma ptb stellar, in that order, and match
+# the committed listing byte for byte) and of
 # enqueue refusing unrunnable specs (a LoAS timestep mismatch, a workload
 # t above 16, memory systems it cannot build: zero HBM channels, HBM below
 # 1 GB/s, a cache of more than 2^20 lines), a runner failing a stored spec cut short
@@ -205,8 +206,9 @@ echo "== model listing (loas-serve models)"
 # in listing order.
 MODEL_NAMES="$(grep -v '^ ' "$SMOKE/models.out" | grep -v '^$' | tr '\n' ' ')"
 test "$MODEL_NAMES" = "loas sparten gospa gamma ptb stellar "
-grep -q "cache_ways" "$SMOKE/models.out"
-grep -q "default 262144" "$SMOKE/models.out"
+# The whole listing, every field's name, kind and paper default, is the
+# committed one byte for byte.
+cmp "$SMOKE/models.out" crates/serve/tests/golden/models.txt
 
 echo "== examples (each must run to exit 0)"
 # clippy --all-targets only compiles the examples; run them so a runtime

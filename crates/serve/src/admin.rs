@@ -467,5 +467,10 @@ mod tests {
         assert!(listing.contains("cache_ways"), "gamma geometry knob listed");
         assert!(listing.contains("integer"), "kinds printed");
         assert!(listing.contains("boolean"), "loas mode flags printed");
+        // The whole listing, byte for byte: every field's name, kind and
+        // paper default. A baseline's default memo key is its bare
+        // discriminant, so a moved default would change no key; it shows
+        // here.
+        assert_eq!(listing, include_str!("../tests/golden/models.txt"));
     }
 }
