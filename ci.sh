@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# CI entry point: formatting, lints on every workspace crate, rustdoc
+# CI entry point: the non-test line count under crates/ (printed, not
+# checked), formatting, lints on every workspace crate, rustdoc
 # with warnings denied (a broken intra-doc link fails), release build,
 # the full workspace test suite (tier-1 verify is those two steps; the
 # suite includes the committed golden-v1-spec memo-key assertions, the v2
@@ -14,11 +15,11 @@
 # baseline-config sweep (Gamma FiberCache), smokes for the queue admin
 # commands (batch enqueue, requeue, fsck, and models, which must list
 # exactly loas sparten gospa gamma ptb stellar, in that order, and match
-# the committed listing byte for byte) and of
-# enqueue refusing unrunnable specs (a LoAS timestep mismatch, a workload
-# t above 16, memory systems it cannot build: zero HBM channels, HBM below
-# 1 GB/s, a cache of more than 2^20 lines), a runner failing a stored spec cut short
-# and draining on, a run of every example (each must exit 0, and
+# the committed listing byte for byte) and of enqueue refusing unrunnable
+# specs (a LoAS timestep mismatch, a workload t above 16, memory systems
+# it cannot build: zero HBM channels, HBM below 1 GB/s or infinite, a
+# cache of more than 2^20 lines), a runner failing a stored spec cut
+# short and draining on, a run of every example (each must exit 0, and
 # dataflow_explorer must mark exactly one variant as meeting all
 # goals), a bench-trajectory gate over the two
 # committed history records (BENCH_PR5.json against BENCH_PR3.json: fails
@@ -31,6 +32,12 @@
 # lock in place.
 set -euo pipefail
 cd "$(dirname "$0")"
+
+echo "== non-test lines under crates/ (information, not a gate)"
+# Each .rs file outside tests/ and benches/, counted up to its first
+# top-level #[cfg(test)]: the line count the repository tracks.
+find crates -name '*.rs' -not -path '*/tests/*' -not -path '*/benches/*' -print0 \
+  | xargs -0 awk 'FNR == 1 { on = 1 } /^#\[cfg\(test\)\]/ { on = 0 } on { n++ } END { print n }'
 
 echo "== cargo fmt --check"
 cargo fmt --all --check
@@ -158,9 +165,10 @@ if "$SERVE" enqueue "$SMOKE/single" "$SMOKE/long.json" 2> "$SMOKE/long.err"; the
 fi
 grep "bad campaign spec" "$SMOKE/long.err" | grep -q "t = 17"
 # So are memory systems the simulators cannot build or that would saturate
-# the report: zero HBM channels, HBM below 1 GB/s, and a cache of more
-# than MAX_CACHE_LINES = 2^20 lines (LoAS and Gamma-SNN). The same v2
-# template with a buildable Gamma cache is accepted.
+# the report: zero HBM channels, HBM below 1 GB/s or infinite (1e400
+# overflows to infinity), and a cache of more than MAX_CACHE_LINES = 2^20
+# lines (LoAS and Gamma-SNN). The same v2 template with a buildable Gamma
+# cache is accepted.
 "$SERVE" init "$SMOKE/memq"
 memory_spec() {
   sed -e 's|{"name": "infeasible"|{"version": 2, "name": "memory"|' \
@@ -170,6 +178,7 @@ memory_spec '{"name": "gamma", "config": {"cache_bytes": 65536}}'
 "$SERVE" enqueue "$SMOKE/memq" "$SMOKE/memory.json"
 for bad in '{"name": "loas", "config": {"timesteps": 2, "hbm_channels": 0}}=channel' \
            '{"name": "loas", "config": {"timesteps": 2, "hbm_gbps": 1e-9}}=1 GB/s' \
+           '{"name": "loas", "config": {"timesteps": 2, "hbm_gbps": 1e400}}=finite number' \
            '{"name": "loas", "config": {"timesteps": 2, "cache_bytes": 1099511627776}}=lines' \
            '{"name": "gamma", "config": {"cache_bytes": 1099511627776}}=lines'; do
   memory_spec "${bad%=*}"

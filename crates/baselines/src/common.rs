@@ -1,4 +1,10 @@
-//! Shared machinery for baseline accelerator models.
+//! The paper's shared baseline parameters (Section V) and roofline.
+//!
+//! Each baseline declares its config once with
+//! [`loas_core::model_config!`]: every field with its doc, type and
+//! paper default, from which the struct, `Default`, the builder and the
+//! spec schema follow. The defaults name these constants where the paper
+//! sets a value for every design.
 
 use loas_core::Roofline;
 
@@ -11,52 +17,6 @@ pub const BASELINE_CACHE_BYTES: usize = 256 * 1024;
 
 /// Off-chip bandwidth shared by all baselines (GB/s).
 pub const BASELINE_HBM_GBPS: f64 = 128.0;
-
-/// Generates a `LoasConfig`-style non-consuming builder for a baseline
-/// configuration struct: one setter per listed field, terminated by a
-/// `build()` that panics with the config's `check()` message.
-macro_rules! config_builder {
-    ($config:ident, $builder:ident, { $( $field:ident : $ty:ty ),* $(,)? }) => {
-        #[doc = concat!("Builder for [`", stringify!($config), "`] (paper defaults).")]
-        #[derive(Debug, Clone)]
-        pub struct $builder {
-            config: $config,
-        }
-
-        impl $builder {
-            $(
-                #[doc = concat!("Sets `", stringify!($field), "`.")]
-                pub fn $field(mut self, value: $ty) -> Self {
-                    self.config.$field = value;
-                    self
-                }
-            )*
-
-            /// Finalises the configuration.
-            ///
-            /// # Panics
-            ///
-            /// Panics on degenerate values (see the config's field docs).
-            pub fn build(self) -> $config {
-                if let Err(message) = self.config.check() {
-                    panic!("{message}");
-                }
-                self.config
-            }
-        }
-
-        impl $config {
-            /// A builder starting from the paper defaults.
-            pub fn builder() -> $builder {
-                $builder {
-                    config: $config::default(),
-                }
-            }
-        }
-    };
-}
-
-pub(crate) use config_builder;
 
 /// The baselines' roofline: the shared HBM bandwidth, and the
 /// 16-bank, 16-byte-port SRAM of the LoAS configuration whatever the cache

@@ -37,49 +37,36 @@
 //! per-`(m, t, k)` address walk, line by line through the tags, as the
 //! oracle both walks must match byte for byte.
 
-use crate::common::{config_builder, BASELINE_CACHE_BYTES, BASELINE_PES, BASELINE_ROOFLINE};
+use crate::common::{BASELINE_CACHE_BYTES, BASELINE_PES, BASELINE_ROOFLINE};
 use loas_core::{Accelerator, LayerReport, Machine, PreparedLayer};
 use loas_sim::{Footprint, LineSpan, SramCache, TrafficClass};
 
-/// Typed configuration of the Gamma-SNN model (spec name `"gamma"`); the
-/// FiberCache geometry fields are the knobs the Gamma cache-size campaign
-/// sweep turns.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GammaConfig {
-    /// Row-processing PEs (paper: 16).
-    pub pes: usize,
-    /// Merged elements emitted per cycle per PE (Gamma's merger: 1).
-    pub merge_rate: u64,
-    /// Merger radix: a row touching more than `radix` fibers needs extra
-    /// merge rounds through partial rows (Gamma's 64-way merger).
-    pub merge_radix: usize,
-    /// Weight precision in bits.
-    pub weight_bits: usize,
-    /// Psum precision in bytes (for partial output rows).
-    pub psum_bytes: usize,
-    /// FiberCache capacity in bytes (paper: the shared 256 KB).
-    pub cache_bytes: usize,
-    /// FiberCache line size in bytes.
-    pub cache_line_bytes: usize,
-    /// FiberCache associativity.
-    pub cache_ways: usize,
-    /// FiberCache banks.
-    pub cache_banks: usize,
-}
-
-impl Default for GammaConfig {
-    fn default() -> Self {
-        GammaConfig {
-            pes: BASELINE_PES,
-            merge_rate: 1,
-            merge_radix: 64,
-            weight_bits: 8,
-            psum_bytes: 2,
-            cache_bytes: BASELINE_CACHE_BYTES,
-            cache_line_bytes: 64,
-            cache_ways: 16,
-            cache_banks: 16,
-        }
+loas_core::model_config! {
+    model = "gamma", builder = GammaConfigBuilder;
+    /// Typed configuration of the Gamma-SNN model (spec name `"gamma"`); the
+    /// FiberCache geometry fields are the knobs the Gamma cache-size campaign
+    /// sweep turns.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct GammaConfig {
+        /// Row-processing PEs (paper: 16).
+        pub pes: usize = BASELINE_PES,
+        /// Merged elements emitted per cycle per PE (Gamma's merger: 1).
+        pub merge_rate: u64 = 1,
+        /// Merger radix: a row touching more than `radix` fibers needs extra
+        /// merge rounds through partial rows (Gamma's 64-way merger).
+        pub merge_radix: usize = 64,
+        /// Weight precision in bits.
+        pub weight_bits: usize = 8,
+        /// Psum precision in bytes (for partial output rows).
+        pub psum_bytes: usize = 2,
+        /// FiberCache capacity in bytes (paper: the shared 256 KB).
+        pub cache_bytes: usize = BASELINE_CACHE_BYTES,
+        /// FiberCache line size in bytes.
+        pub cache_line_bytes: usize = 64,
+        /// FiberCache associativity.
+        pub cache_ways: usize = 16,
+        /// FiberCache banks.
+        pub cache_banks: usize = 16,
     }
 }
 
@@ -114,33 +101,7 @@ impl GammaConfig {
             self.cache_banks,
         )
     }
-}
 
-config_builder!(GammaConfig, GammaConfigBuilder, {
-    pes: usize,
-    merge_rate: u64,
-    merge_radix: usize,
-    weight_bits: usize,
-    psum_bytes: usize,
-    cache_bytes: usize,
-    cache_line_bytes: usize,
-    cache_ways: usize,
-    cache_banks: usize,
-});
-
-loas_core::impl_model_config!(GammaConfig, "gamma", {
-    pes: usize,
-    merge_rate: u64,
-    merge_radix: usize,
-    weight_bits: usize,
-    psum_bytes: usize,
-    cache_bytes: usize,
-    cache_line_bytes: usize,
-    cache_ways: usize,
-    cache_banks: usize,
-});
-
-impl GammaConfig {
     /// Merge rounds needed for `fibers` input fibers: `ceil(log_radix)`,
     /// minimum one.
     pub fn merge_rounds(&self, fibers: usize) -> u64 {

@@ -18,32 +18,24 @@
 //! from the per-column spike counts. This module's tests keep the
 //! per-spike loop as the oracle.
 
-use crate::common::{config_builder, BASELINE_ROOFLINE};
+use crate::common::BASELINE_ROOFLINE;
 use loas_core::{Accelerator, LayerReport, Machine, PreparedLayer};
 use loas_sim::{SramCache, TrafficClass};
 
-/// Typed configuration of the GoSPA-SNN model (spec name `"gospa"`).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GospaConfig {
-    /// Accumulation lanes fed by one streamed activation per cycle.
-    pub lanes: usize,
-    /// On-chip psum scratch in bytes (GoSPA allocates a small dedicated
-    /// psum memory; the rest of the 256 KB holds inputs).
-    pub psum_buffer_bytes: usize,
-    /// Psum precision in bytes.
-    pub psum_bytes: usize,
-    /// Weight precision in bits.
-    pub weight_bits: usize,
-}
-
-impl Default for GospaConfig {
-    fn default() -> Self {
-        GospaConfig {
-            lanes: 16,
-            psum_buffer_bytes: 64 * 1024,
-            psum_bytes: 2,
-            weight_bits: 8,
-        }
+loas_core::model_config! {
+    model = "gospa", builder = GospaConfigBuilder;
+    /// Typed configuration of the GoSPA-SNN model (spec name `"gospa"`).
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct GospaConfig {
+        /// Accumulation lanes fed by one streamed activation per cycle.
+        pub lanes: usize = 16,
+        /// On-chip psum scratch in bytes (GoSPA allocates a small dedicated
+        /// psum memory; the rest of the 256 KB holds inputs).
+        pub psum_buffer_bytes: usize = 64 * 1024,
+        /// Psum precision in bytes.
+        pub psum_bytes: usize = 2,
+        /// Weight precision in bits.
+        pub weight_bits: usize = 8,
     }
 }
 
@@ -61,20 +53,6 @@ impl GospaConfig {
         loas_core::check_precision(self.weight_bits, Some(self.psum_bytes))
     }
 }
-
-config_builder!(GospaConfig, GospaConfigBuilder, {
-    lanes: usize,
-    psum_buffer_bytes: usize,
-    psum_bytes: usize,
-    weight_bits: usize,
-});
-
-loas_core::impl_model_config!(GospaConfig, "gospa", {
-    lanes: usize,
-    psum_buffer_bytes: usize,
-    psum_bytes: usize,
-    weight_bits: usize,
-});
 
 /// The GoSPA-SNN baseline model.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -9,35 +9,27 @@
 //! workloads; at `T = 4` (one timestep per column) its utilization is low
 //! (Section VII), modeled as [`PtbConfig::utilization`].
 
-use crate::common::{config_builder, BASELINE_ROOFLINE};
+use crate::common::BASELINE_ROOFLINE;
 use crate::systolic::SystolicArray;
 use loas_core::{Accelerator, LayerReport, Machine, PreparedLayer};
 use loas_sim::{SramCache, TrafficClass};
 
-/// Typed configuration of the PTB model (spec name `"ptb"`); the array
-/// geometry is flattened to plain fields so campaign specs can sweep it.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PtbConfig {
-    /// Systolic-array rows — LIF neurons (paper comparison: 16).
-    pub array_rows: usize,
-    /// Systolic-array columns — time windows (paper comparison: 4).
-    pub array_cols: usize,
-    /// Effective utilization at small timestep counts (PTB is designed for
-    /// `T > 100` DVS streams; at `T = 4` windows underfill the array), in
-    /// `[0.01, 1]`: far lower utilizations saturate the cycle count.
-    pub utilization: f64,
-    /// Weight precision in bits.
-    pub weight_bits: usize,
-}
-
-impl Default for PtbConfig {
-    fn default() -> Self {
-        PtbConfig {
-            array_rows: 16,
-            array_cols: 4,
-            utilization: 0.6,
-            weight_bits: 8,
-        }
+loas_core::model_config! {
+    model = "ptb", builder = PtbConfigBuilder;
+    /// Typed configuration of the PTB model (spec name `"ptb"`); the array
+    /// geometry is flattened to plain fields so campaign specs can sweep it.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct PtbConfig {
+        /// Systolic-array rows — LIF neurons (paper comparison: 16).
+        pub array_rows: usize = 16,
+        /// Systolic-array columns — time windows (paper comparison: 4).
+        pub array_cols: usize = 4,
+        /// Effective utilization at small timestep counts (PTB is designed for
+        /// `T > 100` DVS streams; at `T = 4` windows underfill the array), in
+        /// `[0.01, 1]`: far lower utilizations saturate the cycle count.
+        pub utilization: f64 = 0.6,
+        /// Weight precision in bits.
+        pub weight_bits: usize = 8,
     }
 }
 
@@ -64,20 +56,6 @@ impl PtbConfig {
         SystolicArray::new(self.array_rows, self.array_cols)
     }
 }
-
-config_builder!(PtbConfig, PtbConfigBuilder, {
-    array_rows: usize,
-    array_cols: usize,
-    utilization: f64,
-    weight_bits: usize,
-});
-
-loas_core::impl_model_config!(PtbConfig, "ptb", {
-    array_rows: usize,
-    array_cols: usize,
-    utilization: f64,
-    weight_bits: usize,
-});
 
 /// The PTB dense baseline model.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]

@@ -29,47 +29,35 @@
 //! the `bm-B` rounds, and this module's tests check them against each
 //! other on byte-aligned weights.
 
-use crate::common::{config_builder, BASELINE_CACHE_BYTES, BASELINE_PES, BASELINE_ROOFLINE};
+use crate::common::{BASELINE_CACHE_BYTES, BASELINE_PES, BASELINE_ROOFLINE};
 use loas_core::{Accelerator, LayerReport, Machine, PreparedLayer};
 use loas_sim::{SramCache, TrafficClass};
 use loas_sparse::POINTER_BITS;
 
-/// Typed configuration of the SparTen-SNN model (the paper's Section V
-/// parameters by default; spec name `"sparten"`). Every field is sweepable
-/// through campaign specs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SparTenConfig {
-    /// Processing elements (paper: 16).
-    pub pes: usize,
-    /// Inner-join chunk width in bits (SparTen uses 128-bit bitmask words).
-    pub chunk_bits: usize,
-    /// Pipeline drain/refill cycles between sequential timestep rounds of
-    /// the same output pair.
-    pub timestep_restart_cycles: u64,
-    /// Weight precision in bits.
-    pub weight_bits: usize,
-    /// Shared SRAM capacity in bytes (paper: 256 KB).
-    pub cache_bytes: usize,
-    /// Shared SRAM line size in bytes.
-    pub cache_line_bytes: usize,
-    /// Shared SRAM associativity.
-    pub cache_ways: usize,
-    /// Shared SRAM banks.
-    pub cache_banks: usize,
-}
-
-impl Default for SparTenConfig {
-    fn default() -> Self {
-        SparTenConfig {
-            pes: BASELINE_PES,
-            chunk_bits: 128,
-            timestep_restart_cycles: 8,
-            weight_bits: 8,
-            cache_bytes: BASELINE_CACHE_BYTES,
-            cache_line_bytes: 64,
-            cache_ways: 16,
-            cache_banks: 16,
-        }
+loas_core::model_config! {
+    model = "sparten", builder = SparTenConfigBuilder;
+    /// Typed configuration of the SparTen-SNN model (the paper's Section V
+    /// parameters by default; spec name `"sparten"`). Every field is sweepable
+    /// through campaign specs.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct SparTenConfig {
+        /// Processing elements (paper: 16).
+        pub pes: usize = BASELINE_PES,
+        /// Inner-join chunk width in bits (SparTen uses 128-bit bitmask words).
+        pub chunk_bits: usize = 128,
+        /// Pipeline drain/refill cycles between sequential timestep rounds of
+        /// the same output pair.
+        pub timestep_restart_cycles: u64 = 8,
+        /// Weight precision in bits.
+        pub weight_bits: usize = 8,
+        /// Shared SRAM capacity in bytes (paper: 256 KB).
+        pub cache_bytes: usize = BASELINE_CACHE_BYTES,
+        /// Shared SRAM line size in bytes.
+        pub cache_line_bytes: usize = 64,
+        /// Shared SRAM associativity.
+        pub cache_ways: usize = 16,
+        /// Shared SRAM banks.
+        pub cache_banks: usize = 16,
     }
 }
 
@@ -96,28 +84,6 @@ impl SparTenConfig {
         )
     }
 }
-
-config_builder!(SparTenConfig, SparTenConfigBuilder, {
-    pes: usize,
-    chunk_bits: usize,
-    timestep_restart_cycles: u64,
-    weight_bits: usize,
-    cache_bytes: usize,
-    cache_line_bytes: usize,
-    cache_ways: usize,
-    cache_banks: usize,
-});
-
-loas_core::impl_model_config!(SparTenConfig, "sparten", {
-    pes: usize,
-    chunk_bits: usize,
-    timestep_restart_cycles: u64,
-    weight_bits: usize,
-    cache_bytes: usize,
-    cache_line_bytes: usize,
-    cache_ways: usize,
-    cache_banks: usize,
-});
 
 /// The SparTen-SNN baseline model.
 #[derive(Debug, Clone, Copy, PartialEq)]

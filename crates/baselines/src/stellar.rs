@@ -8,30 +8,23 @@
 //! window), but it has **no weight sparsity support**: every surviving
 //! input still meets a dense weight column (Table I).
 
-use crate::common::{config_builder, BASELINE_ROOFLINE};
+use crate::common::BASELINE_ROOFLINE;
 use crate::systolic::SystolicArray;
 use loas_core::{Accelerator, LayerReport, Machine, PreparedLayer};
 use loas_sim::{SramCache, TrafficClass};
 
-/// Typed configuration of the Stellar model (spec name `"stellar"`).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StellarConfig {
-    /// Systolic-array rows (configured to 16 PEs as in the paper
-    /// comparison).
-    pub array_rows: usize,
-    /// Systolic-array columns.
-    pub array_cols: usize,
-    /// Weight precision in bits.
-    pub weight_bits: usize,
-}
-
-impl Default for StellarConfig {
-    fn default() -> Self {
-        StellarConfig {
-            array_rows: 16,
-            array_cols: 4,
-            weight_bits: 8,
-        }
+loas_core::model_config! {
+    model = "stellar", builder = StellarConfigBuilder;
+    /// Typed configuration of the Stellar model (spec name `"stellar"`).
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct StellarConfig {
+        /// Systolic-array rows (configured to 16 PEs as in the paper
+        /// comparison).
+        pub array_rows: usize = 16,
+        /// Systolic-array columns.
+        pub array_cols: usize = 4,
+        /// Weight precision in bits.
+        pub weight_bits: usize = 8,
     }
 }
 
@@ -54,18 +47,6 @@ impl StellarConfig {
         SystolicArray::new(self.array_rows, self.array_cols)
     }
 }
-
-config_builder!(StellarConfig, StellarConfigBuilder, {
-    array_rows: usize,
-    array_cols: usize,
-    weight_bits: usize,
-});
-
-loas_core::impl_model_config!(StellarConfig, "stellar", {
-    array_rows: usize,
-    array_cols: usize,
-    weight_bits: usize,
-});
 
 /// The Stellar dense baseline model.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]

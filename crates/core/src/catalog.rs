@@ -4,10 +4,13 @@
 //! The six paper models are a closed set: each is one variant of
 //! `loas_engine::AcceleratorSpec`, which holds that model's typed config
 //! and dispatches building, hashing and workload checks with one `match`.
-//! Every config implements [`ModelConfig`] through
-//! [`impl_model_config!`](crate::impl_model_config): its fields as
-//! `(name, value)` pairs in a fixed order, a by-name `set` for spec
-//! overrides, and `validate` for cross-field invariants.
+//!
+//! Each config is one [`model_config!`](crate::model_config) declaration,
+//! and a field is declared once, with its doc, type and paper default.
+//! That one declaration gives the struct, `Default`, the builder's setter,
+//! and the [`ModelConfig`] the spec schema overrides by name and
+//! `loas-serve models` lists. Its order is also the memo key's field
+//! order: never reorder.
 //!
 //! ```
 //! use loas_core::{ConfigValue, LoasConfig, ModelConfig};
@@ -26,7 +29,8 @@
 //! from its default. Default-config specs therefore hash to the same
 //! memo keys they always had, so warm memo stores stay warm, while every
 //! non-default configuration gets a distinct key. LoAS always hashes its
-//! full configuration, its original layout.
+//! full configuration, every field value in declaration order: its
+//! original layout.
 
 use crate::hash::ContentHasher;
 
@@ -194,19 +198,180 @@ pub trait ModelConfig {
     fn validate(&self) -> Result<(), String>;
 }
 
-/// Implements [`ModelConfig`] for a plain-struct configuration: list the
-/// fields once (with their kind) and the trait's `fields`/`set` accessors
-/// are generated consistently. The type must provide an inherent
-/// `fn check(&self) -> Result<(), String>` holding its cross-field
-/// invariants — the generated [`ModelConfig::validate`] delegates to it.
+/// A config field's Rust type: `usize`, `u64`, `f64` or `bool`.
+pub trait ConfigField: Sized {
+    /// What a value for a field of this type must be, for
+    /// [`CatalogError::FieldType`].
+    const EXPECTED: &'static str;
+
+    /// The field's value.
+    fn to_value(self) -> ConfigValue;
+
+    /// The field from `value`, if it is of the field's kind (and fits).
+    fn from_value(value: ConfigValue) -> Option<Self>;
+
+    /// [`from_value`](ConfigField::from_value), with the error
+    /// [`ModelConfig::set`] reports for a value of the wrong kind.
+    ///
+    /// # Errors
+    ///
+    /// [`CatalogError::FieldType`] naming `model.field`.
+    fn from_config(value: ConfigValue, model: &str, field: &str) -> Result<Self, CatalogError> {
+        Self::from_value(value).ok_or_else(|| CatalogError::FieldType {
+            model: model.to_owned(),
+            field: field.to_owned(),
+            expected: Self::EXPECTED,
+        })
+    }
+}
+
+impl ConfigField for usize {
+    const EXPECTED: &'static str = "an integer";
+    fn to_value(self) -> ConfigValue {
+        ConfigValue::UInt(self as u64)
+    }
+    fn from_value(value: ConfigValue) -> Option<Self> {
+        value.as_usize()
+    }
+}
+
+impl ConfigField for u64 {
+    const EXPECTED: &'static str = "an integer";
+    fn to_value(self) -> ConfigValue {
+        ConfigValue::UInt(self)
+    }
+    fn from_value(value: ConfigValue) -> Option<Self> {
+        value.as_u64()
+    }
+}
+
+impl ConfigField for f64 {
+    const EXPECTED: &'static str = "a number";
+    fn to_value(self) -> ConfigValue {
+        ConfigValue::Float(self)
+    }
+    fn from_value(value: ConfigValue) -> Option<Self> {
+        value.as_f64()
+    }
+}
+
+impl ConfigField for bool {
+    const EXPECTED: &'static str = "a boolean";
+    fn to_value(self) -> ConfigValue {
+        ConfigValue::Bool(self)
+    }
+    fn from_value(value: ConfigValue) -> Option<Self> {
+        value.as_bool()
+    }
+}
+
+/// Declares a model configuration once: the struct, each field with its
+/// doc, type ([`ConfigField`]: `usize`, `u64`, `f64` or `bool`) and
+/// paper default. From that one list it generates
 ///
-/// Field kinds: `usize`, `u64`, `f64`, `bool`.
+/// * the struct, with every field `pub`;
+/// * `Default`, the paper configuration;
+/// * `builder()` and the builder type, one setter per field, whose
+///   `build()` panics with the config's `check()` message;
+/// * [`ModelConfig`]: `fields` in declaration order, `set` by name, and
+///   `validate`, which calls `check`.
+///
+/// The type must provide an inherent `fn check(&self) -> Result<(),
+/// String>` holding its cross-field invariants. The declaration order is
+/// the order of the spec schema, of `loas-serve models` and of the memo
+/// key: never reorder.
+///
+/// ```
+/// loas_core::model_config! {
+///     model = "toy", builder = ToyConfigBuilder;
+///     /// A toy model's configuration.
+///     #[derive(Debug, Clone, PartialEq)]
+///     pub struct ToyConfig {
+///         /// Processing elements.
+///         pub pes: usize = 16,
+///         /// Off-chip bandwidth in GB/s.
+///         pub hbm_gbps: f64 = 128.0,
+///     }
+/// }
+///
+/// impl ToyConfig {
+///     fn check(&self) -> Result<(), String> {
+///         if self.pes == 0 {
+///             return Err("need at least one PE".to_owned());
+///         }
+///         Ok(())
+///     }
+/// }
+///
+/// use loas_core::{ConfigValue, ModelConfig};
+/// let config = ToyConfig::builder().pes(8).build();
+/// assert_eq!(config.fields()[0], ("pes", ConfigValue::UInt(8)));
+/// assert_eq!(ToyConfig::default().hbm_gbps, 128.0);
+/// ```
 #[macro_export]
-macro_rules! impl_model_config {
-    ($ty:ty, $model:literal, { $( $field:ident : $kind:tt ),* $(,)? }) => {
-        impl $crate::ModelConfig for $ty {
+macro_rules! model_config {
+    (
+        model = $model:literal, builder = $builder:ident;
+        $(#[$attr:meta])*
+        pub struct $config:ident {
+            $( $(#[$doc:meta])* pub $field:ident : $ty:ty = $default:expr ),* $(,)?
+        }
+    ) => {
+        $(#[$attr])*
+        pub struct $config {
+            $( $(#[$doc])* pub $field: $ty, )*
+        }
+
+        impl Default for $config {
+            fn default() -> Self {
+                $config { $( $field: $default, )* }
+            }
+        }
+
+        impl $config {
+            /// A builder starting from the paper defaults.
+            pub fn builder() -> $builder {
+                $builder { config: $config::default() }
+            }
+        }
+
+        #[doc = concat!(
+            "Builder for [`", stringify!($config), "`], starting from the paper defaults."
+        )]
+        #[derive(Debug, Clone)]
+        pub struct $builder {
+            config: $config,
+        }
+
+        impl $builder {
+            $(
+                #[doc = concat!("Sets [`", stringify!($config), "::", stringify!($field), "`]:")]
+                $(#[$doc])*
+                pub fn $field(mut self, value: $ty) -> Self {
+                    self.config.$field = value;
+                    self
+                }
+            )*
+
+            /// Finalises the configuration.
+            ///
+            /// # Panics
+            ///
+            #[doc = concat!(
+                "Panics with [`", stringify!($config), "::check`]'s message on a degenerate ",
+                "configuration."
+            )]
+            pub fn build(self) -> $config {
+                if let Err(message) = self.config.check() {
+                    panic!("{message}");
+                }
+                self.config
+            }
+        }
+
+        impl $crate::ModelConfig for $config {
             fn fields(&self) -> Vec<(&'static str, $crate::ConfigValue)> {
-                vec![$( (stringify!($field), $crate::impl_model_config!(@get self, $field, $kind)) ),*]
+                vec![$( (stringify!($field), $crate::ConfigField::to_value(self.$field)) ),*]
             }
 
             fn set(
@@ -215,65 +380,23 @@ macro_rules! impl_model_config {
                 value: $crate::ConfigValue,
             ) -> Result<(), $crate::CatalogError> {
                 match field {
-                    $(
-                        stringify!($field) => {
-                            $crate::impl_model_config!(@set self, $field, $kind, value, $model);
-                            Ok(())
-                        }
-                    )*
-                    other => Err($crate::CatalogError::UnknownField {
-                        model: $model.to_owned(),
-                        field: other.to_owned(),
-                    }),
+                    $( stringify!($field) => {
+                        self.$field = $crate::ConfigField::from_config(value, $model, field)?
+                    } )*
+                    _ => {
+                        return Err($crate::CatalogError::UnknownField {
+                            model: $model.to_owned(),
+                            field: field.to_owned(),
+                        })
+                    }
                 }
+                Ok(())
             }
 
             fn validate(&self) -> Result<(), String> {
                 self.check()
             }
         }
-    };
-    (@get $self:ident, $field:ident, usize) => {
-        $crate::ConfigValue::UInt($self.$field as u64)
-    };
-    (@get $self:ident, $field:ident, u64) => {
-        $crate::ConfigValue::UInt($self.$field)
-    };
-    (@get $self:ident, $field:ident, f64) => {
-        $crate::ConfigValue::Float($self.$field)
-    };
-    (@get $self:ident, $field:ident, bool) => {
-        $crate::ConfigValue::Bool($self.$field)
-    };
-    (@set $self:ident, $field:ident, usize, $value:ident, $model:literal) => {
-        $self.$field = $value
-            .as_usize()
-            .ok_or($crate::CatalogError::FieldType {
-                model: $model.to_owned(),
-                field: stringify!($field).to_owned(),
-                expected: "an integer",
-            })?
-    };
-    (@set $self:ident, $field:ident, u64, $value:ident, $model:literal) => {
-        $self.$field = $value.as_u64().ok_or($crate::CatalogError::FieldType {
-            model: $model.to_owned(),
-            field: stringify!($field).to_owned(),
-            expected: "an integer",
-        })?
-    };
-    (@set $self:ident, $field:ident, f64, $value:ident, $model:literal) => {
-        $self.$field = $value.as_f64().ok_or($crate::CatalogError::FieldType {
-            model: $model.to_owned(),
-            field: stringify!($field).to_owned(),
-            expected: "a number",
-        })?
-    };
-    (@set $self:ident, $field:ident, bool, $value:ident, $model:literal) => {
-        $self.$field = $value.as_bool().ok_or($crate::CatalogError::FieldType {
-            model: $model.to_owned(),
-            field: stringify!($field).to_owned(),
-            expected: "a boolean",
-        })?
     };
 }
 

@@ -72,7 +72,7 @@ mod tppe;
 pub use accelerator::Loas;
 pub use accumulator::{Accumulator, AccumulatorBank};
 pub use area_power::AreaPowerModel;
-pub use catalog::{CatalogError, ConfigValue, ModelConfig};
+pub use catalog::{CatalogError, ConfigField, ConfigValue, ModelConfig};
 pub use compressor::{CompressedRow, Compressor};
 pub use config::{check_precision, LoasConfig, LoasConfigBuilder};
 pub use hash::ContentHasher;

@@ -330,7 +330,9 @@ fn configured(
         .ok_or_else(|| spec_err(format!("accelerator `config` in {at} must be an object")))?;
     // Coerce each override by the declared kind of the config field, so
     // integer tokens land in integer fields and float fields accept both
-    // `128` and `128.0` spellings.
+    // `128` and `128.0` spellings. A float field refuses a token that
+    // overflows to infinity (`1e400`): it would simulate at an infinite
+    // rate, and the spec could not be written back as JSON.
     let declared = accelerator.config().fields();
     for (field, value) in overrides {
         let Some((_, kind)) = declared.iter().find(|(name, _)| name == field) else {
@@ -348,7 +350,10 @@ fn configured(
         };
         let coerced = match kind {
             ConfigValue::UInt(_) => value.as_u64().map(ConfigValue::UInt),
-            ConfigValue::Float(_) => value.as_f64().map(ConfigValue::Float),
+            ConfigValue::Float(_) => value
+                .as_f64()
+                .filter(|v| v.is_finite())
+                .map(ConfigValue::Float),
             ConfigValue::Bool(_) => value.as_bool().map(ConfigValue::Bool),
         }
         .ok_or_else(|| {
@@ -356,7 +361,7 @@ fn configured(
                 "config field `{name}.{field}` in {at} must be {}",
                 match kind {
                     ConfigValue::UInt(_) => "a non-negative integer",
-                    ConfigValue::Float(_) => "a number",
+                    ConfigValue::Float(_) => "a finite number",
                     ConfigValue::Bool(_) => "a boolean",
                 }
             ))
@@ -604,6 +609,19 @@ mod tests {
                     "\"version\": 2, ",
                 ),
                 "must be a non-negative integer",
+            ),
+            (
+                // `1e400` overflows to infinity, which no float field
+                // takes (LoAS's bandwidth check bounds it only below).
+                wrap(
+                    r#"{"name": "loas", "config": {"hbm_gbps": 1e400}}"#,
+                    "\"version\": 2, ",
+                ),
+                "config field `loas.hbm_gbps` in job 0 must be a finite number",
+            ),
+            (
+                wrap(r#"{"loas": {"hbm_gbps": 1e400}}"#, ""),
+                "must be a finite number",
             ),
             (
                 wrap(r#"{"name": "sparten", "config": []}"#, "\"version\": 2, "),
