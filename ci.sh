@@ -19,7 +19,9 @@
 # specs (a LoAS timestep mismatch, a workload t above 16, memory systems
 # it cannot build: zero HBM channels, HBM below 1 GB/s or infinite, a
 # cache of more than 2^20 lines), a runner failing a stored spec cut
-# short and draining on, a run of every example (each must exit 0, and
+# short and draining on, run refusing --poll-ms/--idle-ms without
+# --watch, a watch-mode runner whose second campaign reuses the first's
+# prepared layer (0 workloads generated), a run of every example (each must exit 0, and
 # dataflow_explorer must mark exactly one variant as meeting all
 # goals), a bench-trajectory gate over the two
 # committed history records (BENCH_PR5.json against BENCH_PR3.json: fails
@@ -208,6 +210,28 @@ printf '{"name": "x", "jobs": [' > "$SMOKE/cutq/specs/00001.json"
 "$SERVE" status "$SMOKE/cutq" > "$SMOKE/cutq.status"
 grep "00001" "$SMOKE/cutq.status" | grep -q "failed spec: unexpected end of input"
 grep "00002" "$SMOKE/cutq.status" | grep -q "done"
+
+echo "== run refuses the watch-only flags without --watch"
+# Without --watch, --poll-ms and --idle-ms would be silently ignored.
+"$SERVE" init "$SMOKE/flagq"
+for flag in --poll-ms --idle-ms; do
+  if "$SERVE" run "$SMOKE/flagq" "$flag" 5 2> "$SMOKE/flag.err"; then
+    echo "run accepted $flag without --watch"; exit 1
+  fi
+  grep -q -- "$flag only applies with --watch" "$SMOKE/flag.err"
+done
+
+echo "== watch mode: one engine shares prepared layers across campaigns"
+# The Gamma cache sweep runs on the headline's V-L8 layer, which the
+# watcher's one engine prepared for campaign 00001: it generates nothing.
+"$SERVE" init "$SMOKE/watchq"
+"$SERVE" enqueue "$SMOKE/watchq" --headline --quick
+"$SERVE" enqueue "$SMOKE/watchq" --gamma-cache --quick
+"$SERVE" run "$SMOKE/watchq" --watch --no-store --workers 2 --poll-ms 50 --idle-ms 300 \
+  | tee "$SMOKE/watch.out"
+grep "campaign 00001" "$SMOKE/watch.out" | grep -q "28 jobs"
+grep "campaign 00002" "$SMOKE/watch.out" | grep -q "0 workloads generated"
+"$SERVE" status "$SMOKE/watchq" | grep "00002" | grep -q "done"
 
 echo "== model listing (loas-serve models)"
 "$SERVE" models > "$SMOKE/models.out"

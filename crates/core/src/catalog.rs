@@ -77,12 +77,21 @@ impl ConfigValue {
         }
     }
 
-    /// The kind name used in error messages and schema docs.
+    /// The kind name `loas-serve models` lists.
     pub fn kind(self) -> &'static str {
         match self {
             ConfigValue::UInt(_) => "integer",
             ConfigValue::Float(_) => "number",
             ConfigValue::Bool(_) => "boolean",
+        }
+    }
+
+    /// What a field of this kind takes, as error messages word it.
+    pub fn expected(self) -> &'static str {
+        match self {
+            ConfigValue::UInt(_) => "a non-negative integer",
+            ConfigValue::Float(_) => "a finite number",
+            ConfigValue::Bool(_) => "a boolean",
         }
     }
 
@@ -198,35 +207,36 @@ pub trait ModelConfig {
     fn validate(&self) -> Result<(), String>;
 }
 
-/// A config field's Rust type: `usize`, `u64`, `f64` or `bool`.
-pub trait ConfigField: Sized {
-    /// What a value for a field of this type must be, for
-    /// [`CatalogError::FieldType`].
-    const EXPECTED: &'static str;
-
+/// A config field's Rust type: `usize`, `u64`, `f64` or `bool`. Its
+/// [`from_value`](ConfigField::from_value) is the one coercion table a
+/// configuration override goes through.
+pub trait ConfigField: Copy {
     /// The field's value.
     fn to_value(self) -> ConfigValue;
 
-    /// The field from `value`, if it is of the field's kind (and fits).
+    /// The field from `value`, if it is of the field's kind (and fits). A
+    /// float field also takes an integer, and refuses a non-finite value.
     fn from_value(value: ConfigValue) -> Option<Self>;
 
-    /// [`from_value`](ConfigField::from_value), with the error
-    /// [`ModelConfig::set`] reports for a value of the wrong kind.
+    /// Overwrites the field with `value` coerced by
+    /// [`from_value`](ConfigField::from_value): what [`ModelConfig::set`]
+    /// does.
     ///
     /// # Errors
     ///
-    /// [`CatalogError::FieldType`] naming `model.field`.
-    fn from_config(value: ConfigValue, model: &str, field: &str) -> Result<Self, CatalogError> {
-        Self::from_value(value).ok_or_else(|| CatalogError::FieldType {
+    /// [`CatalogError::FieldType`] naming `model.field` and what the field
+    /// takes ([`ConfigValue::expected`]).
+    fn assign(&mut self, value: ConfigValue, model: &str, field: &str) -> Result<(), CatalogError> {
+        *self = Self::from_value(value).ok_or_else(|| CatalogError::FieldType {
             model: model.to_owned(),
             field: field.to_owned(),
-            expected: Self::EXPECTED,
-        })
+            expected: self.to_value().expected(),
+        })?;
+        Ok(())
     }
 }
 
 impl ConfigField for usize {
-    const EXPECTED: &'static str = "an integer";
     fn to_value(self) -> ConfigValue {
         ConfigValue::UInt(self as u64)
     }
@@ -236,7 +246,6 @@ impl ConfigField for usize {
 }
 
 impl ConfigField for u64 {
-    const EXPECTED: &'static str = "an integer";
     fn to_value(self) -> ConfigValue {
         ConfigValue::UInt(self)
     }
@@ -246,17 +255,16 @@ impl ConfigField for u64 {
 }
 
 impl ConfigField for f64 {
-    const EXPECTED: &'static str = "a number";
     fn to_value(self) -> ConfigValue {
         ConfigValue::Float(self)
     }
     fn from_value(value: ConfigValue) -> Option<Self> {
-        value.as_f64()
+        let integer = value.as_u64().map(|v| v as f64);
+        value.as_f64().or(integer).filter(|v| v.is_finite())
     }
 }
 
 impl ConfigField for bool {
-    const EXPECTED: &'static str = "a boolean";
     fn to_value(self) -> ConfigValue {
         ConfigValue::Bool(self)
     }
@@ -381,7 +389,7 @@ macro_rules! model_config {
             ) -> Result<(), $crate::CatalogError> {
                 match field {
                     $( stringify!($field) => {
-                        self.$field = $crate::ConfigField::from_config(value, $model, field)?
+                        $crate::ConfigField::assign(&mut self.$field, value, $model, field)?
                     } )*
                     _ => {
                         return Err($crate::CatalogError::UnknownField {
@@ -416,6 +424,41 @@ mod tests {
         assert_ne!(ConfigValue::UInt(1), ConfigValue::Bool(true));
         assert_eq!(format!("{}", ConfigValue::Float(0.823)), "0.823");
         assert_eq!(format!("{}", ConfigValue::UInt(128)), "128");
+    }
+
+    #[test]
+    fn config_fields_coerce_through_one_table() {
+        // A float field takes an integer at the same bits as the float
+        // spelling, and refuses a non-finite value.
+        assert_eq!(f64::from_value(ConfigValue::UInt(128)), Some(128.0));
+        assert_eq!(
+            f64::from_value(ConfigValue::UInt(128)).map(f64::to_bits),
+            f64::from_value(ConfigValue::Float(128.0)).map(f64::to_bits)
+        );
+        for bad in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            assert_eq!(f64::from_value(ConfigValue::Float(bad)), None);
+        }
+        assert_eq!(usize::from_value(ConfigValue::Float(4.0)), None);
+        assert_eq!(bool::from_value(ConfigValue::UInt(1)), None);
+        // One set of words per kind, from the field being set.
+        let mut config = LoasConfig::table3();
+        let error = config
+            .set("hbm_gbps", ConfigValue::Float(f64::INFINITY))
+            .unwrap_err();
+        assert_eq!(
+            error.to_string(),
+            "config field `loas.hbm_gbps` must be a finite number"
+        );
+        let error = config.set("tppes", ConfigValue::Bool(true)).unwrap_err();
+        assert_eq!(
+            error.to_string(),
+            "config field `loas.tppes` must be a non-negative integer"
+        );
+        assert_eq!(
+            config,
+            LoasConfig::table3(),
+            "a refused value leaves the field"
+        );
     }
 
     #[test]

@@ -1,15 +1,16 @@
-//! The content-keyed prepared-layer cache shared by all jobs of a campaign
-//! (and across campaigns run on the same engine).
+//! The content-keyed prepared-layer cache an engine keeps across
+//! campaigns.
 //!
 //! Generating a workload and building its compressed views
 //! ([`PreparedLayer`]) dominates campaign setup cost, and sweep-style
 //! experiments reuse the same layer under many accelerator/configuration
-//! variants. The cache guarantees each unique [`WorkloadKey`] is prepared
-//! exactly once while resident; residency is bounded by a configurable
-//! entry cap with least-recently-used eviction, so network-scale sweeps
-//! cannot grow the cache without limit. The default cap is generous —
-//! far above any single repro session's unique-workload count — so
-//! eviction only engages on long-lived serving processes.
+//! variants. The engine's preparation pass looks each unique
+//! [`WorkloadKey`] up here once and inserts what it generates, so each
+//! key is prepared once per engine while resident. Residency has a fixed
+//! least-recently-used bound of `CAPACITY` (4096) entries, far above any
+//! one session's unique-workload count, so eviction only engages on
+//! long-lived serving processes. A pass holds the layers it hands out as
+//! `Arc`s: an eviction never reaches a running campaign.
 
 use crate::spec::WorkloadKey;
 use loas_core::PreparedLayer;
@@ -17,47 +18,38 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// The default entry cap of a fresh cache.
-pub const DEFAULT_CACHE_CAPACITY: usize = 4096;
+/// The entry bound of an engine's cache.
+const CAPACITY: usize = 4096;
 
 /// Counters describing cache effectiveness over its lifetime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PreparedCacheStats {
-    /// Workloads generated and prepared (one per unique key while
-    /// resident; an evicted key regenerates on next use).
+    /// Workloads generated and prepared: the sum of every preparation
+    /// pass's `CampaignOutcome::workloads_generated` (an evicted key
+    /// regenerates on next use).
     pub generated: usize,
-    /// Lookups served from the cache.
+    /// Layer requests served without generating: the sum of every
+    /// preparation pass's `CampaignOutcome::cache_hits`.
     pub hits: usize,
     /// Entries currently resident.
     pub entries: usize,
     /// Entries evicted over the cache's lifetime.
     pub evictions: usize,
-    /// The configured entry cap.
-    pub capacity: usize,
 }
 
 #[derive(Debug, Default)]
 struct CacheInner {
     map: HashMap<WorkloadKey, (Arc<PreparedLayer>, u64)>,
     /// Monotonic access clock: entries stamp themselves on insert and on
-    /// every hit; eviction removes the minimum stamp.
+    /// every lookup; eviction removes the minimum stamp.
     tick: u64,
 }
 
 impl CacheInner {
-    fn touch(&mut self, key: &WorkloadKey) -> Option<Arc<PreparedLayer>> {
-        self.tick += 1;
-        let tick = self.tick;
-        self.map.get_mut(key).map(|(layer, stamp)| {
-            *stamp = tick;
-            layer.clone()
-        })
-    }
-
     /// Removes the least-recently-used entry. The min-scan is O(entries),
     /// which is fine here: an insert (the only caller at capacity) always
     /// follows a workload generation costing orders of magnitude more than
-    /// scanning even the default 4096-entry cap.
+    /// scanning even the 4096-entry bound.
     fn evict_lru(&mut self) -> bool {
         let Some(victim) = self
             .map
@@ -74,110 +66,83 @@ impl CacheInner {
 
 /// A thread-safe, content-keyed, LRU-bounded store of prepared layers.
 #[derive(Debug)]
-pub struct PreparedCache {
+pub(crate) struct PreparedCache {
     inner: Mutex<CacheInner>,
-    capacity: AtomicUsize,
+    capacity: usize,
     generated: AtomicUsize,
     hits: AtomicUsize,
     evictions: AtomicUsize,
 }
 
-impl Default for PreparedCache {
-    fn default() -> Self {
-        PreparedCache::with_capacity(DEFAULT_CACHE_CAPACITY)
-    }
-}
-
 impl PreparedCache {
-    /// An empty cache at the default entry cap.
-    pub fn new() -> Self {
-        PreparedCache::default()
+    /// An empty cache at the engine's bound.
+    pub(crate) fn new() -> Self {
+        PreparedCache::with_capacity(CAPACITY)
     }
 
-    /// An empty cache holding at most `capacity` entries (clamped to at
-    /// least 1).
-    pub fn with_capacity(capacity: usize) -> Self {
+    /// An empty cache holding at most `capacity` entries (at least 1).
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
         PreparedCache {
             inner: Mutex::new(CacheInner::default()),
-            capacity: AtomicUsize::new(capacity.max(1)),
+            capacity: capacity.max(1),
             generated: AtomicUsize::new(0),
             hits: AtomicUsize::new(0),
             evictions: AtomicUsize::new(0),
         }
     }
 
-    /// Reconfigures the entry cap (clamped to at least 1), evicting
-    /// least-recently-used entries immediately if the cache is over the
-    /// new bound.
-    pub fn set_capacity(&self, capacity: usize) {
-        let capacity = capacity.max(1);
-        self.capacity.store(capacity, Ordering::Relaxed);
+    /// Looks a key up, refreshing its recency on success.
+    pub(crate) fn get(&self, key: &WorkloadKey) -> Option<Arc<PreparedLayer>> {
         let mut inner = self.inner.lock().expect("cache lock");
-        while inner.map.len() > capacity && inner.evict_lru() {
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
+        inner.tick += 1;
+        let tick = inner.tick;
+        inner.map.get_mut(key).map(|(layer, stamp)| {
+            *stamp = tick;
+            layer.clone()
+        })
     }
 
-    /// The configured entry cap.
-    pub fn capacity(&self) -> usize {
-        self.capacity.load(Ordering::Relaxed)
-    }
-
-    /// Looks a key up, counting a hit (and refreshing recency) on success.
-    pub fn get(&self, key: &WorkloadKey) -> Option<Arc<PreparedLayer>> {
-        let found = self.inner.lock().expect("cache lock").touch(key);
-        if found.is_some() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        found
-    }
-
-    /// Whether a key is resident (no hit is counted, recency unchanged).
-    pub fn contains(&self, key: &WorkloadKey) -> bool {
-        self.inner.lock().expect("cache lock").map.contains_key(key)
-    }
-
-    /// Looks a key up without counting a hit (for internal derivations; job
-    /// resolutions use [`PreparedCache::get`]). Recency is still refreshed
-    /// so a derivation base is not the next eviction victim.
-    pub fn peek(&self, key: &WorkloadKey) -> Option<Arc<PreparedLayer>> {
-        self.inner.lock().expect("cache lock").touch(key)
-    }
-
-    /// Inserts a freshly generated layer, returning the resident `Arc` and
-    /// evicting the least-recently-used entries if the cap is exceeded.
-    /// The generation counter only advances when the key was actually
-    /// vacant, so concurrent campaigns racing on one key (each campaign's
-    /// own prepare phase claims every key at most once) cannot overcount.
-    pub fn insert(&self, key: WorkloadKey, layer: PreparedLayer) -> Arc<PreparedLayer> {
-        let capacity = self.capacity();
+    /// Inserts a freshly generated layer, evicting the least-recently-used
+    /// entries if the bound is exceeded. Returns the resident `Arc` and
+    /// whether the key was vacant: only then does the generation counter
+    /// advance, so concurrent campaigns racing on one key cannot
+    /// overcount.
+    pub(crate) fn insert(
+        &self,
+        key: WorkloadKey,
+        layer: PreparedLayer,
+    ) -> (Arc<PreparedLayer>, bool) {
         let mut inner = self.inner.lock().expect("cache lock");
         inner.tick += 1;
         let tick = inner.tick;
         let resident = match inner.map.entry(key) {
             std::collections::hash_map::Entry::Occupied(mut entry) => {
                 entry.get_mut().1 = tick;
-                entry.get().0.clone()
+                (entry.get().0.clone(), false)
             }
             std::collections::hash_map::Entry::Vacant(entry) => {
                 self.generated.fetch_add(1, Ordering::Relaxed);
-                entry.insert((Arc::new(layer), tick)).0.clone()
+                (entry.insert((Arc::new(layer), tick)).0.clone(), true)
             }
         };
-        while inner.map.len() > capacity && inner.evict_lru() {
+        while inner.map.len() > self.capacity && inner.evict_lru() {
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
         resident
     }
 
+    /// Adds a preparation pass's hits to the lifetime count.
+    pub(crate) fn count_hits(&self, hits: usize) {
+        self.hits.fetch_add(hits, Ordering::Relaxed);
+    }
+
     /// Lifetime counters.
-    pub fn stats(&self) -> PreparedCacheStats {
+    pub(crate) fn stats(&self) -> PreparedCacheStats {
         PreparedCacheStats {
             generated: self.generated.load(Ordering::Relaxed),
             hits: self.hits.load(Ordering::Relaxed),
             entries: self.inner.lock().expect("cache lock").map.len(),
             evictions: self.evictions.load(Ordering::Relaxed),
-            capacity: self.capacity(),
         }
     }
 }
@@ -201,15 +166,19 @@ mod tests {
         let cache = PreparedCache::new();
         let a = spec("a");
         assert!(cache.get(&a.key()).is_none());
-        cache.insert(a.key(), a.prepare().unwrap());
+        let (first, vacant) = cache.insert(a.key(), a.prepare().unwrap());
+        assert!(vacant);
+        // A racing second insert of the same key keeps the resident layer
+        // and counts no generation.
+        let (second, vacant) = cache.insert(a.key(), a.prepare().unwrap());
+        assert!(!vacant && Arc::ptr_eq(&first, &second));
         assert!(cache.get(&a.key()).is_some());
-        assert!(cache.get(&a.key()).is_some());
+        cache.count_hits(2);
         let stats = cache.stats();
         assert_eq!(stats.generated, 1);
         assert_eq!(stats.hits, 2);
         assert_eq!(stats.entries, 1);
         assert_eq!(stats.evictions, 0);
-        assert_eq!(stats.capacity, DEFAULT_CACHE_CAPACITY);
     }
 
     #[test]
@@ -221,29 +190,17 @@ mod tests {
         // Touch `a` so `b` is now least recently used.
         assert!(cache.get(&a.key()).is_some());
         cache.insert(c.key(), c.prepare().unwrap());
-        assert!(cache.contains(&a.key()), "recently used entry survives");
-        assert!(!cache.contains(&b.key()), "LRU entry evicted");
-        assert!(cache.contains(&c.key()));
         let stats = cache.stats();
         assert_eq!(stats.entries, 2);
         assert_eq!(stats.evictions, 1);
+        assert!(cache.get(&b.key()).is_none(), "LRU entry evicted");
+        assert!(
+            cache.get(&a.key()).is_some(),
+            "recently used entry survives"
+        );
+        assert!(cache.get(&c.key()).is_some());
         // An evicted key regenerates (and recounts) on reinsert.
-        cache.insert(b.key(), b.prepare().unwrap());
+        assert!(cache.insert(b.key(), b.prepare().unwrap()).1);
         assert_eq!(cache.stats().generated, 4);
-    }
-
-    #[test]
-    fn shrinking_capacity_evicts_immediately() {
-        let cache = PreparedCache::with_capacity(3);
-        for name in ["a", "b", "c"] {
-            let s = spec(name);
-            cache.insert(s.key(), s.prepare().unwrap());
-        }
-        cache.set_capacity(1);
-        let stats = cache.stats();
-        assert_eq!(stats.entries, 1);
-        assert_eq!(stats.evictions, 2);
-        assert_eq!(stats.capacity, 1);
-        assert!(cache.contains(&spec("c").key()), "newest entry survives");
     }
 }

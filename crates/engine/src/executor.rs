@@ -10,10 +10,10 @@
 use crate::cache::{PreparedCache, PreparedCacheStats};
 use crate::memo::ResultStore;
 use crate::report::{CampaignOutcome, JobRecord};
-use crate::spec::{Campaign, WorkloadSpec};
+use crate::spec::{Campaign, WorkloadKey, WorkloadSpec};
 use loas_core::{LayerReport, PreparedLayer};
 use loas_workloads::WorkloadError;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -59,11 +59,22 @@ impl std::error::Error for EngineError {
     }
 }
 
+/// The layers of one preparation pass, one per requested spec, with the
+/// pass's counts.
+struct Prepared {
+    layers: Vec<Arc<PreparedLayer>>,
+    /// Keys this pass inserted into a vacant cache slot.
+    generated: usize,
+    /// Requests served without generating: requests minus the requested
+    /// keys the cache did not hold.
+    hits: usize,
+}
+
 /// The deterministic multi-threaded campaign runner.
 ///
-/// An engine owns a [`PreparedCache`] that persists across campaigns, so a
-/// sequence of campaigns sharing workloads (the typical figure-regeneration
-/// session) generates each unique workload once.
+/// An engine owns a prepared-layer cache that persists across campaigns,
+/// so a sequence of campaigns sharing workloads (the typical
+/// figure-regeneration session) generates each unique workload once.
 #[derive(Debug)]
 pub struct Engine {
     workers: usize,
@@ -124,13 +135,6 @@ impl Engine {
         self.cache.stats()
     }
 
-    /// Rebounds the prepared-layer cache to at most `capacity` entries
-    /// (LRU eviction; clamped to at least 1), evicting immediately if the
-    /// cache is over the new bound.
-    pub fn set_cache_capacity(&self, capacity: usize) {
-        self.cache.set_capacity(capacity);
-    }
-
     /// Prepares (generating in parallel where missing) the given workload
     /// specs and returns their shared layers in input order.
     ///
@@ -138,111 +142,110 @@ impl Engine {
     ///
     /// Returns the first (by spec order) generation failure.
     pub fn prepare(&self, specs: &[WorkloadSpec]) -> Result<Vec<Arc<PreparedLayer>>, EngineError> {
-        self.prepare_missing(specs)?;
-        specs.iter().map(|spec| self.resolve(spec)).collect()
+        Ok(self.prepare_pass(&specs.iter().collect::<Vec<_>>())?.layers)
     }
 
-    /// Resolves one spec to its prepared layer, regenerating privately if
-    /// the entry was already evicted again (cache cap below the working
-    /// set) rather than thrashing the cache or panicking.
-    fn resolve(&self, spec: &WorkloadSpec) -> Result<Arc<PreparedLayer>, EngineError> {
-        match self.cache.get(&spec.key()) {
-            Some(layer) => Ok(layer),
-            None => spec
-                .prepare()
-                .map(Arc::new)
-                .map_err(|source| EngineError::Workload {
-                    workload: spec.name.clone(),
-                    source,
-                }),
-        }
-    }
-
-    /// Generates every spec whose key is not yet resident, each exactly
-    /// once, sharded across the worker pool. Runs in two waves: plain
-    /// workloads generate first (plus the bases of any missing fine-tuned
-    /// specs), then fine-tuned variants derive from their cached base
-    /// ([`PreparedLayer::fine_tuned`]: the `A` side masked, the `B` side
-    /// shared) — so a campaign running both LoAS and LoAS(FT) on a layer
-    /// pays for one generation and one `B` preparation, not two.
-    fn prepare_missing(&self, specs: &[WorkloadSpec]) -> Result<(), EngineError> {
-        let mut seen = std::collections::HashSet::new();
-        let missing: Vec<&WorkloadSpec> = specs
-            .iter()
-            .filter(|spec| seen.insert(spec.key()) && !self.cache.contains(&spec.key()))
-            .collect();
-        if missing.is_empty() {
-            return Ok(());
-        }
-        let mut bases: Vec<WorkloadSpec> = Vec::new();
-        let mut derived: Vec<&WorkloadSpec> = Vec::new();
-        for spec in missing {
-            if spec.fine_tuned {
-                let base = spec.base();
-                if !self.cache.contains(&base.key())
-                    && !bases.iter().any(|b: &WorkloadSpec| b.key() == base.key())
-                {
-                    bases.push(base);
+    /// The one preparation pass: returns one layer per spec, in order, and
+    /// the pass's counts (added to the cache's lifetime sums). Each unique
+    /// key is looked up in the cache once. The missing ones generate
+    /// across the worker pool in two waves: plain workloads first (plus
+    /// the bases of missing fine-tuned specs), then fine-tuned variants
+    /// derived from the base the pass holds ([`PreparedLayer::fine_tuned`]:
+    /// the `A` side masked, the `B` side shared) — so a campaign running
+    /// both LoAS and LoAS(FT) on a layer pays for one generation and one
+    /// `B` preparation, not two. Every new layer goes into the cache, but
+    /// the pass returns the `Arc`s it holds, so no later eviction reaches
+    /// them.
+    fn prepare_pass(&self, specs: &[&WorkloadSpec]) -> Result<Prepared, EngineError> {
+        let keys: Vec<WorkloadKey> = specs.iter().map(|spec| spec.key()).collect();
+        let mut held: HashMap<WorkloadKey, Arc<PreparedLayer>> = HashMap::new();
+        let mut missing: HashSet<WorkloadKey> = HashSet::new();
+        // Looks a key up once per pass: true when the pass must generate it.
+        let mut lookup = |key: &WorkloadKey| {
+            if held.contains_key(key) || missing.contains(key) {
+                return false;
+            }
+            match self.cache.get(key) {
+                Some(layer) => {
+                    held.insert(key.clone(), layer);
+                    false
                 }
-                derived.push(spec);
-            } else {
-                bases.push(spec.clone());
+                None => missing.insert(key.clone()),
             }
-        }
-        self.generate_wave(&bases, |spec| spec.prepare())?;
-        self.generate_wave(&derived, |spec| {
-            // The base normally survives from the first wave; under a cache
-            // cap smaller than the wave it may already be evicted, in which
-            // case the derived spec regenerates standalone.
-            match self.cache.peek(&spec.base().key()) {
-                Some(base) => Ok(base.fine_tuned()),
-                None => spec.prepare(),
+        };
+        let (derived, mut bases): (Vec<&WorkloadSpec>, Vec<&WorkloadSpec>) = specs
+            .iter()
+            .zip(&keys)
+            .filter(|(_, key)| lookup(key))
+            .map(|(&spec, _)| spec)
+            .partition(|spec| spec.fine_tuned);
+        let hits = specs.len() - derived.len() - bases.len();
+        let missing_bases: Vec<WorkloadSpec> = derived
+            .iter()
+            .map(|spec| spec.base())
+            .filter(|base| lookup(&base.key()))
+            .collect();
+        bases.extend(&missing_bases);
+
+        let mut generated = 0;
+        let mut keep = |held: &mut HashMap<WorkloadKey, Arc<PreparedLayer>>,
+                        wave: &[&WorkloadSpec],
+                        layers: Vec<PreparedLayer>| {
+            for (spec, layer) in wave.iter().zip(layers) {
+                let (layer, vacant) = self.cache.insert(spec.key(), layer);
+                generated += usize::from(vacant);
+                held.insert(spec.key(), layer);
             }
+        };
+        keep(
+            &mut held,
+            &bases,
+            self.generate_wave(&bases, WorkloadSpec::prepare)?,
+        );
+        let layers =
+            self.generate_wave(&derived, |spec| Ok(held[&spec.base().key()].fine_tuned()))?;
+        keep(&mut held, &derived, layers);
+        self.cache.count_hits(hits);
+        Ok(Prepared {
+            layers: keys.iter().map(|key| held[key].clone()).collect(),
+            generated,
+            hits,
         })
     }
 
     /// Shards one wave of workload preparation across the worker pool,
-    /// inserting results into the cache and surfacing the first (by spec
-    /// order) failure.
-    fn generate_wave<S: std::borrow::Borrow<WorkloadSpec> + Sync>(
+    /// returning the layers in wave order or the first (by spec order)
+    /// failure.
+    fn generate_wave(
         &self,
-        wave: &[S],
-        prepare: impl Fn(&WorkloadSpec) -> Result<PreparedLayer, loas_workloads::WorkloadError> + Sync,
-    ) -> Result<(), EngineError> {
-        if wave.is_empty() {
-            return Ok(());
-        }
+        wave: &[&WorkloadSpec],
+        prepare: impl Fn(&WorkloadSpec) -> Result<PreparedLayer, WorkloadError> + Sync,
+    ) -> Result<Vec<PreparedLayer>, EngineError> {
         let next = AtomicUsize::new(0);
-        let failures: Mutex<Vec<(usize, EngineError)>> = Mutex::new(Vec::new());
-        let workers = self.workers.min(wave.len());
+        let done: Mutex<Vec<(usize, Result<PreparedLayer, WorkloadError>)>> =
+            Mutex::new(Vec::with_capacity(wave.len()));
         std::thread::scope(|scope| {
-            for _ in 0..workers {
+            for _ in 0..self.workers.min(wave.len()) {
                 scope.spawn(|| loop {
                     let index = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(spec) = wave.get(index).map(|s| s.borrow()) else {
+                    let Some(spec) = wave.get(index) else {
                         break;
                     };
-                    match prepare(spec) {
-                        Ok(layer) => {
-                            self.cache.insert(spec.key(), layer);
-                        }
-                        Err(source) => failures.lock().expect("failure lock").push((
-                            index,
-                            EngineError::Workload {
-                                workload: spec.name.clone(),
-                                source,
-                            },
-                        )),
-                    }
+                    let layer = prepare(spec);
+                    done.lock().expect("wave lock").push((index, layer));
                 });
             }
         });
-        let mut failures = failures.into_inner().expect("failure lock");
-        failures.sort_by_key(|(index, _)| *index);
-        match failures.into_iter().next() {
-            Some((_, error)) => Err(error),
-            None => Ok(()),
-        }
+        let mut done = done.into_inner().expect("wave lock");
+        done.sort_by_key(|(index, _)| *index);
+        done.into_iter()
+            .map(|(index, layer)| {
+                layer.map_err(|source| EngineError::Workload {
+                    workload: wave[index].name.clone(),
+                    source,
+                })
+            })
+            .collect()
     }
 
     /// Runs a campaign to completion.
@@ -286,7 +289,6 @@ impl Engine {
         mut sink: impl FnMut(&JobRecord),
     ) -> Result<CampaignOutcome, EngineError> {
         let start = Instant::now();
-        let stats_before = self.cache.stats();
         let jobs = campaign.jobs();
         let selected: Vec<usize> = match selection {
             Some(ids) => {
@@ -322,28 +324,12 @@ impl Engine {
         let memo_hits = replayed.len();
 
         // Prepare only the workloads the simulated jobs need, each unique
-        // key at most once. A job resolution counts as a cache hit only
-        // when its key did not have to be generated for this campaign:
-        // jobs beyond the first use of a fresh key, plus every use of keys
-        // cached by earlier campaigns.
-        let mut seen = std::collections::HashSet::new();
-        let unique: Vec<WorkloadSpec> = to_run
-            .iter()
-            .map(|&index| &jobs[index].workload)
-            .filter(|workload| seen.insert(workload.key()))
-            .cloned()
-            .collect();
-        let fresh_keys = unique
-            .iter()
-            .filter(|spec| !self.cache.contains(&spec.key()))
-            .count();
-        self.prepare_missing(&unique)?;
+        // key at most once; the pass holds one layer per simulated job.
+        let workloads: Vec<&WorkloadSpec> =
+            to_run.iter().map(|&index| &jobs[index].workload).collect();
+        let prepared = self.prepare_pass(&workloads)?;
+        let layers = &prepared.layers;
         let prepare_seconds = start.elapsed().as_secs_f64();
-
-        let layers: Vec<Arc<PreparedLayer>> = to_run
-            .iter()
-            .map(|&index| self.resolve(&jobs[index].workload))
-            .collect::<Result<_, _>>()?;
 
         let next = AtomicUsize::new(0);
         let panicked = AtomicBool::new(false);
@@ -360,7 +346,6 @@ impl Engine {
                 let sender = sender.clone();
                 let next = &next;
                 let panicked = &panicked;
-                let layers = &layers;
                 let to_run = &to_run;
                 scope.spawn(move || loop {
                     let position = next.fetch_add(1, Ordering::Relaxed);
@@ -447,15 +432,14 @@ impl Engine {
         })?;
         debug_assert_eq!(records.len(), selected.len());
 
-        let stats_after = self.cache.stats();
         Ok(CampaignOutcome {
             campaign: campaign.name.clone(),
             workers: self.workers,
             records,
             wall_seconds: start.elapsed().as_secs_f64(),
             prepare_seconds,
-            workloads_generated: stats_after.generated - stats_before.generated,
-            cache_hits: to_run.len().saturating_sub(fresh_keys),
+            workloads_generated: prepared.generated,
+            cache_hits: prepared.hits,
             memo_hits,
             simulated: to_run.len(),
         })
@@ -534,6 +518,69 @@ mod tests {
             let outcome = Engine::new(workers).run(&campaign).unwrap();
             assert_eq!(outcome.jsonl(), golden, "workers={workers}");
         }
+    }
+
+    #[test]
+    fn a_cache_smaller_than_the_campaign_prepares_each_key_once_per_run() {
+        // Three layers under the headline fleet: 3 plain and 3 fine-tuned
+        // keys, more than a 1-entry cache holds. The pass holds its own
+        // layers, so evictions change neither the report nor the counts.
+        let mut campaign = Campaign::new("tiny");
+        let layers = [1, 2, 3].map(|seed| small("tiny-w").with_seed(seed));
+        campaign.push_product(&layers, &AcceleratorSpec::headline_fleet());
+        let reference = Engine::new(2).run(&campaign).unwrap();
+        assert_eq!(reference.workloads_generated, 6);
+        let tiny = Engine {
+            workers: 2,
+            cache: PreparedCache::with_capacity(1),
+        };
+        let outcome = tiny.run(&campaign).unwrap();
+        assert_eq!(outcome.jsonl(), reference.jsonl());
+        assert_eq!(outcome.workloads_generated, 6, "each key once");
+        assert_eq!(outcome.cache_hits, campaign.len() - 6);
+        let stats = tiny.cache_stats();
+        assert_eq!((stats.entries, stats.evictions), (1, 5));
+        // Only the last derived variant stayed resident: a second run
+        // regenerates the other five keys, each once.
+        let again = tiny.run(&campaign).unwrap();
+        assert_eq!(again.jsonl(), reference.jsonl());
+        assert_eq!(again.workloads_generated, 5);
+        // The standalone prepare path returns every layer, in order.
+        let specs: Vec<WorkloadSpec> = campaign
+            .jobs()
+            .iter()
+            .map(|job| job.workload.clone())
+            .collect();
+        let prepared = tiny.prepare(&specs).unwrap();
+        assert_eq!(prepared.len(), specs.len());
+        for (spec, layer) in specs.iter().zip(&prepared) {
+            assert_eq!(layer.name, spec.reported_name());
+        }
+        assert!(tiny.cache_stats().evictions > 5);
+    }
+
+    #[test]
+    fn cache_counters_are_the_sums_of_the_passes() {
+        let engine = Engine::new(2);
+        let mut campaign = Campaign::new("sums");
+        let plain = small("sums-w");
+        campaign.push_layer(plain.clone(), AcceleratorSpec::sparten());
+        campaign.push_layer(plain.clone().fine_tuned(), AcceleratorSpec::loas());
+        campaign.push_layer(plain.clone(), AcceleratorSpec::gamma());
+        let first = engine.run(&campaign).unwrap();
+        assert_eq!((first.workloads_generated, first.cache_hits), (2, 1));
+        let again = engine.run(&campaign).unwrap();
+        assert_eq!((again.workloads_generated, again.cache_hits), (0, 3));
+        // A fine-tuned job alone generates its base too: both count.
+        let mut derived = Campaign::new("derived");
+        derived.push_layer(small("sums-ft").fine_tuned(), AcceleratorSpec::loas());
+        let ft = engine.run(&derived).unwrap();
+        assert_eq!((ft.workloads_generated, ft.cache_hits), (2, 0));
+        let prepared = engine.prepare(&[plain.clone(), plain]).unwrap();
+        assert!(Arc::ptr_eq(&prepared[0], &prepared[1]));
+        let stats = engine.cache_stats();
+        assert_eq!(stats.generated, 2 + 2);
+        assert_eq!(stats.hits, 1 + 3 + 2, "campaign hits plus prepare's two");
     }
 
     #[test]

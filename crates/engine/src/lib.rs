@@ -11,8 +11,10 @@
 //!    count;
 //! 2. **Prepared-layer caching** — workloads are content-keyed
 //!    ([`WorkloadKey`]) and each unique workload is generated and
-//!    compressed exactly once per engine, however many jobs or campaigns
-//!    reference it;
+//!    compressed once per engine while resident, however many jobs or
+//!    campaigns reference it; the LRU bound is fixed (4096 layers), and a
+//!    campaign holds the layers its one preparation pass returned, so an
+//!    eviction never reaches a running campaign;
 //! 3. **Streaming reports** — a sink observes each [`JobRecord`] as soon as
 //!    its prefix of the campaign completes, and [`CampaignOutcome`] holds
 //!    the per-layer records plus a human summary with measured wall-clock
@@ -59,7 +61,7 @@ pub(crate) mod memo;
 mod report;
 mod spec;
 
-pub use cache::{PreparedCache, PreparedCacheStats, DEFAULT_CACHE_CAPACITY};
+pub use cache::PreparedCacheStats;
 pub use catalog::AcceleratorSpec;
 pub use executor::{default_workers, Engine, EngineError};
 pub use memo::{LogCheck, MemoKey, MemoStore, MemoStoreStats, ResultStore};

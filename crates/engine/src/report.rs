@@ -129,11 +129,13 @@ pub struct CampaignOutcome {
     pub wall_seconds: f64,
     /// Wall-clock seconds of the workload-preparation phase.
     pub prepare_seconds: f64,
-    /// Workloads generated for this campaign (cache misses).
+    /// Workloads this campaign's preparation pass generated: its missing
+    /// keys, plus the base of each missing fine-tuned key the cache did
+    /// not hold.
     pub workloads_generated: usize,
-    /// Jobs served by a shared preparation: job resolutions beyond the
-    /// first use of each freshly generated key, plus every use of keys
-    /// cached by earlier campaigns on the same engine.
+    /// Simulated jobs served without generating: jobs beyond the first
+    /// use of each freshly generated key, plus every use of keys cached
+    /// by earlier campaigns on the same engine.
     pub cache_hits: usize,
     /// Jobs replayed from the result-memoization store (zero when no store
     /// was supplied).

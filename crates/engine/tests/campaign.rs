@@ -248,24 +248,6 @@ fn memo_store_replays_warm_campaigns_without_simulating() {
 }
 
 #[test]
-fn tiny_cache_capacity_still_completes_and_matches() {
-    // Regression: a cache cap below the campaign's unique-workload count
-    // (including the FT-derived second wave) must degrade to regeneration,
-    // not panic, and must not change the report bytes.
-    let campaign = mixed_campaign();
-    let reference = Engine::new(2).run(&campaign).unwrap().jsonl();
-    let tiny = Engine::new(2);
-    tiny.set_cache_capacity(1);
-    let outcome = tiny.run(&campaign).unwrap();
-    assert_eq!(outcome.jsonl(), reference);
-    assert!(tiny.cache_stats().evictions > 0, "the cap actually engaged");
-    // The standalone prepare path survives a tiny cache too.
-    let specs = unique_workloads(&campaign);
-    let layers = tiny.prepare(&specs).unwrap();
-    assert_eq!(layers.len(), specs.len());
-}
-
-#[test]
 fn a_panicking_job_fails_its_campaign_and_spares_the_next() {
     let mut broken = Campaign::new("broken");
     broken.push_layer(small_layer("panic-a", 1), AcceleratorSpec::loas());

@@ -7,7 +7,7 @@
 //! loas-serve enqueue <dir> (<spec.json> | <spec-dir> | <manifest> |
 //!                           --headline | --gamma-cache) [--quick] [--seed S]
 //! loas-serve run <dir> [--shard K/N] [--workers W] [--no-store]
-//!                      [--cache-capacity N] [--watch [--poll-ms P] [--idle-ms I]]
+//!                      [--watch [--poll-ms P] [--idle-ms I]]
 //! loas-serve merge <dir> <campaign-id> --shards N
 //! loas-serve requeue <dir> <campaign-id>
 //! loas-serve fsck <dir> [--prune]
@@ -32,7 +32,7 @@ const USAGE: &str = "usage: loas-serve <init|spec|enqueue|run|merge|requeue|fsck
                                                manifest file (one per line, # comments)
   enqueue <dir> (--headline | --gamma-cache) [--quick] [--seed S]
                                                submit a built-in campaign
-  run <dir> [--shard K/N] [--workers W] [--no-store] [--cache-capacity N]
+  run <dir> [--shard K/N] [--workers W] [--no-store]
             [--watch [--poll-ms P] [--idle-ms I]]  drain the queue (one shard per process)
   merge <dir> <campaign-id> --shards N         merge shard reports into report.jsonl
   requeue <dir> <campaign-id>                  reset a failed campaign to queued
@@ -154,6 +154,8 @@ fn cmd_run(args: &[String]) -> Result<(), ServeError> {
     let mut watch_mode = false;
     let mut poll = Duration::from_millis(500);
     let mut max_idle: Option<Duration> = None;
+    // The last flag given that only a watching runner reads.
+    let mut watch_only: Option<&str> = None;
     let mut rest = args[1..].iter();
     while let Some(arg) = rest.next() {
         match arg.as_str() {
@@ -165,11 +167,6 @@ fn cmd_run(args: &[String]) -> Result<(), ServeError> {
                 let value = rest.next().and_then(|v| v.parse().ok());
                 options.workers = value.ok_or_else(|| usage("--workers needs an integer"))?;
             }
-            "--cache-capacity" => {
-                let value = rest.next().and_then(|v| v.parse().ok());
-                options.cache_capacity =
-                    Some(value.ok_or_else(|| usage("--cache-capacity needs an integer"))?);
-            }
             "--no-store" => options.use_store = false,
             "--watch" => watch_mode = true,
             "--poll-ms" => {
@@ -177,15 +174,20 @@ fn cmd_run(args: &[String]) -> Result<(), ServeError> {
                 poll = Duration::from_millis(
                     value.ok_or_else(|| usage("--poll-ms needs an integer"))?,
                 );
+                watch_only = Some("--poll-ms");
             }
             "--idle-ms" => {
                 let value = rest.next().and_then(|v| v.parse().ok());
                 max_idle = Some(Duration::from_millis(
                     value.ok_or_else(|| usage("--idle-ms needs an integer"))?,
                 ));
+                watch_only = Some("--idle-ms");
             }
             other => return Err(usage(format!("unknown run flag `{other}`"))),
         }
+    }
+    if let (false, Some(flag)) = (watch_mode, watch_only) {
+        return Err(usage(format!("{flag} only applies with --watch")));
     }
 
     let shard = options.shard;

@@ -315,12 +315,6 @@ fn parse_object<'a>(text: &'a str, pos: &mut usize, depth: usize) -> Result<Json
     }
 }
 
-/// Escapes a string for embedding in generated JSON — the engine's report
-/// escaping, shared so spec and report serialization cannot drift apart.
-pub fn escape(value: &str) -> String {
-    loas_engine::json_escape(value)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -420,7 +414,7 @@ mod tests {
     #[test]
     fn escape_round_trips_through_parse() {
         let nasty = "quote\" slash\\ newline\n tab\t control\u{1}";
-        let doc = format!("{{\"v\": \"{}\"}}", escape(nasty));
+        let doc = format!("{{\"v\": \"{}\"}}", loas_engine::json_escape(nasty));
         let parsed = Json::parse(&doc).unwrap();
         assert_eq!(parsed.get("v").unwrap().as_str(), Some(nasty));
     }

@@ -27,9 +27,6 @@ pub struct RunOptions {
     pub workers: usize,
     /// Whether to consult/populate the queue's memo store.
     pub use_store: bool,
-    /// Prepared-layer cache cap for the embedded engine (`None` keeps the
-    /// engine default).
-    pub cache_capacity: Option<usize>,
 }
 
 impl Default for RunOptions {
@@ -38,7 +35,6 @@ impl Default for RunOptions {
             shard: ShardSpec::default(),
             workers: loas_engine::default_workers(),
             use_store: true,
-            cache_capacity: None,
         }
     }
 }
@@ -56,7 +52,7 @@ pub struct RunSummary {
     pub memo_hits: usize,
     /// Jobs actually simulated.
     pub simulated: usize,
-    /// Workloads generated (prepared-cache misses).
+    /// Workloads generated (the campaigns' `workloads_generated`, summed).
     pub generated: usize,
 }
 
@@ -73,7 +69,7 @@ pub struct CampaignProgress {
     pub memo_hits: usize,
     /// Simulated jobs among them.
     pub simulated: usize,
-    /// Workloads generated for them.
+    /// Workloads generated for them (the outcome's `workloads_generated`).
     pub generated: usize,
     /// Shard wall-clock seconds.
     pub wall_seconds: f64,
@@ -106,9 +102,6 @@ fn build_context(
     options: &RunOptions,
 ) -> Result<(Engine, Option<MemoStore>), ServeError> {
     let engine = Engine::new(options.workers);
-    if let Some(capacity) = options.cache_capacity {
-        engine.set_cache_capacity(capacity);
-    }
     let store = if options.use_store {
         Some(MemoStore::open(queue.memo_dir()).map_err(ServeError::io(queue.memo_dir()))?)
     } else {
@@ -178,7 +171,6 @@ fn run_one(
     // Stream records into the shard file as their prefix completes; I/O
     // failures inside the sink surface after the run.
     let mut sink_error: Option<std::io::Error> = None;
-    let generated_before = engine.cache_stats().generated;
     let run = engine.run_where(
         campaign,
         Some(&job_ids),
@@ -247,7 +239,7 @@ fn run_one(
         jobs: outcome.records.len(),
         memo_hits: outcome.memo_hits,
         simulated: outcome.simulated,
-        generated: engine.cache_stats().generated - generated_before,
+        generated: outcome.workloads_generated,
         wall_seconds: outcome.wall_seconds,
     })
 }
@@ -293,8 +285,8 @@ pub fn watch(
     mut progress: impl FnMut(&CampaignProgress),
 ) -> Result<RunSummary, ServeError> {
     // One engine for the daemon's whole life: the prepared-layer cache
-    // (LRU-bounded) spans poll passes, so campaigns submitted minutes
-    // apart still share workload preparations.
+    // (with its fixed LRU bound) spans poll passes, so campaigns
+    // submitted minutes apart still share workload preparations.
     let (engine, store) = build_context(queue, options)?;
     let mut total = RunSummary::default();
     let mut last_work = Instant::now();
@@ -320,7 +312,7 @@ pub fn watch(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec_io::{campaign_to_json, headline_campaign};
+    use crate::spec_io::{campaign_to_json, gamma_cache_campaign, headline_campaign};
 
     fn temp_queue(tag: &str) -> Queue {
         let root = std::env::temp_dir().join(format!(
@@ -373,6 +365,42 @@ mod tests {
         let read =
             |id: u64| std::fs::read_to_string(queue.report_dir(id).join("report.jsonl")).unwrap();
         assert_eq!(read(first), read(second), "replayed report diverged");
+        let _ = std::fs::remove_dir_all(queue.root());
+    }
+
+    #[test]
+    fn watch_sums_its_passes_and_shares_layers_across_campaigns() {
+        let queue = temp_queue("watch");
+        for campaign in [headline_campaign(true, 11), gamma_cache_campaign(true, 11)] {
+            queue.enqueue(&campaign_to_json(&campaign)).unwrap();
+        }
+        let mut seen = Vec::new();
+        let options = RunOptions {
+            use_store: false,
+            ..small_options()
+        };
+        let summary = watch(
+            &queue,
+            &options,
+            Duration::from_millis(1),
+            Some(Duration::ZERO),
+            |p| {
+                seen.push((p.id, p.jobs, p.generated));
+            },
+        )
+        .unwrap();
+        // The Gamma sweep runs on the headline's V-L8 layer, which the
+        // watcher's one engine already holds: it generates nothing.
+        assert_eq!(seen, vec![(1, 28, 8), (2, 4, 0)]);
+        let expected = RunSummary {
+            campaigns: 2,
+            failed: 0,
+            jobs: 32,
+            memo_hits: 0,
+            simulated: 32,
+            generated: 8,
+        };
+        assert_eq!(summary, expected);
         let _ = std::fs::remove_dir_all(queue.root());
     }
 

@@ -30,9 +30,9 @@
 //! [`ModelConfig`]: loas_core::ModelConfig
 
 use crate::error::ServeError;
-use crate::json::{escape, Json};
-use loas_core::ConfigValue;
-use loas_engine::{AcceleratorSpec, Campaign, JobSpec, WorkloadSpec};
+use crate::json::Json;
+use loas_core::{CatalogError, ConfigValue};
+use loas_engine::{json_escape, AcceleratorSpec, Campaign, JobSpec, WorkloadSpec};
 use loas_workloads::networks;
 use loas_workloads::{LayerShape, SparsityProfile};
 use std::fmt::{Arguments, Write as _};
@@ -46,7 +46,7 @@ pub fn campaign_to_json(campaign: &Campaign) -> String {
     let mut out = String::with_capacity(256 * campaign.len().max(1));
     let _ = writeln!(out, "{{");
     let _ = writeln!(out, "  \"version\": {SPEC_VERSION},");
-    let _ = writeln!(out, "  \"name\": \"{}\",", escape(&campaign.name));
+    let _ = writeln!(out, "  \"name\": \"{}\",", json_escape(&campaign.name));
     let _ = writeln!(out, "  \"jobs\": [");
     for (index, job) in campaign.jobs().iter().enumerate() {
         out.push_str("    ");
@@ -61,13 +61,13 @@ pub fn campaign_to_json(campaign: &Campaign) -> String {
 fn job_to_json(out: &mut String, job: &JobSpec) {
     let workload = &job.workload;
     let profile = &workload.profile;
-    let _ = write!(out, "{{\"label\": \"{}\", ", escape(&job.label));
+    let _ = write!(out, "{{\"label\": \"{}\", ", json_escape(&job.label));
     match &job.network {
         Some(network) => {
             let _ = write!(
                 out,
                 "\"network\": \"{}\", \"layer_index\": {}, ",
-                escape(network),
+                json_escape(network),
                 job.layer_index
             );
         }
@@ -78,7 +78,7 @@ fn job_to_json(out: &mut String, job: &JobSpec) {
         "\"workload\": {{\"name\": \"{}\", \"shape\": {{\"t\": {}, \"m\": {}, \"n\": {}, \"k\": {}}}, \
          \"profile\": {{\"spike_origin\": {}, \"silent\": {}, \"silent_ft\": {}, \"weight\": {}}}, \
          \"seed\": {}, \"fine_tuned\": {}}}, ",
-        escape(&workload.name),
+        json_escape(&workload.name),
         workload.shape.t,
         workload.shape.m,
         workload.shape.n,
@@ -97,7 +97,7 @@ fn job_to_json(out: &mut String, job: &JobSpec) {
     let _ = write!(
         out,
         "\"accelerator\": {{\"name\": \"{}\", \"config\": {{",
-        escape(accelerator.model())
+        json_escape(accelerator.model())
     );
     for (index, (field, value)) in accelerator.config().fields().into_iter().enumerate() {
         let _ = write!(
@@ -328,13 +328,8 @@ fn configured(
     let overrides = overrides
         .as_obj()
         .ok_or_else(|| spec_err(format!("accelerator `config` in {at} must be an object")))?;
-    // Coerce each override by the declared kind of the config field, so
-    // integer tokens land in integer fields and float fields accept both
-    // `128` and `128.0` spellings. A float field refuses a token that
-    // overflows to infinity (`1e400`): it would simulate at an infinite
-    // rate, and the spec could not be written back as JSON.
     let declared = accelerator.config().fields();
-    for (field, value) in overrides {
+    for (field, token) in overrides {
         let Some((_, kind)) = declared.iter().find(|(name, _)| name == field) else {
             if version == SpecVersion::V1 {
                 continue;
@@ -348,28 +343,27 @@ fn configured(
                     .join(", ")
             )));
         };
-        let coerced = match kind {
-            ConfigValue::UInt(_) => value.as_u64().map(ConfigValue::UInt),
-            ConfigValue::Float(_) => value
-                .as_f64()
-                .filter(|v| v.is_finite())
-                .map(ConfigValue::Float),
-            ConfigValue::Bool(_) => value.as_bool().map(ConfigValue::Bool),
-        }
-        .ok_or_else(|| {
+        let refused = |expected| {
             spec_err(format!(
-                "config field `{name}.{field}` in {at} must be {}",
-                match kind {
-                    ConfigValue::UInt(_) => "a non-negative integer",
-                    ConfigValue::Float(_) => "a finite number",
-                    ConfigValue::Bool(_) => "a boolean",
-                }
+                "config field `{name}.{field}` in {at} must be {expected}"
             ))
-        })?;
+        };
+        // The value the token spells; the field's coercion (`ConfigField`)
+        // decides whether it takes it, so a float field reads `128` and
+        // `128.0` alike and refuses `1e400`, which overflows to infinity.
+        let value = token
+            .as_bool()
+            .map(ConfigValue::Bool)
+            .or_else(|| token.as_u64().map(ConfigValue::UInt))
+            .or_else(|| token.as_f64().map(ConfigValue::Float))
+            .ok_or_else(|| refused(kind.expected()))?;
         accelerator
             .config_mut()
-            .set(field, coerced)
-            .map_err(|error| spec_err(format!("{error} (in {at})")))?;
+            .set(field, value)
+            .map_err(|error| match error {
+                CatalogError::FieldType { expected, .. } => refused(expected),
+                other => spec_err(format!("{other} (in {at})")),
+            })?;
     }
     // Individually-plausible fields can combine into a configuration the
     // simulator would hang or panic on (a radix-1 merger, a zero-way
@@ -514,6 +508,18 @@ mod tests {
             panic!("a LoAS accelerator");
         };
         assert_eq!(config.hbm_gbps, 64.0);
+        // Integer and float spellings of a float field are the same bits,
+        // and so the same memo key, in both schema versions.
+        let key = |doc: String| campaign_from_json(&doc).unwrap().jobs()[0].memo_key();
+        let v2 = |overrides: &str| {
+            spec(overrides)
+                .replacen(r#"{"name""#, r#"{"version": 2, "name""#, 1)
+                .replacen(r#"{"loas": "#, r#"{"name": "loas", "config": "#, 1)
+        };
+        let [integer, float] = [r#"{"hbm_gbps": 128}"#, r#"{"hbm_gbps": 128.0}"#];
+        assert_eq!(key(spec(integer)), key(spec(float)));
+        assert_eq!(key(v2(integer)), key(v2(float)));
+        assert_eq!(key(v2(integer)), key(spec(float)));
         for (overrides, needle) in [
             (
                 r#"{"tppes": true}"#,

@@ -14,8 +14,8 @@
 //! a report other than the one a valid frame holds.
 
 use loas_core::LayerReport;
-use loas_engine::{Campaign, MemoKey, MemoStore, ResultStore, DEFAULT_SEED};
-use loas_serve::json::{escape, Json};
+use loas_engine::{json_escape, Campaign, MemoKey, MemoStore, ResultStore, DEFAULT_SEED};
+use loas_serve::json::Json;
 use loas_serve::merge_shards;
 use loas_serve::spec_io::{campaign_from_json, campaign_to_json, headline_campaign};
 use proptest::prelude::*;
@@ -303,7 +303,7 @@ proptest! {
         codes in proptest::collection::vec((0u32..5, any::<u32>()), 0..64),
     ) {
         let text: String = codes.iter().map(|&(class, code)| scalar(class, code)).collect();
-        let doc = format!("\"{}\"", escape(&text));
+        let doc = format!("\"{}\"", json_escape(&text));
         prop_assert_eq!(Json::parse(&doc), Ok(Json::Str(text.into())));
     }
 
@@ -332,7 +332,7 @@ proptest! {
         // the same text.
         let spelled: String = text.chars().map(|c| unicode_escape(c, upper)).collect();
         for (doc, expected) in [
-            (format!("\"{}\\/\"", escape(&text)), format!("{text}/")),
+            (format!("\"{}\\/\"", json_escape(&text)), format!("{text}/")),
             (format!("\"{plain}{spelled}\""), format!("{plain}{text}")),
         ] {
             match Json::parse(&doc) {
@@ -357,7 +357,7 @@ proptest! {
                 if escaped {
                     unicode_escape(c, upper)
                 } else {
-                    escape(&c.to_string())
+                    json_escape(&c.to_string())
                 }
             })
             .collect();

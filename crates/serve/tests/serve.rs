@@ -37,7 +37,6 @@ fn options(shard: ShardSpec, use_store: bool) -> RunOptions {
         shard,
         workers: 2,
         use_store,
-        cache_capacity: None,
     }
 }
 
